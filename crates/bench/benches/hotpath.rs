@@ -16,6 +16,11 @@
 //!   (`try_run_flowsim_traced_into` reusing one [`FluidWorkspace`] across
 //!   all scenarios). Reported, not gated — the engine was already
 //!   group-structured, so the workspace mainly removes allocator traffic.
+//! * **decompose**: `PathIndex::build` and the materialization of the k
+//!   sampled paths (`from_group` over the sample in parallel, then spec
+//!   vectors and fingerprints), under the names `m3_benchmark`'s ledger
+//!   gives the same two stages (`decompose.index_ms`,
+//!   `decompose.materialize_ms`). Reported, not gated.
 //!
 //! The end-to-end cold-estimate latency is also reported for context. As in
 //! the other gates, comparisons use *interleaved minimum* times: mean-of-N
@@ -28,6 +33,7 @@ use m3_flowsim::prelude::*;
 use m3_netsim::prelude::*;
 use m3_nn::prelude::*;
 use m3_workload::prelude::*;
+use rayon::prelude::*;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -219,6 +225,25 @@ fn bench_hotpath(c: &mut Criterion) {
     );
     let flowsim_speedup = flowsim_fresh_min / flowsim_warm_min;
 
+    // --- reported: the two decompose stages, as the ledger splits them ---
+    let index = PathIndex::build(&s.topo, &s.flows);
+    let sampled = index.sample_paths(K_PATHS, SEED);
+    let (index_min, materialize_min) = interleaved_min(
+        || {
+            black_box(PathIndex::build(&s.topo, &s.flows));
+        },
+        || {
+            let datas: Vec<PathScenarioData> = sampled
+                .par_iter()
+                .map(|&g| PathScenarioData::from_group(&s.topo, &s.flows, &index, g, &s.cfg))
+                .collect();
+            for d in &datas {
+                let spec = spec_vector(&s.cfg, d.fg_base_rtt, d.fg_bottleneck);
+                black_box(scenario_fingerprint(d, &spec, true));
+            }
+        },
+    );
+
     // --- end-to-end cold estimate (context; no old pipeline to compare) ---
     let opts = EstimateOptions::default();
     let mut run_estimate = || {
@@ -237,6 +262,8 @@ fn bench_hotpath(c: &mut Criterion) {
     let json = format!(
         "{{\n  \"bench\": \"hotpath\",\n  \"k_paths\": {K_PATHS},\n  \
          \"unique_scenarios\": {},\n  \
+         \"decompose_index_min_ms\": {:.3},\n  \
+         \"decompose_materialize_min_ms\": {:.3},\n  \
          \"forward_reference_min_ms\": {:.3},\n  \
          \"forward_batch_reference_min_ms\": {:.3},\n  \
          \"forward_pooled_min_ms\": {:.3},\n  \
@@ -247,6 +274,8 @@ fn bench_hotpath(c: &mut Criterion) {
          \"flowsim_speedup\": {:.2},\n  \
          \"estimate_cold_min_ms\": {:.3}\n}}\n",
         s.datas.len(),
+        index_min / 1e6,
+        materialize_min / 1e6,
         fwd_ref_min / 1e6,
         fwd_batch_ref_min / 1e6,
         fwd_fast_min / 1e6,

@@ -45,7 +45,7 @@ fn main() {
             let rep = index.rep_flow(g, &sc.flows);
             *hops.entry(rep.path.len()).or_insert(0usize) += 1;
             fg_counts.push(index.foreground_of(g).len() as f64);
-            bg_counts.push(index.background_of(g, &sc.flows).len() as f64);
+            bg_counts.push(index.background_of(g).len() as f64);
         }
         fg_counts.sort_by(|a, b| a.total_cmp(b));
         bg_counts.sort_by(|a, b| a.total_cmp(b));

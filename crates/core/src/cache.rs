@@ -22,22 +22,44 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// by [`crate::faultinject`] for deterministic per-slot fault decisions.
 pub(crate) struct Fnv(u64);
 
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// `FNV_PRIME^n` (wrapping) for `n` in `0..=8`.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut n = 1;
+    while n < pow.len() {
+        pow[n] = pow[n - 1].wrapping_mul(FNV_PRIME);
+        n += 1;
+    }
+    pow
+};
+
 impl Fnv {
     pub(crate) fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
     pub(crate) fn write_u8(&mut self, b: u8) {
-        self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        self.0 = (self.0 ^ b as u64).wrapping_mul(FNV_PRIME);
     }
     pub(crate) fn write_u32(&mut self, v: u32) {
         for b in v.to_le_bytes() {
             self.write_u8(b);
         }
     }
+    /// The eight little-endian bytes of `v`, as eight [`write_u8`] calls
+    /// would hash them. A zero byte's step is a bare multiply by the
+    /// prime, so the high zero bytes of `v` (most of a size, a hop index
+    /// or a latency) fold into one multiply by `prime^zeros`: the hash
+    /// chain is serial, and this shortens it without changing its value.
+    ///
+    /// [`write_u8`]: Self::write_u8
     pub(crate) fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
+        let zeros = (v.leading_zeros() / 8) as usize;
+        for &b in &v.to_le_bytes()[..8 - zeros] {
             self.write_u8(b);
         }
+        self.0 = self.0.wrapping_mul(FNV_PRIME_POW[zeros]);
     }
     pub(crate) fn finish(&self) -> u64 {
         self.0
@@ -352,6 +374,23 @@ mod tests {
         PathDistribution {
             buckets: vec![vec![tag]; NUM_OUTPUT_BUCKETS],
             counts: [1; NUM_OUTPUT_BUCKETS],
+        }
+    }
+
+    #[test]
+    fn write_u64_hashes_like_eight_byte_writes() {
+        // Persisted cache keys and fault-plan decisions depend on these
+        // values: the folded high zero bytes must not change them.
+        let mut values = vec![0, 1, 0xff, 0x100, u32::MAX as u64, 1 << 32, u64::MAX];
+        values.extend((0..64).map(|s| 0x9E37_79B9_7F4A_7C15u64 >> s));
+        values.extend((0..8).map(|b| 0x80u64 << (8 * b)));
+        let (mut folded, mut bytewise) = (Fnv::new(), Fnv::new());
+        for v in values {
+            folded.write_u64(v);
+            for b in v.to_le_bytes() {
+                bytewise.write_u8(b);
+            }
+            assert_eq!(folded.finish(), bytewise.finish(), "after {v:#x}");
         }
     }
 

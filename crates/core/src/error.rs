@@ -268,7 +268,10 @@ impl SpecValidation for SimConfig {
 }
 
 /// Validate a workload against its topology: every flow must reference
-/// existing nodes and carry a non-empty path of links that exist.
+/// existing nodes and carry a non-empty path of links that exist and chain
+/// from `src` to `dst`. Decomposition derives each hop's direction from the
+/// node the previous hop reached, so a discontiguous path would otherwise be
+/// estimated over the wrong ports without any error.
 pub fn validate_workload(topo: &Topology, flows: &[FlowSpec]) -> Result<(), M3Error> {
     if flows.is_empty() {
         return Err(invalid("workload has no flows"));
@@ -295,12 +298,37 @@ pub fn validate_workload(topo: &Topology, flows: &[FlowSpec]) -> Result<(), M3Er
         if f.path.is_empty() {
             return Err(invalid(format!("flow {}: empty path", f.id)));
         }
-        if let Some(&l) = f.path.iter().find(|&&l| l.index() >= num_links) {
+        let mut cur = f.src;
+        for (hop, &l) in f.path.iter().enumerate() {
+            if l.index() >= num_links {
+                return Err(invalid(format!(
+                    "flow {}: path references link {} but topology has {}",
+                    f.id,
+                    l.index(),
+                    num_links
+                )));
+            }
+            let link = topo.link(l);
+            cur = if link.a == cur {
+                link.b
+            } else if link.b == cur {
+                link.a
+            } else {
+                return Err(invalid(format!(
+                    "flow {}: path is not contiguous: hop {} (link {}) does not touch node {}",
+                    f.id,
+                    hop,
+                    l.index(),
+                    cur.index()
+                )));
+            };
+        }
+        if cur != f.dst {
             return Err(invalid(format!(
-                "flow {}: path references link {} but topology has {}",
+                "flow {}: path ends at node {}, not at dst {}",
                 f.id,
-                l.index(),
-                num_links
+                cur.index(),
+                f.dst.index()
             )));
         }
     }

@@ -14,7 +14,7 @@ use m3_netsim::prelude::*;
 
 /// One flow mapped onto a path: its span `[first_hop, last_hop]` over the
 /// path's links, and enough of its original identity to compute slowdowns.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathFlow {
     /// Index into the original workload's flow slice.
     pub global_idx: u32,
@@ -31,7 +31,7 @@ pub struct PathFlow {
 }
 
 /// A fully materialized path-level scenario.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathScenarioData {
     /// Bandwidth and delay of each path link, in order.
     pub link_bw: Vec<Bps>,
@@ -54,6 +54,28 @@ pub struct FlowsimResult {
     pub bg_per_hop: Vec<Vec<(u64, f64)>>,
 }
 
+/// What a flow contributes to every path it is mapped onto, whatever its
+/// span there: derived from the topology's bandwidths and delays, the flow's
+/// size and the config's `mtu`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FlowAttrs {
+    nic_cap: Bps,
+    latency: Nanos,
+    ideal_fct: Nanos,
+}
+
+impl FlowAttrs {
+    pub(crate) fn of(topo: &Topology, f: &FlowSpec, config: &SimConfig) -> Self {
+        FlowAttrs {
+            nic_cap: topo
+                .host_nic_bandwidth(f.src)
+                .min(topo.host_nic_bandwidth(f.dst)),
+            latency: f.path.iter().map(|&l| topo.link(l).delay).sum(),
+            ideal_fct: topo.ideal_fct(&f.path, f.size, config.mtu),
+        }
+    }
+}
+
 impl PathScenarioData {
     /// Build from a decomposition group.
     pub fn from_group(
@@ -63,23 +85,39 @@ impl PathScenarioData {
         group_idx: usize,
         config: &SimConfig,
     ) -> Self {
+        Self::from_group_with(topo, flows, index, group_idx, config, |fi| {
+            FlowAttrs::of(topo, &flows[fi as usize], config)
+        })
+    }
+
+    /// [`from_group`](Self::from_group) with the per-flow attributes
+    /// supplied by `attrs_of` (flow index -> attributes), so a caller
+    /// materializing many groups computes them once per flow rather than
+    /// once per (flow, path) pair.
+    pub(crate) fn from_group_with(
+        topo: &Topology,
+        flows: &[FlowSpec],
+        index: &PathIndex,
+        group_idx: usize,
+        config: &SimConfig,
+        attrs_of: impl Fn(u32) -> FlowAttrs,
+    ) -> Self {
         let rep = index.rep_flow(group_idx, flows);
         let n = rep.path.len();
         let link_bw: Vec<Bps> = rep.path.iter().map(|&l| topo.link(l).bandwidth).collect();
         let link_delay: Vec<Nanos> = rep.path.iter().map(|&l| topo.link(l).delay).collect();
         let mk = |fi: u32, first: usize, last: usize| {
             let f = &flows[fi as usize];
+            let attrs = attrs_of(fi);
             PathFlow {
                 global_idx: fi,
                 size: f.size,
                 arrival: f.arrival,
                 first_hop: first,
                 last_hop: last,
-                nic_cap: topo
-                    .host_nic_bandwidth(f.src)
-                    .min(topo.host_nic_bandwidth(f.dst)),
-                latency: f.path.iter().map(|&l| topo.link(l).delay).sum(),
-                ideal_fct: topo.ideal_fct(&f.path, f.size, config.mtu),
+                nic_cap: attrs.nic_cap,
+                latency: attrs.latency,
+                ideal_fct: attrs.ideal_fct,
             }
         };
         let fg: Vec<PathFlow> = index
@@ -87,11 +125,8 @@ impl PathScenarioData {
             .iter()
             .map(|&fi| mk(fi, 0, n - 1))
             .collect();
-        let bg: Vec<PathFlow> = index
-            .background_of(group_idx, flows)
-            .into_iter()
-            .map(|(fi, a, b)| mk(fi, a, b))
-            .collect();
+        let mut bg: Vec<PathFlow> = Vec::new();
+        index.for_each_background(group_idx, |fi, a, b| bg.push(mk(fi, a, b)));
         PathScenarioData {
             fg_base_rtt: crate::spec::path_base_rtt(topo, &rep.path, config),
             fg_bottleneck: topo.bottleneck_bandwidth(&rep.path),

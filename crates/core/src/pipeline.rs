@@ -19,7 +19,7 @@ use crate::error::{validate_workload, FaultKind, M3Error, SpecValidation, Stage}
 use crate::faultinject::InjectedFault;
 use crate::features::output_bucket;
 use crate::metrics::PipelineMetrics;
-use crate::pathsim::{FlowsimResult, PathScenarioData};
+use crate::pathsim::{FlowAttrs, FlowsimResult, PathScenarioData};
 use crate::spec::spec_vector;
 use m3_flowsim::prelude::{
     try_simulate_fluid_traced, FluidBudget, FluidError, FluidProbe, FluidProbeSink, FluidRunStats,
@@ -34,7 +34,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Output-bucket counts of a foreground flow set.
 fn fg_counts(data: &PathScenarioData) -> [usize; NUM_OUTPUT_BUCKETS] {
@@ -235,21 +235,43 @@ impl CacheRef<'_> {
 /// ([`crate::session`]) schedules: a work unit whose key matches a retained
 /// result needs no recomputation at all.
 pub(crate) struct WorkUnits {
-    pub(crate) datas: Vec<PathScenarioData>,
-    pub(crate) specs: Vec<Vec<f32>>,
-    /// Content key per sampled path.
-    pub(crate) keys: Vec<u64>,
-    /// slot -> first sampled index with that key.
-    pub(crate) uniq: Vec<usize>,
+    /// One materialized unit per distinct sampled group, ascending in
+    /// group index.
+    units: Vec<WorkUnit>,
+    /// slot -> the unit of the first sampled path with that content key.
+    uniq: Vec<usize>,
     /// sampled index -> unique slot.
     pub(crate) slot_of: Vec<usize>,
     /// slot -> number of sampled paths deduplicated into it.
     pub(crate) multiplicity: Vec<usize>,
 }
 
+/// One materialized path scenario with its spec vector and content key.
+pub(crate) struct WorkUnit {
+    pub(crate) data: PathScenarioData,
+    pub(crate) spec: Vec<f32>,
+    pub(crate) key: u64,
+}
+
 impl WorkUnits {
+    /// Number of sampled paths.
     pub(crate) fn len(&self) -> usize {
-        self.datas.len()
+        self.slot_of.len()
+    }
+
+    /// Number of unique slots.
+    pub(crate) fn slots(&self) -> usize {
+        self.uniq.len()
+    }
+
+    /// The unit a unique slot stands for.
+    pub(crate) fn slot(&self, slot: usize) -> &WorkUnit {
+        &self.units[self.uniq[slot]]
+    }
+
+    /// Content key per sampled path.
+    pub(crate) fn keys(&self) -> Vec<u64> {
+        self.slot_of.iter().map(|&s| self.slot(s).key).collect()
     }
 }
 
@@ -259,6 +281,8 @@ impl WorkUnits {
 /// the full m3 treatment (cache hit or fresh fully-corrected prediction)
 /// and are therefore safe to retain and pin.
 pub(crate) struct RunInfo {
+    /// The decomposition index the estimate was computed over.
+    pub(crate) index: PathIndex,
     /// Sampled group indices (after any `path_slice` restriction).
     pub(crate) sampled: Vec<usize>,
     /// Content key per sampled path.
@@ -568,30 +592,39 @@ impl M3Estimator {
         groups: &[usize],
         config: &SimConfig,
     ) -> WorkUnits {
-        let datas: Vec<PathScenarioData> = groups
+        // Sampling is with replacement, so each distinct group is
+        // materialized and fingerprinted once, and a flow's path-independent
+        // attributes once however many of the paths it is background of.
+        let mut distinct = groups.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let attrs: Vec<OnceLock<FlowAttrs>> = (0..flows.len()).map(|_| OnceLock::new()).collect();
+        let units: Vec<WorkUnit> = distinct
             .par_iter()
-            .map(|&g| PathScenarioData::from_group(topo, flows, index, g, config))
-            .collect();
-        let specs: Vec<Vec<f32>> = datas
-            .iter()
-            .map(|d| spec_vector(config, d.fg_base_rtt, d.fg_bottleneck))
+            .map(|&g| {
+                let data = PathScenarioData::from_group_with(topo, flows, index, g, config, |fi| {
+                    *attrs[fi as usize]
+                        .get_or_init(|| FlowAttrs::of(topo, &flows[fi as usize], config))
+                });
+                let spec = spec_vector(config, data.fg_base_rtt, data.fg_bottleneck);
+                let key = scenario_fingerprint(&data, &spec, self.use_context);
+                WorkUnit { data, spec, key }
+            })
             .collect();
         // Dedupe by content hash: sampling with replacement and symmetric
         // topologies both produce repeated scenarios, which need only one
         // flowSim run and one forward-pass row each. `slot_of[i]` maps
         // sampled path i to its unique-scenario slot (first-occurrence
         // order, so everything downstream stays deterministic).
-        let keys: Vec<u64> = datas
-            .iter()
-            .zip(&specs)
-            .map(|(d, s)| scenario_fingerprint(d, s, self.use_context))
-            .collect();
         let mut slot_by_key: HashMap<u64, usize> = HashMap::new();
-        let mut uniq: Vec<usize> = Vec::new(); // slot -> first index into datas
-        let mut slot_of: Vec<usize> = Vec::with_capacity(datas.len());
-        for (i, &k) in keys.iter().enumerate() {
-            let slot = *slot_by_key.entry(k).or_insert_with(|| {
-                uniq.push(i);
+        let mut uniq: Vec<usize> = Vec::new();
+        let mut slot_of: Vec<usize> = Vec::with_capacity(groups.len());
+        for g in groups {
+            let Ok(unit) = distinct.binary_search(g) else {
+                unreachable!("`distinct` holds every sampled group")
+            };
+            let slot = *slot_by_key.entry(units[unit].key).or_insert_with(|| {
+                uniq.push(unit);
                 uniq.len() - 1
             });
             slot_of.push(slot);
@@ -603,9 +636,7 @@ impl M3Estimator {
             multiplicity[s] += 1;
         }
         WorkUnits {
-            datas,
-            specs,
-            keys,
+            units,
             uniq,
             slot_of,
             multiplicity,
@@ -685,7 +716,7 @@ impl M3Estimator {
         span.finish();
         m.sampled_paths.add(u.len() as u64);
         report.total_samples = u.len();
-        m.unique_scenarios.add(u.uniq.len() as u64);
+        m.unique_scenarios.add(u.slots() as u64);
 
         let (resolved, clean, model_fp) =
             self.resolve_slots(&u, &mut cache, options, &troot, &m, &mut report)?;
@@ -718,7 +749,8 @@ impl M3Estimator {
         let info = collect_info.then(|| RunInfo {
             dists: u.slot_of.iter().map(|&s| resolved[s].clone()).collect(),
             clean: u.slot_of.iter().map(|&s| clean[s]).collect(),
-            keys: u.keys,
+            keys: u.keys(),
+            index,
             sampled,
             model_fp,
         });
@@ -756,8 +788,7 @@ impl M3Estimator {
         let tracing = troot.is_enabled();
         let stride_ns = options.trace.stride_ns();
         let fail_fast = matches!(options.policy, DegradationPolicy::FailFast);
-        let (datas, specs, keys, uniq, multiplicity) =
-            (&u.datas, &u.specs, &u.keys, &u.uniq, &u.multiplicity);
+        let multiplicity = &u.multiplicity;
 
         // Cache probe. The model fingerprint is only computed when a cache
         // is present — it hashes every parameter, which is not free. Hits
@@ -765,22 +796,23 @@ impl M3Estimator {
         // (exact repair, so it neither counts against the degradation
         // budget nor aborts a fail-fast run).
         let model_fp = cache.present().then(|| self.net.fingerprint());
-        let mut resolved: Vec<Option<PathDistribution>> = vec![None; uniq.len()];
-        let mut clean: Vec<bool> = vec![false; uniq.len()];
+        let mut resolved: Vec<Option<PathDistribution>> = vec![None; u.slots()];
+        let mut clean: Vec<bool> = vec![false; u.slots()];
         if let Some(fp) = model_fp {
             // One lock (shared variant) spans the whole probe loop: the
             // map lookups are cheap next to the flowSim runs a miss costs.
             let events = &mut report.events;
             let clean = &mut clean;
             cache.with(|c| {
-                for (slot, &i) in uniq.iter().enumerate() {
-                    match c.get(keys[i], fp) {
+                for (slot, cached) in resolved.iter_mut().enumerate() {
+                    let key = u.slot(slot).key;
+                    match c.get(key, fp) {
                         Some(d) if d.is_sane() => {
-                            resolved[slot] = Some(d);
+                            *cached = Some(d);
                             clean[slot] = true;
                         }
                         Some(_) => {
-                            c.remove(keys[i], fp);
+                            c.remove(key, fp);
                             events.push(DegradationEvent {
                                 stage: Stage::Cache,
                                 fault: FaultKind::Corruption,
@@ -798,7 +830,7 @@ impl M3Estimator {
         }
         m.cache_hits
             .add(resolved.iter().filter(|r| r.is_some()).count() as u64);
-        let todo: Vec<usize> = (0..uniq.len()).filter(|&s| resolved[s].is_none()).collect();
+        let todo: Vec<usize> = (0..u.slots()).filter(|&s| resolved[s].is_none()).collect();
         if cache.present() {
             m.cache_misses.add(todo.len() as u64);
         }
@@ -828,7 +860,7 @@ impl M3Estimator {
                     tracing.then(|| tflow.child_on_lane("slot", s as u32, 1 + s as u32));
                 catch_unwind(AssertUnwindSafe(|| {
                     self.run_flowsim_slot(
-                        &datas[uniq[s]],
+                        &u.slot(s).data,
                         s,
                         options,
                         slot_span.as_ref(),
@@ -889,12 +921,12 @@ impl M3Estimator {
         let inputs: Vec<SampleInput> = ok
             .par_iter()
             .map(|&j| {
-                let i = uniq[todo[j]];
-                let (fg_map, bg_maps) = datas[i].features(sim_of(j));
+                let unit = u.slot(todo[j]);
+                let (fg_map, bg_maps) = unit.data.features(sim_of(j));
                 SampleInput {
                     fg: fg_map.encode_log(),
                     bg: bg_maps.iter().map(|m| m.encode_log()).collect(),
-                    spec: specs[i].clone(),
+                    spec: unit.spec.clone(),
                     use_context: self.use_context,
                 }
             })
@@ -946,10 +978,9 @@ impl M3Estimator {
                     let poisoned = plan.is_some_and(|p| p.hits(InjectedFault::ForwardPoison, s));
                     if !poisoned && out.iter().all(|v| v.is_finite()) {
                         let decoded = crate::features::decode_log(out);
-                        let i = uniq[s];
                         resolved[s] = Some(PathDistribution::from_model_output(
                             &decoded,
-                            fg_counts(&datas[i]),
+                            fg_counts(&u.slot(s).data),
                         ));
                         clean[s] = true;
                         cacheable.push(s);
@@ -991,7 +1022,7 @@ impl M3Estimator {
                     let before = c.evictions();
                     for &s in &cacheable {
                         if let Some(dist) = resolved[s].clone() {
-                            c.insert(keys[uniq[s]], fp, dist);
+                            c.insert(u.slot(s).key, fp, dist);
                         }
                     }
                     c.evictions() - before
@@ -1217,6 +1248,106 @@ mod tests {
         let legacy = NetworkEstimate::aggregate(&dists);
         let batched = est.estimate(&ft.topo, &flows, &cfg, 10, 5);
         assert_estimates_bit_identical(&legacy, &batched);
+    }
+
+    #[test]
+    fn materialize_units_equals_per_index_from_group_and_fingerprint() {
+        // Few flows and many samples: groups repeat in the sample, and the
+        // symmetric fabric makes distinct groups share a content key.
+        let (ft, flows, cfg) = small_workload(300);
+        let est = untrained_estimator();
+        let index = PathIndex::build(&ft.topo, &flows);
+        let mut sampled = index.sample_paths(80, 11);
+        sampled.extend_from_within(..5);
+        let u = est.materialize_units(&ft.topo, &flows, &index, &sampled, &cfg);
+
+        assert_eq!(u.len(), sampled.len());
+        let mut distinct = sampled.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(distinct.len() < sampled.len(), "want repeated groups");
+        assert_eq!(u.multiplicity.iter().sum::<usize>(), sampled.len());
+
+        let mut next_slot = 0;
+        for (i, &g) in sampled.iter().enumerate() {
+            let data = PathScenarioData::from_group(&ft.topo, &flows, &index, g, &cfg);
+            let spec = spec_vector(&cfg, data.fg_base_rtt, data.fg_bottleneck);
+            let key = scenario_fingerprint(&data, &spec, est.use_context);
+            let slot = u.slot_of[i];
+            assert_eq!(u.slot(slot).key, key, "sampled path {i}");
+            assert_eq!(u.keys()[i], key);
+            // Slots are numbered by first occurrence, and a slot holds
+            // its first occurrence's scenario, field for field.
+            if slot == next_slot {
+                next_slot += 1;
+                assert_eq!(u.slot(slot).data, data, "sampled path {i}");
+                assert_eq!(u.slot(slot).spec, spec);
+            } else {
+                assert!(slot < next_slot, "slot {slot} skipped ahead at path {i}");
+            }
+        }
+        assert_eq!(next_slot, u.slots());
+        assert_eq!(u.units.len(), distinct.len(), "one unit per distinct group");
+    }
+
+    /// Child half of `estimate_is_bit_identical_at_1_2_and_4_workers`:
+    /// prints the worker count the `rayon` stand-in settled on and a digest
+    /// of what the parallel sections produce (work-unit keys and slots, and
+    /// the estimate).
+    #[test]
+    #[ignore = "run by estimate_is_bit_identical_at_1_2_and_4_workers, which sets RAYON_NUM_THREADS"]
+    fn print_worker_count_and_digest() {
+        let (ft, flows, cfg) = small_workload(800);
+        let est = untrained_estimator();
+        let index = PathIndex::build(&ft.topo, &flows);
+        let sampled = index.sample_paths(40, 5);
+        let u = est.materialize_units(&ft.topo, &flows, &index, &sampled, &cfg);
+        let e = est
+            .try_estimate(&ft.topo, &flows, &cfg, 40, 5, &EstimateOptions::default())
+            .unwrap();
+        let mut h = crate::cache::Fnv::new();
+        u.keys().iter().for_each(|&k| h.write_u64(k));
+        u.slot_of.iter().for_each(|&s| h.write_u64(s as u64));
+        e.bucket_counts.iter().for_each(|&c| h.write_u64(c as u64));
+        for bucket in &e.bucket_samples {
+            h.write_u64(bucket.len() as u64);
+            bucket.iter().for_each(|v| h.write_u64(v.to_bits()));
+        }
+        println!(
+            "workers={} digest={:016x}",
+            rayon::current_num_threads(),
+            h.finish()
+        );
+    }
+
+    /// Fingerprinting runs inside the parallel section, so its results must
+    /// not depend on how the paths are chunked over workers. The stand-in
+    /// fixes its worker count per process (as upstream's global pool does),
+    /// hence one child process per count.
+    #[test]
+    fn estimate_is_bit_identical_at_1_2_and_4_workers() {
+        let exe = std::env::current_exe().unwrap();
+        let digest_at = |workers: usize| {
+            let out = std::process::Command::new(&exe)
+                .args(["--ignored", "--exact", "--nocapture"])
+                .arg("pipeline::tests::print_worker_count_and_digest")
+                .env("RAYON_NUM_THREADS", workers.to_string())
+                .output()
+                .unwrap();
+            let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+            assert!(out.status.success(), "child failed: {stdout}");
+            let report = stdout
+                .split("workers=")
+                .nth(1)
+                .and_then(|rest| rest.lines().next())
+                .unwrap_or_else(|| panic!("no report in: {stdout}"));
+            let (n, digest) = report.split_once(" digest=").unwrap();
+            assert_eq!(n, workers.to_string(), "RAYON_NUM_THREADS not honoured");
+            digest.to_string()
+        };
+        let one = digest_at(1);
+        assert_eq!(digest_at(2), one);
+        assert_eq!(digest_at(4), one);
     }
 
     #[test]

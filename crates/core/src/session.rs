@@ -43,7 +43,9 @@ use crate::decompose::PathIndex;
 use crate::error::{M3Error, SpecValidation, Stage};
 use crate::metrics::PipelineMetrics;
 use crate::optimizer::Knob;
-use crate::pipeline::{enforce_degradation_ceiling, CacheRef, EstimateOptions, M3Estimator};
+use crate::pipeline::{
+    enforce_degradation_ceiling, CacheRef, EstimateOptions, M3Estimator, RunInfo,
+};
 use m3_netsim::prelude::*;
 use m3_telemetry::MetricsRegistry;
 use serde::{Deserialize, Serialize};
@@ -273,6 +275,20 @@ struct PathSlot {
     clean: bool,
 }
 
+/// The retained per-path results of a full estimate.
+fn slots_of(info: &RunInfo) -> Vec<PathSlot> {
+    info.keys
+        .iter()
+        .zip(&info.dists)
+        .zip(&info.clean)
+        .map(|((&key, dist), &clean)| PathSlot {
+            key,
+            dist: dist.clone(),
+            clean,
+        })
+        .collect()
+}
+
 /// What one session open/update produced.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionUpdate {
@@ -323,23 +339,43 @@ impl ScenarioSession {
         options: EstimateOptions,
     ) -> Result<(Self, SessionUpdate), M3Error> {
         let state = ScenarioState::new(topo, flows, config);
+        let eff_flows = state.effective_flows();
+        let (estimate, info) = est.estimate_with_info(
+            &state.topo,
+            &eff_flows,
+            &state.config,
+            k_paths,
+            seed,
+            &cache,
+            &options,
+        )?;
+        // The estimate's own index is the session's: it is built once.
         let mut session = ScenarioSession {
-            eff_flows: Vec::new(),
-            index: PathIndex::build(&state.topo, &state.flows),
+            slots: slots_of(&info),
             state,
+            eff_flows,
+            index: info.index,
             k_paths,
             seed,
             options,
             cache,
-            sampled: Vec::new(),
-            slots: Vec::new(),
-            model_fp: None,
-            last: NetworkEstimate::default(),
+            sampled: info.sampled,
+            model_fp: info.model_fp,
+            last: estimate.clone(),
             pinned: Vec::new(),
         };
-        let next = session.state.clone();
-        let update = session.rebuild(est, next, true)?;
-        Ok((session, update))
+        session.repin();
+        let total_paths = session.slots.len();
+        Ok((
+            session,
+            SessionUpdate {
+                estimate,
+                total_paths,
+                dirty_paths: total_paths,
+                reused_paths: 0,
+                structural: true,
+            },
+        ))
     }
 
     /// The estimate of the session's current scenario.
@@ -379,16 +415,12 @@ impl ScenarioSession {
         // the existing index stays valid. Dirty = what the delta can touch
         // plus whatever was not retainable from the previous update.
         let dirty_groups = self.index.dirty_groups(&self.eff_flows, delta);
-        let mut dirty = vec![false; self.sampled.len()];
-        {
-            let mut group_dirty = vec![false; self.index.num_paths()];
-            for &g in &dirty_groups {
-                group_dirty[g] = true;
-            }
-            for (i, &g) in self.sampled.iter().enumerate() {
-                dirty[i] = group_dirty[g] || !self.slots[i].clean;
-            }
-        }
+        let dirty: Vec<bool> = self
+            .sampled
+            .iter()
+            .zip(&self.slots)
+            .map(|(g, slot)| dirty_groups.binary_search(g).is_ok() || !slot.clean)
+            .collect();
         let dirty_pos: Vec<usize> = (0..dirty.len()).filter(|&i| dirty[i]).collect();
         let next_eff = next.effective_flows();
 
@@ -454,7 +486,7 @@ impl ScenarioSession {
         for (j, &i) in dirty_pos.iter().enumerate() {
             let slot = u.slot_of[j];
             self.slots[i] = PathSlot {
-                key: u.keys[j],
+                key: u.slot(slot).key,
                 dist: resolved[slot].clone(),
                 clean: clean[slot],
             };
@@ -502,24 +534,19 @@ impl ScenarioSession {
         )?;
         // Reuse accounting: paths whose content key survived the delta
         // were answered from retained state (via the shared cache).
-        let prev_keys: std::collections::HashSet<u64> = self.slots.iter().map(|s| s.key).collect();
-        let reused = info.keys.iter().filter(|k| prev_keys.contains(k)).count();
+        let mut prev_keys: Vec<u64> = self.slots.iter().map(|s| s.key).collect();
+        prev_keys.sort_unstable();
+        let reused = info
+            .keys
+            .iter()
+            .filter(|k| prev_keys.binary_search(k).is_ok())
+            .count();
 
-        self.index = PathIndex::build(&next.topo, &eff);
+        self.slots = slots_of(&info);
+        self.index = info.index;
         self.state = next;
         self.eff_flows = eff;
         self.sampled = info.sampled;
-        self.slots = info
-            .keys
-            .iter()
-            .zip(&info.dists)
-            .zip(&info.clean)
-            .map(|((&key, dist), &clean)| PathSlot {
-                key,
-                dist: dist.clone(),
-                clean,
-            })
-            .collect();
         self.model_fp = info.model_fp;
         self.last = out.clone();
         self.repin();

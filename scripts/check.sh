@@ -47,6 +47,9 @@ cargo test -q -p m3-serve --test swap_integration
 echo "==> monitor suite (time-series merge laws, pinned burn-rate transitions, live-service sampling)"
 cargo test -q --test monitor_prop
 
+echo "==> benchmark adapter suite (m3_benchmark is a workspace of its own: the root cargo test does not build it)"
+cargo test --release -q --manifest-path m3_benchmark/Cargo.toml
+
 echo "==> trace golden-file check (deterministic export must be byte-stable)"
 cargo build --release -q
 TRACE_TMP="$(mktemp /tmp/m3-trace-golden.XXXXXX.json)"

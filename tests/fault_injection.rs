@@ -492,3 +492,59 @@ fn nan_weight_behind_zero_activation_faults_forward_stage() {
         "{err}"
     );
 }
+
+#[test]
+fn discontiguous_path_is_rejected_with_a_typed_error() {
+    // Links in range but not chained from src to dst: before the check,
+    // a release build walked them as if contiguous (`Link::other` is only
+    // a `debug_assert`) and estimated over the wrong ports.
+    let (ft, mut flows, cfg) = small_workload(5);
+    let est = untrained_estimator();
+    let expect_invalid = |flows: &[FlowSpec], needle: &str| {
+        let err = est
+            .try_estimate(
+                &ft.topo,
+                flows,
+                &cfg,
+                K_PATHS,
+                SEED,
+                &EstimateOptions::default(),
+            )
+            .unwrap_err();
+        match &err {
+            M3Error::InvalidSpec {
+                stage: Stage::Validate,
+                reason,
+            } => assert!(reason.contains(needle), "{reason}"),
+            other => panic!("expected InvalidSpec at validate, got {other}"),
+        }
+        assert!(!err.is_transient());
+    };
+
+    // A hop that does not touch the node the previous hop reached: swap two
+    // hops of a route that crosses the fabric.
+    let i = flows.iter().position(|f| f.path.len() >= 4).unwrap();
+    let original = flows[i].clone();
+    flows[i].path.swap(1, 2);
+    let at = flows[i].src;
+    let first = ft.topo.link(flows[i].path[0]);
+    let reached = first.other(at);
+    expect_invalid(
+        &flows,
+        &format!(
+            "flow {}: path is not contiguous: hop 1 (link {}) does not touch node {}",
+            original.id,
+            flows[i].path[1].index(),
+            reached.index()
+        ),
+    );
+
+    // A contiguous walk that stops short of dst.
+    flows[i] = original.clone();
+    flows[i].path.pop();
+    expect_invalid(&flows, &format!("flow {}: path ends at node", original.id));
+
+    // Untouched, the workload is valid.
+    flows[i] = original;
+    assert!(validate_workload(&ft.topo, &flows).is_ok());
+}

@@ -30,6 +30,190 @@ fn arb_fluid_flow(n_links: u16) -> impl Strategy<Value = FluidFlow> {
         })
 }
 
+/// Five switches with one detour: s1 - s2 - s3 - s4 in a line, and s5
+/// hanging between s2 and s3. Hosts have one access link each.
+mod detour_fabric {
+    use m3::netsim::prelude::*;
+
+    /// Routes as node names; every template is also used reversed.
+    pub const TEMPLATES: [&[&str]; 6] = [
+        &["h1", "s1", "s2", "s3", "s4", "h4"],
+        // Leaves the first route at s2 and rejoins it at s3.
+        &["h1", "s1", "s2", "s5", "s3", "s4", "h4"],
+        // Shares only a suffix with the first.
+        &["h2", "s2", "s3", "s4", "h6"],
+        &["h5", "s5", "s3", "s4", "h4"],
+        &["h2", "s2", "s5", "h5"],
+        &["h3", "s3", "s2", "s1", "h1"],
+    ];
+
+    const NODES: [&str; 11] = [
+        "s1", "s2", "s3", "s4", "s5", "h1", "h2", "h3", "h4", "h5", "h6",
+    ];
+    const LINKS: [(&str, &str); 11] = [
+        ("s1", "s2"),
+        ("s2", "s3"),
+        ("s3", "s4"),
+        ("s2", "s5"),
+        ("s5", "s3"),
+        ("h1", "s1"),
+        ("h2", "s2"),
+        ("h3", "s3"),
+        ("h4", "s4"),
+        ("h5", "s5"),
+        ("h6", "s4"),
+    ];
+
+    fn node(name: &str) -> NodeId {
+        NodeId(NODES.iter().position(|n| *n == name).unwrap() as u32)
+    }
+
+    /// One flow per pick: template `pick / 2`, reversed when `pick` is odd.
+    pub fn build(picks: &[usize]) -> (Topology, Vec<FlowSpec>) {
+        let mut topo = Topology::new();
+        for name in NODES {
+            if name.starts_with('s') {
+                topo.add_switch();
+            } else {
+                topo.add_host();
+            }
+        }
+        for (a, b) in LINKS {
+            topo.add_link(node(a), node(b), 10 * GBPS, USEC);
+        }
+        let link_between = |a: &str, b: &str| {
+            let i = LINKS
+                .iter()
+                .position(|&l| l == (a, b) || l == (b, a))
+                .unwrap();
+            LinkId(i as u32)
+        };
+        let flows = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &pick)| {
+                let mut route = TEMPLATES[pick / 2].to_vec();
+                if pick % 2 == 1 {
+                    route.reverse();
+                }
+                FlowSpec {
+                    id: i as u32,
+                    src: node(route[0]),
+                    dst: node(route[route.len() - 1]),
+                    size: 1_000 + 37 * i as u64,
+                    arrival: 500 * i as u64,
+                    path: route.windows(2).map(|w| link_between(w[0], w[1])).collect(),
+                }
+            })
+            .collect();
+        (topo, flows)
+    }
+}
+
+/// `groups`, `foreground_of`, `background_of` (spans included) and
+/// `dirty_groups` of `idx` against an O(F^2) reference that intersects
+/// directed-port sets pairwise. `links` are the link indices whose deltas
+/// are checked (out-of-range ones touch nothing).
+fn check_index_against_oracle(
+    topo: &Topology,
+    flows: &[FlowSpec],
+    idx: &PathIndex,
+    links: &[u32],
+) -> Result<(), TestCaseError> {
+    let ports: Vec<Vec<usize>> = flows.iter().map(|f| flow_ports(topo, f)).collect();
+    let shares_port = |a: usize, b: usize| ports[a].iter().any(|p| ports[b].contains(p));
+
+    // Groups: a flow joins the first earlier flow with its exact port
+    // sequence, else founds a group. Ascending reps, ascending members.
+    let mut groups: Vec<Vec<u32>> = Vec::new();
+    for i in 0..flows.len() {
+        match groups.iter_mut().find(|g| ports[g[0] as usize] == ports[i]) {
+            Some(g) => g.push(i as u32),
+            None => groups.push(vec![i as u32]),
+        }
+    }
+    prop_assert_eq!(idx.num_paths(), groups.len());
+    for (g, members) in groups.iter().enumerate() {
+        prop_assert_eq!(idx.groups[g].rep, members[0]);
+        prop_assert_eq!(idx.foreground_of(g), &members[..]);
+        prop_assert_eq!(idx.rep_flow(g, flows).id, flows[members[0] as usize].id);
+
+        // Background: every other flow sharing a directed port, with the
+        // first and last hop of the path whose port it crosses.
+        let rep = members[0] as usize;
+        let expect: Vec<(u32, usize, usize)> = (0..flows.len())
+            .filter(|&f| ports[f] != ports[rep])
+            .filter_map(|f| {
+                let mut shared =
+                    (0..ports[rep].len()).filter(|&h| ports[f].contains(&ports[rep][h]));
+                let first = shared.next()?;
+                Some((f as u32, first, shared.next_back().unwrap_or(first)))
+            })
+            .collect();
+        prop_assert_eq!(idx.background_of(g), expect, "background of group {}", g);
+    }
+
+    // Dirty sets: the groups sharing a port with any flow the delta touches.
+    let dirty_for = |touched: Vec<usize>| -> Vec<usize> {
+        (0..groups.len())
+            .filter(|&g| {
+                touched
+                    .iter()
+                    .any(|&t| shares_port(t, groups[g][0] as usize))
+            })
+            .collect()
+    };
+    for &link in links {
+        let crossing = (0..flows.len())
+            .filter(|&f| flows[f].path.iter().any(|l| l.0 == link))
+            .collect();
+        let delta = ScenarioDelta::LinkCapacity {
+            link,
+            bandwidth: 5 * GBPS,
+        };
+        prop_assert_eq!(
+            idx.dirty_groups(flows, &delta),
+            dirty_for(crossing),
+            "{:?}",
+            delta
+        );
+    }
+    let (src, dst) = (flows[0].src.0, flows[flows.len() / 2].dst.0);
+    for (src, dst) in [
+        (Some(src), None),
+        (None, Some(dst)),
+        (Some(src), Some(dst)),
+        (None, None),
+    ] {
+        let matching = (0..flows.len())
+            .filter(|&f| {
+                src.is_none_or(|s| flows[f].src.0 == s) && dst.is_none_or(|d| flows[f].dst.0 == d)
+            })
+            .collect();
+        let delta = ScenarioDelta::TrafficShift {
+            src,
+            dst,
+            num: 3,
+            den: 2,
+        };
+        prop_assert_eq!(
+            idx.dirty_groups(flows, &delta),
+            dirty_for(matching),
+            "{:?}",
+            delta
+        );
+    }
+    let knob = ScenarioDelta::CcKnob {
+        knob: Knob::InitWindow,
+        value: 20_000.0,
+    };
+    prop_assert_eq!(
+        idx.dirty_groups(flows, &knob),
+        (0..groups.len()).collect::<Vec<_>>()
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -158,16 +342,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Decomposition invariants on random workloads: foreground groups
-    /// partition the flows; background flows intersect the path but are not
-    /// foreground; sampled groups are valid.
+    /// The CSR index against the brute-force oracle on random fat-tree
+    /// workloads (ECMP routes, mostly distinct).
     #[test]
-    fn decomposition_invariants(seed in 0u64..500) {
+    fn decomposition_matches_oracle_on_fat_trees(seed in 0u64..500, n_flows in 50usize..700) {
         use m3::workload::prelude::*;
         let ft = FatTree::build(FatTreeSpec::small(2));
         let routing = Routing::new(&ft.topo);
         let w = generate(&ft, &routing, &Scenario {
-            n_flows: 600,
+            n_flows,
             matrix_name: "B".into(),
             sizes: SizeDistribution::web_server(),
             sigma: 1.0,
@@ -175,18 +358,28 @@ proptest! {
             seed,
         });
         let idx = PathIndex::build(&ft.topo, &w.flows);
-        let total: usize = (0..idx.num_paths()).map(|g| idx.foreground_of(g).len()).sum();
-        prop_assert_eq!(total, w.flows.len());
         for &g in idx.sample_paths(10, seed).iter() {
             prop_assert!(g < idx.num_paths());
-            let fg: std::collections::HashSet<u32> =
-                idx.foreground_of(g).iter().copied().collect();
-            for (fi, a, b) in idx.background_of(g, &w.flows) {
-                prop_assert!(!fg.contains(&fi), "background flow also foreground");
-                prop_assert!(a <= b);
-                prop_assert!(b < idx.rep_flow(g, &w.flows).path.len());
-            }
         }
+        // A few links a flow crosses and one none does.
+        let links: Vec<u32> = w.flows[0].path.iter().map(|l| l.0).chain([u32::MAX]).collect();
+        check_index_against_oracle(&ft.topo, &w.flows, &idx, &links)?;
+    }
+
+    /// The same on a hand-built fabric whose routes are drawn from
+    /// templates, so groups have many members and the awkward shapes all
+    /// occur: reverse-direction traffic over the same links, routes
+    /// sharing only a suffix, and a detour that leaves and rejoins another
+    /// route (a non-contiguous intersection, widened to its span).
+    #[test]
+    fn decomposition_matches_oracle_on_awkward_routes(
+        picks in prop::collection::vec(0usize..2 * detour_fabric::TEMPLATES.len(), 1..90)
+    ) {
+        let (topo, flows) = detour_fabric::build(&picks);
+        prop_assert!(validate_workload(&topo, &flows).is_ok());
+        let idx = PathIndex::build(&topo, &flows);
+        let links: Vec<u32> = (0..topo.link_count() as u32 + 1).collect();
+        check_index_against_oracle(&topo, &flows, &idx, &links)?;
     }
 
     /// Packet simulator sanity on random single-switch workloads: all flows
