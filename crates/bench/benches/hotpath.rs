@@ -14,8 +14,11 @@
 //! * **flowsim**: fresh-allocation runs (`try_run_flowsim_traced`, new
 //!   collections per scenario) vs warm-workspace runs
 //!   (`try_run_flowsim_traced_into` reusing one [`FluidWorkspace`] across
-//!   all scenarios). Reported, not gated — the engine was already
-//!   group-structured, so the workspace mainly removes allocator traffic.
+//!   all scenarios). Reported, not gated, together with the event count
+//!   of one pass over the scenarios and the warm time per event, under the
+//!   ledger's names (`flowsim.events`, `flowsim.ns_per_event`) — here
+//!   single-threaded, where the ledger's figure is thread time under the
+//!   pipeline's parallel stage.
 //! * **decompose**: `PathIndex::build` and the materialization of the k
 //!   sampled paths (`from_group` over the sample in parallel, then spec
 //!   vectors and fingerprints), under the names `m3_benchmark`'s ledger
@@ -224,6 +227,22 @@ fn bench_hotpath(c: &mut Criterion) {
         },
     );
     let flowsim_speedup = flowsim_fresh_min / flowsim_warm_min;
+    let flowsim_events: u64 = s
+        .datas
+        .iter()
+        .map(|d| {
+            d.try_run_flowsim_traced_into(&budget, None, &mut ws, &mut records)
+                .expect("flowsim")
+                .1
+                .events
+        })
+        .sum();
+    let flowsim_ns_per_event = flowsim_warm_min / flowsim_events as f64;
+    assert_eq!(
+        ws.rearmed_completions(),
+        0,
+        "a due flowSim group was short of its completion target"
+    );
 
     // --- reported: the two decompose stages, as the ledger splits them ---
     let index = PathIndex::build(&s.topo, &s.flows);
@@ -272,6 +291,8 @@ fn bench_hotpath(c: &mut Criterion) {
          \"flowsim_fresh_min_ms\": {:.3},\n  \
          \"flowsim_warm_min_ms\": {:.3},\n  \
          \"flowsim_speedup\": {:.2},\n  \
+         \"flowsim.events\": {flowsim_events},\n  \
+         \"flowsim.ns_per_event\": {flowsim_ns_per_event:.1},\n  \
          \"estimate_cold_min_ms\": {:.3}\n}}\n",
         s.datas.len(),
         index_min / 1e6,

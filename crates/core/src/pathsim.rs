@@ -141,16 +141,18 @@ impl PathScenarioData {
         self.link_bw.len()
     }
 
-    /// The fluid model: one fluid link per path link; foreground flows span
-    /// everything, background flows their segment with a NIC rate cap.
+    /// Stage the fluid model in `ws` (no topology or flow vector is
+    /// allocated per path): one fluid link per path link; foreground flows
+    /// span everything, background flows their segment with a NIC rate cap.
+    /// Flow ids are positions in `fg ++ bg`. Returns the staged flows.
     ///
     /// Each flow's fixed latency term is `ideal_fct - bottleneck
     /// serialization` (Appendix A's "topology-specific end-to-end latency
     /// factor"): it folds propagation *and* per-hop packet pipelining into a
     /// constant, so an unloaded fluid flow has slowdown exactly 1.
-    pub fn to_fluid(&self) -> (FluidTopology, Vec<FluidFlow>) {
-        let topo = FluidTopology::new(self.link_bw.iter().map(|&b| b as f64).collect());
-        let mut flows = Vec::with_capacity(self.fg.len() + self.bg.len());
+    pub fn to_fluid<'w>(&self, ws: &'w mut FluidWorkspace) -> &'w mut [FluidFlow] {
+        let flows = ws.stage(self.link_bw.iter().map(|&b| b as f64));
+        flows.reserve(self.fg.len() + self.bg.len());
         for (i, f) in self.fg.iter().chain(self.bg.iter()).enumerate() {
             let is_fg = i < self.fg.len();
             let cap = if is_fg {
@@ -176,7 +178,7 @@ impl PathScenarioData {
                 ideal_fct: f.ideal_fct,
             });
         }
-        (topo, flows)
+        flows
     }
 
     /// Run flowSim and split the samples into foreground and per-hop
@@ -216,16 +218,15 @@ impl PathScenarioData {
         budget: &FluidBudget,
         probe: Option<&FluidProbe<'_>>,
     ) -> Result<(FlowsimResult, FluidRunStats), FluidError> {
-        let (topo, flows) = self.to_fluid();
-        let (records, stats) = try_simulate_fluid_traced(&topo, &flows, budget, probe)?;
-        Ok((self.split_records(&records), stats))
+        self.try_run_flowsim_traced_into(budget, probe, &mut FluidWorkspace::new(), &mut Vec::new())
     }
 
     /// [`try_run_flowsim_traced`](Self::try_run_flowsim_traced) with
-    /// caller-owned fluid-engine scratch: the simulation's internal
-    /// collections come from `ws` and the raw records land in `records`, so
-    /// repeated runs across scenarios reuse capacity instead of
-    /// reallocating. Results are bit-identical to the owning entry points.
+    /// caller-owned fluid-engine scratch: the fluid model is staged in
+    /// `ws`, the simulation's internal collections come from it and the raw
+    /// records land in `records`, so with a warm workspace a run allocates
+    /// nothing but its returned [`FlowsimResult`]. Results are bit-identical
+    /// to the owning entry points.
     pub fn try_run_flowsim_traced_into(
         &self,
         budget: &FluidBudget,
@@ -233,18 +234,39 @@ impl PathScenarioData {
         ws: &mut FluidWorkspace,
         records: &mut Vec<FluidFctRecord>,
     ) -> Result<(FlowsimResult, FluidRunStats), FluidError> {
-        let (topo, flows) = self.to_fluid();
-        let stats = try_simulate_fluid_traced_into(&topo, &flows, budget, probe, ws, records)?;
+        self.to_fluid(ws);
+        self.run_staged(budget, probe, ws, records)
+    }
+
+    /// Run the model [`to_fluid`](Self::to_fluid) staged in `ws` and split
+    /// its records.
+    pub(crate) fn run_staged(
+        &self,
+        budget: &FluidBudget,
+        probe: Option<&FluidProbe<'_>>,
+        ws: &mut FluidWorkspace,
+        records: &mut Vec<FluidFctRecord>,
+    ) -> Result<(FlowsimResult, FluidRunStats), FluidError> {
+        let stats = try_simulate_staged(budget, probe, ws, records)?;
         Ok((self.split_records(records), stats))
     }
 
-    /// Split raw fluid records into the foreground sample set and one
-    /// background set per hop (a background flow contributes to every hop
-    /// it crosses).
-    pub(crate) fn split_records(&self, records: &[FluidFctRecord]) -> FlowsimResult {
+    /// Split raw fluid records (one per flow of `fg ++ bg`, sorted by id)
+    /// into the foreground sample set and one background set per hop (a
+    /// background flow contributes to every hop it crosses). Every output
+    /// vector is allocated once, at its final size.
+    fn split_records(&self, records: &[FluidFctRecord]) -> FlowsimResult {
         let n_fg = self.fg.len();
+        // Background flows crossing each hop.
+        let mut crossing = vec![0usize; self.num_hops()];
+        for f in &self.bg {
+            for c in &mut crossing[f.first_hop..=f.last_hop] {
+                *c += 1;
+            }
+        }
+        let mut bg_per_hop: Vec<Vec<(u64, f64)>> =
+            crossing.iter().map(|&c| Vec::with_capacity(c)).collect();
         let mut fg = Vec::with_capacity(n_fg);
-        let mut bg_per_hop: Vec<Vec<(u64, f64)>> = vec![Vec::new(); self.num_hops()];
         for r in records {
             let i = r.id as usize;
             if i < n_fg {

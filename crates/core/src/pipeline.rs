@@ -22,8 +22,7 @@ use crate::metrics::PipelineMetrics;
 use crate::pathsim::{FlowAttrs, FlowsimResult, PathScenarioData};
 use crate::spec::spec_vector;
 use m3_flowsim::prelude::{
-    try_simulate_fluid_traced, FluidBudget, FluidError, FluidProbe, FluidProbeSink, FluidRunStats,
-    FluidWorkspace,
+    FluidBudget, FluidError, FluidProbe, FluidProbeSink, FluidRunStats, FluidWorkspace,
 };
 use m3_flowsim::types::FluidFctRecord;
 use m3_netsim::prelude::*;
@@ -554,27 +553,22 @@ impl M3Estimator {
         } else {
             options.budget.flowsim
         };
-        let classify = |e: FluidError| (fluid_fault_kind(&e), e.to_string());
-        if plan.is_some_and(|p| p.hits(InjectedFault::FlowsimNan, slot)) {
-            // Poison one input flow the way a corrupt workload would.
-            let (ftopo, mut fflows) = data.to_fluid();
-            if let Some(f0) = fflows.first_mut() {
-                f0.rate_cap_bps = f64::NAN;
-            }
-            let (records, stats) =
-                try_simulate_fluid_traced(&ftopo, &fflows, &budget, probe.as_ref())
-                    .map_err(classify)?;
-            return Ok((data.split_records(&records), stats));
-        }
         // Check a warm workspace out of the pool (fresh one if the pool is
         // empty or poisoned); a panic mid-run simply loses the checkout.
         let (mut ws, mut raw_records) = match self.fluid_scratch.lock() {
             Ok(mut pool) => pool.pop().unwrap_or_default(),
             Err(_) => Default::default(),
         };
+        let staged = data.to_fluid(&mut ws);
+        if plan.is_some_and(|p| p.hits(InjectedFault::FlowsimNan, slot)) {
+            // Poison one input flow the way a corrupt workload would.
+            if let Some(f0) = staged.first_mut() {
+                f0.rate_cap_bps = f64::NAN;
+            }
+        }
         let result = data
-            .try_run_flowsim_traced_into(&budget, probe.as_ref(), &mut ws, &mut raw_records)
-            .map_err(classify);
+            .run_staged(&budget, probe.as_ref(), &mut ws, &mut raw_records)
+            .map_err(|e| (fluid_fault_kind(&e), e.to_string()));
         if let Ok(mut pool) = self.fluid_scratch.lock() {
             pool.push((ws, raw_records));
         }

@@ -1,11 +1,14 @@
 //! Allocation pins for the decomposition index: `PathIndex::build` is a few
 //! flat arrays plus one list per group, not a `Vec` per flow, and
-//! `background_of` allocates its output and nothing else.
+//! `background_of` allocates its output and nothing else; and for the
+//! flowSim stage: a warm `try_run_flowsim_traced_into` stages the fluid model
+//! in its workspace and allocates only the `FlowsimResult` it returns.
 //!
 //! This file holds exactly one #[test] so no concurrent test thread can
 //! allocate while the counter is armed.
 
 use m3_core::prelude::*;
+use m3_flowsim::prelude::{FluidBudget, FluidWorkspace};
 use m3_netsim::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -63,7 +66,95 @@ fn growth_steps(len: usize) -> u64 {
     u64::from(usize::BITS - len.leading_zeros()) + 1
 }
 
+/// A hand-built path scenario: `n_fg` full-span foreground flows and `n_bg`
+/// background flows over pseudo-random sub-spans of `hops` links.
+fn path_scenario(hops: usize, n_fg: usize, n_bg: usize, seed: u64) -> PathScenarioData {
+    let mut state = seed;
+    let mut rng = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut flow = |i: usize, first_hop: usize, last_hop: usize| {
+        let size = 200 + rng() % 80_000;
+        PathFlow {
+            global_idx: i as u32,
+            size,
+            arrival: i as u64 * 900 + rng() % 500,
+            first_hop,
+            last_hop,
+            nic_cap: 10 * GBPS,
+            latency: 4 * USEC,
+            ideal_fct: 4 * USEC + size * 8 / 10,
+        }
+    };
+    let fg = (0..n_fg).map(|i| flow(i, 0, hops - 1)).collect();
+    let bg = (0..n_bg)
+        .map(|i| {
+            let (a, b) = (i % hops, (i * 7 + 3) % hops);
+            flow(i, a.min(b), a.max(b))
+        })
+        .collect();
+    PathScenarioData {
+        link_bw: (0..hops)
+            .map(|h| if h % 2 == 0 { 10 * GBPS } else { 40 * GBPS })
+            .collect(),
+        link_delay: vec![USEC; hops],
+        fg,
+        bg,
+        fg_base_rtt: 8 * USEC,
+        fg_bottleneck: 10 * GBPS,
+    }
+}
+
+fn flowsim_allocates_only_its_result() {
+    let budget = FluidBudget::default();
+    let wide = path_scenario(6, 200, 900, 5);
+    let narrow = path_scenario(2, 40, 60, 9);
+    let expect_wide = wide.try_run_flowsim(&budget).unwrap();
+    let expect_narrow = narrow.try_run_flowsim(&budget).unwrap();
+
+    // One workspace across two differently shaped scenarios: whatever the
+    // previous path staged (flows, links, groups, table) must not leak.
+    let mut ws = FluidWorkspace::new();
+    let mut records = Vec::new();
+    for _ in 0..2 {
+        for (data, expect) in [(&wide, &expect_wide), (&narrow, &expect_narrow)] {
+            let (got, _) = data
+                .try_run_flowsim_traced_into(&budget, None, &mut ws, &mut records)
+                .unwrap();
+            assert_eq!(got.fg, expect.fg);
+            assert_eq!(got.bg_per_hop, expect.bg_per_hop);
+        }
+    }
+    for (data, expect) in [(&wide, &expect_wide), (&narrow, &expect_narrow)] {
+        let (out, allocs) = count(|| {
+            data.try_run_flowsim_traced_into(&budget, None, &mut ws, &mut records)
+                .unwrap()
+        });
+        assert_eq!(out.0.fg, expect.fg);
+        assert_eq!(out.0.bg_per_hop, expect.bg_per_hop);
+        // The result is the foreground vector, the per-hop list and one
+        // exactly-sized vector per hop; the split also counts spans per hop
+        // in one small scratch vector. No `Vec<FluidFlow>`, no topology, no
+        // growth reallocations.
+        let bound = data.num_hops() as u64 + 3;
+        assert!(
+            allocs <= bound,
+            "warm flowSim run on {} hops made {allocs} allocations; want at most {bound}",
+            data.num_hops()
+        );
+    }
+    assert_eq!(ws.rearmed_completions(), 0);
+}
+
 #[test]
+fn allocation_pins() {
+    index_allocates_per_group_and_background_only_its_output();
+    flowsim_allocates_only_its_result();
+}
+
 fn index_allocates_per_group_and_background_only_its_output() {
     // Eight hosts on one switch and 4 000 flows over 12 routes: many flows,
     // many hops in total, few groups.

@@ -141,16 +141,26 @@ pub(crate) struct BudgetMeter {
     budget: FluidBudget,
     stride: u64,
     events: u64,
+    /// Event count of the next wall-clock sample: the next multiple of
+    /// `stride`, or `u64::MAX` when there is no wall limit — so the
+    /// fault-free `tick` is two compares and no division.
+    next_wall_check: u64,
     wall_checks: u64,
     start: Option<std::time::Instant>,
 }
 
 impl BudgetMeter {
     pub(crate) fn new(budget: FluidBudget) -> Self {
+        let stride = budget.wall_check_stride.max(1);
         BudgetMeter {
             budget,
-            stride: budget.wall_check_stride.max(1),
+            stride,
             events: 0,
+            next_wall_check: if budget.max_wall.is_some() {
+                stride
+            } else {
+                u64::MAX
+            },
             wall_checks: 0,
             // Only sample the clock when a wall limit is actually set.
             start: budget.max_wall.map(|_| std::time::Instant::now()),
@@ -177,7 +187,8 @@ impl BudgetMeter {
                 limit: self.budget.max_events,
             });
         }
-        if self.events.is_multiple_of(self.stride) {
+        if self.events == self.next_wall_check {
+            self.next_wall_check = self.next_wall_check.saturating_add(self.stride);
             if let (Some(limit), Some(start)) = (self.budget.max_wall, self.start) {
                 self.wall_checks += 1;
                 if start.elapsed() > limit {
@@ -246,6 +257,21 @@ mod tests {
         ));
         assert_eq!(m.stats().wall_checks, 1);
         assert_eq!(m.stats().events, 16);
+    }
+
+    #[test]
+    fn wall_checks_land_on_multiples_of_a_stride_that_does_not_divide_the_run() {
+        let mut m = BudgetMeter::new(
+            FluidBudget::UNLIMITED
+                .with_wall(Duration::from_secs(3600))
+                .with_wall_check_stride(7),
+        );
+        for i in 1..=100u64 {
+            assert!(m.tick().is_ok());
+            assert_eq!(m.stats().wall_checks, i / 7, "after event {i}");
+        }
+        assert_eq!(m.stats().events, 100);
+        assert_eq!(m.stats().wall_checks, 14);
     }
 
     #[test]

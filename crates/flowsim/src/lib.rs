@@ -13,8 +13,9 @@
 //! m3's ML model corrects (§2.2, §3.3).
 //!
 //! Two engines are provided:
-//! * [`fluid::simulate_fluid`] — the fast grouped engine (O(F log F) heap
-//!   work; waterfill over flow groups).
+//! * [`fluid::simulate_fluid`] — the fast grouped engine (per-event work
+//!   proportional to the groups that currently hold flows; see its module
+//!   docs for the cost model).
 //! * [`reference::simulate_fluid_reference`] — a straightforward O(F^2)
 //!   implementation used to differentially test the fast engine.
 //!
@@ -50,7 +51,7 @@ pub mod prelude {
     pub use crate::budget::{FluidBudget, FluidError, FluidRunStats, DEFAULT_WALL_CHECK_STRIDE};
     pub use crate::fluid::{
         simulate_fluid, try_simulate_fluid, try_simulate_fluid_stats, try_simulate_fluid_traced,
-        try_simulate_fluid_traced_into, FluidWorkspace,
+        try_simulate_fluid_traced_into, try_simulate_staged, FluidWorkspace,
     };
     pub use crate::general::{
         simulate_fluid_general, try_simulate_fluid_general, try_simulate_fluid_general_into,

@@ -19,12 +19,18 @@ pub struct FluidTopology {
 
 impl FluidTopology {
     pub fn new(link_bps: Vec<f64>) -> Self {
+        Self::assert_valid(&link_bps);
+        FluidTopology { link_bps }
+    }
+
+    /// Panics unless `link_bps` is a valid topology: at least one link, every
+    /// capacity positive and finite.
+    pub(crate) fn assert_valid(link_bps: &[f64]) {
         assert!(!link_bps.is_empty(), "need at least one link");
         assert!(
             link_bps.iter().all(|&b| b > 0.0 && b.is_finite()),
             "link capacities must be positive and finite"
         );
-        FluidTopology { link_bps }
     }
 
     pub fn num_links(&self) -> usize {
@@ -64,10 +70,15 @@ impl FluidFlow {
     /// rate cap fails the `> 0.0` comparison, so NaN is rejected here too —
     /// before it can poison the event loop.
     pub fn check(&self, topo: &FluidTopology) -> Result<(), String> {
+        self.check_links(topo.num_links())
+    }
+
+    /// [`check`](Self::check) against a topology of `n_links` links.
+    pub(crate) fn check_links(&self, n_links: usize) -> Result<(), String> {
         if self.first_link > self.last_link {
             return Err("inverted segment".to_string());
         }
-        if self.last_link as usize >= topo.num_links() {
+        if self.last_link as usize >= n_links {
             return Err("segment outside topology".to_string());
         }
         if self.rate_cap_bps.is_nan() || self.rate_cap_bps <= 0.0 {

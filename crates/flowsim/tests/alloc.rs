@@ -1,7 +1,8 @@
 //! Steady-state allocation tests for the fluid engines: after warmup runs, a
 //! repeated simulation through the `_into` entry points with a warm workspace
-//! must perform zero heap allocations — and produce records identical to the
-//! allocating entry points.
+//! — input passed in or staged in the workspace itself — must perform zero
+//! heap allocations, and produce records identical to the allocating entry
+//! points.
 //!
 //! This file holds exactly one #[test] so no concurrent test thread can
 //! allocate while the counter is armed.
@@ -81,6 +82,42 @@ fn warm_workspace_runs_allocate_nothing() {
     let count = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(count, 0, "warm segment-engine run made {count} allocations");
     assert_eq!(records, expect, "workspace run changed results");
+    assert_eq!(ws.rearmed_completions(), 0, "no due group was ever short");
+
+    // --- segment engine, input staged in the workspace ---
+    // A differently shaped run first (one link, one cap class), so the
+    // staging buffers, group table and active list hold stale contents.
+    let small_topo = FluidTopology::new(vec![25e9]);
+    let small: Vec<FluidFlow> = flows
+        .iter()
+        .take(50)
+        .map(|f| FluidFlow {
+            first_link: 0,
+            last_link: 0,
+            rate_cap_bps: 5e9,
+            ..*f
+        })
+        .collect();
+    let expect_small = try_simulate_fluid(&small_topo, &small, &budget).unwrap();
+    let stage = |ws: &mut FluidWorkspace, topo: &FluidTopology, flows: &[FluidFlow]| {
+        ws.stage(topo.link_bps.iter().copied())
+            .extend_from_slice(flows);
+    };
+    for _ in 0..2 {
+        stage(&mut ws, &topo, &flows);
+        try_simulate_staged(&budget, None, &mut ws, &mut records).unwrap();
+        stage(&mut ws, &small_topo, &small);
+        try_simulate_staged(&budget, None, &mut ws, &mut records).unwrap();
+        assert_eq!(records, expect_small, "stale workspace state leaked");
+    }
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    stage(&mut ws, &topo, &flows);
+    try_simulate_staged(&budget, None, &mut ws, &mut records).unwrap();
+    ARMED.store(false, Ordering::SeqCst);
+    let count = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(count, 0, "warm staged run made {count} allocations");
+    assert_eq!(records, expect, "staged run changed results");
 
     // --- general engine ---
     let gen_flows: Vec<GeneralFluidFlow> = flows

@@ -42,6 +42,42 @@ fn arb_flows(n_links: u16, max_n: usize) -> impl Strategy<Value = Vec<FluidFlow>
     })
 }
 
+/// The differential test's harder shapes: five cap classes (so one span
+/// holds several groups and capped and uncapped groups share links), and
+/// arrivals in bursts 20 ms apart, so every group drains between bursts and
+/// refills with its service clock carried over.
+fn arb_bursty_multicap_flows(n_links: u16, max_n: usize) -> impl Strategy<Value = Vec<FluidFlow>> {
+    prop::collection::vec(
+        (
+            1u64..200_000,
+            (0u64..3, 0u64..300_000),
+            0..n_links,
+            0..n_links,
+            0usize..5,
+        ),
+        1..max_n,
+    )
+    .prop_map(move |raw| {
+        raw.into_iter()
+            .enumerate()
+            .map(|(i, (size, (burst, offset), a, b, cap_class))| {
+                let mut f = FluidFlow {
+                    id: i as u32,
+                    size,
+                    arrival: burst * 20_000_000 + offset,
+                    first_link: a.min(b),
+                    last_link: a.max(b),
+                    rate_cap_bps: [1e9, 2.5e9, 10e9, 40e9, f64::INFINITY][cap_class],
+                    latency: 500,
+                    ideal_fct: 0,
+                };
+                f.ideal_fct = fluid_ideal_fct(&topo4(), &f);
+                f
+            })
+            .collect()
+    })
+}
+
 fn topo4() -> FluidTopology {
     FluidTopology::new(vec![10e9, 40e9, 10e9, 40e9])
 }
@@ -119,6 +155,25 @@ proptest! {
         let fast = simulate_fluid(&topo, &flows);
         let slow = simulate_fluid_reference(&topo, &flows);
         for (f, s) in fast.iter().zip(&slow) {
+            let tol = 2.0 + 1e-5 * s.fct as f64;
+            prop_assert!(
+                (f.fct as f64 - s.fct as f64).abs() <= tol,
+                "flow {}: {} vs {}", f.id, f.fct, s.fct
+            );
+        }
+    }
+
+    /// The same on bursty multi-cap-class workloads.
+    #[test]
+    fn differential_fast_vs_reference_bursty_multicap(
+        flows in arb_bursty_multicap_flows(4, 60)
+    ) {
+        let topo = topo4();
+        let fast = simulate_fluid(&topo, &flows);
+        let slow = simulate_fluid_reference(&topo, &flows);
+        prop_assert_eq!(fast.len(), slow.len());
+        for (f, s) in fast.iter().zip(&slow) {
+            prop_assert_eq!(f.id, s.id);
             let tol = 2.0 + 1e-5 * s.fct as f64;
             prop_assert!(
                 (f.fct as f64 - s.fct as f64).abs() <= tol,
