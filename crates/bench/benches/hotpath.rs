@@ -25,7 +25,13 @@
 //!   gives the same two stages (`decompose.index_ms`,
 //!   `decompose.materialize_ms`). Reported, not gated.
 //!
-//! The end-to-end cold-estimate latency is also reported for context. As in
+//! The end-to-end cold-estimate latency is also reported for context, and
+//! the JSON's `machine` object records the core count and which
+//! instantiation of the matmul panel kernel the forward pass dispatched to
+//! (`avx2` or `portable`): the forward and cold-estimate rows are not
+//! comparable across the two, and the reference side of the gated ratio
+//! runs the scalar kernels, which do not dispatch, so the ratio is larger
+//! on an `avx2` host. As in
 //! the other gates, comparisons use *interleaved minimum* times: mean-of-N
 //! between two code paths at this run length is dominated by scheduler
 //! noise. Results go to `BENCH_hotpath.json` at the workspace root.
@@ -278,8 +284,12 @@ fn bench_hotpath(c: &mut Criterion) {
         estimate_min = estimate_min.min(time_once(&mut run_estimate));
     }
 
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let kernel_path = Kernel::detect(true).path();
     let json = format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"k_paths\": {K_PATHS},\n  \
+        "{{\n  \"bench\": \"hotpath\",\n  \
+         \"machine\": {{\"nproc\": {nproc}, \"kernel_path\": \"{kernel_path}\"}},\n  \
+         \"k_paths\": {K_PATHS},\n  \
          \"unique_scenarios\": {},\n  \
          \"decompose_index_min_ms\": {:.3},\n  \
          \"decompose_materialize_min_ms\": {:.3},\n  \

@@ -200,9 +200,17 @@ impl ScenarioState {
     /// incremental session must rebuild its decomposition rather than
     /// patch dirty slots. On error the state is left unchanged.
     pub fn apply(&mut self, delta: &ScenarioDelta) -> Result<bool, M3Error> {
+        self.fold(delta).map(|(structural, _)| structural)
+    }
+
+    /// [`ScenarioState::apply`], also returning what it overwrote, so a
+    /// session can fold a delta in place and take it back if the
+    /// re-estimate fails instead of folding into a clone of the state.
+    fn fold(&mut self, delta: &ScenarioDelta) -> Result<(bool, Undo), M3Error> {
         delta.validate_against(&self.topo)?;
         match *delta {
             ScenarioDelta::TrafficShift { src, dst, num, den } => {
+                let sizes = self.flows.iter().map(|f| f.size).collect();
                 for f in &mut self.flows {
                     let hit = src.is_none_or(|s| f.src.index() == s as usize)
                         && dst.is_none_or(|d| f.dst.index() == d as usize);
@@ -212,21 +220,20 @@ impl ScenarioState {
                         f.size = (scaled as Bytes).max(1);
                     }
                 }
-                Ok(false)
+                Ok((false, Undo::Sizes(sizes)))
             }
             ScenarioDelta::LinkDown { link } => {
-                let structural = !self.down[link as usize] && self.link_is_crossed(link);
-                self.down[link as usize] = true;
-                Ok(structural)
+                let was = std::mem::replace(&mut self.down[link as usize], true);
+                Ok((!was && self.link_is_crossed(link), Undo::Down(link, was)))
             }
             ScenarioDelta::LinkUp { link } => {
-                let structural = self.down[link as usize] && self.link_is_crossed(link);
-                self.down[link as usize] = false;
-                Ok(structural)
+                let was = std::mem::replace(&mut self.down[link as usize], false);
+                Ok((was && self.link_is_crossed(link), Undo::Down(link, was)))
             }
             ScenarioDelta::LinkCapacity { link, bandwidth } => {
+                let was = self.topo.link(LinkId(link)).bandwidth;
                 self.topo.set_link_bandwidth(LinkId(link), bandwidth as Bps);
-                Ok(false)
+                Ok((false, Undo::Bandwidth(link, was)))
             }
             ScenarioDelta::CcKnob { knob, value } => {
                 let next = knob.apply(&self.config, value);
@@ -234,9 +241,23 @@ impl ScenarioState {
                 // knob pushed below a structural floor), otherwise the
                 // pipeline would reject it later with less context.
                 next.validate_spec()?;
-                self.config = next;
-                Ok(false)
+                let was = std::mem::replace(&mut self.config, next);
+                Ok((false, Undo::Config(was)))
             }
+        }
+    }
+
+    /// Take back the [`ScenarioState::fold`] that returned `undo`.
+    fn unfold(&mut self, undo: Undo) {
+        match undo {
+            Undo::Sizes(sizes) => {
+                for (f, size) in self.flows.iter_mut().zip(sizes) {
+                    f.size = size;
+                }
+            }
+            Undo::Down(link, was) => self.down[link as usize] = was,
+            Undo::Bandwidth(link, was) => self.topo.set_link_bandwidth(LinkId(link), was),
+            Undo::Config(was) => self.config = was,
         }
     }
 
@@ -262,6 +283,16 @@ impl ScenarioState {
             .map(|(i, _)| i as u32)
             .collect()
     }
+}
+
+/// What one [`ScenarioState::fold`] overwrote.
+enum Undo {
+    /// Every flow's size before a traffic shift (the integer scaling does
+    /// not invert).
+    Sizes(Vec<Bytes>),
+    Down(u32, bool),
+    Bandwidth(u32, Bps),
+    Config(SimConfig),
 }
 
 /// Per-sampled-path retained result.
@@ -394,21 +425,37 @@ impl ScenarioSession {
     }
 
     /// Fold one delta into the scenario and re-estimate only what it can
-    /// touch. On error the session is unchanged (the delta is applied to
-    /// a clone and committed only on success), so a journal replay that
-    /// re-applies the same delta sequence converges to the same state.
+    /// touch. On error the session is unchanged (the delta is folded in
+    /// place and taken back if the re-estimate fails; results are
+    /// committed only on success), so a journal replay that re-applies the
+    /// same delta sequence converges to the same state.
     pub fn apply_delta(
         &mut self,
         est: &M3Estimator,
         delta: &ScenarioDelta,
     ) -> Result<SessionUpdate, M3Error> {
-        let mut next = self.state.clone();
-        let structural = next.apply(delta)?;
+        let (structural, undo) = self.state.fold(delta)?;
+        let update = self.reestimate(est, delta, structural);
+        if update.is_err() {
+            self.state.unfold(undo);
+        }
+        update
+    }
+
+    /// The re-estimate half of [`ScenarioSession::apply_delta`]: `delta` is
+    /// already folded into `self.state`; everything else is committed on
+    /// success only.
+    fn reestimate(
+        &mut self,
+        est: &M3Estimator,
+        delta: &ScenarioDelta,
+        structural: bool,
+    ) -> Result<SessionUpdate, M3Error> {
         // A model hot-swap under the session invalidates every retained
         // result (they were computed under the old parameters).
         let model_changed = self.model_fp != Some(est.net.fingerprint());
         if structural || model_changed {
-            return self.rebuild(est, next, true);
+            return self.rebuild(est, true);
         }
 
         // Surgical path: flow set, routes, and sampling are unchanged, so
@@ -422,7 +469,10 @@ impl ScenarioSession {
             .map(|(g, slot)| dirty_groups.binary_search(g).is_ok() || !slot.clean)
             .collect();
         let dirty_pos: Vec<usize> = (0..dirty.len()).filter(|&i| dirty[i]).collect();
-        let next_eff = next.effective_flows();
+        // Of the surgical deltas only a traffic shift edits the flows.
+        let shifted = matches!(delta, ScenarioDelta::TrafficShift { .. })
+            .then(|| self.state.effective_flows());
+        let eff = shifted.as_deref().unwrap_or(&self.eff_flows);
 
         // Re-resolve the dirty slots with the same machinery the batch
         // pipeline uses, under a `session.update` root span.
@@ -436,11 +486,11 @@ impl ScenarioSession {
 
         let dirty_sampled: Vec<usize> = dirty_pos.iter().map(|&i| self.sampled[i]).collect();
         let u = est.materialize_units(
-            &next.topo,
-            &next_eff,
+            &self.state.topo,
+            eff,
             &self.index,
             &dirty_sampled,
-            &next.config,
+            &self.state.config,
         );
         let mut cache_ref = CacheRef::Shared(&self.cache);
         let (resolved, clean, model_fp) =
@@ -491,8 +541,9 @@ impl ScenarioSession {
                 clean: clean[slot],
             };
         }
-        self.state = next;
-        self.eff_flows = next_eff;
+        if let Some(eff) = shifted {
+            self.eff_flows = eff;
+        }
         self.model_fp = model_fp;
         self.last = merged.clone();
         self.repin();
@@ -510,23 +561,17 @@ impl ScenarioSession {
     /// cache (clean paths hit by content key). A fault-free refresh after
     /// degraded updates restores the full bit-identity contract.
     pub fn refresh(&mut self, est: &M3Estimator) -> Result<SessionUpdate, M3Error> {
-        let next = self.state.clone();
-        self.rebuild(est, next, true)
+        self.rebuild(est, true)
     }
 
-    /// Full re-estimate of `next`, committing topology/index/slots on
+    /// Full re-estimate of the current state, committing index/slots on
     /// success. `structural` is only forwarded into the returned update.
-    fn rebuild(
-        &mut self,
-        est: &M3Estimator,
-        next: ScenarioState,
-        structural: bool,
-    ) -> Result<SessionUpdate, M3Error> {
-        let eff = next.effective_flows();
+    fn rebuild(&mut self, est: &M3Estimator, structural: bool) -> Result<SessionUpdate, M3Error> {
+        let eff = self.state.effective_flows();
         let (out, info) = est.estimate_with_info(
-            &next.topo,
+            &self.state.topo,
             &eff,
-            &next.config,
+            &self.state.config,
             self.k_paths,
             self.seed,
             &self.cache,
@@ -544,7 +589,6 @@ impl ScenarioSession {
 
         self.slots = slots_of(&info);
         self.index = info.index;
-        self.state = next;
         self.eff_flows = eff;
         self.sampled = info.sampled;
         self.model_fp = info.model_fp;
@@ -866,6 +910,65 @@ mod tests {
             // Failed deltas leave the session untouched.
             same_value(session.estimate(), &before);
         }
+    }
+
+    /// A delta is folded into the state in place; a re-estimate that then
+    /// fails must take it back, whatever the delta's kind.
+    #[test]
+    fn failed_reestimate_takes_the_folded_delta_back() {
+        use crate::faultinject::{FaultPlan, InjectedFault};
+        use crate::pipeline::DegradationPolicy;
+
+        let (ft, flows, cfg) = small_workload(1200);
+        let est = untrained_estimator();
+        let (k, seed) = (12, 2);
+        let mut session = open_session(&est, &ft, &flows, &cfg, k, seed);
+        let link = flows[0].path[0].index() as u32;
+        let view = |s: &ScenarioState| {
+            let sizes: Vec<Bytes> = s.flows.iter().map(|f| f.size).collect();
+            let bandwidth = s.topo.link(LinkId(link)).bandwidth;
+            (sizes, bandwidth, format!("{:?}", s.config), s.down_links())
+        };
+        let deltas = [
+            ScenarioDelta::LinkCapacity {
+                link,
+                bandwidth: 3 * GBPS,
+            },
+            ScenarioDelta::TrafficShift {
+                src: None,
+                dst: None,
+                num: 1,
+                den: 3,
+            },
+            ScenarioDelta::CcKnob {
+                knob: Knob::InitWindow,
+                value: 20_000.0,
+            },
+            ScenarioDelta::LinkDown { link },
+        ];
+
+        let before = (view(session.state()), session.estimate().clone());
+        let healthy = std::mem::replace(
+            &mut session.options,
+            EstimateOptions {
+                policy: DegradationPolicy::FailFast,
+                fault_plan: Some(FaultPlan::new(1).with(InjectedFault::ForwardPoison, 1.0)),
+                ..EstimateOptions::default()
+            },
+        );
+        for delta in &deltas {
+            session.apply_delta(&est, delta).unwrap_err();
+            assert_eq!(view(session.state()), before.0, "{delta:?}");
+            same_value(session.estimate(), &before.1);
+        }
+
+        // The session is as good as new: the same deltas now apply.
+        session.options = healthy;
+        for delta in &deltas {
+            let update = session.apply_delta(&est, delta).unwrap();
+            same_value(&update.estimate, &scratch(&est, session.state(), k, seed));
+        }
+        assert_ne!(view(session.state()), before.0);
     }
 
     #[test]

@@ -8,11 +8,22 @@
 //! * parameters are read by reference from the [`crate::params::ParamStore`],
 //! * every intermediate draws from a [`TensorArena`] (zero steady-state
 //!   allocation after warmup),
+//! * per layer, the `wq`/`wk`/`wv` weights of all heads are packed side by
+//!   side into one `[embed, 3·embed]` matrix, so Q, K and V of every head
+//!   come from one full-panel matmul; heads read their `dh`-column slices
+//!   of the product. Column `j` of the packed product is the same
+//!   ascending-`k` dot product as column `j` of the per-head product.
+//!   `wo` stays per head: the heads' projections combine by the
+//!   left-to-right fold `((p0 + p1) + p2) + p3`, which is not the
+//!   association one `[embed, embed]` matmul would produce,
 //! * the SwiGLU gate is fused into one elementwise pass
 //!   (`silu(a) * b`, same two multiplies in the same order as the chained
 //!   `silu` + `mul` tape ops),
-//! * the sparsity zero-skip is gated on one finiteness scan over all
-//!   weights per call, hoisted out of the per-matmul scans.
+//! * one [`Kernel`] per call: the panel-kernel instantiation is detected
+//!   once, and the sparsity zero-skip is gated on the store's memoized
+//!   finiteness flag instead of per-matmul scans,
+//! * one parallel section: each worker runs `forward_chunk` —
+//!   contexts *and* the MLP head — on its contiguous chunk of samples.
 //!
 //! Bit-identity with the tape path holds by construction: matmuls call the
 //! same blocked kernels on the same operand values, and the elementwise
@@ -25,7 +36,7 @@
 use crate::arena::{ArenaPool, TensorArena};
 use crate::model::{M3Net, SampleInput};
 use crate::tape::{causal_softmax_into, rms_norm_into, sigmoid};
-use crate::tensor::{all_finite, Tensor};
+use crate::tensor::{dot, gemm, Kernel, Tensor};
 use rayon::prelude::*;
 
 /// Reusable scratch for the sequential batched forward pass. Hold one per
@@ -33,7 +44,6 @@ use rayon::prelude::*;
 #[derive(Debug, Default)]
 pub struct InferScratch {
     arena: TensorArena,
-    ctx_flat: Vec<f32>,
 }
 
 impl InferScratch {
@@ -43,20 +53,52 @@ impl InferScratch {
 }
 
 impl M3Net {
-    /// One finiteness scan over every parameter; the result gates the
-    /// zero-skip in all matmuls of a forward pass (see `tensor.rs` module
-    /// docs: skipping is only sound when the weight side is finite).
-    fn weights_finite(&self) -> bool {
-        self.store.iter().all(|p| all_finite(&p.value.data))
+    /// The [`Kernel`] of one forward call: CPU detection and the store's
+    /// memoized finiteness flag, both read once here and not per matmul.
+    fn kernel(&self) -> Kernel {
+        Kernel::detect(self.store.all_finite())
+    }
+
+    /// Every layer's packed QKV weight, stacked: rows
+    /// `[li * embed, (li + 1) * embed)` are layer `li`'s `[embed, 3·embed]`
+    /// matrix, whose columns are `wq` of heads `0..`, then `wk`, then `wv`
+    /// (head `h` of each third at column `h * dh`).
+    ///
+    /// Runs once per [`M3Net::forward_chunk`], so every call (and every
+    /// worker of a pooled call) copies `layers · 3 · embed²` floats whatever
+    /// the batch size: 96 KiB and 0.01 ms for `repro_default`, 15 MiB and
+    /// 2.2 ms for `paper_scale` — there a quarter of a single-sample
+    /// `predict` (7.9 ms), 6 % of a 4-sample call, noise from a few dozen
+    /// samples on. Packing at load time instead would be a cache keyed on
+    /// the store's content, invalidated by every training step.
+    fn pack_qkv(&self, arena: &mut TensorArena) -> Tensor {
+        let embed = self.cfg.embed;
+        let dh = self.cfg.head_dim();
+        let mut packed = arena.take(self.layers.len() * embed, 3 * embed);
+        for (li, layer) in self.layers.iter().enumerate() {
+            for (third, ids) in [&layer.wq, &layer.wk, &layer.wv].into_iter().enumerate() {
+                for (h, &id) in ids.iter().enumerate() {
+                    let w = self.store.get(id);
+                    let col = third * embed + h * dh;
+                    for r in 0..embed {
+                        let at = (li * embed + r) * 3 * embed + col;
+                        packed.data[at..at + dh].copy_from_slice(w.row_slice(r));
+                    }
+                }
+            }
+        }
+        packed
     }
 
     /// Transformer context of one sample written into `out` (`[embed]`),
     /// mirroring the tape-built graph in `M3Net::context` op for op.
+    /// `qkv_w` is [`M3Net::pack_qkv`]'s matrix.
     fn context_into(
         &self,
         sample: &SampleInput,
+        qkv_w: &Tensor,
         arena: &mut TensorArena,
-        zero_skip: bool,
+        kern: Kernel,
         out: &mut [f32],
     ) {
         let embed = self.cfg.embed;
@@ -74,12 +116,7 @@ impl M3Net {
         // stack_rows copy), then bias and learned positions. The tape's
         // one-hot selector matmul reduces to the first `l` rows of `pos`.
         let mut x = arena.take(l, embed);
-        Tensor::matmul_rows_into_gated(
-            &sample.bg[..l],
-            self.store.get(self.proj_w),
-            &mut x,
-            zero_skip,
-        );
+        Tensor::matmul_rows_into_gated(&sample.bg[..l], self.store.get(self.proj_w), &mut x, kern);
         {
             let bias = self.store.get(self.proj_b);
             let pos = self.store.get(self.pos);
@@ -93,123 +130,142 @@ impl M3Net {
 
         let dh = self.cfg.head_dim();
         let scale = 1.0 / (dh as f32).sqrt();
+        let e3 = 3 * embed;
+        // Scratch of every layer and head, taken once. The matmul kernels
+        // accumulate, so their outputs are re-zeroed before each use;
+        // `scores` is overwritten where it is read; `attn` is zeroed here
+        // only: `causal_softmax_into` rewrites the lower triangle and never
+        // touches the upper one.
         let mut normed = arena.take(l, embed);
-        for layer in &self.layers {
-            // Attention sublayer.
+        let mut qkv = arena.take(l, e3);
+        let mut scores = arena.take(l, l);
+        let mut attn = arena.take(l, l);
+        let mut out_h = arena.take(l, dh);
+        let mut proj = arena.take(l, embed);
+        let mut attn_acc = arena.take(l, embed);
+        let mut a = arena.take(l, self.cfg.ff_hidden);
+        let mut b = arena.take(l, self.cfg.ff_hidden);
+        let mut ff = arena.take(l, embed);
+        for (li, layer) in self.layers.iter().enumerate() {
+            // Attention sublayer: Q, K and V of all heads in one matmul.
             rms_norm_into(&x, &self.store.get(layer.norm1).data, &mut normed.data);
-            let mut attn_acc = arena.take(l, embed);
+            qkv.data.fill(0.0);
+            let w = &qkv_w.data[li * embed * e3..(li + 1) * embed * e3];
+            gemm(
+                kern,
+                normed.data.chunks_exact(embed),
+                w,
+                e3,
+                e3,
+                &mut qkv.data,
+            );
             for h in 0..self.cfg.heads {
-                let mut q = arena.take(l, dh);
-                let mut k = arena.take(l, dh);
-                let mut v = arena.take(l, dh);
-                Tensor::matmul_into_gated(&normed, self.store.get(layer.wq[h]), &mut q, zero_skip);
-                Tensor::matmul_into_gated(&normed, self.store.get(layer.wk[h]), &mut k, zero_skip);
-                Tensor::matmul_into_gated(&normed, self.store.get(layer.wv[h]), &mut v, zero_skip);
-                let mut scores = arena.take(l, l);
-                Tensor::matmul_nt_into(&q, &k, &mut scores);
-                for s in scores.data.iter_mut() {
-                    *s *= scale;
+                let (q_col, k_col, v_col) = (h * dh, embed + h * dh, 2 * embed + h * dh);
+                // Causal: the softmax reads row `i` up to column `i` only.
+                for i in 0..l {
+                    let q = &qkv.data[i * e3 + q_col..][..dh];
+                    for j in 0..=i {
+                        let k = &qkv.data[j * e3 + k_col..][..dh];
+                        // `0.0 +` is the tape's accumulate-into-zeros; it
+                        // turns a `-0.0` dot product into `+0.0`.
+                        scores.data[i * l + j] = (0.0 + dot(q, k)) * scale;
+                    }
                 }
-                // Freshly taken => zeroed, as causal_softmax_into expects.
-                let mut attn = arena.take(l, l);
                 causal_softmax_into(&scores.data, l, &mut attn.data);
-                let mut out_h = arena.take(l, dh);
-                Tensor::matmul_into_gated(&attn, &v, &mut out_h, zero_skip);
-                let mut proj = arena.take(l, embed);
-                Tensor::matmul_into_gated(
-                    &out_h,
-                    self.store.get(layer.wo[h]),
-                    &mut proj,
-                    zero_skip,
-                );
+                // attn · V_h, with V_h read in place as a column range of
+                // the packed product.
+                out_h.data.fill(0.0);
+                let v = &qkv.data[v_col..];
+                gemm(kern, attn.data.chunks_exact(l), v, e3, dh, &mut out_h.data);
                 // Heads combine left to right, matching the tape's fold.
+                let wo = self.store.get(layer.wo[h]);
                 if h == 0 {
-                    attn_acc.data.copy_from_slice(&proj.data);
+                    attn_acc.data.fill(0.0);
+                    Tensor::matmul_into_gated(&out_h, wo, &mut attn_acc, kern);
                 } else {
+                    proj.data.fill(0.0);
+                    Tensor::matmul_into_gated(&out_h, wo, &mut proj, kern);
                     for (acc, &p) in attn_acc.data.iter_mut().zip(&proj.data) {
                         *acc += p;
                     }
-                }
-                for t in [q, k, v, scores, attn, out_h, proj] {
-                    arena.give(t);
                 }
             }
             for (xv, &a) in x.data.iter_mut().zip(&attn_acc.data) {
                 *xv += a;
             }
-            arena.give(attn_acc);
 
             // SwiGLU feed-forward sublayer, gate fused into one pass.
             rms_norm_into(&x, &self.store.get(layer.norm2).data, &mut normed.data);
-            let mut a = arena.take(l, self.cfg.ff_hidden);
-            let mut b = arena.take(l, self.cfg.ff_hidden);
-            Tensor::matmul_into_gated(&normed, self.store.get(layer.w1), &mut a, zero_skip);
-            Tensor::matmul_into_gated(&normed, self.store.get(layer.w3), &mut b, zero_skip);
+            a.data.fill(0.0);
+            b.data.fill(0.0);
+            Tensor::matmul_into_gated(&normed, self.store.get(layer.w1), &mut a, kern);
+            Tensor::matmul_into_gated(&normed, self.store.get(layer.w3), &mut b, kern);
             for (av, &bv) in a.data.iter_mut().zip(&b.data) {
                 let xv = *av;
                 *av = (xv * sigmoid(xv)) * bv;
             }
-            let mut ff = arena.take(l, embed);
-            Tensor::matmul_into_gated(&a, self.store.get(layer.w2), &mut ff, zero_skip);
+            ff.data.fill(0.0);
+            Tensor::matmul_into_gated(&a, self.store.get(layer.w2), &mut ff, kern);
             for (xv, &f) in x.data.iter_mut().zip(&ff.data) {
                 *xv += f;
-            }
-            for t in [a, b, ff] {
-                arena.give(t);
             }
         }
 
         rms_norm_into(&x, &self.store.get(self.final_norm).data, &mut normed.data);
         out.copy_from_slice(&normed.data[(l - 1) * embed..l * embed]);
-        arena.give(x);
-        arena.give(normed);
+        for t in [
+            x, normed, qkv, scores, attn, out_h, proj, attn_acc, a, b, ff,
+        ] {
+            arena.give(t);
+        }
     }
 
-    /// Batched MLP head over pre-joined rows; returns the `[k, out_dim]`
-    /// output (caller gives it back to the arena).
-    fn mlp_head(&self, joined: &Tensor, arena: &mut TensorArena, zero_skip: bool) -> Tensor {
-        let mut h = arena.take(joined.rows, self.cfg.mlp_hidden);
-        Tensor::matmul_into_gated(joined, self.store.get(self.mlp_w1), &mut h, zero_skip);
-        {
-            let b1 = self.store.get(self.mlp_b1);
-            for r in 0..h.rows {
-                let row = &mut h.data[r * h.cols..(r + 1) * h.cols];
-                for (v, &b) in row.iter_mut().zip(&b1.data) {
-                    *v = (*v + b).max(0.0);
-                }
+    /// The whole forward pass over one contiguous run of samples — packed
+    /// weights, contexts, then the batched MLP head over the rows
+    /// `[fg ∥ context ∥ spec]` — writing sample `i`'s output into `out[i]`.
+    /// Every output row depends on its own sample alone, so how a batch is
+    /// cut into chunks changes no bits.
+    fn forward_chunk(
+        &self,
+        samples: &[SampleInput],
+        arena: &mut TensorArena,
+        kern: Kernel,
+        out: &mut [Vec<f32>],
+    ) {
+        let (feat, embed) = (self.cfg.feat_dim, self.cfg.embed);
+        let mlp_in = feat + embed + self.cfg.spec_dim;
+        let qkv_w = self.pack_qkv(arena);
+        let mut joined = arena.take(samples.len(), mlp_in);
+        for (s, row) in samples.iter().zip(joined.data.chunks_exact_mut(mlp_in)) {
+            row[..feat].copy_from_slice(&s.fg);
+            self.context_into(s, &qkv_w, arena, kern, &mut row[feat..feat + embed]);
+            row[feat + embed..].copy_from_slice(&s.spec);
+        }
+
+        let mut h = arena.take(samples.len(), self.cfg.mlp_hidden);
+        Tensor::matmul_into_gated(&joined, self.store.get(self.mlp_w1), &mut h, kern);
+        let b1 = self.store.get(self.mlp_b1);
+        for row in h.data.chunks_exact_mut(self.cfg.mlp_hidden) {
+            for (v, &b) in row.iter_mut().zip(&b1.data) {
+                *v = (*v + b).max(0.0);
             }
         }
-        let mut out = arena.take(joined.rows, self.cfg.out_dim);
-        Tensor::matmul_into_gated(&h, self.store.get(self.mlp_w2), &mut out, zero_skip);
-        {
-            let b2 = self.store.get(self.mlp_b2);
-            for r in 0..out.rows {
-                let row = &mut out.data[r * out.cols..(r + 1) * out.cols];
-                for (v, &b) in row.iter_mut().zip(&b2.data) {
-                    *v += b;
-                }
-            }
+        let mut o = arena.take(samples.len(), self.cfg.out_dim);
+        Tensor::matmul_into_gated(&h, self.store.get(self.mlp_w2), &mut o, kern);
+        let b2 = self.store.get(self.mlp_b2);
+        for (dst, row) in out.iter_mut().zip(o.data.chunks_exact(self.cfg.out_dim)) {
+            dst.clear();
+            dst.extend(row.iter().zip(&b2.data).map(|(&v, &b)| v + b));
         }
-        arena.give(h);
-        out
+        for t in [qkv_w, joined, h, o] {
+            arena.give(t);
+        }
     }
 
     fn check_sample_widths(&self, samples: &[SampleInput]) {
         for s in samples {
             assert_eq!(s.fg.len(), self.cfg.feat_dim, "foreground map width");
             assert_eq!(s.spec.len(), self.cfg.spec_dim, "spec vector width");
-        }
-    }
-
-    fn fill_joined(&self, joined: &mut Tensor, samples: &[SampleInput], ctx_flat: &[f32]) {
-        let embed = self.cfg.embed;
-        let mlp_in = joined.cols;
-        for (i, s) in samples.iter().enumerate() {
-            let row = &mut joined.data[i * mlp_in..(i + 1) * mlp_in];
-            row[..self.cfg.feat_dim].copy_from_slice(&s.fg);
-            row[self.cfg.feat_dim..self.cfg.feat_dim + embed]
-                .copy_from_slice(&ctx_flat[i * embed..(i + 1) * embed]);
-            row[self.cfg.feat_dim + embed..].copy_from_slice(&s.spec);
         }
     }
 
@@ -231,88 +287,154 @@ impl M3Net {
         scratch: &mut InferScratch,
         out: &mut Vec<Vec<f32>>,
     ) {
-        if samples.is_empty() {
-            out.clear();
-            return;
-        }
+        self.predict_batch_into_on(self.kernel(), samples, scratch, out);
+    }
+
+    /// [`M3Net::predict_batch_into`] on the baseline kernel instantiation,
+    /// whatever the CPU: how tests run, on an AVX2 host, the forward pass
+    /// of a host without AVX2.
+    #[doc(hidden)]
+    pub fn predict_batch_into_portable(
+        &self,
+        samples: &[SampleInput],
+        scratch: &mut InferScratch,
+        out: &mut Vec<Vec<f32>>,
+    ) {
+        let kern = Kernel::portable(self.store.all_finite());
+        self.predict_batch_into_on(kern, samples, scratch, out);
+    }
+
+    fn predict_batch_into_on(
+        &self,
+        kern: Kernel,
+        samples: &[SampleInput],
+        scratch: &mut InferScratch,
+        out: &mut Vec<Vec<f32>>,
+    ) {
         self.check_sample_widths(samples);
-        let zero_skip = self.weights_finite();
-        let embed = self.cfg.embed;
-        let k = samples.len();
-        scratch.ctx_flat.clear();
-        scratch.ctx_flat.resize(k * embed, 0.0);
-        for (i, s) in samples.iter().enumerate() {
-            let dst = &mut scratch.ctx_flat[i * embed..(i + 1) * embed];
-            self.context_into(s, &mut scratch.arena, zero_skip, dst);
+        out.resize_with(samples.len(), Vec::new);
+        if !samples.is_empty() {
+            self.forward_chunk(samples, &mut scratch.arena, kern, out);
         }
-        let mlp_in = self.cfg.feat_dim + embed + self.cfg.spec_dim;
-        let mut joined = scratch.arena.take(k, mlp_in);
-        self.fill_joined(&mut joined, samples, &scratch.ctx_flat);
-        let o = self.mlp_head(&joined, &mut scratch.arena, zero_skip);
-        scratch.arena.give(joined);
-        out.resize_with(k, Vec::new);
-        for (i, dst) in out.iter_mut().enumerate() {
-            dst.clear();
-            dst.extend_from_slice(o.row_slice(i));
-        }
-        scratch.arena.give(o);
     }
 
     /// Batched inference: one output vector per sample, bit-for-bit equal
     /// to calling [`M3Net::predict`] on each sample individually.
-    ///
-    /// The per-hop background sequences have different lengths, so the
-    /// transformer contexts are computed per sample (in parallel, each
-    /// worker drawing a warm arena from a transient pool); the sample rows
-    /// `[fg ∥ context ∥ spec]` then go through a single batched MLP head.
     pub fn predict_batch(&self, samples: &[SampleInput]) -> Vec<Vec<f32>> {
         self.predict_batch_pooled(samples, &ArenaPool::new())
     }
 
     /// [`M3Net::predict_batch`] drawing all scratch from a caller-held
-    /// [`ArenaPool`], so repeated estimates reuse warm buffers.
+    /// [`ArenaPool`], so repeated estimates reuse warm buffers. The batch
+    /// is cut into one contiguous chunk per `rayon` worker, each worker
+    /// runs the whole forward pass on its chunk, and the vendored rayon
+    /// returns the chunks' outputs in order.
     pub fn predict_batch_pooled(&self, samples: &[SampleInput], pool: &ArenaPool) -> Vec<Vec<f32>> {
         if samples.is_empty() {
             return Vec::new();
         }
         self.check_sample_widths(samples);
-        let zero_skip = self.weights_finite();
-        let embed = self.cfg.embed;
-
-        // Contiguous chunks, one per worker; the vendored rayon preserves
-        // chunk order, so the concatenated contexts are in sample order.
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let chunk_len = samples.len().div_ceil(workers);
+        let kern = self.kernel();
+        let chunk_len = samples.len().div_ceil(rayon::current_num_threads());
         let chunks: Vec<&[SampleInput]> = samples.chunks(chunk_len).collect();
-        let ctx_parts: Vec<Vec<f32>> = chunks
+        let parts: Vec<Vec<Vec<f32>>> = chunks
             .par_iter()
             .map(|part| {
                 let mut arena = pool.take();
-                let mut flat = vec![0.0f32; part.len() * embed];
-                for (i, s) in part.iter().enumerate() {
-                    let dst = &mut flat[i * embed..(i + 1) * embed];
-                    self.context_into(s, &mut arena, zero_skip, dst);
-                }
+                let mut rows = vec![Vec::new(); part.len()];
+                self.forward_chunk(part, &mut arena, kern, &mut rows);
                 pool.put(arena);
-                flat
+                rows
             })
             .collect();
-        let mut ctx_flat = Vec::with_capacity(samples.len() * embed);
-        for part in &ctx_parts {
-            ctx_flat.extend_from_slice(part);
-        }
+        parts.into_iter().flatten().collect()
+    }
+}
 
-        let mut arena = pool.take();
-        let mlp_in = self.cfg.feat_dim + embed + self.cfg.spec_dim;
-        let mut joined = arena.take(samples.len(), mlp_in);
-        self.fill_joined(&mut joined, samples, &ctx_flat);
-        let o = self.mlp_head(&joined, &mut arena, zero_skip);
-        arena.give(joined);
-        let outputs = (0..o.rows).map(|r| o.row_slice(r).to_vec()).collect();
-        arena.give(o);
-        pool.put(arena);
-        outputs
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::tests::{sample, tiny_cfg};
+
+    /// The zero-skip gate is a memo now: a NaN planted after a forward
+    /// call has cached "finite" must clear it, or a zero activation would
+    /// swallow the poison (`0 * NaN` skipped instead of NaN).
+    #[test]
+    fn planted_nan_clears_the_memo_and_propagates_through_zero_activations() {
+        let mut net = M3Net::new(tiny_cfg(), 9);
+        let s = sample(3, &net.cfg);
+        assert!(net.predict(&s).iter().all(|v| v.is_finite()));
+        assert!(net.store.all_finite());
+        // Every hidden unit far below zero: the ReLU output is all exact
+        // zeros, so the output layer sees nothing but zero activations.
+        net.store.get_mut(net.mlp_b1).data.fill(-1e6);
+        assert!(net.predict(&s).iter().all(|v| v.is_finite()));
+        net.store.get_mut(net.mlp_w2).data[0] = f32::NAN;
+        assert!(!net.store.all_finite());
+        let out = net.predict(&s);
+        assert!(out[0].is_nan(), "NaN swallowed: {out:?}");
+        assert!(out[1..].iter().all(|v| v.is_finite()));
+        assert!(net.clone().predict(&s)[0].is_nan(), "clone lost the flag");
+    }
+
+    /// Child half of `pooled_forward_is_bit_identical_at_1_2_and_4_workers`:
+    /// checks the pooled batch against per-sample `predict` and prints the
+    /// worker count with a digest of every output bit.
+    #[test]
+    #[ignore = "run by pooled_forward_is_bit_identical_at_1_2_and_4_workers, which sets RAYON_NUM_THREADS"]
+    fn print_worker_count_and_forward_digest() {
+        let net = M3Net::new(tiny_cfg(), 9);
+        let mut samples: Vec<SampleInput> = [0usize, 1, 3, 6, 2, 4, 9, 5, 1, 2, 6]
+            .iter()
+            .map(|&h| sample(h, &net.cfg))
+            .collect();
+        samples[4].use_context = false;
+        let pool = ArenaPool::new();
+        let batched = net.predict_batch_pooled(&samples, &pool);
+        assert_eq!(batched.len(), samples.len());
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for (s, row) in samples.iter().zip(&batched) {
+            let single = net.predict(s);
+            assert_eq!(single.len(), row.len());
+            for (a, b) in single.iter().zip(row) {
+                assert_eq!(a.to_bits(), b.to_bits());
+                digest = (digest ^ b.to_bits() as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        println!(
+            "workers={} digest={digest:016x}",
+            rayon::current_num_threads()
+        );
+    }
+
+    /// `predict_batch_pooled` cuts the batch into one chunk per `rayon`
+    /// worker, so the chunking follows `RAYON_NUM_THREADS`; the outputs
+    /// must not. The stand-in fixes its worker count per process, hence
+    /// one child process per count (the pattern of `m3-core`'s
+    /// `estimate_is_bit_identical_at_1_2_and_4_workers`).
+    #[test]
+    fn pooled_forward_is_bit_identical_at_1_2_and_4_workers() {
+        let exe = std::env::current_exe().unwrap();
+        let digest_at = |workers: usize| {
+            let out = std::process::Command::new(&exe)
+                .args(["--ignored", "--exact", "--nocapture"])
+                .arg("infer::tests::print_worker_count_and_forward_digest")
+                .env("RAYON_NUM_THREADS", workers.to_string())
+                .output()
+                .unwrap();
+            let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+            assert!(out.status.success(), "child failed: {stdout}");
+            let report = stdout
+                .split("workers=")
+                .nth(1)
+                .and_then(|rest| rest.lines().next())
+                .unwrap_or_else(|| panic!("no report in: {stdout}"));
+            let (n, digest) = report.split_once(" digest=").unwrap();
+            assert_eq!(n, workers.to_string(), "RAYON_NUM_THREADS not honoured");
+            digest.to_string()
+        };
+        let one = digest_at(1);
+        assert_eq!(digest_at(2), one);
+        assert_eq!(digest_at(4), one);
     }
 }

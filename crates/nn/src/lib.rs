@@ -29,6 +29,9 @@
 // either propagate as typed Results or use an explicitly justified panic.
 // scripts/check.sh runs clippy with -D warnings, making these hard errors.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+// The crate's one `unsafe` block is the call into the AVX2 instantiation of
+// the matmul kernel (`tensor.rs`).
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod arena;
 pub mod checkpoint;
@@ -56,5 +59,5 @@ pub mod prelude {
     pub use crate::params::{Param, ParamId, ParamStore};
     pub use crate::registry::{Lineage, ModelRef, ModelRegistry, ModelVersion};
     pub use crate::tape::{Tape, Var};
-    pub use crate::tensor::{Tensor, TensorError};
+    pub use crate::tensor::{Kernel, Tensor, TensorError};
 }

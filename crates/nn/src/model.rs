@@ -535,10 +535,10 @@ pub fn grad_l2_norm(grads: &[Tensor]) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn tiny_cfg() -> ModelConfig {
+    pub(crate) fn tiny_cfg() -> ModelConfig {
         ModelConfig {
             feat_dim: 20,
             spec_dim: 5,
@@ -552,7 +552,7 @@ mod tests {
         }
     }
 
-    fn sample(bg_hops: usize, cfg: &ModelConfig) -> SampleInput {
+    pub(crate) fn sample(bg_hops: usize, cfg: &ModelConfig) -> SampleInput {
         SampleInput {
             fg: (0..cfg.feat_dim).map(|i| (i as f32 * 0.1).sin()).collect(),
             bg: (0..bg_hops)

@@ -1,10 +1,15 @@
 //! Learnable parameter storage, separated from gradients so the store can be
 //! shared read-only across rayon workers during batched forward/backward.
 
-use crate::tensor::Tensor;
+use crate::tensor::{all_finite, Tensor};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+
+/// States of the [`ParamStore::all_finite`] memo.
+const FINITE_UNKNOWN: u8 = 0;
+const FINITE_YES: u8 = 1;
+const FINITE_NO: u8 = 2;
 
 /// Handle to one parameter tensor in a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,6 +32,10 @@ pub struct ParamStore {
     /// plus acquire/release on the flag is enough.
     hash_valid: AtomicBool,
     hash_memo: AtomicU64,
+    /// Memoized [`all_finite`](Self::all_finite), cleared with the hash
+    /// memo. One self-contained value, so relaxed ordering is enough:
+    /// racing readers can only store the same answer.
+    finite_memo: AtomicU8,
 }
 
 impl Clone for ParamStore {
@@ -40,6 +49,7 @@ impl Clone for ParamStore {
             } else {
                 0
             }),
+            finite_memo: AtomicU8::new(self.finite_memo.load(Ordering::Relaxed)),
         }
     }
 }
@@ -49,8 +59,14 @@ impl ParamStore {
         Self::default()
     }
 
-    pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
+    /// Every mutable access goes through here: both memos are stale.
+    fn invalidate_memos(&mut self) {
         *self.hash_valid.get_mut() = false;
+        *self.finite_memo.get_mut() = FINITE_UNKNOWN;
+    }
+
+    pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
+        self.invalidate_memos();
         self.params.push(Param {
             name: name.into(),
             value,
@@ -91,7 +107,7 @@ impl ParamStore {
     }
 
     pub fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
-        *self.hash_valid.get_mut() = false;
+        self.invalidate_memos();
         &mut self.params[id.0].value
     }
 
@@ -128,6 +144,23 @@ impl ParamStore {
         self.hash_memo.store(h, Ordering::Relaxed);
         self.hash_valid.store(true, Ordering::Release);
         h
+    }
+
+    /// Whether every parameter value is finite — the condition under which
+    /// the matmul zero-skip is sound (see `tensor.rs`). Memoized like
+    /// [`content_hash`](Self::content_hash), so a forward call pays one
+    /// load instead of a scan over every weight.
+    pub fn all_finite(&self) -> bool {
+        match self.finite_memo.load(Ordering::Relaxed) {
+            FINITE_YES => true,
+            FINITE_NO => false,
+            _ => {
+                let finite = self.params.iter().all(|p| all_finite(&p.value.data));
+                let memo = if finite { FINITE_YES } else { FINITE_NO };
+                self.finite_memo.store(memo, Ordering::Relaxed);
+                finite
+            }
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -208,6 +241,23 @@ mod tests {
         // Adding a parameter changes the hash.
         s.add_zeros("b", 1, 1);
         assert_ne!(s.content_hash(), h1);
+    }
+
+    #[test]
+    fn all_finite_memo_tracks_mutation() {
+        let mut s = ParamStore::new();
+        let mut rng = ParamStore::seeded_rng(3);
+        let id = s.add_xavier("w", 4, 4, &mut rng);
+        assert!(s.all_finite());
+        assert!(s.clone().all_finite(), "clone carries the memo");
+        s.get_mut(id).data[5] = f32::NAN;
+        assert!(!s.all_finite(), "get_mut must clear the memo");
+        assert!(!s.clone().all_finite());
+        s.get_mut(id).data[5] = 0.0;
+        assert!(s.all_finite());
+        // `add` clears it too.
+        s.add("inf", Tensor::from_vec(1, 1, vec![f32::INFINITY]));
+        assert!(!s.all_finite());
     }
 
     #[test]

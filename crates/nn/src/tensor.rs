@@ -8,15 +8,34 @@
 //! The matmul kernels are register-blocked over output-column panels of
 //! `JB = 64` floats: for one row of `C`, a `[f32; JB]` accumulator panel is
 //! loaded once, the whole `k` loop runs against it (one broadcast of
-//! `a[i,k]` FMA'd into the panel per step), and the panel is stored once.
-//! The naive ikj loop instead re-loads and re-stores the `C` row on every
-//! `k` step — three memory streams per FMA sweep versus one — which is
-//! what made it memory-bound. The fixed-size panel is the whole trick: the
-//! autovectorizer keeps it in vector registers across the `k` loop.
-//! Each output element still accumulates its `k` terms in ascending
-//! order from its initial value, so blocked results are bit-identical to
-//! the retained scalar reference kernels (see `matmul_into_reference` and
-//! the proptest suite).
+//! `a[i,k]` multiplied and added into the panel per step), and the panel is
+//! stored once. The naive ikj loop instead re-loads and re-stores the `C`
+//! row on every `k` step — three memory streams per sweep versus one —
+//! which is what made it memory-bound. The fixed-size panel is the whole
+//! trick: the autovectorizer keeps it in vector registers across the `k`
+//! loop. Columns past the last full panel go through fixed 16- and 8-wide
+//! sub-panels and then single columns, so no vectorised loop has a run-time
+//! trip count. Each output element still accumulates its `k` terms in
+//! ascending order from its initial value, so blocked results are
+//! bit-identical to the retained scalar reference kernels (see
+//! `matmul_into_reference` and the proptest suite).
+//!
+//! Run-time dispatch: the workspace is built for baseline x86-64, where a
+//! 64-float panel is all sixteen `xmm` registers. The one kernel body
+//! (`gemm_body`, `#[inline(always)]`) is therefore instantiated twice —
+//! as is, and inside an `avx2` `#[target_feature]` function — and a
+//! [`Kernel`] picks one: once per forward call on the inference path
+//! (`infer.rs`), once per matmul through [`Tensor::matmul_into`], the tape
+//! and training entry (the detection is a cached atomic load, and that
+//! entry scans `B` for finiteness per matmul anyway). Only `avx2` is enabled and
+//! `mul_add` is never used, so no multiply-add is contracted: on either
+//! path every lane is one IEEE multiply and one IEEE add per `k` step, in
+//! ascending `k`, independent of its neighbours. Vector width changes how
+//! many lanes move per instruction, not what any lane computes; the two
+//! paths agree bit for bit. (One caveat, as old as the portable kernel:
+//! when two NaNs with *different* payloads meet in one add, x86 keeps the
+//! first operand's, and operand order is the compiler's choice. A poisoned
+//! run is NaN on both paths; which NaN is not pinned.)
 //!
 //! Sparsity fast path: feature maps are mostly exact zeros (empty
 //! percentile buckets), so skipping `a[i,k] == 0.0` rows of `B` is a large
@@ -37,42 +56,146 @@ use std::fmt;
 /// the entire `k` loop.
 const JB: usize = 64;
 
-/// One row of `C += a_row * B`, register-blocked over [`JB`]-wide output
-/// panels. Per element the accumulation runs in ascending `k` from the
-/// row's current value — bit-identical to the naive ikj loop.
-#[inline]
-fn row_times_b(a_row: &[f32], b_data: &[f32], m: usize, c_row: &mut [f32], zero_skip: bool) {
-    let mut jb = 0;
-    while jb + JB <= m {
-        let mut acc = [0.0f32; JB];
-        acc.copy_from_slice(&c_row[jb..jb + JB]);
-        for (k, &aik) in a_row.iter().enumerate() {
-            if zero_skip && aik == 0.0 {
-                continue;
-            }
-            let b_blk = &b_data[k * m + jb..k * m + jb + JB];
-            for (c, &bv) in acc.iter_mut().zip(b_blk) {
-                *c += aik * bv;
-            }
-        }
-        c_row[jb..jb + JB].copy_from_slice(&acc);
-        jb += JB;
+/// What every matmul of one forward call shares: which instantiation of
+/// the panel kernel runs, and whether the zero-skip is sound (it must only
+/// be on when the `B` side is known finite; the inference fast path reads
+/// one memoized finiteness flag for all weights).
+///
+/// The fields are private because the `unsafe` call into the AVX2
+/// instantiation relies on `avx2` being set by [`Kernel::detect`] alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Kernel {
+    avx2: bool,
+    zero_skip: bool,
+}
+
+impl Kernel {
+    /// The widest instantiation this CPU runs.
+    pub fn detect(zero_skip: bool) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        Kernel { avx2, zero_skip }
     }
-    if jb < m {
-        let w = m - jb;
-        let mut acc = [0.0f32; JB];
-        acc[..w].copy_from_slice(&c_row[jb..]);
-        for (k, &aik) in a_row.iter().enumerate() {
-            if zero_skip && aik == 0.0 {
-                continue;
-            }
-            let b_blk = &b_data[k * m + jb..k * m + m];
-            for (c, &bv) in acc[..w].iter_mut().zip(b_blk) {
-                *c += aik * bv;
-            }
+
+    /// The baseline instantiation, whatever the CPU: what a host without
+    /// AVX2 runs. Tests compare it against [`Kernel::detect`].
+    #[doc(hidden)]
+    pub fn portable(zero_skip: bool) -> Self {
+        Kernel {
+            avx2: false,
+            zero_skip,
         }
-        c_row[jb..].copy_from_slice(&acc[..w]);
     }
+
+    /// `"avx2"` or `"portable"`, for bench fingerprints.
+    pub fn path(self) -> &'static str {
+        if self.avx2 {
+            "avx2"
+        } else {
+            "portable"
+        }
+    }
+}
+
+/// One `W`-wide panel of one output row, starting at column `jb`: the
+/// accumulators start at the row's current values and take `a[k] * b[k, j]`
+/// in ascending `k`. `b` has `ldb` floats between consecutive rows.
+#[inline(always)]
+fn panel<const W: usize>(
+    a_row: &[f32],
+    b: &[f32],
+    ldb: usize,
+    jb: usize,
+    c_row: &mut [f32],
+    zero_skip: bool,
+) {
+    let mut acc = [0.0f32; W];
+    acc.copy_from_slice(&c_row[jb..jb + W]);
+    for (k, &aik) in a_row.iter().enumerate() {
+        if zero_skip && aik == 0.0 {
+            continue;
+        }
+        let b_blk = &b[k * ldb + jb..k * ldb + jb + W];
+        for (c, &bv) in acc.iter_mut().zip(b_blk) {
+            *c += aik * bv;
+        }
+    }
+    c_row[jb..jb + W].copy_from_slice(&acc);
+}
+
+/// The kernel body both instantiations share: `C += A * B`, one row of `A`
+/// (and `m` floats of `out`) at a time, panels widest first.
+#[inline(always)]
+fn gemm_body<'a>(
+    a_rows: impl Iterator<Item = &'a [f32]>,
+    b: &[f32],
+    ldb: usize,
+    m: usize,
+    out: &mut [f32],
+    zero_skip: bool,
+) {
+    for (a_row, c_row) in a_rows.zip(out.chunks_exact_mut(m)) {
+        let mut jb = 0;
+        while jb + JB <= m {
+            panel::<JB>(a_row, b, ldb, jb, c_row, zero_skip);
+            jb += JB;
+        }
+        while jb + 16 <= m {
+            panel::<16>(a_row, b, ldb, jb, c_row, zero_skip);
+            jb += 16;
+        }
+        if jb + 8 <= m {
+            panel::<8>(a_row, b, ldb, jb, c_row, zero_skip);
+            jb += 8;
+        }
+        while jb < m {
+            panel::<1>(a_row, b, ldb, jb, c_row, zero_skip);
+            jb += 1;
+        }
+    }
+}
+
+/// [`gemm_body`] compiled with 256-bit vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2<'a>(
+    a_rows: impl Iterator<Item = &'a [f32]>,
+    b: &[f32],
+    ldb: usize,
+    m: usize,
+    out: &mut [f32],
+    zero_skip: bool,
+) {
+    gemm_body(a_rows, b, ldb, m, out, zero_skip);
+}
+
+/// `C += A * B` over slices: `a_rows` yields the rows of `A`, row `k` of
+/// `B` is `b[k * ldb..][..m]` (so `B` may be a column range of a wider
+/// matrix), and `out` is `[rows, m]` row-major. Out-of-range operands
+/// panic on the slice bounds.
+pub(crate) fn gemm<'a>(
+    kern: Kernel,
+    a_rows: impl Iterator<Item = &'a [f32]>,
+    b: &[f32],
+    ldb: usize,
+    m: usize,
+    out: &mut [f32],
+) {
+    if m == 0 {
+        return;
+    }
+    assert!(ldb >= m, "matmul B row stride");
+    #[cfg(target_arch = "x86_64")]
+    if kern.avx2 {
+        // SAFETY: `gemm_avx2` is safe code whose only requirement is that
+        // the CPU supports AVX2. `Kernel`'s fields are private and
+        // `Kernel::detect`, the one place that sets `avx2`, sets it from
+        // `is_x86_feature_detected!("avx2")`.
+        return unsafe { gemm_avx2(a_rows, b, ldb, m, out, kern.zero_skip) };
+    }
+    gemm_body(a_rows, b, ldb, m, out, kern.zero_skip);
 }
 
 /// Typed construction errors (shape arithmetic is checked so overflow
@@ -191,25 +314,24 @@ impl Tensor {
     }
 
     /// C = A * B (`[n,k] x [k,m] -> [n,m]`), accumulating into `out`.
-    /// Cache-blocked; the zero-skip is gated on `B` being finite (see the
-    /// module docs for why that is required for IEEE NaN propagation and
-    /// why it cannot change any bits).
+    /// Register-blocked on the widest kernel the CPU runs; the zero-skip is
+    /// gated on `B` being finite (see the module docs for why that is
+    /// required for IEEE NaN propagation and why it cannot change any
+    /// bits).
     pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-        Tensor::matmul_into_gated(a, b, out, all_finite(&b.data));
+        Tensor::matmul_into_gated(a, b, out, Kernel::detect(all_finite(&b.data)));
     }
 
-    /// Blocked kernel with the caller deciding whether the zero-skip is
-    /// sound (`zero_skip` must only be true when `B` is known finite; the
-    /// inference fast path hoists one finiteness scan over all weights).
-    pub fn matmul_into_gated(a: &Tensor, b: &Tensor, out: &mut Tensor, zero_skip: bool) {
+    /// Blocked kernel with the caller choosing the [`Kernel`]: the
+    /// instantiation, and whether the zero-skip is sound.
+    pub fn matmul_into_gated(a: &Tensor, b: &Tensor, out: &mut Tensor, kern: Kernel) {
         assert_eq!(a.cols, b.rows, "matmul inner dims");
         assert_eq!((out.rows, out.cols), (a.rows, b.cols));
-        let m = b.cols;
-        for i in 0..a.rows {
-            let a_row = &a.data[i * a.cols..(i + 1) * a.cols];
-            let c_row = &mut out.data[i * m..(i + 1) * m];
-            row_times_b(a_row, &b.data, m, c_row, zero_skip);
+        if a.cols == 0 {
+            return;
         }
+        let a_rows = a.data.chunks_exact(a.cols);
+        gemm(kern, a_rows, &b.data, b.cols, b.cols, &mut out.data);
     }
 
     /// Retained scalar reference kernel (pre-blocking ikj loop). The
@@ -239,21 +361,13 @@ impl Tensor {
     /// on the stacked matrix, without materialising the stack — this is the
     /// batching primitive that lets `predict_batch` consume per-hop feature
     /// maps in place (no O(L·D) copy).
-    pub fn matmul_rows_into_gated(
-        a_rows: &[Vec<f32>],
-        b: &Tensor,
-        out: &mut Tensor,
-        zero_skip: bool,
-    ) {
+    pub fn matmul_rows_into_gated(a_rows: &[Vec<f32>], b: &Tensor, out: &mut Tensor, kern: Kernel) {
         for r in a_rows {
             assert_eq!(r.len(), b.rows, "matmul inner dims");
         }
         assert_eq!((out.rows, out.cols), (a_rows.len(), b.cols));
-        let m = b.cols;
-        for (i, a_row) in a_rows.iter().enumerate() {
-            let c_row = &mut out.data[i * m..(i + 1) * m];
-            row_times_b(a_row, &b.data, m, c_row, zero_skip);
-        }
+        let a_rows = a_rows.iter().map(Vec::as_slice);
+        gemm(kern, a_rows, &b.data, b.cols, b.cols, &mut out.data);
     }
 
     pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
@@ -303,11 +417,8 @@ impl Tensor {
         assert_eq!(a.cols, b.cols, "matmul_nt inner dims");
         assert_eq!((out.rows, out.cols), (a.rows, b.rows));
         for i in 0..a.rows {
-            let a_row = &a.data[i * a.cols..(i + 1) * a.cols];
             for j in 0..b.rows {
-                let b_row = &b.data[j * b.cols..(j + 1) * b.cols];
-                let dot: f32 = a_row.iter().zip(b_row).map(|(x, y)| x * y).sum();
-                out.data[i * b.rows + j] += dot;
+                out.data[i * b.rows + j] += dot(a.row_slice(i), b.row_slice(j));
             }
         }
     }
@@ -332,6 +443,14 @@ impl Tensor {
             }
         }
     }
+}
+
+/// The dot product of [`Tensor::matmul_nt_into`]: one left-to-right sum,
+/// shared with the inference fast path's attention scores so both round
+/// identically.
+#[inline]
+pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// Branchless finiteness scan: OR-reduces the "exponent is all ones" bit of
@@ -477,7 +596,7 @@ mod tests {
         let b = Tensor::from_vec(3, 2, vec![0.3, -0.7, 1.1, 0.0, -2.2, 5.0]);
         let skipped = Tensor::matmul(&a, &b);
         let mut dense = Tensor::zeros(2, 2);
-        Tensor::matmul_into_gated(&a, &b, &mut dense, false);
+        Tensor::matmul_into_gated(&a, &b, &mut dense, Kernel::detect(false));
         let sb: Vec<u32> = skipped.data.iter().map(|v| v.to_bits()).collect();
         let db: Vec<u32> = dense.data.iter().map(|v| v.to_bits()).collect();
         assert_eq!(sb, db);

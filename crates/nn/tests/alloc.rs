@@ -1,7 +1,8 @@
 //! Steady-state allocation test: after one warmup call, a repeated batched
 //! forward pass through [`M3Net::predict_batch_into`] must perform zero heap
-//! allocations — every tensor comes from the warm [`InferScratch`] arena and
-//! the output rows reuse their capacity.
+//! allocations — every tensor, the per-call packed QKV weights included,
+//! comes from the warm [`InferScratch`] arena and the output rows reuse their
+//! capacity.
 //!
 //! This file holds exactly one #[test] so no concurrent test thread can
 //! allocate while the counter is armed.

@@ -1,6 +1,11 @@
 //! Property tests for the autograd engine: analytic gradients must match
 //! central finite differences for randomly-shaped compositions, and model
 //! outputs must be finite and deterministic for arbitrary inputs.
+//!
+//! The kernel suites compare the dispatched (AVX2) instantiation of the
+//! panel kernel against the portable one bit for bit. On a host without
+//! AVX2 both are the same code, so those suites print a note and pass
+//! without comparing anything.
 
 use m3_nn::prelude::*;
 use proptest::prelude::*;
@@ -30,6 +35,102 @@ fn sparse_tensor_from(vals: &[f32], rows: usize, cols: usize) -> Tensor {
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Whether `Kernel::detect` picks something other than the portable
+/// instantiation here; says so once when it does not.
+fn dispatch_differs() -> bool {
+    static NOTE: std::sync::Once = std::sync::Once::new();
+    let differs = Kernel::detect(false) != Kernel::portable(false);
+    if !differs {
+        NOTE.call_once(|| {
+            eprintln!("no AVX2 on this host: dispatched == portable, kernel comparisons skipped")
+        });
+    }
+    differs
+}
+
+/// Activations with exact `0.0` and `-0.0` entries among the values.
+fn signed_zero_tensor_from(vals: &[f32], rows: usize, cols: usize) -> Tensor {
+    let data: Vec<f32> = (0..rows * cols)
+        .map(|i| match i % 5 {
+            0 => 0.0,
+            3 => -0.0,
+            _ => vals[i % vals.len()],
+        })
+        .collect();
+    Tensor::from_vec(rows, cols, data)
+}
+
+/// The AVX2 instantiation of the panel kernel equals the portable one bit
+/// for bit on `C += A * B` with `-0.0` and `0.0` activations, the zero-skip
+/// on or off, and `poison` (unless `0.0`) planted in `B` — where a sound
+/// caller turns the skip off, but the instantiations must agree either way.
+fn assert_dispatched_equals_portable(
+    n: usize,
+    k: usize,
+    m: usize,
+    vals: &[f32],
+    zero_skip: bool,
+    poison: f32,
+    poison_at: usize,
+) {
+    let a = signed_zero_tensor_from(vals, n, k);
+    let mut b = tensor_from(&vals[1..], k, m);
+    if poison != 0.0 {
+        let at = poison_at % b.data.len();
+        b.data[at] = poison;
+    }
+    // Accumulate into a non-zero C, as the backward pass does.
+    let c0 = tensor_from(&vals[2..], n, m);
+    let mut portable = c0.clone();
+    Tensor::matmul_into_gated(&a, &b, &mut portable, Kernel::portable(zero_skip));
+    let mut dispatched = c0.clone();
+    Tensor::matmul_into_gated(&a, &b, &mut dispatched, Kernel::detect(zero_skip));
+    let shape = format!("({n},{k},{m}) zero_skip {zero_skip} poison {poison}");
+    assert_eq!(bits(&portable), bits(&dispatched), "{shape}");
+    // And both are the reference kernel when the skip is set the way
+    // `matmul_into` sets it.
+    if zero_skip == (poison == 0.0) {
+        let mut reference = c0.clone();
+        Tensor::matmul_into_reference(&a, &b, &mut reference);
+        assert_eq!(bits(&reference), bits(&dispatched), "{shape}");
+    }
+}
+
+fn model_cfg(heads: usize) -> ModelConfig {
+    ModelConfig {
+        feat_dim: 12,
+        spec_dim: 4,
+        out_dim: 6,
+        embed: 8,
+        heads,
+        layers: 2,
+        block: 5,
+        ff_hidden: 8,
+        mlp_hidden: 8,
+    }
+}
+
+fn model_sample(cfg: &ModelConfig, hops: usize, fill: f32) -> SampleInput {
+    SampleInput {
+        fg: (0..cfg.feat_dim).map(|j| fill + j as f32 * 0.03).collect(),
+        bg: (0..hops)
+            .map(|h| {
+                (0..cfg.feat_dim)
+                    .map(|j| {
+                        if j % 4 == 0 {
+                            0.0
+                        } else {
+                            fill * 0.5 - (h + j) as f32 * 0.02
+                        }
+                    })
+                    .collect()
+            })
+            .collect(),
+        spec: vec![fill.abs().min(1.0); cfg.spec_dim],
+        use_context: true,
+    }
 }
 
 proptest! {
@@ -200,7 +301,7 @@ proptest! {
         // Disabling the sparsity skip must not change a single bit either
         // (the +-0.0 accumulator argument in tensor.rs).
         let mut dense = Tensor::zeros(n, m);
-        Tensor::matmul_into_gated(&a, &b, &mut dense, false);
+        Tensor::matmul_into_gated(&a, &b, &mut dense, Kernel::detect(false));
         prop_assert_eq!(bits(&blocked), bits(&dense));
     }
 
@@ -227,9 +328,9 @@ proptest! {
         let stacked = Tensor::from_vec(n, k, rows.concat());
         let b = tensor_from(&vals, k, m);
         let mut expect = Tensor::zeros(n, m);
-        Tensor::matmul_into_gated(&stacked, &b, &mut expect, zero_skip);
+        Tensor::matmul_into_gated(&stacked, &b, &mut expect, Kernel::detect(zero_skip));
         let mut got = Tensor::zeros(n, m);
-        Tensor::matmul_rows_into_gated(&rows, &b, &mut got, zero_skip);
+        Tensor::matmul_rows_into_gated(&rows, &b, &mut got, Kernel::detect(zero_skip));
         prop_assert_eq!(bits(&expect), bits(&got));
     }
 
@@ -272,6 +373,51 @@ proptest! {
         let a: Vec<u32> = fast.iter().map(|v| v.to_bits()).collect();
         let b: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(a, b);
+    }
+
+    /// [`assert_dispatched_equals_portable`] over random shapes and values.
+    #[test]
+    fn dispatched_kernel_bit_identical_to_portable(
+        n in 1usize..5,
+        k in 1usize..40,
+        m in 1usize..130,
+        vals in prop::collection::vec(-3.0f32..3.0, 4..32),
+        zero_skip in prop::bool::ANY,
+        poison in prop::sample::select(vec![0.0f32, f32::NAN, f32::INFINITY, f32::NEG_INFINITY]),
+        poison_at in 0usize..1000,
+    ) {
+        if dispatch_differs() {
+            assert_dispatched_equals_portable(n, k, m, &vals, zero_skip, poison, poison_at);
+        }
+    }
+
+    /// The packed-QKV forward pass (one `[embed, 3·embed]` matmul per layer,
+    /// heads reading column slices) equals the retained per-head tape path
+    /// bit for bit, for one, two and four heads and for the shortest and
+    /// the longest sequence; the portable forward pass — what a host
+    /// without AVX2 runs — equals the dispatched one.
+    #[test]
+    fn packed_qkv_forward_matches_tape_reference(
+        heads in prop::sample::select(vec![1usize, 2, 4]),
+        full_block in prop::bool::ANY,
+        fill in -2.0f32..2.0,
+        seed in 0u64..40,
+    ) {
+        let cfg = model_cfg(heads);
+        let net = M3Net::new(cfg.clone(), seed);
+        // One hop over the block also covers truncation to `block`.
+        let hops = if full_block { cfg.block + 1 } else { 1 };
+        let sample = model_sample(&cfg, hops, fill);
+        let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let reference = to_bits(&net.predict_reference(&sample));
+        prop_assert_eq!(&to_bits(&net.predict(&sample)), &reference);
+        let mut out = Vec::new();
+        net.predict_batch_into_portable(
+            std::slice::from_ref(&sample),
+            &mut InferScratch::new(),
+            &mut out,
+        );
+        prop_assert_eq!(&to_bits(&out[0]), &reference);
     }
 
     /// Checkpoint roundtrips preserve every prediction bit-exactly.
@@ -334,6 +480,25 @@ fn blocked_matmul_edge_shapes_match_reference() {
         let rb: Vec<u32> = reference.data.iter().map(|v| v.to_bits()).collect();
         let bb: Vec<u32> = blocked.data.iter().map(|v| v.to_bits()).collect();
         assert_eq!(rb, bb, "shape ({n},{k},{m}) diverged");
+    }
+}
+
+/// Every panel width of the dispatched kernel — full 64s, the 16- and
+/// 8-wide sub-panels, single columns, and their combinations — against the
+/// portable instantiation, with every kind of poison and the skip both
+/// ways.
+#[test]
+fn dispatched_kernel_edge_widths_match_portable() {
+    if !dispatch_differs() {
+        return;
+    }
+    let vals: Vec<f32> = (0..29).map(|i| (i as f32 * 0.37).sin() * 2.5).collect();
+    for m in [1, 7, 8, 15, 16, 17, 63, 64, 65, 400] {
+        for zero_skip in [false, true] {
+            for poison in [0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                assert_dispatched_equals_portable(3, 21, m, &vals, zero_skip, poison, 5 * m + 3);
+            }
+        }
     }
 }
 

@@ -26,6 +26,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> kernel suite, optimized (portable vs dispatched panel kernel: the debug build does not vectorise)"
+cargo test --release -q -p m3-nn --test prop
+
 echo "==> fault-injection suite"
 cargo test -q --test fault_injection
 
@@ -71,6 +74,9 @@ cargo bench -p m3-bench --bench tracing_overhead
 
 echo "==> hot-path kernel gate (>=4x forward reference-vs-pooled, writes BENCH_hotpath.json)"
 cargo bench -p m3-bench --bench hotpath
+# Which matmul kernel instantiation the forward pass dispatched to here: the
+# timings above are not comparable between an avx2 and a portable host.
+echo "hot-path kernel path on this host: $(grep -o '"kernel_path": "[a-z0-9]*"' BENCH_hotpath.json | cut -d'"' -f4)"
 
 echo "==> cluster scaling gate (>=6x aggregate throughput at 8 shards, writes BENCH_cluster_scaling.json)"
 cargo bench -p m3-bench --bench cluster_scaling
