@@ -11,8 +11,8 @@
 //!   at least [`MIN_FORWARD_SPEEDUP`]x faster, and its outputs must match
 //!   the reference bit for bit. The batched tape reference is also timed,
 //!   informationally — it already shares the tape's internal arena.
-//! * **flowsim**: fresh-allocation runs (`try_run_flowsim_traced`, new
-//!   collections per scenario) vs warm-workspace runs
+//! * **flowsim**: fresh-allocation runs (`try_run_flowsim_traced_into` with
+//!   a new workspace per scenario) vs warm-workspace runs
 //!   (`try_run_flowsim_traced_into` reusing one [`FluidWorkspace`] across
 //!   all scenarios). Reported, not gated, together with the event count
 //!   of one pass over the scenarios and the warm time per event, under the
@@ -220,7 +220,11 @@ fn bench_hotpath(c: &mut Criterion) {
     let (flowsim_fresh_min, flowsim_warm_min) = interleaved_min(
         || {
             for d in &s.datas {
-                black_box(d.try_run_flowsim_traced(&budget, None).expect("flowsim"));
+                let fresh = &mut FluidWorkspace::new();
+                black_box(
+                    d.try_run_flowsim_traced_into(&budget, None, fresh, &mut Vec::new())
+                        .expect("flowsim"),
+                );
             }
         },
         || {

@@ -27,7 +27,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// walked as if it did.
 ///
 /// [`validate_workload`]: crate::error::validate_workload
-fn directed_ports<'a>(topo: &'a Topology, flow: &'a FlowSpec) -> impl Iterator<Item = u32> + 'a {
+pub(crate) fn directed_ports<'a>(
+    topo: &'a Topology,
+    flow: &'a FlowSpec,
+) -> impl Iterator<Item = u32> + 'a {
     let mut cur = flow.src;
     flow.path.iter().map(move |&l| {
         let link = topo.link(l);

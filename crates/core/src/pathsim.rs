@@ -182,51 +182,31 @@ impl PathScenarioData {
     }
 
     /// Run flowSim and split the samples into foreground and per-hop
-    /// background sets. Panics on invalid input or an exhausted default
-    /// budget; the pipeline uses [`try_run_flowsim`](Self::try_run_flowsim).
+    /// background sets. Panics on invalid input; the pipeline uses
+    /// [`try_run_flowsim_traced_into`](Self::try_run_flowsim_traced_into).
     pub fn run_flowsim(&self) -> FlowsimResult {
-        match self.try_run_flowsim(&FluidBudget::UNLIMITED) {
-            Ok(r) => r,
+        let mut ws = FluidWorkspace::new();
+        match self.try_run_flowsim_traced_into(
+            &FluidBudget::UNLIMITED,
+            None,
+            &mut ws,
+            &mut Vec::new(),
+        ) {
+            Ok((r, _)) => r,
             Err(e) => panic!("flowSim failed: {e}"),
         }
     }
 
     /// Fallible flowSim under a resource budget: invalid flows, non-finite
     /// event times, and budget exhaustion come back as typed
-    /// [`FluidError`]s instead of panics.
-    pub fn try_run_flowsim(&self, budget: &FluidBudget) -> Result<FlowsimResult, FluidError> {
-        self.try_run_flowsim_stats(budget).map(|(r, _)| r)
-    }
-
-    /// [`try_run_flowsim`](Self::try_run_flowsim) plus the run's
-    /// deterministic budget-consumption stats (event count, wall checks),
-    /// which the pipeline feeds into its telemetry registry.
-    pub fn try_run_flowsim_stats(
-        &self,
-        budget: &FluidBudget,
-    ) -> Result<(FlowsimResult, FluidRunStats), FluidError> {
-        self.try_run_flowsim_traced(budget, None)
-    }
-
-    /// [`try_run_flowsim_stats`](Self::try_run_flowsim_stats) with an
-    /// optional virtual-time [`FluidProbe`]: per-link utilization and
-    /// active-flow counts are sampled at the probe's stride (for the
-    /// tracing flight recorder). The probe only observes — records are
-    /// identical to the unprobed entry points.
-    pub fn try_run_flowsim_traced(
-        &self,
-        budget: &FluidBudget,
-        probe: Option<&FluidProbe<'_>>,
-    ) -> Result<(FlowsimResult, FluidRunStats), FluidError> {
-        self.try_run_flowsim_traced_into(budget, probe, &mut FluidWorkspace::new(), &mut Vec::new())
-    }
-
-    /// [`try_run_flowsim_traced`](Self::try_run_flowsim_traced) with
-    /// caller-owned fluid-engine scratch: the fluid model is staged in
-    /// `ws`, the simulation's internal collections come from it and the raw
+    /// [`FluidError`]s instead of panics, with the run's deterministic
+    /// budget-consumption stats (event count, wall checks) on success. An
+    /// optional virtual-time [`FluidProbe`] samples per-link utilization and
+    /// active-flow counts at its stride for the tracing flight recorder; it
+    /// only observes. The fluid model is staged in the caller-owned `ws`,
+    /// the simulation's internal collections come from it and the raw
     /// records land in `records`, so with a warm workspace a run allocates
-    /// nothing but its returned [`FlowsimResult`]. Results are bit-identical
-    /// to the owning entry points.
+    /// nothing but its returned [`FlowsimResult`].
     pub fn try_run_flowsim_traced_into(
         &self,
         budget: &FluidBudget,

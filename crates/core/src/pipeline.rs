@@ -22,7 +22,8 @@ use crate::metrics::PipelineMetrics;
 use crate::pathsim::{FlowAttrs, FlowsimResult, PathScenarioData};
 use crate::spec::spec_vector;
 use m3_flowsim::prelude::{
-    FluidBudget, FluidError, FluidProbe, FluidProbeSink, FluidRunStats, FluidWorkspace,
+    try_simulate_staged, FluidBudget, FluidError, FluidFlow, FluidProbe, FluidProbeSink,
+    FluidRunStats, FluidWorkspace,
 };
 use m3_flowsim::types::FluidFctRecord;
 use m3_netsim::prelude::*;
@@ -1105,11 +1106,17 @@ pub fn ns3_path_estimate(
 
 /// Exact network-wide distribution from full ground-truth records.
 pub fn ground_truth_estimate(records: &[FctRecord]) -> NetworkEstimate {
+    exact_estimate(records.iter().map(|r| (r.size, r.slowdown())))
+}
+
+/// The distribution of every `(size, slowdown)` sample, unsampled: each
+/// slowdown in its size's output bucket, every bucket sorted.
+fn exact_estimate(samples: impl Iterator<Item = (u64, f64)>) -> NetworkEstimate {
     let mut bucket_samples: Vec<Vec<f64>> = vec![Vec::new(); NUM_OUTPUT_BUCKETS];
     let mut bucket_counts = [0usize; NUM_OUTPUT_BUCKETS];
-    for r in records {
-        let b = output_bucket(r.size);
-        bucket_samples[b].push(r.slowdown());
+    for (size, slowdown) in samples {
+        let b = output_bucket(size);
+        bucket_samples[b].push(slowdown);
         bucket_counts[b] += 1;
     }
     for v in bucket_samples.iter_mut() {
@@ -1531,50 +1538,33 @@ pub fn global_flowsim_estimate(
     flows: &[FlowSpec],
     config: &SimConfig,
 ) -> NetworkEstimate {
-    use m3_flowsim::prelude::{simulate_fluid_general, GeneralFluidFlow};
-    // One fluid link per directed channel.
-    let mut caps = vec![0.0f64; topo.link_count() * 2];
-    for (l, link) in topo.links() {
-        caps[l.index() * 2] = link.bandwidth as f64;
-        caps[l.index() * 2 + 1] = link.bandwidth as f64;
+    let fluid = flows.iter().map(|f| {
+        let ideal = topo.ideal_fct(&f.path, f.size, config.mtu);
+        let bottleneck = topo.bottleneck_bandwidth(&f.path) as f64;
+        let ser = (f.size.max(1) as f64 * 8e9 / bottleneck).ceil() as Nanos;
+        let flow = FluidFlow {
+            id: f.id,
+            size: f.size,
+            arrival: f.arrival,
+            first_link: 0,
+            last_link: 0,
+            rate_cap_bps: f64::INFINITY,
+            latency: ideal.saturating_sub(ser),
+            ideal_fct: ideal,
+        };
+        (flow, crate::decompose::directed_ports(topo, f))
+    });
+    // One fluid link per directed channel: link `l` is ports `2l` and `2l + 1`.
+    let link_bps = topo
+        .links()
+        .flat_map(|(_, link)| [link.bandwidth as f64; 2]);
+    let mut ws = FluidWorkspace::new();
+    ws.stage_link_sets(link_bps, fluid);
+    let mut records = Vec::new();
+    if let Err(e) = try_simulate_staged(&FluidBudget::UNLIMITED, None, &mut ws, &mut records) {
+        panic!("global flowSim failed: {e}");
     }
-    let fluid: Vec<GeneralFluidFlow> = flows
-        .iter()
-        .map(|f| {
-            let ideal = topo.ideal_fct(&f.path, f.size, config.mtu);
-            let bottleneck = topo.bottleneck_bandwidth(&f.path) as f64;
-            let ser = (f.size.max(1) as f64 * 8e9 / bottleneck).ceil() as Nanos;
-            GeneralFluidFlow {
-                id: f.id,
-                size: f.size,
-                arrival: f.arrival,
-                links: crate::decompose::flow_ports(topo, f)
-                    .into_iter()
-                    .map(|p| p as u32)
-                    .collect(),
-                rate_cap_bps: f64::INFINITY,
-                latency: ideal.saturating_sub(ser),
-                ideal_fct: ideal,
-            }
-        })
-        .collect();
-    let records = simulate_fluid_general(&caps, &fluid);
-    let mut bucket_samples: Vec<Vec<f64>> = vec![Vec::new(); NUM_OUTPUT_BUCKETS];
-    let mut bucket_counts = [0usize; NUM_OUTPUT_BUCKETS];
-    for r in &records {
-        let b = output_bucket(r.size);
-        bucket_samples[b].push(r.slowdown());
-        bucket_counts[b] += 1;
-    }
-    for v in bucket_samples.iter_mut() {
-        v.sort_by(|a, b| a.total_cmp(b));
-    }
-    NetworkEstimate {
-        bucket_samples,
-        bucket_counts,
-        timings: StageTimings::default(),
-        degradation: DegradationReport::default(),
-    }
+    exact_estimate(records.iter().map(|r| (r.size, r.slowdown())))
 }
 
 #[cfg(test)]

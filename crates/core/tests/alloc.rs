@@ -112,8 +112,8 @@ fn flowsim_allocates_only_its_result() {
     let budget = FluidBudget::default();
     let wide = path_scenario(6, 200, 900, 5);
     let narrow = path_scenario(2, 40, 60, 9);
-    let expect_wide = wide.try_run_flowsim(&budget).unwrap();
-    let expect_narrow = narrow.try_run_flowsim(&budget).unwrap();
+    let expect_wide = wide.run_flowsim();
+    let expect_narrow = narrow.run_flowsim();
 
     // One workspace across two differently shaped scenarios: whatever the
     // previous path staged (flows, links, groups, table) must not leak.

@@ -1,6 +1,6 @@
-//! Resource budgets and typed errors for the fluid engines.
+//! Resource budgets and typed errors for the fluid engine.
 //!
-//! The fluid simulators are event loops whose termination depends on every
+//! The fluid simulator is an event loop whose termination depends on every
 //! event time being finite and on the waterfill making progress. A NaN rate
 //! (or a numerically degenerate waterfill) in a release build would
 //! otherwise spin forever. [`FluidBudget`] bounds a run by event count and
@@ -95,8 +95,10 @@ impl FluidRunStats {
 /// Typed failure of a fluid simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FluidError {
-    /// An input flow failed validation (bad segment, non-positive or NaN
-    /// rate cap, link index out of range).
+    /// The input failed validation: a flow (bad segment or link set,
+    /// non-positive or NaN rate cap, link index out of range) with its id,
+    /// or the links (none, or a capacity not positive and finite) with
+    /// `flow == u32::MAX`.
     InvalidInput { flow: u32, reason: String },
     /// The next event time became non-finite while flows remain — the
     /// release-mode promotion of the old `debug_assert!(t_next.is_finite())`.
@@ -136,7 +138,7 @@ impl fmt::Display for FluidError {
 
 impl std::error::Error for FluidError {}
 
-/// Shared per-run budget accounting for both fluid engines.
+/// Per-run budget accounting.
 pub(crate) struct BudgetMeter {
     budget: FluidBudget,
     stride: u64,

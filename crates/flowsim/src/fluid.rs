@@ -1,7 +1,7 @@
-//! The fast flowSim engine (Algorithm 1 of the paper).
+//! The flowSim engine (Algorithm 1 of the paper).
 //!
-//! Flows are grouped by (segment, rate cap): every flow in a group shares
-//! the same link set, so max-min assigns all of them the same rate. The
+//! Flows are grouped by (route, rate cap): every flow in a group shares the
+//! same link set, so max-min assigns all of them the same rate. The
 //! progressive-filling waterfill therefore runs over *groups* (at most
 //! O(hops^2 x cap classes) of them on a parking lot), not individual flows.
 //!
@@ -11,6 +11,18 @@
 //! of `(completion service, flow index)` targets and one stored *next
 //! completion time*, recomputed from its head target whenever any group's
 //! membership changes (which is when rates change).
+//!
+//! # Route kinds
+//!
+//! A route is either a contiguous segment `[first_link, last_link]` of a
+//! parking lot — a path scenario, staged with [`FluidWorkspace::stage`] — or
+//! any set of links — a whole network, staged with
+//! [`FluidWorkspace::stage_link_sets`] and kept sorted and deduplicated in
+//! the workspace's link pool. The event loop, the waterfill and the probe
+//! are generic over the kind (the private `Routes` trait) and monomorphised
+//! per kind, so neither pays a branch per link visit. The arithmetic is
+//! shared: a parking lot staged as link sets gives the same records bit for
+//! bit.
 //!
 //! # Cost model
 //!
@@ -71,12 +83,15 @@ impl Ord for Target {
     }
 }
 
+/// A group's route: a segment's first and last link (inclusive), or the
+/// `[start, end)` span of a link set in the workspace's link pool.
+type Route = (u32, u32);
+
 #[derive(Debug)]
 struct Group {
-    first: u16,
-    last: u16,
-    /// The flows' rate cap as given (bits/sec); with the segment, the
-    /// group's identity.
+    /// With `cap_bits`, the group's identity.
+    route: Route,
+    /// The flows' rate cap as given (bits/sec).
     cap_bits: u64,
     /// Per-flow rate cap, bytes/ns.
     cap: f64,
@@ -96,15 +111,100 @@ struct Group {
 }
 
 impl Group {
-    fn links(&self) -> std::ops::RangeInclusive<usize> {
-        usize::from(self.first)..=usize::from(self.last)
-    }
-
     /// Completion time of the head target from the current service and rate.
     fn head_completion(&self, now: f64) -> f64 {
         match self.targets.peek() {
             Some(Reverse(t)) => now + (t.service - self.service).max(0.0) / self.rate,
             None => f64::INFINITY,
+        }
+    }
+}
+
+/// One route kind: everything the engine needs to know about routes.
+trait Routes: Copy {
+    /// Route of the flow `f` at input position `i`.
+    fn route(self, i: usize, f: &FluidFlow) -> Route;
+    /// Why `f`, on `route`, is not a valid flow over `n_links` links.
+    fn check(self, f: &FluidFlow, route: Route, n_links: usize) -> Result<(), String>;
+    /// Routes are the same, and hash alike, when their numbers are equal,
+    /// unless a kind says otherwise.
+    fn same(self, a: Route, b: Route) -> bool {
+        a == b
+    }
+    fn hash(self, (a, b): Route) -> u64 {
+        u64::from(a) << 32 | u64::from(b)
+    }
+    fn crosses(self, route: Route, link: usize) -> bool;
+    /// Apply `f` to every link the route crosses, in ascending link order.
+    fn each_link(self, route: Route, links: &mut [Link], f: impl FnMut(&mut Link));
+}
+
+/// Parking-lot segments, read from the flows' `first_link..=last_link`.
+#[derive(Clone, Copy)]
+struct Segments;
+
+impl Routes for Segments {
+    fn route(self, _: usize, f: &FluidFlow) -> Route {
+        (u32::from(f.first_link), u32::from(f.last_link))
+    }
+
+    fn check(self, f: &FluidFlow, _: Route, n_links: usize) -> Result<(), String> {
+        f.check_links(n_links)
+    }
+
+    fn crosses(self, (first, last): Route, link: usize) -> bool {
+        (first as usize..=last as usize).contains(&link)
+    }
+
+    fn each_link(self, (first, last): Route, links: &mut [Link], f: impl FnMut(&mut Link)) {
+        links[first as usize..=last as usize].iter_mut().for_each(f);
+    }
+}
+
+/// Link sets: the flow at input position `i` crosses
+/// `pool[offsets[i]..offsets[i + 1]]`, sorted and deduplicated.
+#[derive(Clone, Copy)]
+struct LinkSets<'a> {
+    pool: &'a [u32],
+    offsets: &'a [u32],
+}
+
+impl<'a> LinkSets<'a> {
+    fn set(self, (start, end): Route) -> &'a [u32] {
+        &self.pool[start as usize..end as usize]
+    }
+}
+
+impl Routes for LinkSets<'_> {
+    fn route(self, i: usize, _: &FluidFlow) -> Route {
+        (self.offsets[i], self.offsets[i + 1])
+    }
+
+    fn check(self, f: &FluidFlow, route: Route, n_links: usize) -> Result<(), String> {
+        match self.set(route).last() {
+            None => Err("flow has no links".to_string()),
+            Some(&l) if l as usize >= n_links => Err(format!("link {l} outside topology")),
+            Some(_) => f.check_cap(),
+        }
+    }
+
+    fn same(self, a: Route, b: Route) -> bool {
+        self.set(a) == self.set(b)
+    }
+
+    fn hash(self, route: Route) -> u64 {
+        self.set(route).iter().fold(0, |h, &l| {
+            (h.rotate_left(5) ^ u64::from(l)).wrapping_mul(HASH_K)
+        })
+    }
+
+    fn crosses(self, route: Route, link: usize) -> bool {
+        u32::try_from(link).is_ok_and(|l| self.set(route).contains(&l))
+    }
+
+    fn each_link(self, route: Route, links: &mut [Link], mut f: impl FnMut(&mut Link)) {
+        for &l in self.set(route) {
+            f(&mut links[l as usize]);
         }
     }
 }
@@ -117,10 +217,10 @@ type ArrivalKey = (Nanos, u32, u32);
 /// Empty slot of the group table.
 const NO_GROUP: u32 = u32::MAX;
 
-fn group_hash(first: u16, last: u16, cap_bits: u64) -> u64 {
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let span = u64::from(first) << 16 | u64::from(last);
-    (span.wrapping_mul(K).rotate_left(5) ^ cap_bits).wrapping_mul(K)
+const HASH_K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+fn group_hash(route_hash: u64, cap_bits: u64) -> u64 {
+    (route_hash.wrapping_mul(HASH_K).rotate_left(5) ^ cap_bits).wrapping_mul(HASH_K)
 }
 
 /// Everything the event loop needs besides its input and output.
@@ -131,7 +231,7 @@ struct Scratch {
     /// Emptied target heaps recycled from finished runs; fresh groups pop
     /// one of these and inherit its capacity instead of allocating.
     spare_heaps: Vec<BinaryHeap<Reverse<Target>>>,
-    /// Open-addressed (segment, cap) -> group index table, linear probing,
+    /// Open-addressed (route, cap) -> group index table, linear probing,
     /// power-of-two length kept at least twice the group count. Lookup is
     /// one multiplicative hash and, at path scale, one key compare.
     table: Vec<u32>,
@@ -146,10 +246,11 @@ struct Scratch {
 /// Every collection the simulation needs lives here — the cached arrival
 /// keys, link capacities, groups (with their completion-target heaps), the
 /// group table, the active list and the waterfill scratch — plus a staging
-/// area ([`FluidWorkspace::stage`]) where a caller can build the fluid
-/// model in place instead of allocating a topology and a flow vector per
-/// run. All of them are cleared, never dropped, between runs, so a warm
-/// workspace makes repeated [`try_simulate_fluid_traced_into`] /
+/// area where a caller builds the fluid model in place
+/// ([`FluidWorkspace::stage`] for segments,
+/// [`FluidWorkspace::stage_link_sets`] for link sets) instead of allocating
+/// a topology and a flow vector per run. All of them are cleared, never
+/// dropped, between runs, so a warm workspace makes repeated
 /// [`try_simulate_staged`] calls allocation-free: after the first run on a
 /// given workload shape, steady-state simulation touches the heap zero
 /// times. Nothing carries over between runs but capacity.
@@ -157,6 +258,11 @@ struct Scratch {
 pub struct FluidWorkspace {
     staged_link_bps: Vec<f64>,
     staged_flows: Vec<FluidFlow>,
+    /// The staged link sets, each sorted and deduplicated: flow `i` crosses
+    /// `link_pool[set_offsets[i]..set_offsets[i + 1]]`. `set_offsets` is
+    /// empty when the staged routes are segments.
+    link_pool: Vec<u32>,
+    set_offsets: Vec<u32>,
     scratch: Scratch,
 }
 
@@ -165,21 +271,48 @@ impl FluidWorkspace {
         Self::default()
     }
 
-    /// Release all retained capacity (memory-pressure escape hatch).
-    pub fn free_buffers(&mut self) {
-        *self = Self::default();
-    }
-
-    /// Start staging a run in place: records the topology (per-link
-    /// capacities in bits/sec, path order; same contract — and the same
-    /// panics — as [`FluidTopology::new`]) and returns the emptied flow
-    /// buffer for the caller to fill. [`try_simulate_staged`] then runs it.
+    /// Start staging a segment run in place: records the topology (per-link
+    /// capacities in bits/sec, path order) and returns the emptied flow
+    /// buffer for the caller to fill. [`try_simulate_staged`] then validates
+    /// and runs it.
     pub fn stage(&mut self, link_bps: impl IntoIterator<Item = f64>) -> &mut Vec<FluidFlow> {
         self.staged_link_bps.clear();
         self.staged_link_bps.extend(link_bps);
-        FluidTopology::assert_valid(&self.staged_link_bps);
         self.staged_flows.clear();
+        self.link_pool.clear();
+        self.set_offsets.clear();
         &mut self.staged_flows
+    }
+
+    /// Stage a link-set run in place: the per-link capacities (bits/sec),
+    /// and each flow with the links it crosses — indices into those
+    /// capacities, in any order; a link listed twice is crossed once. The
+    /// links replace the flow's segment: its `first_link` and `last_link`
+    /// are not read. [`try_simulate_staged`] then validates and runs it.
+    pub fn stage_link_sets<L: IntoIterator<Item = u32>>(
+        &mut self,
+        link_bps: impl IntoIterator<Item = f64>,
+        flows: impl IntoIterator<Item = (FluidFlow, L)>,
+    ) {
+        self.stage(link_bps);
+        let pool = &mut self.link_pool;
+        self.set_offsets.push(0);
+        for (flow, links) in flows {
+            let start = pool.len();
+            pool.extend(links);
+            pool[start..].sort_unstable();
+            let mut end = start;
+            for i in start..pool.len() {
+                if end == start || pool[i] != pool[end - 1] {
+                    pool[end] = pool[i];
+                    end += 1;
+                }
+            }
+            pool.truncate(end);
+            // `try_simulate_staged` rejects a pool beyond u32 before reading it.
+            self.set_offsets.push(end as u32);
+            self.staged_flows.push(flow);
+        }
     }
 
     /// How often, over this workspace's lifetime, a due group's head target
@@ -192,109 +325,68 @@ impl FluidWorkspace {
     }
 }
 
-/// Run flowSim: max-min fluid simulation of `flows` over `topo`.
+/// Run flowSim over a parking lot: max-min fluid simulation of `flows` over
+/// `topo`.
 ///
 /// Flows need not be sorted; results are returned sorted by flow id. Every
 /// flow completes (the fluid model cannot lose traffic), so the output
 /// length always equals the input length.
 ///
-/// Panics on invalid input; for a fallible, resource-bounded run use
-/// [`try_simulate_fluid`].
+/// Panics on invalid input; [`try_simulate_staged`] is the fallible,
+/// budgeted, probed and allocation-free entry point, for both route kinds.
 pub fn simulate_fluid(topo: &FluidTopology, flows: &[FluidFlow]) -> Vec<FluidFctRecord> {
-    match try_simulate_fluid(topo, flows, &FluidBudget::UNLIMITED) {
-        Ok(records) => records,
+    let mut ws = FluidWorkspace::new();
+    ws.stage(topo.link_bps.iter().copied())
+        .extend_from_slice(flows);
+    let mut records = Vec::new();
+    match try_simulate_staged(&FluidBudget::UNLIMITED, None, &mut ws, &mut records) {
+        Ok(_) => records,
         Err(e) => panic!("flowSim failed: {e}"),
     }
 }
 
-/// Fallible flowSim: validates inputs, bounds the run by `budget`, and turns
-/// the engine's internal invariants (finite event times, waterfill progress)
-/// into typed errors instead of debug-only assertions. Identical results to
-/// [`simulate_fluid`] whenever that one succeeds.
-pub fn try_simulate_fluid(
-    topo: &FluidTopology,
-    flows: &[FluidFlow],
-    budget: &FluidBudget,
-) -> Result<Vec<FluidFctRecord>, FluidError> {
-    try_simulate_fluid_stats(topo, flows, budget).map(|(records, _)| records)
-}
-
-/// [`try_simulate_fluid`] plus deterministic budget-consumption accounting:
-/// how many outer events the run executed and how often the wall clock was
-/// sampled. The records are identical to the plain entry point's.
-pub fn try_simulate_fluid_stats(
-    topo: &FluidTopology,
-    flows: &[FluidFlow],
-    budget: &FluidBudget,
-) -> Result<(Vec<FluidFctRecord>, FluidRunStats), FluidError> {
-    try_simulate_fluid_traced(topo, flows, budget, None)
-}
-
-/// [`try_simulate_fluid_stats`] with an optional virtual-time
-/// [`FluidProbe`]: per-link utilization and active-flow counts are sampled
-/// at the probe's stride and forwarded to its sink. Records are identical
-/// to the unprobed entry points — the probe only observes.
-pub fn try_simulate_fluid_traced(
-    topo: &FluidTopology,
-    flows: &[FluidFlow],
-    budget: &FluidBudget,
-    probe: Option<&FluidProbe<'_>>,
-) -> Result<(Vec<FluidFctRecord>, FluidRunStats), FluidError> {
-    let mut ws = FluidWorkspace::default();
-    let mut records = Vec::new();
-    let stats = try_simulate_fluid_traced_into(topo, flows, budget, probe, &mut ws, &mut records)?;
-    Ok((records, stats))
-}
-
-/// [`try_simulate_fluid_traced`] with caller-owned scratch: `ws` supplies
-/// every internal collection and `records` receives the sorted results
-/// (cleared first). Bit-identical to the owning entry points; with a warm
-/// workspace the steady-state run performs zero heap allocations.
-pub fn try_simulate_fluid_traced_into(
-    topo: &FluidTopology,
-    flows: &[FluidFlow],
-    budget: &FluidBudget,
-    probe: Option<&FluidProbe<'_>>,
-    ws: &mut FluidWorkspace,
-    records: &mut Vec<FluidFctRecord>,
-) -> Result<FluidRunStats, FluidError> {
-    run(
-        &topo.link_bps,
-        flows,
-        budget,
-        probe,
-        &mut ws.scratch,
-        records,
-    )
-}
-
-/// [`try_simulate_fluid_traced_into`] over the input staged in `ws` by
-/// [`FluidWorkspace::stage`]: no topology or flow vector is built per run.
+/// Run flowSim over the model staged in `ws` by [`FluidWorkspace::stage`]
+/// (segments) or [`FluidWorkspace::stage_link_sets`] (link sets).
+///
+/// Validates the input — every link capacity positive and finite, every
+/// route inside the topology, every rate cap positive — and returns
+/// [`FluidError::InvalidInput`] otherwise; bounds the run by `budget`; and
+/// turns the engine's invariants (finite event times, waterfill progress)
+/// into typed errors. An optional [`FluidProbe`] samples per-link
+/// utilization and the active-flow count at its virtual-time stride; it
+/// only observes. `records` receives one record per flow, sorted by flow id
+/// (it is cleared first), and the returned stats count the events run.
+/// With a warm workspace the run performs zero heap allocations.
 pub fn try_simulate_staged(
     budget: &FluidBudget,
     probe: Option<&FluidProbe<'_>>,
     ws: &mut FluidWorkspace,
     records: &mut Vec<FluidFctRecord>,
 ) -> Result<FluidRunStats, FluidError> {
-    let FluidWorkspace {
-        staged_link_bps,
-        staged_flows,
-        scratch,
-    } = ws;
-    run(
-        staged_link_bps,
-        staged_flows,
-        budget,
-        probe,
-        scratch,
-        records,
-    )
+    let (link_bps, flows, scratch) = (&ws.staged_link_bps, &ws.staged_flows, &mut ws.scratch);
+    if ws.set_offsets.is_empty() {
+        return run(link_bps, flows, Segments, budget, probe, scratch, records);
+    }
+    let pool = &ws.link_pool;
+    if u32::try_from(pool.len()).is_err() {
+        let reason = format!("{} staged links exceed the engine's u32 index", pool.len());
+        return Err(FluidError::InvalidInput {
+            flow: u32::MAX,
+            reason,
+        });
+    }
+    let routes = LinkSets {
+        pool,
+        offsets: &ws.set_offsets,
+    };
+    run(link_bps, flows, routes, budget, probe, scratch, records)
 }
 
-/// The event loop behind every entry point.
-fn run(
+/// The event loop, monomorphised per route kind.
+fn run<R: Routes>(
     link_bps: &[f64],
     flows: &[FluidFlow],
+    routes: R,
     budget: &FluidBudget,
     probe: Option<&FluidProbe<'_>>,
     scratch: &mut Scratch,
@@ -312,6 +404,10 @@ fn run(
     } = scratch;
     let mut meter = BudgetMeter::new(*budget);
 
+    FluidTopology::check(link_bps).map_err(|reason| FluidError::InvalidInput {
+        flow: u32::MAX,
+        reason,
+    })?;
     // Targets and arrival keys hold input positions as u32.
     if u32::try_from(flows.len()).is_err() {
         return Err(FluidError::InvalidInput {
@@ -322,7 +418,8 @@ fn run(
     let n_links = link_bps.len();
     order.clear();
     for (i, f) in flows.iter().enumerate() {
-        f.check_links(n_links)
+        routes
+            .check(f, routes.route(i, f), n_links)
             .map_err(|reason| FluidError::InvalidInput { flow: f.id, reason })?;
         order.push((f.arrival, f.id, i as u32));
     }
@@ -414,7 +511,7 @@ fn run(
                     let mut used = 0.0;
                     for &gi in active.iter() {
                         let g = &groups[gi as usize];
-                        if g.links().contains(&l) {
+                        if routes.crosses(g.route, l) {
                             used += g.rate * f64::from(g.n);
                         }
                     }
@@ -489,7 +586,8 @@ fn run(
             next_flow += 1;
             active_flows += 1;
             membership_changed = true;
-            let gi = find_or_create_group(f, groups, table, spare_heaps);
+            let route = routes.route(i as usize, f);
+            let gi = find_or_create_group(routes, route, f, groups, table, spare_heaps);
             let g = &mut groups[gi as usize];
             if g.n == 0 {
                 // New groups carry the largest index so far; a refilled one
@@ -514,7 +612,7 @@ fn run(
         }
 
         // ---- waterfill: recompute max-min rates over active groups ----
-        waterfill(links, groups, active).map_err(|()| FluidError::Stalled {
+        waterfill(routes, links, groups, active).map_err(|()| FluidError::Stalled {
             events: meter.events(),
         })?;
 
@@ -551,29 +649,30 @@ fn table_insert(table: &mut [u32], hash: u64, gi: u32) {
     table[slot] = gi;
 }
 
-/// Index of the group holding `f`'s (segment, cap), created on first sight.
+/// Index of the group holding `f`'s (route, cap), created on first sight.
 /// Group indices therefore ascend in order of first arrival.
-fn find_or_create_group(
+fn find_or_create_group<R: Routes>(
+    routes: R,
+    route: Route,
     f: &FluidFlow,
     groups: &mut Vec<Group>,
     table: &mut Vec<u32>,
     spare_heaps: &mut Vec<BinaryHeap<Reverse<Target>>>,
 ) -> u32 {
     let cap_bits = f.rate_cap_bps.to_bits();
-    let hash = group_hash(f.first_link, f.last_link, cap_bits);
+    let hash = group_hash(routes.hash(route), cap_bits);
     let mask = table.len() - 1;
     let mut slot = home_slot(hash, table.len());
     while table[slot] != NO_GROUP {
         let g = &groups[table[slot] as usize];
-        if g.first == f.first_link && g.last == f.last_link && g.cap_bits == cap_bits {
+        if g.cap_bits == cap_bits && routes.same(g.route, route) {
             return table[slot];
         }
         slot = (slot + 1) & mask;
     }
     let gi = groups.len() as u32;
     groups.push(Group {
-        first: f.first_link,
-        last: f.last_link,
+        route,
         cap_bits,
         cap: f.rate_cap_bps / 8e9,
         n: 0,
@@ -590,7 +689,11 @@ fn find_or_create_group(
         table.clear();
         table.resize(doubled, NO_GROUP);
         for (gi, g) in groups.iter().enumerate() {
-            table_insert(table, group_hash(g.first, g.last, g.cap_bits), gi as u32);
+            table_insert(
+                table,
+                group_hash(routes.hash(g.route), g.cap_bits),
+                gi as u32,
+            );
         }
     } else {
         table[slot] = gi;
@@ -598,7 +701,7 @@ fn find_or_create_group(
     gi
 }
 
-/// One path link: its capacity and the state of the current waterfill.
+/// One link: its capacity and the state of the current waterfill.
 #[derive(Debug, Clone, Copy)]
 struct Link {
     /// Capacity, bytes/ns.
@@ -632,7 +735,12 @@ const UNCONGESTED_MAX_GROUPS: usize = 1 << 16;
 /// far more than rounding can hide, and `cap <= fair share` picks the cap.
 /// The result is known without running the rounds; debug builds run them
 /// anyway and compare bit for bit.
-fn waterfill(links: &mut [Link], groups: &mut [Group], active: &[u32]) -> Result<(), ()> {
+fn waterfill<R: Routes>(
+    routes: R,
+    links: &mut [Link],
+    groups: &mut [Group],
+    active: &[u32],
+) -> Result<(), ()> {
     for l in links.iter_mut() {
         l.residual = l.cap;
         l.nflows = 0;
@@ -641,17 +749,17 @@ fn waterfill(links: &mut [Link], groups: &mut [Group], active: &[u32]) -> Result
     for &gi in active {
         let g = &mut groups[gi as usize];
         g.fixed = false;
-        let demand = g.cap * f64::from(g.n);
-        for l in &mut links[g.links()] {
-            l.nflows += g.n;
+        let (n, demand) = (g.n, g.cap * f64::from(g.n));
+        routes.each_link(g.route, links, |l| {
+            l.nflows += n;
             l.demand += demand;
-        }
+        });
     }
     if active.len() <= UNCONGESTED_MAX_GROUPS
         && links.iter().all(|l| l.demand <= l.cap * UNCONGESTED)
     {
         debug_assert!(
-            progressive_fill(links, groups, active).is_ok()
+            progressive_fill(routes, links, groups, active).is_ok()
                 && active.iter().all(|&gi| {
                     let g = &groups[gi as usize];
                     g.rate.to_bits() == g.cap.to_bits()
@@ -664,13 +772,18 @@ fn waterfill(links: &mut [Link], groups: &mut [Group], active: &[u32]) -> Result
         }
         return Ok(());
     }
-    progressive_fill(links, groups, active)
+    progressive_fill(routes, links, groups, active)
 }
 
 /// Progressive filling over the state [`waterfill`] set up: repeatedly fix
 /// the unfixed group with the smallest cap, or — when a link's fair share is
 /// smaller still — every unfixed group crossing the tightest link.
-fn progressive_fill(links: &mut [Link], groups: &mut [Group], active: &[u32]) -> Result<(), ()> {
+fn progressive_fill<R: Routes>(
+    routes: R,
+    links: &mut [Link],
+    groups: &mut [Group],
+    active: &[u32],
+) -> Result<(), ()> {
     let mut unfixed = active.len();
     while unfixed > 0 {
         // Minimum link fair share among links carrying unfixed flows.
@@ -698,7 +811,7 @@ fn progressive_fill(links: &mut [Link], groups: &mut [Group], active: &[u32]) ->
         match g_star {
             // Cap binds first: fix that single group.
             Some(gi) if r_cap <= r_link => {
-                fix(links, &mut groups[gi as usize], r_cap);
+                fix(routes, links, &mut groups[gi as usize], r_cap);
                 unfixed -= 1;
             }
             // Link saturates: fix every unfixed group crossing it.
@@ -706,8 +819,8 @@ fn progressive_fill(links: &mut [Link], groups: &mut [Group], active: &[u32]) ->
                 let before = unfixed;
                 for &gi in active {
                     let g = &mut groups[gi as usize];
-                    if !g.fixed && g.links().contains(&l_star) {
-                        fix(links, g, r_link);
+                    if !g.fixed && routes.crosses(g.route, l_star) {
+                        fix(routes, links, g, r_link);
                         unfixed -= 1;
                     }
                 }
@@ -721,18 +834,20 @@ fn progressive_fill(links: &mut [Link], groups: &mut [Group], active: &[u32]) ->
 }
 
 /// Fix `g` at `rate`: take its flows off every link it crosses.
-fn fix(links: &mut [Link], g: &mut Group, rate: f64) {
+fn fix<R: Routes>(routes: R, links: &mut [Link], g: &mut Group, rate: f64) {
     g.rate = rate;
     g.fixed = true;
-    for l in &mut links[g.links()] {
-        l.residual = (l.residual - rate * f64::from(g.n)).max(0.0);
-        l.nflows -= g.n;
-    }
+    let n = g.n;
+    routes.each_link(g.route, links, |l| {
+        l.residual = (l.residual - rate * f64::from(n)).max(0.0);
+        l.nflows -= n;
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::FluidProbeSink;
     use crate::types::fluid_ideal_fct;
 
     fn flow(id: u32, size: u64, arrival: Nanos, first: u16, last: u16, cap: f64) -> FluidFlow {
@@ -751,6 +866,47 @@ mod tests {
     fn with_ideal(topo: &FluidTopology, mut f: FluidFlow) -> FluidFlow {
         f.ideal_fct = fluid_ideal_fct(topo, &f);
         f
+    }
+
+    /// Stage `flows` over `topo` in `ws` and run them.
+    fn run_in(
+        ws: &mut FluidWorkspace,
+        topo: &FluidTopology,
+        flows: &[FluidFlow],
+        budget: &FluidBudget,
+        probe: Option<&FluidProbe<'_>>,
+    ) -> Result<(Vec<FluidFctRecord>, FluidRunStats), FluidError> {
+        ws.stage(topo.link_bps.iter().copied())
+            .extend_from_slice(flows);
+        let mut records = Vec::new();
+        let stats = try_simulate_staged(budget, probe, ws, &mut records)?;
+        Ok((records, stats))
+    }
+
+    fn try_run(
+        topo: &FluidTopology,
+        flows: &[FluidFlow],
+        budget: &FluidBudget,
+    ) -> Result<Vec<FluidFctRecord>, FluidError> {
+        run_in(&mut FluidWorkspace::new(), topo, flows, budget, None).map(|(r, _)| r)
+    }
+
+    /// Stage each flow over its link list as a link-set run and run it.
+    fn run_link_sets(
+        link_bps: &[f64],
+        flows: &[(FluidFlow, &[u32])],
+        budget: &FluidBudget,
+    ) -> Result<Vec<FluidFctRecord>, FluidError> {
+        let mut ws = FluidWorkspace::new();
+        let sets = flows.iter().map(|&(f, links)| (f, links.iter().copied()));
+        ws.stage_link_sets(link_bps.iter().copied(), sets);
+        let mut records = Vec::new();
+        try_simulate_staged(budget, None, &mut ws, &mut records)?;
+        Ok(records)
+    }
+
+    fn simulate_link_sets(link_bps: &[f64], flows: &[(FluidFlow, &[u32])]) -> Vec<FluidFctRecord> {
+        run_link_sets(link_bps, flows, &FluidBudget::UNLIMITED).unwrap()
     }
 
     #[test]
@@ -896,9 +1052,40 @@ mod tests {
         let topo = FluidTopology::new(vec![10e9]);
         let mut f = with_ideal(&topo, flow(0, 10_000, 0, 0, 0, f64::INFINITY));
         f.rate_cap_bps = f64::NAN;
-        let err = try_simulate_fluid(&topo, &[f], &FluidBudget::UNLIMITED)
-            .expect_err("NaN cap must be rejected");
+        let err =
+            try_run(&topo, &[f], &FluidBudget::UNLIMITED).expect_err("NaN cap must be rejected");
         assert!(matches!(err, FluidError::InvalidInput { flow: 0, .. }));
+    }
+
+    #[test]
+    fn bad_link_capacity_is_typed_error_for_both_route_kinds() {
+        // Zero and NaN capacities used to reach the event loop: a debug
+        // assertion there, a misleading NonFiniteEventTime in release.
+        for bps in [0.0, -1e9, f64::NAN, f64::INFINITY] {
+            let f = flow(0, 10_000, 0, 0, 0, f64::INFINITY);
+            let mut ws = FluidWorkspace::new();
+            ws.stage([10e9, bps]).push(f);
+            let err = try_simulate_staged(&FluidBudget::UNLIMITED, None, &mut ws, &mut Vec::new())
+                .expect_err("segment run over a bad capacity");
+            assert!(
+                matches!(err, FluidError::InvalidInput { flow: u32::MAX, .. }),
+                "segments, {bps}: {err:?}"
+            );
+            let err = run_link_sets(&[bps], &[(f, &[0])], &FluidBudget::UNLIMITED)
+                .expect_err("link-set run over a bad capacity");
+            assert!(
+                matches!(err, FluidError::InvalidInput { flow: u32::MAX, .. }),
+                "link sets, {bps}: {err:?}"
+            );
+        }
+        let err = try_simulate_staged(
+            &FluidBudget::UNLIMITED,
+            None,
+            &mut FluidWorkspace::new(),
+            &mut Vec::new(),
+        )
+        .expect_err("an empty workspace has no links");
+        assert!(matches!(err, FluidError::InvalidInput { .. }));
     }
 
     #[test]
@@ -916,16 +1103,8 @@ mod tests {
             with_ideal(&topo, flow(2, 5_000, 77, 0, 0, f64::INFINITY)),
         ];
         let mut ws = FluidWorkspace::new();
-        let mut records = Vec::new();
-        let stats = try_simulate_fluid_traced_into(
-            &topo,
-            &flows,
-            &FluidBudget::events(1_000),
-            None,
-            &mut ws,
-            &mut records,
-        )
-        .expect("every flow completes");
+        let (records, stats) = run_in(&mut ws, &topo, &flows, &FluidBudget::events(1_000), None)
+            .expect("every flow completes");
         assert!(
             ws.rearmed_completions() >= 1,
             "input must exercise the re-arm"
@@ -945,7 +1124,7 @@ mod tests {
         let flows: Vec<FluidFlow> = (0..100)
             .map(|i| with_ideal(&topo, flow(i, 10_000, i as u64, 0, 0, f64::INFINITY)))
             .collect();
-        let err = try_simulate_fluid(&topo, &flows, &FluidBudget::events(3))
+        let err = try_run(&topo, &flows, &FluidBudget::events(3))
             .expect_err("3 events cannot finish 100 flows");
         assert_eq!(err, FluidError::EventBudgetExceeded { limit: 3 });
     }
@@ -969,20 +1148,25 @@ mod tests {
             })
             .collect();
         let a = simulate_fluid(&topo, &flows);
-        let b = try_simulate_fluid(&topo, &flows, &FluidBudget::default()).unwrap();
+        let b = try_run(&topo, &flows, &FluidBudget::default()).unwrap();
         assert_eq!(a, b, "budgeted run must be bit-identical when fault-free");
     }
 
     #[test]
-    fn stats_entry_point_matches_and_accounts_events() {
+    fn staged_run_accounts_events() {
         let topo = FluidTopology::new(vec![10e9]);
         let flows: Vec<FluidFlow> = (0..50)
             .map(|i| with_ideal(&topo, flow(i, 10_000, i as u64 * 100, 0, 0, f64::INFINITY)))
             .collect();
-        let plain = try_simulate_fluid(&topo, &flows, &FluidBudget::default()).unwrap();
-        let (recs, stats) =
-            try_simulate_fluid_stats(&topo, &flows, &FluidBudget::default()).unwrap();
-        assert_eq!(plain, recs, "stats variant must not change results");
+        let (recs, stats) = run_in(
+            &mut FluidWorkspace::new(),
+            &topo,
+            &flows,
+            &FluidBudget::default(),
+            None,
+        )
+        .unwrap();
+        assert_eq!(simulate_fluid(&topo, &flows), recs);
         assert!(
             stats.events >= flows.len() as u64,
             "at least one event per flow"
@@ -992,7 +1176,6 @@ mod tests {
 
     #[test]
     fn probe_samples_are_deterministic_and_do_not_change_records() {
-        use crate::probe::{FluidProbe, FluidProbeSink};
         use std::sync::Mutex;
 
         #[derive(Default)]
@@ -1024,9 +1207,15 @@ mod tests {
         let run = || {
             let sink = Sink::default();
             let probe = FluidProbe::new(5_000, &sink);
-            let (recs, _) =
-                try_simulate_fluid_traced(&topo, &flows, &FluidBudget::default(), Some(&probe))
-                    .unwrap();
+            let mut ws = FluidWorkspace::new();
+            let (recs, _) = run_in(
+                &mut ws,
+                &topo,
+                &flows,
+                &FluidBudget::default(),
+                Some(&probe),
+            )
+            .unwrap();
             (recs, sink.samples.into_inner().unwrap())
         };
         let (recs_a, samples_a) = run();
@@ -1037,8 +1226,11 @@ mod tests {
             samples_a.iter().all(|s| s.0 % 5_000 == 0),
             "samples land on stride boundaries"
         );
-        let plain = try_simulate_fluid(&topo, &flows, &FluidBudget::default()).unwrap();
-        assert_eq!(recs_a, plain, "probe must not perturb results");
+        assert_eq!(
+            recs_a,
+            simulate_fluid(&topo, &flows),
+            "probe must not perturb results"
+        );
         assert_eq!(recs_a, recs_b);
     }
 
@@ -1051,5 +1243,112 @@ mod tests {
         let r1 = simulate_fluid(&topo, &flows);
         let r2 = simulate_fluid(&topo, &flows);
         assert_eq!(r1, r2);
+    }
+
+    #[test]
+    fn link_set_flow_runs_at_line_rate() {
+        let mut f = flow(0, 10_000, 0, 0, 0, f64::INFINITY);
+        f.latency = 100;
+        let recs = simulate_link_sets(&[10e9, 10e9], &[(f, &[0, 1])]);
+        assert_eq!(recs[0].fct, 8_000 + 100);
+    }
+
+    #[test]
+    fn link_sets_match_segments_on_parking_lot() {
+        // A parking lot is a network whose routes are contiguous: staged
+        // either way, it must give the same records bit for bit.
+        let topo = FluidTopology::new(vec![10e9, 40e9, 10e9]);
+        let mut state = 99u64;
+        let mut rng = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            state >> 33
+        };
+        let mut flows = Vec::new();
+        let mut sets = Vec::new();
+        for i in 0..200u32 {
+            let a = (rng() % 3) as u16;
+            let b = (rng() % 3) as u16;
+            let (first, last) = (a.min(b), a.max(b));
+            let size = 200 + rng() % 80_000;
+            let arrival = rng() % 500_000;
+            let cap = if rng() % 2 == 0 { 10e9 } else { f64::INFINITY };
+            let mut f = with_ideal(&topo, flow(i, size, arrival, first, last, cap));
+            f.latency = 55;
+            flows.push(f);
+            // Descending, so the pool has to sort them.
+            sets.push(
+                (u32::from(first)..=u32::from(last))
+                    .rev()
+                    .collect::<Vec<_>>(),
+            );
+        }
+        let as_sets: Vec<(FluidFlow, &[u32])> = flows
+            .iter()
+            .zip(&sets)
+            .map(|(f, s)| (*f, s.as_slice()))
+            .collect();
+        assert_eq!(
+            simulate_fluid(&topo, &flows),
+            simulate_link_sets(&topo.link_bps, &as_sets)
+        );
+    }
+
+    #[test]
+    fn non_contiguous_link_sets() {
+        // Flow A uses links {0, 2} (skipping 1); B saturates link 1 alone.
+        // A and B must not contend.
+        let f = |id| {
+            let mut f = flow(id, 10_000, 0, 0, 0, f64::INFINITY);
+            f.ideal_fct = 8_000;
+            f
+        };
+        let recs = simulate_link_sets(&[10e9, 10e9, 10e9], &[(f(0), &[0, 2]), (f(1), &[1])]);
+        assert_eq!(recs[0].fct, 8_000);
+        assert_eq!(recs[1].fct, 8_000);
+    }
+
+    #[test]
+    fn duplicate_links_deduplicated() {
+        let f = flow(0, 10_000, 0, 0, 0, f64::INFINITY);
+        let recs = simulate_link_sets(&[10e9], &[(f, &[0, 0, 0])]);
+        assert_eq!(recs[0].fct, 8_000, "a flow crosses each link once");
+    }
+
+    #[test]
+    fn star_topology_fairness() {
+        // Three flows sharing one hub link pairwise through distinct spokes:
+        // hub is the bottleneck, each gets 1/3.
+        let caps = [10e9, 10e9, 10e9, 10e9]; // 0 = hub, 1-3 spokes
+        let spokes: [[u32; 2]; 3] = [[0, 1], [0, 2], [0, 3]];
+        let flows: Vec<(FluidFlow, &[u32])> = (0..3u32)
+            .map(|i| {
+                let f = flow(i, 30_000, 0, 0, 0, f64::INFINITY);
+                (f, spokes[i as usize].as_slice())
+            })
+            .collect();
+        for r in &simulate_link_sets(&caps, &flows) {
+            assert_eq!(r.fct, 72_000, "each of 3 flows gets 1/3 of the hub");
+        }
+    }
+
+    #[test]
+    fn invalid_link_sets_are_typed_errors() {
+        let mut f = flow(7, 10_000, 0, 0, 0, f64::NAN);
+        let err = run_link_sets(&[10e9], &[(f, &[0])], &FluidBudget::UNLIMITED)
+            .expect_err("NaN cap must be rejected");
+        assert!(matches!(err, FluidError::InvalidInput { flow: 7, .. }));
+        f.rate_cap_bps = f64::INFINITY;
+        for links in [&[][..], &[0, 3]] {
+            let err = run_link_sets(&[10e9, 10e9], &[(f, links)], &FluidBudget::UNLIMITED)
+                .expect_err("a set must be non-empty and inside the topology");
+            assert!(matches!(err, FluidError::InvalidInput { flow: 7, .. }));
+        }
+
+        let many: Vec<(FluidFlow, &[u32])> = (0..50)
+            .map(|i| (flow(i, 10_000, i as u64, 0, 0, f64::INFINITY), &[0][..]))
+            .collect();
+        let err = run_link_sets(&[10e9], &many, &FluidBudget::events(2))
+            .expect_err("2 events cannot finish 50 flows");
+        assert_eq!(err, FluidError::EventBudgetExceeded { limit: 2 });
     }
 }

@@ -12,12 +12,16 @@
 //! per-size-bucket slowdown percentiles are the workload feature map that
 //! m3's ML model corrects (§2.2, §3.3).
 //!
-//! Two engines are provided:
-//! * [`fluid::simulate_fluid`] — the fast grouped engine (per-event work
-//!   proportional to the groups that currently hold flows; see its module
-//!   docs for the cost model).
-//! * [`reference::simulate_fluid_reference`] — a straightforward O(F^2)
-//!   implementation used to differentially test the fast engine.
+//! One engine, [`fluid`], runs either route kind — a contiguous segment of
+//! a parking lot (a sampled path, as m3 uses it) or any set of links (the
+//! whole network, the global-flowSim baseline) — with per-event work
+//! proportional to the groups holding flows (see its module docs).
+//! [`fluid::simulate_fluid`] runs a parking lot and panics on invalid input;
+//! [`fluid::try_simulate_staged`] runs a model staged in a reusable
+//! [`fluid::FluidWorkspace`], with typed errors, a [`budget::FluidBudget`],
+//! an optional [`probe::FluidProbe`] and run stats.
+//! [`reference::simulate_fluid_reference`] is a straightforward O(F^2)
+//! implementation the tests compare the engine against.
 //!
 //! ```
 //! use m3_flowsim::prelude::*;
@@ -42,21 +46,13 @@
 
 pub mod budget;
 pub mod fluid;
-pub mod general;
 pub mod probe;
 pub mod reference;
 pub mod types;
 
 pub mod prelude {
     pub use crate::budget::{FluidBudget, FluidError, FluidRunStats, DEFAULT_WALL_CHECK_STRIDE};
-    pub use crate::fluid::{
-        simulate_fluid, try_simulate_fluid, try_simulate_fluid_stats, try_simulate_fluid_traced,
-        try_simulate_fluid_traced_into, try_simulate_staged, FluidWorkspace,
-    };
-    pub use crate::general::{
-        simulate_fluid_general, try_simulate_fluid_general, try_simulate_fluid_general_into,
-        GeneralFluidFlow, GeneralFluidWorkspace,
-    };
+    pub use crate::fluid::{simulate_fluid, try_simulate_staged, FluidWorkspace};
     pub use crate::probe::{FluidProbe, FluidProbeSink};
     pub use crate::reference::simulate_fluid_reference;
     pub use crate::types::{fluid_ideal_fct, FluidFctRecord, FluidFlow, FluidTopology};

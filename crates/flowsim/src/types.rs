@@ -18,19 +18,27 @@ pub struct FluidTopology {
 }
 
 impl FluidTopology {
+    /// Panics unless `link_bps` is a valid topology: at least one link, every
+    /// capacity positive and finite.
     pub fn new(link_bps: Vec<f64>) -> Self {
-        Self::assert_valid(&link_bps);
+        if let Err(reason) = Self::check(&link_bps) {
+            panic!("{reason}");
+        }
         FluidTopology { link_bps }
     }
 
-    /// Panics unless `link_bps` is a valid topology: at least one link, every
-    /// capacity positive and finite.
-    pub(crate) fn assert_valid(link_bps: &[f64]) {
-        assert!(!link_bps.is_empty(), "need at least one link");
-        assert!(
-            link_bps.iter().all(|&b| b > 0.0 && b.is_finite()),
-            "link capacities must be positive and finite"
-        );
+    /// Why `link_bps` is not a valid topology, if it is not.
+    pub(crate) fn check(link_bps: &[f64]) -> Result<(), String> {
+        if link_bps.is_empty() {
+            return Err("need at least one link".to_string());
+        }
+        match link_bps.iter().position(|&b| !(b > 0.0 && b.is_finite())) {
+            Some(l) => Err(format!(
+                "link {l} capacity {} must be positive and finite",
+                link_bps[l]
+            )),
+            None => Ok(()),
+        }
     }
 
     pub fn num_links(&self) -> usize {
@@ -66,14 +74,9 @@ impl FluidFlow {
         self.first_link as usize..=self.last_link as usize
     }
 
-    /// Non-panicking validation; `Err` carries the reason. Note that a NaN
-    /// rate cap fails the `> 0.0` comparison, so NaN is rejected here too —
-    /// before it can poison the event loop.
-    pub fn check(&self, topo: &FluidTopology) -> Result<(), String> {
-        self.check_links(topo.num_links())
-    }
-
-    /// [`check`](Self::check) against a topology of `n_links` links.
+    /// Why the flow is not valid over a topology of `n_links` links, if it
+    /// is not. A NaN rate cap fails the `> 0.0` comparison, so NaN is
+    /// rejected here too — before it can poison the event loop.
     pub(crate) fn check_links(&self, n_links: usize) -> Result<(), String> {
         if self.first_link > self.last_link {
             return Err("inverted segment".to_string());
@@ -81,6 +84,11 @@ impl FluidFlow {
         if self.last_link as usize >= n_links {
             return Err("segment outside topology".to_string());
         }
+        self.check_cap()
+    }
+
+    /// The rate-cap half of [`check_links`](Self::check_links).
+    pub(crate) fn check_cap(&self) -> Result<(), String> {
         if self.rate_cap_bps.is_nan() || self.rate_cap_bps <= 0.0 {
             return Err(format!("rate cap {} not positive", self.rate_cap_bps));
         }
@@ -88,7 +96,7 @@ impl FluidFlow {
     }
 
     pub fn validate(&self, topo: &FluidTopology) {
-        if let Err(reason) = self.check(topo) {
+        if let Err(reason) = self.check_links(topo.num_links()) {
             panic!("flow {}: {reason}", self.id);
         }
     }

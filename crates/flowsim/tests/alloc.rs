@@ -1,8 +1,7 @@
-//! Steady-state allocation tests for the fluid engines: after warmup runs, a
-//! repeated simulation through the `_into` entry points with a warm workspace
-//! — input passed in or staged in the workspace itself — must perform zero
-//! heap allocations, and produce records identical to the allocating entry
-//! points.
+//! Steady-state allocation test for the fluid engine: after warmup runs, a
+//! simulation staged in a warm workspace must perform zero heap allocations
+//! — whichever route kind the workspace last ran — and produce the records
+//! a fresh workspace produces.
 //!
 //! This file holds exactly one #[test] so no concurrent test thread can
 //! allocate while the counter is armed.
@@ -60,33 +59,27 @@ fn seg_flows(topo: &FluidTopology) -> Vec<FluidFlow> {
         .collect()
 }
 
+/// Non-contiguous, unsorted, sometimes repeated link sets over four links.
+fn link_set_flows(flows: &[FluidFlow]) -> Vec<(FluidFlow, [u32; 3])> {
+    flows
+        .iter()
+        .map(|f| {
+            let i = f.id;
+            (*f, [(i * 3 + 1) % 4, i % 4, (i * 7) % 4])
+        })
+        .collect()
+}
+
+/// Stages one run's input in a workspace.
+type Stage<'a> = &'a dyn Fn(&mut FluidWorkspace);
+
 #[test]
 fn warm_workspace_runs_allocate_nothing() {
     let topo = FluidTopology::new(vec![10e9, 40e9, 10e9]);
     let flows = seg_flows(&topo);
-    let budget = FluidBudget::UNLIMITED;
-
-    // --- segment engine ---
-    let expect = try_simulate_fluid(&topo, &flows, &budget).unwrap();
-    let mut ws = FluidWorkspace::new();
-    let mut records = Vec::new();
-    // Two warmups: heap recycling is LIFO, so capacities converge to a
-    // fixed point covering every group by the second pass.
-    for _ in 0..2 {
-        try_simulate_fluid_traced_into(&topo, &flows, &budget, None, &mut ws, &mut records)
-            .unwrap();
-    }
-    ARMED.store(true, Ordering::SeqCst);
-    try_simulate_fluid_traced_into(&topo, &flows, &budget, None, &mut ws, &mut records).unwrap();
-    ARMED.store(false, Ordering::SeqCst);
-    let count = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(count, 0, "warm segment-engine run made {count} allocations");
-    assert_eq!(records, expect, "workspace run changed results");
-    assert_eq!(ws.rearmed_completions(), 0, "no due group was ever short");
-
-    // --- segment engine, input staged in the workspace ---
-    // A differently shaped run first (one link, one cap class), so the
-    // staging buffers, group table and active list hold stale contents.
+    // A differently shaped segment run (one link, one cap class) and a
+    // link-set run, so the staging buffers, link pool, group table and
+    // active list hold stale contents of another shape before each run.
     let small_topo = FluidTopology::new(vec![25e9]);
     let small: Vec<FluidFlow> = flows
         .iter()
@@ -98,65 +91,53 @@ fn warm_workspace_runs_allocate_nothing() {
             ..*f
         })
         .collect();
-    let expect_small = try_simulate_fluid(&small_topo, &small, &budget).unwrap();
-    let stage = |ws: &mut FluidWorkspace, topo: &FluidTopology, flows: &[FluidFlow]| {
+    let set_links = [10e9, 40e9, 10e9, 25e9];
+    let sets = link_set_flows(&flows);
+
+    let stage_segments = |ws: &mut FluidWorkspace, topo: &FluidTopology, flows: &[FluidFlow]| {
         ws.stage(topo.link_bps.iter().copied())
             .extend_from_slice(flows);
     };
-    for _ in 0..2 {
-        stage(&mut ws, &topo, &flows);
-        try_simulate_staged(&budget, None, &mut ws, &mut records).unwrap();
-        stage(&mut ws, &small_topo, &small);
-        try_simulate_staged(&budget, None, &mut ws, &mut records).unwrap();
-        assert_eq!(records, expect_small, "stale workspace state leaked");
-    }
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    stage(&mut ws, &topo, &flows);
-    try_simulate_staged(&budget, None, &mut ws, &mut records).unwrap();
-    ARMED.store(false, Ordering::SeqCst);
-    let count = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(count, 0, "warm staged run made {count} allocations");
-    assert_eq!(records, expect, "staged run changed results");
-
-    // --- general engine ---
-    let gen_flows: Vec<GeneralFluidFlow> = flows
+    let stage_sets = |ws: &mut FluidWorkspace| ws.stage_link_sets(set_links, sets.iter().copied());
+    let runs: [(&str, Stage); 3] = [
+        ("segment", &|ws| stage_segments(ws, &topo, &flows)),
+        ("small segment", &|ws| {
+            stage_segments(ws, &small_topo, &small)
+        }),
+        ("link-set", &stage_sets),
+    ];
+    let budget = FluidBudget::UNLIMITED;
+    let expect: Vec<Vec<FluidFctRecord>> = runs
         .iter()
-        .map(|f| GeneralFluidFlow {
-            id: f.id,
-            size: f.size,
-            arrival: f.arrival,
-            links: (f.first_link as u32..=f.last_link as u32).collect(),
-            rate_cap_bps: f.rate_cap_bps,
-            latency: f.latency,
-            ideal_fct: f.ideal_fct,
+        .map(|(_, stage)| {
+            let mut ws = FluidWorkspace::new();
+            stage(&mut ws);
+            let mut records = Vec::new();
+            try_simulate_staged(&budget, None, &mut ws, &mut records).unwrap();
+            records
         })
         .collect();
-    let expect_gen = try_simulate_fluid_general(&topo.link_bps, &gen_flows, &budget).unwrap();
-    let mut gws = GeneralFluidWorkspace::new();
-    let mut gen_records = Vec::new();
-    for _ in 0..2 {
-        try_simulate_fluid_general_into(
-            &topo.link_bps,
-            &gen_flows,
-            &budget,
-            &mut gws,
-            &mut gen_records,
-        )
-        .unwrap();
+    assert_eq!(expect[0], simulate_fluid(&topo, &flows));
+
+    let mut ws = FluidWorkspace::new();
+    let mut records = Vec::new();
+    // Warmups: heap recycling is LIFO, so each recycled heap's capacity
+    // converges to a fixed point covering every group it is handed.
+    for _ in 0..3 {
+        for (_, stage) in &runs {
+            stage(&mut ws);
+            try_simulate_staged(&budget, None, &mut ws, &mut records).unwrap();
+        }
     }
-    ARMED.store(true, Ordering::SeqCst);
-    ALLOCS.store(0, Ordering::SeqCst);
-    try_simulate_fluid_general_into(
-        &topo.link_bps,
-        &gen_flows,
-        &budget,
-        &mut gws,
-        &mut gen_records,
-    )
-    .unwrap();
-    ARMED.store(false, Ordering::SeqCst);
-    let count = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(count, 0, "warm general-engine run made {count} allocations");
-    assert_eq!(gen_records, expect_gen, "workspace run changed results");
+    for ((name, stage), expect) in runs.iter().zip(&expect) {
+        ALLOCS.store(0, Ordering::SeqCst);
+        ARMED.store(true, Ordering::SeqCst);
+        stage(&mut ws);
+        try_simulate_staged(&budget, None, &mut ws, &mut records).unwrap();
+        ARMED.store(false, Ordering::SeqCst);
+        let count = ALLOCS.load(Ordering::SeqCst);
+        assert_eq!(count, 0, "warm {name} run made {count} allocations");
+        assert_eq!(&records, expect, "{name}: stale workspace state leaked");
+    }
+    assert_eq!(ws.rearmed_completions(), 0, "no due group was ever short");
 }
