@@ -328,10 +328,12 @@ pub struct SessionUpdate {
     pub estimate: NetworkEstimate,
     /// Sampled paths covered by the session (post path-slice).
     pub total_paths: usize,
-    /// Paths invalidated by the delta (all of them on open or on a
-    /// structural update).
+    /// Paths invalidated by the delta: all of them on open; on a
+    /// structural update, those whose content key did not survive it.
+    /// Always `total_paths - reused_paths`.
     pub dirty_paths: usize,
-    /// Paths whose retained distribution was reused as-is.
+    /// Paths whose retained distribution was reused as-is (on a
+    /// structural update: answered by content key from the shared cache).
     pub reused_paths: usize,
     /// Whether the update took the structural (full-rebuild) path.
     pub structural: bool,
@@ -598,7 +600,7 @@ impl ScenarioSession {
         Ok(SessionUpdate {
             estimate: out,
             total_paths: self.slots.len(),
-            dirty_paths: self.slots.len(),
+            dirty_paths: self.slots.len() - reused,
             reused_paths: reused,
             structural,
         })
@@ -821,6 +823,22 @@ mod tests {
         // Recovery restores the original scenario's estimate too.
         let base = ScenarioState::new(ft.topo.clone(), flows.clone(), cfg);
         same_value(session.estimate(), &scratch(&est, &base, k, seed));
+    }
+
+    /// A structural rebuild keeps the books too: a path whose content key
+    /// survived the delta counts as reused, not also as dirty.
+    #[test]
+    fn structural_update_books_balance() {
+        let (ft, flows, cfg) = small_workload(1500);
+        let est = untrained_estimator();
+        let mut session = open_session(&est, &ft, &flows, &cfg, 16, 2);
+        let link = flows[0].path[0].index() as u32;
+        let update = session
+            .apply_delta(&est, &ScenarioDelta::LinkDown { link })
+            .unwrap();
+        assert!(update.structural);
+        assert!(update.reused_paths > 0, "want a content key that survives");
+        assert_eq!(update.dirty_paths + update.reused_paths, update.total_paths);
     }
 
     #[test]

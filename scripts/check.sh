@@ -87,17 +87,8 @@ cargo bench -p m3-bench --bench session_incremental
 echo "==> monitor overhead gate (<2% per-estimate sampling overhead, writes BENCH_monitor_overhead.json)"
 cargo bench -p m3-bench --bench monitor_overhead
 
-echo "==> cluster soak (seeded kill/restart schedule, lossless rerouting)"
-scripts/soak.sh --cluster 1 18
-
-echo "==> swap soak (seeded model-lifecycle schedule: promote, reject, rollback, resume)"
-scripts/soak.sh --swap 1 12
-
-echo "==> session soak (seeded delta/kill schedule, resumed sessions bit-identical)"
-scripts/soak.sh --session 1 12
-
-echo "==> monitor soak (clean/faulty/clean phases, kill-and-resume, lossless health events)"
-scripts/soak.sh --monitor 1 12
+echo "==> fault soak (service, cluster, swap, session, monitor schedules on seeds 1-3)"
+cargo run --release -q -p m3-serve --bin soak -- all 1 2 3
 
 if [[ "$RUN_BENCH" == 1 ]]; then
   echo "==> telemetry overhead gate (<2%, writes BENCH_telemetry_overhead.json)"
