@@ -24,11 +24,16 @@
 //!   vectors and fingerprints), under the names `m3_benchmark`'s ledger
 //!   gives the same two stages (`decompose.index_ms`,
 //!   `decompose.materialize_ms`). Reported, not gated.
+//! * **features**: `PathScenarioData::features` plus `encode_log` of every
+//!   map, over the flowSim results of all scenarios, single-threaded
+//!   (`features_min_ms`, the minimum of [`GATE_PAIRS`] passes after a
+//!   warm-up). Reported, not gated; the encodings must match
+//!   [`ENCODE_LOG_DIGEST`] bit for bit.
 //!
 //! The end-to-end cold-estimate latency is also reported for context, and
-//! the JSON's `machine` object records the core count and which
-//! instantiation of the matmul panel kernel the forward pass dispatched to
-//! (`avx2` or `portable`): the forward and cold-estimate rows are not
+//! the JSON's `machine` object records the CPU model, the core count and
+//! which instantiation of the matmul panel kernel the forward pass
+//! dispatched to (`avx2` or `portable`): the forward and cold-estimate rows are not
 //! comparable across the two, and the reference side of the gated ratio
 //! runs the scalar kernels, which do not dispatch, so the ratio is larger
 //! on an `avx2` host. As in
@@ -52,10 +57,15 @@ const SEED: u64 = 13;
 const MIN_FORWARD_SPEEDUP: f64 = 4.0;
 /// Interleaved A/B measurement pairs (after warmup) for the gated compare.
 const GATE_PAIRS: usize = 12;
+/// FNV-1a digest of the fixture's log-encoded feature maps (foreground,
+/// then each hop, per scenario): `GOLDEN_ENCODE_LOG` in
+/// `crates/core/tests/feature_bits.rs`, whose header gives the recipe.
+const ENCODE_LOG_DIGEST: u64 = 0xfad0_5cf7_cdf7_cdb4;
 
 struct Setup {
     net: M3Net,
     datas: Vec<PathScenarioData>,
+    sims: Vec<FlowsimResult>,
     inputs: Vec<SampleInput>,
     est: M3Estimator,
     topo: Topology,
@@ -101,12 +111,13 @@ fn setup() -> Setup {
         }
         fresh
     });
+    let sims: Vec<FlowsimResult> = datas.iter().map(|d| d.run_flowsim()).collect();
     let inputs: Vec<SampleInput> = datas
         .iter()
+        .zip(&sims)
         .zip(&specs)
-        .map(|(d, spec)| {
-            let sim = d.run_flowsim();
-            let (fg_map, bg_maps) = d.features(&sim);
+        .map(|((d, sim), spec)| {
+            let (fg_map, bg_maps) = d.features(sim);
             SampleInput {
                 fg: fg_map.encode_log(),
                 bg: bg_maps.iter().map(|m| m.encode_log()).collect(),
@@ -120,6 +131,7 @@ fn setup() -> Setup {
     Setup {
         net,
         datas,
+        sims,
         inputs,
         est,
         topo: ft.topo.clone(),
@@ -133,6 +145,34 @@ fn time_once<F: FnMut()>(f: &mut F) -> f64 {
     let t = Instant::now();
     f();
     t.elapsed().as_nanos() as f64
+}
+
+/// Minimum of `GATE_PAIRS` timed calls, after one warmup call (ns).
+fn min_time<F: FnMut()>(mut f: F) -> f64 {
+    f();
+    (0..GATE_PAIRS).fold(f64::INFINITY, |m, _| m.min(time_once(&mut f)))
+}
+
+/// The CPU model `/proc/cpuinfo` names, or `"unknown"`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// FNV-1a over the bits of `values`, continuing from `h`.
+fn fnv1a(mut h: u64, values: &[f32]) -> u64 {
+    for b in values.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// Interleaved minimum of two closures over `GATE_PAIRS` pairs, after one
@@ -273,26 +313,47 @@ fn bench_hotpath(c: &mut Criterion) {
         },
     );
 
+    // --- reported: feature maps and their log encoding, bit-checked ---
+    let digest = s
+        .datas
+        .iter()
+        .zip(&s.sims)
+        .fold(0xcbf2_9ce4_8422_2325, |h, (d, sim)| {
+            let (fg_map, bg_maps) = d.features(sim);
+            std::iter::once(&fg_map)
+                .chain(&bg_maps)
+                .fold(h, |h, m| fnv1a(h, &m.encode_log()))
+        });
+    assert_eq!(
+        digest, ENCODE_LOG_DIGEST,
+        "log-encoded feature maps diverged from the pinned digest"
+    );
+    let features_min = min_time(|| {
+        for (d, sim) in s.datas.iter().zip(&s.sims) {
+            let (fg_map, bg_maps) = d.features(sim);
+            black_box(fg_map.encode_log());
+            for m in &bg_maps {
+                black_box(m.encode_log());
+            }
+        }
+    });
+
     // --- end-to-end cold estimate (context; no old pipeline to compare) ---
     let opts = EstimateOptions::default();
-    let mut run_estimate = || {
+    let estimate_min = min_time(|| {
         black_box(
             s.est
                 .try_estimate(&s.topo, &s.flows, &s.cfg, K_PATHS, SEED, &opts)
                 .expect("estimate"),
         );
-    };
-    run_estimate();
-    let mut estimate_min = f64::INFINITY;
-    for _ in 0..GATE_PAIRS {
-        estimate_min = estimate_min.min(time_once(&mut run_estimate));
-    }
+    });
 
+    let cpu = cpu_model();
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     let kernel_path = Kernel::detect(true).path();
     let json = format!(
         "{{\n  \"bench\": \"hotpath\",\n  \
-         \"machine\": {{\"nproc\": {nproc}, \"kernel_path\": \"{kernel_path}\"}},\n  \
+         \"machine\": {{\"cpu\": {cpu:?}, \"nproc\": {nproc}, \"kernel_path\": \"{kernel_path}\"}},\n  \
          \"k_paths\": {K_PATHS},\n  \
          \"unique_scenarios\": {},\n  \
          \"decompose_index_min_ms\": {:.3},\n  \
@@ -307,6 +368,7 @@ fn bench_hotpath(c: &mut Criterion) {
          \"flowsim_speedup\": {:.2},\n  \
          \"flowsim.events\": {flowsim_events},\n  \
          \"flowsim.ns_per_event\": {flowsim_ns_per_event:.1},\n  \
+         \"features_min_ms\": {:.3},\n  \
          \"estimate_cold_min_ms\": {:.3}\n}}\n",
         s.datas.len(),
         index_min / 1e6,
@@ -318,6 +380,7 @@ fn bench_hotpath(c: &mut Criterion) {
         flowsim_fresh_min / 1e6,
         flowsim_warm_min / 1e6,
         flowsim_speedup,
+        features_min / 1e6,
         estimate_min / 1e6,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");

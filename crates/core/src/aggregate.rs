@@ -7,8 +7,8 @@
 //! distribution with weights proportional to bucket flow counts.
 
 use crate::error::{FaultKind, Stage};
-use crate::features::{output_bucket, OUTPUT_BUCKETS};
-use m3_netsim::stats::{percentile, NUM_PERCENTILES};
+use crate::features::{for_each_sorted_bucket, OUTPUT_BUCKETS};
+use m3_netsim::stats::{percentile, percentile_vector, NUM_PERCENTILES};
 use serde::{Deserialize, Serialize};
 
 pub const NUM_OUTPUT_BUCKETS: usize = OUTPUT_BUCKETS.len();
@@ -27,25 +27,12 @@ impl PathDistribution {
     /// From raw (size, slowdown) samples (used for ground-truth paths and
     /// the flowSim baseline).
     pub fn from_samples(samples: &[(u64, f64)]) -> Self {
-        let mut per: Vec<Vec<f64>> = vec![Vec::new(); NUM_OUTPUT_BUCKETS];
+        let mut buckets = vec![Vec::new(); NUM_OUTPUT_BUCKETS];
+        let per_bucket = for_each_sorted_bucket(samples, &OUTPUT_BUCKETS, |b, sorted| {
+            buckets[b] = percentile_vector(sorted).to_vec();
+        });
         let mut counts = [0usize; NUM_OUTPUT_BUCKETS];
-        for &(size, sldn) in samples {
-            let b = output_bucket(size);
-            per[b].push(sldn);
-            counts[b] += 1;
-        }
-        let buckets = per
-            .into_iter()
-            .map(|mut v| {
-                if v.is_empty() {
-                    return Vec::new();
-                }
-                v.sort_by(|a, b| a.total_cmp(b));
-                (1..=NUM_PERCENTILES)
-                    .map(|p| percentile(&v, p as f64))
-                    .collect()
-            })
-            .collect();
+        counts.copy_from_slice(&per_bucket);
         PathDistribution { buckets, counts }
     }
 

@@ -6,7 +6,7 @@
 //! The foreground map is the model's primary input; one background map per
 //! hop provides the context sequence.
 
-use m3_netsim::stats::{percentile, NUM_PERCENTILES};
+use m3_netsim::stats::{percentile_vector, NUM_PERCENTILES};
 use serde::{Deserialize, Serialize};
 
 /// Upper bounds (inclusive) of the 10 feature size buckets, in bytes.
@@ -55,6 +55,64 @@ pub fn output_bucket(size: u64) -> usize {
         .unwrap_or(OUTPUT_BUCKETS.len() - 1)
 }
 
+/// Split the slowdowns of `samples` by size over `bounds` (a size goes to
+/// the first bound it does not exceed, else to the last bucket), sort each
+/// bucket, and call `row(b, sorted)` for every non-empty bucket `b` in
+/// order. Returns the per-bucket counts.
+///
+/// One counting pass sizes the buckets inside one flat buffer, a second
+/// scatters the values, and each bucket is sorted in place. An unstable
+/// sort gives the same bits as a stable one: values equal under
+/// `total_cmp` have equal bits.
+pub(crate) fn for_each_sorted_bucket(
+    samples: &[(u64, f64)],
+    bounds: &[u64],
+    mut row: impl FnMut(usize, &[f64]),
+) -> Vec<usize> {
+    // The first bound a size does not exceed (as `position` finds it), as a
+    // select per bound instead of an early exit: sizes arrive in random
+    // order, so the exit branch would mispredict.
+    let last = bounds.len().saturating_sub(1);
+    let bucket = |size: u64| {
+        bounds
+            .iter()
+            .enumerate()
+            .rev()
+            .fold(last, |b, (i, &ub)| if size <= ub { i } else { b })
+    };
+    let mut counts = vec![0usize; bounds.len()];
+    let bucket_of: Vec<usize> = samples
+        .iter()
+        .map(|&(size, _)| {
+            let b = bucket(size);
+            counts[b] += 1;
+            b
+        })
+        .collect();
+    // Each bucket is filled back to front from its end, so afterwards
+    // `start[b]` is where bucket `b` begins.
+    let mut start = counts.clone();
+    let mut end = 0;
+    for at in &mut start {
+        end += *at;
+        *at = end;
+    }
+    let mut flat = vec![0.0f64; samples.len()];
+    for (&b, &(_, sldn)) in bucket_of.iter().zip(samples) {
+        let at = &mut start[b];
+        *at -= 1;
+        flat[*at] = sldn;
+    }
+    for (b, (&at, &n)) in start.iter().zip(&counts).enumerate() {
+        if n > 0 {
+            let sorted = &mut flat[at..at + n];
+            sorted.sort_unstable_by(f64::total_cmp);
+            row(b, sorted);
+        }
+    }
+    counts
+}
+
 /// A slowdown distribution summarized per size bucket at 100 percentiles.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FeatureMap {
@@ -68,27 +126,13 @@ pub struct FeatureMap {
 impl FeatureMap {
     /// Build a map over the given bucket bounds from (size, slowdown) samples.
     pub fn build(samples: &[(u64, f64)], bucket_bounds: &[u64]) -> Self {
-        let nb = bucket_bounds.len();
-        let mut per_bucket: Vec<Vec<f64>> = vec![Vec::new(); nb];
-        for &(size, sldn) in samples {
-            let b = bucket_bounds
-                .iter()
-                .position(|&ub| size <= ub)
-                .unwrap_or(nb - 1);
-            per_bucket[b].push(sldn);
-        }
-        let mut data = vec![EMPTY_BUCKET_VALUE; nb * NUM_PERCENTILES];
-        let mut counts = vec![0usize; nb];
-        for (b, mut v) in per_bucket.into_iter().enumerate() {
-            counts[b] = v.len();
-            if v.is_empty() {
-                continue;
+        let mut data = vec![EMPTY_BUCKET_VALUE; bucket_bounds.len() * NUM_PERCENTILES];
+        let counts = for_each_sorted_bucket(samples, bucket_bounds, |b, sorted| {
+            let row = &mut data[b * NUM_PERCENTILES..(b + 1) * NUM_PERCENTILES];
+            for (slot, v) in row.iter_mut().zip(percentile_vector(sorted)) {
+                *slot = v as f32;
             }
-            v.sort_by(|a, b| a.total_cmp(b));
-            for p in 0..NUM_PERCENTILES {
-                data[b * NUM_PERCENTILES + p] = percentile(&v, (p + 1) as f64) as f32;
-            }
-        }
+        });
         FeatureMap { data, counts }
     }
 
@@ -133,10 +177,21 @@ impl FeatureMap {
     /// Slowdowns are >= 1 with heavy tails, so ln(s) compresses the range
     /// and makes the L1 objective behave like relative error. Empty
     /// buckets map to [`LOG_EMPTY`], distinguishable from ln(1) = 0.
+    ///
+    /// Most buckets hold a few flows, so most rows are runs of equal values:
+    /// `ln` runs once per run, and the rest of the run reuses its result.
     pub fn encode_log(&self) -> Vec<f32> {
+        // Seeded with a valid (value, encoding) pair: 0.0 encodes as LOG_EMPTY.
+        let (mut bits, mut enc) = (EMPTY_BUCKET_VALUE.to_bits(), LOG_EMPTY);
         self.data
             .iter()
-            .map(|&v| if v <= 0.0 { LOG_EMPTY } else { v.max(1.0).ln() })
+            .map(|&v| {
+                if v.to_bits() != bits {
+                    bits = v.to_bits();
+                    enc = if v <= 0.0 { LOG_EMPTY } else { v.max(1.0).ln() };
+                }
+                enc
+            })
             .collect()
     }
 }

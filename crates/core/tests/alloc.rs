@@ -2,7 +2,10 @@
 //! flat arrays plus one list per group, not a `Vec` per flow, and
 //! `background_of` allocates its output and nothing else; and for the
 //! flowSim stage: a warm `try_run_flowsim_traced_into` stages the fluid model
-//! in its workspace and allocates only the `FlowsimResult` it returns.
+//! in its workspace and allocates only the `FlowsimResult` it returns; and
+//! for the feature maps: `FeatureMap::build` makes the same few allocations
+//! whatever the sample count and however many buckets are non-empty, and
+//! `encode_log` allocates its output only.
 //!
 //! This file holds exactly one #[test] so no concurrent test thread can
 //! allocate while the counter is armed.
@@ -153,6 +156,29 @@ fn flowsim_allocates_only_its_result() {
 fn allocation_pins() {
     index_allocates_per_group_and_background_only_its_output();
     flowsim_allocates_only_its_result();
+    feature_maps_allocate_a_constant_number();
+}
+
+fn feature_maps_allocate_a_constant_number() {
+    for n in [1usize, 7, 1_000, 50_000] {
+        // One non-empty bucket, then every bucket non-empty.
+        let one: Vec<(u64, f64)> = (0..n).map(|i| (100, 1.0 + (i % 13) as f64)).collect();
+        let spread: Vec<(u64, f64)> = (0..n)
+            .map(|i| (SIZE_BUCKETS[i % SIZE_BUCKETS.len()], 1.0 + (i % 13) as f64))
+            .collect();
+        for samples in [&one, &spread] {
+            let (map, allocs) = count(|| FeatureMap::feature(samples));
+            let nonempty = map.counts.iter().filter(|&&c| c > 0).count();
+            // The map's values and counts, and the build's per-sample bucket
+            // indices, flat sample buffer and per-bucket offsets.
+            assert_eq!(
+                allocs, 5,
+                "FeatureMap::build over {n} samples in {nonempty} buckets made {allocs} allocations"
+            );
+            let (_, allocs) = count(|| map.encode_log());
+            assert_eq!(allocs, 1, "encode_log made {allocs} allocations");
+        }
+    }
 }
 
 fn index_allocates_per_group_and_background_only_its_output() {

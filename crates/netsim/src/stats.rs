@@ -38,11 +38,48 @@ pub fn percentile_unsorted(values: &mut [f64], p: f64) -> f64 {
 /// The percentile grid used throughout the paper: 1%..=100% in 1% steps.
 pub const NUM_PERCENTILES: usize = 100;
 
-/// Evaluate the 100-point percentile vector (1..=100) of a sample.
+/// Evaluate the 100-point percentile vector (1..=100) of a sample: entry
+/// `i` has the bits of `percentile(sorted, (i + 1) as f64)`.
+///
+/// Same expressions as [`percentile`], without its libm calls: for these
+/// `p` the rank is finite and non-negative, so truncation is `floor`, and
+/// `ceil` is `lo + 1` exactly when the fractional part is non-zero.
 pub fn percentile_vector(sorted: &[f64]) -> [f64; NUM_PERCENTILES] {
-    let mut out = [f64::NAN; NUM_PERCENTILES];
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = percentile(sorted, (i + 1) as f64);
+    /// `p / 100.0` for p = 1..=100, rounded as at run time.
+    const GRID: [f64; NUM_PERCENTILES] = {
+        let mut g = [0.0; NUM_PERCENTILES];
+        let mut i = 0;
+        while i < NUM_PERCENTILES {
+            g[i] = (i + 1) as f64 / 100.0;
+            i += 1;
+        }
+        g
+    };
+    let n = sorted.len();
+    if n <= 1 {
+        return [sorted.first().copied().unwrap_or(f64::NAN); NUM_PERCENTILES];
+    }
+    // Not `w[0] <= w[1]`: a `total_cmp` sort puts NaN last, unordered.
+    debug_assert!(
+        sorted
+            .windows(2)
+            .all(|w| w[0].partial_cmp(&w[1]) != Some(std::cmp::Ordering::Greater)),
+        "input must be sorted"
+    );
+    let last = (n - 1) as f64;
+    let mut out = [0.0; NUM_PERCENTILES];
+    for (slot, &q) in out.iter_mut().zip(&GRID) {
+        let rank = q * last;
+        // Through `i64`: the same truncation, with cheaper conversions both
+        // ways than `usize` has on x86-64.
+        let lo = rank as i64;
+        let frac = rank - lo as f64;
+        let lo = lo as usize;
+        *slot = if frac == 0.0 {
+            sorted[lo]
+        } else {
+            sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac
+        };
     }
     out
 }
