@@ -1,211 +1,404 @@
 //! # m3-bench
 //!
-//! Shared utilities for the experiment binaries that regenerate every table
-//! and figure of the paper, plus the criterion micro-benchmarks.
+//! One harness for every table and figure of the paper (driven by the
+//! `repro` binary), plus the criterion micro-benchmarks.
 //!
-//! Scale knobs are environment variables so a laptop run finishes in
-//! minutes and a beefier machine can approach paper scale:
-//!
-//! | Variable        | Meaning                                   | Default |
-//! |-----------------|-------------------------------------------|---------|
-//! | `M3_FLOWS`      | flows per full-network scenario           | 100000  |
-//! | `M3_PATHS`      | sampled paths per estimate (paper: 500)   | 100     |
-//! | `M3_SCENARIOS`  | scenarios per sweep (paper: 192)          | 24      |
-//! | `M3_MODEL`      | checkpoint path                           | assets/m3-model.ckpt |
-//!
-//! Every binary prints the paper-style rows to stdout and appends a JSON
-//! record under `results/`.
+//! A run has one [`Scale`]: [`Scale::full`] writes `results/` and keeps its
+//! models in `assets/`; [`Scale::small`] is a toy point that runs every
+//! figure in seconds and writes only under `target/repro-small/`. The harness owns the pieces every
+//! figure shares: one model source (`Repro::models`), one seeded sweep
+//! builder (`dctcp_sweep`), one table printer (`Repro::table`) and one
+//! writer of `<name>.json` / `<name>.txt` (`Repro::write`).
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
+pub mod figures;
 
 use m3_core::prelude::*;
 use m3_netsim::prelude::*;
 use m3_nn::prelude::*;
-use serde::Serialize;
+use m3_workload::prelude::{sample_test_point, TestPoint, TrainingPoint};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use serde::{Serialize, Value};
+use std::cell::{OnceCell, RefCell};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// Read an integer scale knob.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// A figure's failure: what went wrong, for the run's summary.
+pub type Res<T> = Result<T, String>;
+
+/// The scale of one reproduction run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Scale {
+    /// Flows per full-network scenario (paper: 10 M).
+    pub flows: usize,
+    /// Sampled paths per estimate (paper: 500).
+    pub paths: usize,
+    /// Scenarios per sweep (paper: 192).
+    pub scenarios: usize,
+    /// Sampled paths of the per-path accuracy figures (Figs. 2(c,e), 15).
+    pub acc_paths: usize,
+    /// Held-out scenarios of Fig. 17.
+    pub config_scenarios: usize,
+    /// Held-out scenarios of Fig. 16.
+    pub ablation_scenarios: usize,
+    /// Training scenarios (paper: 120 000).
+    pub train_scenarios: usize,
+    /// Training epochs (paper: 400).
+    pub epochs: usize,
+    /// Largest foreground flow count of a training scenario.
+    pub train_fg: usize,
+    /// Training seed.
+    pub seed: u64,
+    /// Where figures write `<name>.json`, `<name>.txt` and the sweep cache.
+    pub out_dir: &'static str,
+    /// Where the m3 and no-context checkpoints are kept and loaded from.
+    /// `None`: every run trains them afresh and saves them in `out_dir`.
+    pub model_dir: Option<&'static str>,
 }
 
-/// Flows per full-network scenario.
-pub fn n_flows() -> usize {
-    env_usize("M3_FLOWS", 100_000)
-}
+impl Scale {
+    /// The default scale: records in `results/`, models in `assets/`.
+    pub const fn full() -> Scale {
+        Scale {
+            flows: 100_000,
+            paths: 100,
+            scenarios: 24,
+            acc_paths: 30,
+            config_scenarios: 60,
+            ablation_scenarios: 45,
+            train_scenarios: 600,
+            epochs: 40,
+            train_fg: 400,
+            seed: 1,
+            out_dir: "results",
+            model_dir: Some("assets"),
+        }
+    }
 
-/// Sampled paths per estimate.
-pub fn n_paths() -> usize {
-    env_usize("M3_PATHS", 100)
-}
+    /// Every figure in seconds, on a model trained in about a second.
+    pub const fn small() -> Scale {
+        Scale {
+            flows: 2_000,
+            paths: 20,
+            scenarios: 3,
+            acc_paths: 5,
+            config_scenarios: 3,
+            ablation_scenarios: 3,
+            train_scenarios: 30,
+            epochs: 3,
+            train_fg: 80,
+            seed: 1,
+            out_dir: "target/repro-small",
+            model_dir: None,
+        }
+    }
 
-/// Scenarios per sweep.
-pub fn n_scenarios() -> usize {
-    env_usize("M3_SCENARIOS", 24)
-}
-
-/// Checkpoint path.
-pub fn model_path() -> PathBuf {
-    std::env::var("M3_MODEL")
-        .unwrap_or_else(|_| "assets/m3-model.ckpt".to_string())
-        .into()
+    fn model_path(&self, name: &str) -> PathBuf {
+        Path::new(self.model_dir.unwrap_or(self.out_dir)).join(name)
+    }
 }
 
 /// Time a closure.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let t = Instant::now();
     let out = f();
     (out, t.elapsed())
 }
 
-/// Load the trained model, or train a small fallback on the spot (slower
-/// first run; the `train` binary produces the real checkpoint).
-pub fn load_or_train_model() -> M3Net {
-    let path = model_path();
-    if path.exists() {
-        match m3_nn::checkpoint::load_file(&path) {
-            Ok(net) => {
-                eprintln!(
-                    "[m3-bench] loaded model {} ({} params)",
-                    path.display(),
-                    net.num_params()
-                );
-                return net;
-            }
-            Err(e) => eprintln!(
-                "[m3-bench] checkpoint {} unusable ({e}); retraining",
-                path.display()
-            ),
-        }
-    }
-    eprintln!(
-        "[m3-bench] no checkpoint at {}; training a quick fallback model",
-        path.display()
-    );
-    let cfg = TrainConfig {
-        n_scenarios: 48,
-        epochs: 12,
-        ..TrainConfig::default()
-    };
-    let dataset = build_dataset(&cfg);
-    let (net, _) = train(&cfg, &dataset);
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    if let Err(e) = m3_nn::checkpoint::save_file(&net, cfg.seed, &path) {
-        eprintln!("[m3-bench] could not save fallback checkpoint: {e}");
-    }
-    net
+/// The trained m3 model and its "m3 w/o context" twin (Fig. 16).
+pub struct Models {
+    m3: M3Estimator,
+    noctx: M3Net,
 }
 
-/// Simple fixed-width table printer for paper-style rows.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
+/// What the current figure has printed, and its broken shape claims.
+#[derive(Default)]
+struct FigureOut {
+    text: String,
+    broken_claims: Vec<String>,
+}
+
+/// One reproduction run: its scale, its models (built on first use), and
+/// the current figure's output.
+pub struct Repro {
+    pub scale: Scale,
+    models: OnceCell<Models>,
+    out: RefCell<FigureOut>,
+}
+
+impl Repro {
+    pub fn new(scale: Scale) -> Repro {
+        let (models, out) = (OnceCell::new(), RefCell::default());
+        Repro { scale, models, out }
     }
-    let fmt_row = |cells: &[String]| {
-        cells
-            .iter()
+
+    /// The run's models: loaded from the scale's `model_dir` when it has one
+    /// and both checkpoints load, else trained with the scale's recipe.
+    fn models(&self) -> Res<&Models> {
+        if let Some(m) = self.models.get() {
+            return Ok(m);
+        }
+        let load = |name| m3_nn::checkpoint::load_file(self.scale.model_path(name));
+        let loaded = (self.scale.model_dir).map(|_| (load(M3_CKPT), load(NOCTX_CKPT)));
+        let models = match loaded {
+            Some((Ok(m3), Ok(noctx))) => Models {
+                m3: M3Estimator::new(m3),
+                noctx,
+            },
+            _ => self.train()?,
+        };
+        Ok(self.models.get_or_init(|| models))
+    }
+
+    /// Train both models with the scale's recipe on synthetic Table 2
+    /// parking-lot scenarios (§5.1), save their checkpoints, and write the
+    /// `train` record.
+    ///
+    /// Foreground counts are log-uniform in `[8, train_fg]`, so the model
+    /// sees both dense and sparse paths: full-network decomposition at
+    /// reproduction scale yields paths with few foreground flows.
+    pub fn train(&self) -> Res<Models> {
+        let s = &self.scale;
+        let cfg = TrainConfig {
+            n_scenarios: s.train_scenarios,
+            epochs: s.epochs,
+            seed: s.seed,
+            ..TrainConfig::default()
+        };
+        eprintln!(
+            "[repro] training: {} scenarios x {} epochs",
+            s.train_scenarios, s.epochs
+        );
+        let mut rng = SmallRng::seed_from_u64(stage_seed(s.seed, "fgcounts"));
+        let (lo, hi) = ((8f64).ln(), (s.train_fg as f64).ln());
+        let example = |p: &TrainingPoint| {
+            let fg = (lo + rng.gen::<f64>() * (hi - lo)).exp() as usize;
+            let bg = fg * rng.gen_range(2..=6);
+            make_example(p, fg.max(4), bg, true)
+        };
+        let points = training_points(s.train_scenarios, s.seed);
+        let (dataset, gen_time) = timed(|| points.iter().map(example).collect::<Vec<_>>());
+        let (trained, train_time) = timed(|| try_train(&cfg, &dataset));
+        let (net, report) = trained.map_err(|e| e.to_string())?;
+        // The ablation twin: identical data and hyper-parameters, with the
+        // background context zeroed during training.
+        let mut noctx_data = dataset;
+        noctx_data
+            .iter_mut()
+            .for_each(|x| x.input.use_context = false);
+        let (noctx, _) = try_train(&cfg, &noctx_data).map_err(|e| e.to_string())?;
+        let dir = s.model_dir.unwrap_or(s.out_dir);
+        std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
+        for (net, name) in [(&net, M3_CKPT), (&noctx, NOCTX_CKPT)] {
+            m3_nn::checkpoint::save_file(net, s.seed, s.model_path(name))
+                .map_err(|e| format!("save {name}: {e}"))?;
+        }
+        let last = |v: &[f64]| v.last().copied().unwrap_or(f64::NAN);
+        let text: String = (report.train_loss.iter().zip(&report.val_loss))
             .enumerate()
-            .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    println!(
-        "{}",
-        fmt_row(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    for row in rows {
-        println!("{}", fmt_row(row));
+            .map(|(e, (t, v))| format!("epoch {e:3}  train_l1 {t:.4}  val_l1 {v:.4}\n"))
+            .collect();
+        print!("{text}");
+        #[derive(Serialize)]
+        struct TrainRun {
+            n_scenarios: usize,
+            epochs: usize,
+            params: usize,
+            dataset_secs: f64,
+            train_secs: f64,
+            final_train_loss: f64,
+            final_val_loss: f64,
+            checkpoint: String,
+        }
+        let run = TrainRun {
+            n_scenarios: s.train_scenarios,
+            epochs: s.epochs,
+            params: net.num_params(),
+            dataset_secs: gen_time.as_secs_f64(),
+            train_secs: train_time.as_secs_f64(),
+            final_train_loss: last(&report.train_loss),
+            final_val_loss: last(&report.val_loss),
+            checkpoint: s.model_path(M3_CKPT).display().to_string(),
+        };
+        self.write("train", &text, &run.to_value())?;
+        Ok(Models {
+            m3: M3Estimator::new(net),
+            noctx,
+        })
     }
-}
 
-/// Append a JSON experiment record under results/.
-pub fn write_result<T: Serialize>(name: &str, value: &T) {
-    let dir = Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
+    /// Print a line and keep it for the figure's `.txt`.
+    fn say(&self, line: impl AsRef<str>) {
+        println!("{}", line.as_ref());
+        let text = &mut self.out.borrow_mut().text;
+        text.push_str(line.as_ref());
+        text.push('\n');
     }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write(&path, s) {
-                eprintln!("[m3-bench] could not write {}: {e}", path.display());
-            } else {
-                eprintln!("[m3-bench] wrote {}", path.display());
+
+    /// Print a table of paper-style rows: the first row is the header, cells
+    /// are separated by tabs, and each column is right-aligned.
+    fn table(&self, title: &str, rows: &[String]) {
+        let lines: Vec<Vec<&str>> = rows.iter().map(|row| row.split('\t').collect()).collect();
+        let mut widths = vec![0; lines.iter().map(Vec::len).max().unwrap_or(0)];
+        for line in &lines {
+            for (w, cell) in widths.iter_mut().zip(line) {
+                *w = (*w).max(cell.len());
             }
         }
-        Err(e) => eprintln!("[m3-bench] serialize {name}: {e}"),
+        self.say(format!("\n== {title} =="));
+        for line in lines {
+            let cells: Vec<String> = (line.iter().zip(&widths))
+                .map(|(c, w)| format!("{c:>w$}"))
+                .collect();
+            self.say(cells.join("  "));
+        }
+    }
+
+    /// Check one of the paper's shape claims: print it, and fail the
+    /// figure (after its outputs are written) when it does not hold.
+    fn claim(&self, holds: bool, what: String) {
+        let verdict = if holds { "holds" } else { "BROKEN" };
+        self.say(format!("shape: {what}: {verdict}"));
+        if !holds {
+            self.out.borrow_mut().broken_claims.push(what);
+        }
+    }
+
+    /// Write `<out_dir>/<name>.json` and `<out_dir>/<name>.txt`.
+    fn write(&self, name: &str, text: &str, value: &Value) -> Res<()> {
+        let dir = Path::new(self.scale.out_dir);
+        let json = serde_json::to_string_pretty(value).map_err(|e| format!("{name}: {e}"))?;
+        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+        for (ext, body) in [("json", json.as_str()), ("txt", text)] {
+            let path = dir.join(format!("{name}.{ext}"));
+            std::fs::write(&path, body).map_err(|e| format!("{}: {e}", path.display()))?;
+        }
+        eprintln!("[repro] wrote {}/{name}.json", dir.display());
+        Ok(())
+    }
+
+    /// Run one figure: its outputs are written even when one of its shape
+    /// claims is broken, and the figure then fails.
+    pub fn run(&self, name: &str, figure: figures::Figure) -> Res<()> {
+        self.out.take();
+        let value = figure(self);
+        let out = self.out.take();
+        self.write(name, &out.text, &value?)?;
+        if out.broken_claims.is_empty() {
+            return Ok(());
+        }
+        Err(format!(
+            "broken shape claim: {}",
+            out.broken_claims.join("; ")
+        ))
     }
 }
 
-/// Human-readable duration.
-pub fn fmt_dur(d: Duration) -> String {
-    if d.as_secs() >= 60 {
-        format!("{}m{:02}s", d.as_secs() / 60, d.as_secs() % 60)
-    } else if d.as_secs() >= 1 {
-        format!("{:.1}s", d.as_secs_f64())
-    } else {
-        format!("{}ms", d.as_millis())
-    }
-}
+const M3_CKPT: &str = "m3-model.ckpt";
+const NOCTX_CKPT: &str = "m3-model-noctx.ckpt";
+
+/// Size-bucket labels of the output distributions.
+const BUCKETS: [&str; NUM_OUTPUT_BUCKETS] = ["(0,1KB]", "(1KB,10KB]", "(10KB,50KB]", "(50KB,inf)"];
+
+/// A Table 3 workload: traffic matrix, size distribution, core
+/// oversubscription, burstiness sigma, max link load.
+type Workload<'a> = (&'a str, &'a str, usize, f64, f64);
+
+/// Table 1's three production mixes.
+const MIXES: [(&str, Workload); 3] = [
+    ("Mix 1", ("A", "CacheFollower", 4, 1.0, 0.4246)),
+    ("Mix 2", ("B", "WebServer", 1, 1.0, 0.2846)),
+    ("Mix 3", ("C", "WebServer", 2, 1.0, 0.7383)),
+];
 
 /// A materialized full-network scenario.
-pub struct FullScenario {
-    pub ft: FatTree,
-    pub flows: Vec<FlowSpec>,
-    pub config: SimConfig,
-    pub label: String,
+struct FullScenario {
+    ft: FatTree,
+    flows: Vec<FlowSpec>,
+    config: SimConfig,
+    label: String,
 }
 
-/// Materialize a full-network scenario from Table 3-style parameters.
-#[allow(clippy::too_many_arguments)]
-pub fn build_full_scenario(
-    oversub: usize,
-    matrix: &str,
-    workload: &str,
-    sigma: f64,
-    max_load: f64,
-    config: SimConfig,
-    n: usize,
-    seed: u64,
-) -> FullScenario {
-    use m3_workload::prelude::*;
-    let ft = FatTree::build(FatTreeSpec::small(oversub));
-    let routing = Routing::new(&ft.topo);
-    let sc = Scenario {
-        n_flows: n,
-        matrix_name: matrix.to_string(),
-        sizes: SizeDistribution::by_name(workload)
-            .unwrap_or_else(|| panic!("unknown workload size distribution {workload:?}")),
-        sigma,
-        max_load,
-        seed,
-    };
-    let w = generate(&ft, &routing, &sc);
-    FullScenario {
-        ft,
-        flows: w.flows,
-        config,
-        label: format!("{matrix}/{workload}/{oversub}:1/s{sigma}/l{max_load:.2}"),
+impl FullScenario {
+    /// `n` flows of a Table 3 workload on the fat tree `spec`.
+    fn on(spec: FatTreeSpec, w: Workload, config: SimConfig, n: usize, seed: u64) -> Res<Self> {
+        use m3_workload::prelude::*;
+        let (matrix, workload, oversub, sigma, max_load) = w;
+        let ft = FatTree::build(spec);
+        let sizes = SizeDistribution::by_name(workload)
+            .ok_or_else(|| format!("unknown size distribution {workload:?}"))?;
+        let matrix_name = matrix.to_string();
+        let sc = Scenario {
+            n_flows: n,
+            matrix_name,
+            sizes,
+            sigma,
+            max_load,
+            seed,
+        };
+        let flows = generate(&ft, &Routing::new(&ft.topo), &sc).flows;
+        let label = format!("{matrix}/{workload}/{oversub}:1/s{sigma}/l{max_load:.2}");
+        Ok(FullScenario {
+            ft,
+            flows,
+            config,
+            label,
+        })
+    }
+
+    /// Packet-level simulation of every flow: the ground truth.
+    fn packet_sim(&self) -> SimOutput {
+        run_simulation(&self.ft.topo, self.config, self.flows.clone())
     }
 }
 
-/// p99 relative error vs ground truth, the paper's headline metric (Eq. 4).
-pub fn p99_error(estimate: &NetworkEstimate, truth: &NetworkEstimate) -> f64 {
-    relative_error(estimate.p99(), truth.p99())
+/// `n` flows of a Table 3 workload on the 32-rack fat tree.
+fn full_scenario(w: Workload, config: SimConfig, n: usize, seed: u64) -> Res<FullScenario> {
+    FullScenario::on(FatTreeSpec::small(w.2), w, config, n, seed)
+}
+
+/// Mix `i` of [`MIXES`] at `n` flows under the §5.2 DCTCP config.
+fn mix_scenario(i: usize, n: usize) -> Res<FullScenario> {
+    full_scenario(MIXES[i].1, SimConfig::default(), n, 100 + i as u64)
+}
+
+/// A random Table 3 test point at `n` flows.
+fn test_scenario(p: &TestPoint, n: usize) -> Res<FullScenario> {
+    let (m, w) = (&*p.matrix_name, &*p.workload_name);
+    full_scenario((m, w, p.oversub, p.sigma, p.max_load), p.config, n, p.seed)
+}
+
+/// Packet-level slowdown of every flow, by flow id.
+fn slowdown_by_id(records: &[FctRecord]) -> HashMap<u32, f64> {
+    records.iter().map(|r| (r.id, r.slowdown())).collect()
+}
+
+/// The per-path accuracy sample: draw `4k` paths, keep those with at least
+/// two foreground flows (a per-path p99 needs them), take `k`.
+fn populated_sample(index: &PathIndex, k: usize, seed: u64) -> Vec<usize> {
+    (index.sample_paths(k * 4, seed).into_iter())
+        .filter(|&g| index.foreground_of(g).len() >= 2)
+        .take(k)
+        .collect()
+}
+
+/// Network-wide p99 over exact per-flow slowdown samples.
+fn samples_p99(samples: &[(u64, f64)]) -> f64 {
+    NetworkEstimate::aggregate(&[PathDistribution::from_samples(samples)]).p99()
+}
+
+/// Parsimon's network-wide estimate: it sees every flow, so its bucket
+/// counts are exact.
+fn parsimon_network(topo: &Topology, flows: &[FlowSpec], cfg: &SimConfig) -> NetworkEstimate {
+    let samples = m3_parsimon::slowdown_samples(&m3_parsimon::parsimon_estimate(topo, flows, cfg));
+    NetworkEstimate::aggregate(&[PathDistribution::from_samples(&samples)])
 }
 
 /// One scenario's results in the m3-vs-Parsimon sweep (Figs. 10-11).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct SweepRecord {
     pub label: String,
     pub matrix: String,
@@ -233,88 +426,64 @@ impl SweepRecord {
     }
 }
 
-/// Run (or reuse from cache) the §5.2 DCTCP sensitivity sweep: N random
-/// Table 3 scenarios, each estimated by ground truth, m3, and Parsimon.
-/// Results are cached under results/sweep_cache.json keyed by scale.
-pub fn dctcp_sweep(
-    estimator: &M3Estimator,
-    n_scen: usize,
-    flows: usize,
-    paths: usize,
-    seed: u64,
-) -> Vec<SweepRecord> {
-    use m3_parsimon::parsimon_estimate;
-    use m3_workload::prelude::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+/// What a cached sweep was computed from: its scale, its seed and the
+/// [`M3Net::fingerprint`] of the model behind its m3 column.
+pub fn sweep_key(scale: &Scale, seed: u64, model: &M3Net) -> String {
+    let (n, flows, paths) = (scale.scenarios, scale.flows, scale.paths);
+    let fp = model.fingerprint();
+    format!("{n} scenarios, {flows} flows, {paths} paths, seed {seed}, model {fp:#018x}")
+}
 
-    #[derive(serde::Serialize, serde::Deserialize)]
-    struct Cache {
-        n_scen: usize,
-        flows: usize,
-        paths: usize,
-        seed: u64,
-        records: Vec<SweepRecord>,
-    }
-    let cache_path = Path::new("results/sweep_cache.json");
-    if let Ok(bytes) = std::fs::read(cache_path) {
-        if let Ok(c) = serde_json::from_slice::<Cache>(&bytes) {
-            if (c.n_scen, c.flows, c.paths, c.seed) == (n_scen, flows, paths, seed) {
-                eprintln!(
-                    "[m3-bench] reusing cached sweep ({} scenarios)",
-                    c.records.len()
-                );
-                return c.records;
-            }
-        }
-    }
+#[derive(serde::Serialize, serde::Deserialize)]
+struct SweepCache {
+    key: String,
+    records: Vec<SweepRecord>,
+}
 
+/// The cached sweep at `path`, if it was computed for `key`.
+pub fn load_sweep(path: &Path, key: &str) -> Option<Vec<SweepRecord>> {
+    let cache: SweepCache = serde_json::from_slice(&std::fs::read(path).ok()?).ok()?;
+    (cache.key == key).then_some(cache.records)
+}
+
+/// Cache a sweep at `path` under `key`.
+pub fn save_sweep(path: &Path, key: &str, records: &[SweepRecord]) -> Res<()> {
+    let (key, records) = (key.to_string(), records.to_vec());
+    let s = serde_json::to_string(&SweepCache { key, records }).map_err(|e| e.to_string())?;
+    std::fs::write(path, s).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// The §5.2 DCTCP sensitivity sweep: the scale's number of random Table 3
+/// scenarios, each estimated by ground truth, m3 and Parsimon. Cached in
+/// `<out_dir>/sweep_cache.json` under the scale and the model.
+fn dctcp_sweep(r: &Repro) -> Res<Vec<SweepRecord>> {
+    let s = r.scale;
+    let estimator = &r.models()?.m3;
+    let seed = 42;
+    let key = sweep_key(&s, seed, &estimator.net);
+    let cache_path = Path::new(s.out_dir).join("sweep_cache.json");
+    if let Some(records) = load_sweep(&cache_path, &key) {
+        eprintln!("[repro] reusing cached sweep ({} scenarios)", records.len());
+        return Ok(records);
+    }
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut records = Vec::with_capacity(n_scen);
-    // Scenario cache shared across the sweep: repeated path scenarios
-    // (and re-runs of the sweep in the same process) skip flowSim + NN.
+    let mut records = Vec::with_capacity(s.scenarios);
+    // Repeated path scenarios across the sweep skip flowSim and the NN.
     let mut scenario_cache = ScenarioCache::new(8192);
-    for i in 0..n_scen {
+    for i in 0..s.scenarios {
         let p = sample_test_point(&mut rng, Some(CcProtocol::Dctcp));
-        let sc = build_full_scenario(
-            p.oversub,
-            &p.matrix_name,
-            &p.workload_name,
-            p.sigma,
-            p.max_load,
-            p.config,
-            flows,
-            p.seed,
-        );
-        let (gt_out, gt_time) = timed(|| run_simulation(&sc.ft.topo, sc.config, sc.flows.clone()));
+        let sc = test_scenario(&p, s.flows)?;
+        let (topo, flows, cfg, k) = (&sc.ft.topo, &sc.flows, &sc.config, s.paths);
+        let (gt_out, gt_time) = timed(|| sc.packet_sim());
         let gt = ground_truth_estimate(&gt_out.records);
-        let (m3_est, m3_time) = timed(|| {
-            estimator.estimate_with_cache(
-                &sc.ft.topo,
-                &sc.flows,
-                &sc.config,
-                paths,
-                seed ^ i as u64,
-                &mut scenario_cache,
-            )
-        });
-        let (pars, pars_time) = timed(|| parsimon_estimate(&sc.ft.topo, &sc.flows, &sc.config));
-        let pars_est = {
-            let samples = m3_parsimon::slowdown_samples(&pars);
-            let dist = PathDistribution::from_samples(&samples);
-            let mut est = NetworkEstimate::aggregate(&[dist]);
-            // Parsimon sees every flow; counts are exact.
-            let mut counts = [0usize; NUM_OUTPUT_BUCKETS];
-            for (size, _) in &samples {
-                counts[output_bucket(*size)] += 1;
-            }
-            est.bucket_counts = counts;
-            est
-        };
+        let cache = &mut scenario_cache;
+        let (m3_est, m3_time) =
+            timed(|| estimator.estimate_with_cache(topo, flows, cfg, k, seed ^ i as u64, cache));
+        let (pars, pars_time) = timed(|| parsimon_network(topo, flows, cfg));
         let rec = SweepRecord {
-            label: sc.label.clone(),
-            matrix: p.matrix_name.clone(),
-            workload: p.workload_name.clone(),
+            label: sc.label,
+            matrix: p.matrix_name,
+            workload: p.workload_name,
             oversub: p.oversub,
             sigma: p.sigma,
             max_load: p.max_load,
@@ -322,31 +491,18 @@ pub fn dctcp_sweep(
             gt_secs: gt_time.as_secs_f64(),
             m3_p99: m3_est.p99(),
             m3_secs: m3_time.as_secs_f64(),
-            parsimon_p99: pars_est.p99(),
+            parsimon_p99: pars.p99(),
             parsimon_secs: pars_time.as_secs_f64(),
             m3_stage_timings: m3_est.timings.clone(),
         };
+        let (m3, pars) = (rec.m3_err() * 100.0, rec.parsimon_err() * 100.0);
         eprintln!(
-            "[sweep {i:3}/{n_scen}] {} gt={:.2} m3={:.2} ({:+.1}%) pars={:.2} ({:+.1}%)",
-            rec.label,
-            rec.gt_p99,
-            rec.m3_p99,
-            rec.m3_err() * 100.0,
-            rec.parsimon_p99,
-            rec.parsimon_err() * 100.0
+            "[sweep {i}] {}: m3 {m3:+.1}%, Parsimon {pars:+.1}%",
+            rec.label
         );
         records.push(rec);
     }
-    let _ = std::fs::create_dir_all("results");
-    let cache = Cache {
-        n_scen,
-        flows,
-        paths,
-        seed,
-        records: records.clone(),
-    };
-    if let Ok(s) = serde_json::to_string(&cache) {
-        let _ = std::fs::write(cache_path, s);
-    }
-    records
+    std::fs::create_dir_all(s.out_dir).map_err(|e| format!("{}: {e}", s.out_dir))?;
+    save_sweep(&cache_path, &key, &records)?;
+    Ok(records)
 }

@@ -53,11 +53,20 @@ cargo test -q --test monitor_prop
 echo "==> benchmark adapter suite (m3_benchmark is a workspace of its own: the root cargo test does not build it)"
 cargo test --release -q --manifest-path m3_benchmark/Cargo.toml
 
+echo "==> paper figures at toy scale (repro all --small: every figure and its CI-checked shape claims, written only under target/repro-small/)"
+rm -rf target/repro-small
+cargo run --release -q -p m3-bench --bin repro -- all --small | grep '^shape:'
+
 echo "==> trace golden-file check (deterministic export must be byte-stable)"
 cargo build --release -q
 TRACE_TMP="$(mktemp /tmp/m3-trace-golden.XXXXXX.json)"
-trap 'rm -f "$TRACE_TMP"' EXIT
-./target/release/m3 estimate tests/golden/estimate_spec.json \
+TRACE_SPEC="$(mktemp /tmp/m3-trace-spec.XXXXXX.json)"
+trap 'rm -f "$TRACE_TMP" "$TRACE_SPEC"' EXIT
+# The trace records no model values, so the model the figure step trained
+# serves: a clean checkout has no assets/ checkpoint.
+sed 's#"assets/m3-model.ckpt"#"target/repro-small/m3-model.ckpt"#' \
+  tests/golden/estimate_spec.json > "$TRACE_SPEC"
+./target/release/m3 estimate "$TRACE_SPEC" \
   --trace-out "$TRACE_TMP" --trace-stride-ns 1000000 --trace-deterministic \
   > /dev/null
 if ! diff -q tests/golden/estimate_trace.json "$TRACE_TMP" > /dev/null; then

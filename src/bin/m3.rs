@@ -461,7 +461,7 @@ fn load_model(path: Option<&str>) -> m3::nn::prelude::M3Net {
         die(
             EXIT_FAULT,
             &format!(
-                "cannot load model {path:?} ({e}); run `cargo run --release -p m3-bench --bin train` first"
+                "cannot load model {path:?} ({e}); run `cargo run --release -p m3-bench --bin repro -- train` first"
             ),
         )
     })
