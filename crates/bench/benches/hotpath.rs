@@ -153,19 +153,6 @@ fn min_time<F: FnMut()>(mut f: F) -> f64 {
     (0..GATE_PAIRS).fold(f64::INFINITY, |m, _| m.min(time_once(&mut f)))
 }
 
-/// The CPU model `/proc/cpuinfo` names, or `"unknown"`.
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split_once(':'))
-                .map(|(_, v)| v.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into())
-}
-
 /// FNV-1a over the bits of `values`, continuing from `h`.
 fn fnv1a(mut h: u64, values: &[f32]) -> u64 {
     for b in values.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
@@ -348,7 +335,7 @@ fn bench_hotpath(c: &mut Criterion) {
         );
     });
 
-    let cpu = cpu_model();
+    let cpu = m3_bench::cpu_model();
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     let kernel_path = Kernel::detect(true).path();
     let json = format!(

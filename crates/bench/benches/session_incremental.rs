@@ -19,7 +19,8 @@
 //! process interleaved so scheduler noise cancels. The final session
 //! estimate is also checked bit-identical to the from-scratch estimate —
 //! the gate is meaningless if the fast path computes something else.
-//! Results go to `BENCH_session_incremental.json` at the workspace root.
+//! Results go to `BENCH_session_incremental.json` at the workspace root,
+//! with the host's CPU model and core count under `machine`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use m3_core::prelude::*;
@@ -202,8 +203,12 @@ fn bench_session_incremental(c: &mut Criterion) {
     let apply_p50 = p50(apply_ns);
     let full_p50 = p50(full_ns);
     let speedup = full_p50 / apply_p50;
+    let cpu = m3_bench::cpu_model();
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"session_incremental\",\n  \"k_paths\": {K_PATHS},\n  \
+        "{{\n  \"bench\": \"session_incremental\",\n  \
+         \"machine\": {{\"cpu\": {cpu:?}, \"nproc\": {nproc}}},\n  \
+         \"k_paths\": {K_PATHS},\n  \
          \"dirty_paths\": {dirty_paths},\n  \
          \"session_apply_p50_ms\": {:.3},\n  \
          \"full_reestimate_p50_ms\": {:.3},\n  \

@@ -26,6 +26,20 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+/// The CPU model `/proc/cpuinfo` names, or `"unknown"`: the criterion
+/// gates record it in their `BENCH_*.json` `machine` object.
+pub fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
 /// A figure's failure: what went wrong, for the run's summary.
 pub type Res<T> = Result<T, String>;
 

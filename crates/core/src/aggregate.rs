@@ -293,8 +293,7 @@ impl NetworkEstimate {
 /// aggregating a partition of the paths and merging (concat, re-sort,
 /// sum counts) produces exactly the same sorted sample multiset and
 /// counts as aggregating all paths at once. This is what lets a sharded
-/// cluster merge slice estimates and a scenario session merge retained
-/// results with the freshly recomputed dirty set. Timings are summed
+/// cluster merge slice estimates. Timings are summed
 /// (they are operator info, excluded from value equality); degradation
 /// reports are summed field-wise with events concatenated in part order.
 pub fn merge_estimates(parts: &[&NetworkEstimate]) -> NetworkEstimate {

@@ -317,8 +317,25 @@ impl PathIndex {
         flows: &[FlowSpec],
         delta: &crate::session::ScenarioDelta,
     ) -> Vec<usize> {
+        let Some(touched) = self.touched_ports(flows, delta) else {
+            return (0..self.groups.len()).collect();
+        };
+        (0..self.groups.len())
+            .filter(|&g| self.crosses(&touched, g))
+            .collect()
+    }
+
+    /// The directed ports crossed by any flow `delta` touches, as a bitmap;
+    /// `None` when the delta dirties every group (a CC knob lands in the
+    /// spec vector of every sampled scenario). Costs the flows the delta
+    /// touches, so a caller that then asks [`PathIndex::crosses`] about a
+    /// few groups (a session's sampled paths) pays for those only.
+    pub(crate) fn touched_ports(
+        &self,
+        flows: &[FlowSpec],
+        delta: &crate::session::ScenarioDelta,
+    ) -> Option<Vec<bool>> {
         use crate::session::ScenarioDelta;
-        // Ports crossed by any flow the delta touches.
         let n_ports = self.port_off.len() - 1;
         let mut touched_port = vec![false; n_ports];
         let mut touch = |flow: u32| {
@@ -327,8 +344,7 @@ impl PathIndex {
             }
         };
         match delta {
-            // CC knobs land in the spec vector of every sampled scenario.
-            ScenarioDelta::CcKnob { .. } => return (0..self.groups.len()).collect(),
+            ScenarioDelta::CcKnob { .. } => return None,
             ScenarioDelta::LinkDown { link }
             | ScenarioDelta::LinkUp { link }
             | ScenarioDelta::LinkCapacity { link, .. } => {
@@ -348,13 +364,15 @@ impl PathIndex {
                 }
             }
         }
-        (0..self.groups.len())
-            .filter(|&g| {
-                self.ports_of(self.groups[g].rep)
-                    .iter()
-                    .any(|&p| touched_port[p as usize])
-            })
-            .collect()
+        Some(touched_port)
+    }
+
+    /// Does group `g`'s path cross a port of `touched`
+    /// ([`PathIndex::touched_ports`])?
+    pub(crate) fn crosses(&self, touched: &[bool], g: usize) -> bool {
+        self.ports_of(self.groups[g].rep)
+            .iter()
+            .any(|&p| touched[p as usize])
     }
 
     /// Foreground flow indices of a group.

@@ -5,17 +5,19 @@
 //! A typed [`ScenarioDelta`] describes a what-if edit — a traffic-matrix
 //! shift, a link failure/recovery/re-provisioning, or a CC-knob change —
 //! and [`ScenarioSession::apply_delta`] re-estimates only the paths the
-//! delta can actually touch (the *dirty set*, computed by
-//! [`PathIndex::dirty_groups`]), merging fresh results with retained ones
-//! through the order-independent
-//! [`merge_estimates`].
+//! delta can actually touch (the *dirty set*: the test
+//! [`PathIndex::dirty_groups`] applies to every group, asked of the
+//! sampled paths only). The session's estimate is a retained aggregate: an
+//! update swaps the dirty paths' old distributions for the fresh ones in
+//! place, in one linear pass per bucket, instead of re-pooling every path.
 //!
 //! The contract is strict: a fault-free `apply_delta` returns an estimate
 //! **bit-identical** to a from-scratch estimate of the post-delta scenario.
 //! That holds because per-path distributions are pure functions of the
 //! path's content fingerprint, the dirty-set computer is conservative
-//! (every path whose fingerprint can change is dirty), and the merge
-//! re-sorts samples exactly like the batch aggregate does.
+//! (every path whose fingerprint can change is dirty), and the in-place
+//! update ends on the same multiset of samples as the batch aggregate, in
+//! the only order that sorts it.
 //!
 //! Deltas split into two classes:
 //!
@@ -35,9 +37,7 @@
 //! evict state a live session depends on; pins are released on every
 //! re-pin, on [`ScenarioSession::close`], and on drop.
 
-use crate::aggregate::{
-    merge_estimates, DegradationReport, NetworkEstimate, PathDistribution, StageTimings,
-};
+use crate::aggregate::{DegradationReport, NetworkEstimate, PathDistribution, StageTimings};
 use crate::cache::SharedScenarioCache;
 use crate::decompose::PathIndex;
 use crate::error::{M3Error, SpecValidation, Stage};
@@ -320,6 +320,61 @@ fn slots_of(info: &RunInfo) -> Vec<PathSlot> {
         .collect()
 }
 
+/// Swap the distributions `gone` for `fresh` in `pooled`, an aggregate
+/// that contains `gone`: per bucket, one linear pass drops the values of
+/// `gone` (matched by bits) and merges in the sorted values of `fresh`, and
+/// the counts move with them. The result is bit-identical to
+/// [`NetworkEstimate::aggregate`] over the paths after the swap: both hold
+/// the same multiset of values, and a multiset has only one order sorted
+/// under `total_cmp`, which tells apart every two distinct bit patterns.
+fn splice_paths(
+    pooled: &mut NetworkEstimate,
+    gone: &[&PathDistribution],
+    fresh: &[&PathDistribution],
+) {
+    let sorted_values = |paths: &[&PathDistribution], b: usize| {
+        let mut v: Vec<f64> = paths
+            .iter()
+            .flat_map(|p| p.buckets[b].iter().copied())
+            .collect();
+        v.sort_by(f64::total_cmp);
+        v
+    };
+    for (b, samples) in pooled.bucket_samples.iter_mut().enumerate() {
+        for p in gone {
+            pooled.bucket_counts[b] -= p.counts[b];
+        }
+        for p in fresh {
+            pooled.bucket_counts[b] += p.counts[b];
+        }
+        let gone_b = sorted_values(gone, b);
+        let fresh_b = sorted_values(fresh, b);
+        if gone_b.is_empty() && fresh_b.is_empty() {
+            continue;
+        }
+        let mut out = Vec::with_capacity(samples.len() - gone_b.len() + fresh_b.len());
+        let (mut g, mut f) = (0, 0);
+        for &v in samples.iter() {
+            if gone_b.get(g).is_some_and(|x| x.to_bits() == v.to_bits()) {
+                g += 1;
+                continue;
+            }
+            while let Some(&x) = fresh_b.get(f).filter(|x| x.total_cmp(&v).is_lt()) {
+                out.push(x);
+                f += 1;
+            }
+            out.push(v);
+        }
+        out.extend_from_slice(&fresh_b[f..]);
+        assert_eq!(
+            g,
+            gone_b.len(),
+            "bucket {b}: a dropped value was not pooled"
+        );
+        *samples = out;
+    }
+}
+
 /// What one session open/update produced.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionUpdate {
@@ -463,26 +518,30 @@ impl ScenarioSession {
         // Surgical path: flow set, routes, and sampling are unchanged, so
         // the existing index stays valid. Dirty = what the delta can touch
         // plus whatever was not retainable from the previous update.
-        let dirty_groups = self.index.dirty_groups(&self.eff_flows, delta);
-        let dirty: Vec<bool> = self
-            .sampled
-            .iter()
-            .zip(&self.slots)
-            .map(|(g, slot)| dirty_groups.binary_search(g).is_ok() || !slot.clean)
+        let touched = self.index.touched_ports(&self.eff_flows, delta);
+        let dirty_pos: Vec<usize> = (0..self.slots.len())
+            .filter(|&i| {
+                !self.slots[i].clean
+                    || touched
+                        .as_ref()
+                        .is_none_or(|t| self.index.crosses(t, self.sampled[i]))
+            })
             .collect();
-        let dirty_pos: Vec<usize> = (0..dirty.len()).filter(|&i| dirty[i]).collect();
         // Of the surgical deltas only a traffic shift edits the flows.
         let shifted = matches!(delta, ScenarioDelta::TrafficShift { .. })
             .then(|| self.state.effective_flows());
         let eff = shifted.as_deref().unwrap_or(&self.eff_flows);
 
         // Re-resolve the dirty slots with the same machinery the batch
-        // pipeline uses, under a `session.update` root span.
+        // pipeline uses, under a `session.update` root span. Every slot
+        // that is not clean is dirty, so this report counts every degraded
+        // or dropped path of the updated estimate, and the ceiling divides
+        // by all of the session's paths, as a from-scratch estimate does.
         let call_metrics = MetricsRegistry::new();
         let m = PipelineMetrics::register(&call_metrics);
         let troot = self.options.trace.root("session.update");
         let mut report = DegradationReport {
-            total_samples: dirty_pos.len(),
+            total_samples: self.slots.len(),
             ..Default::default()
         };
 
@@ -499,42 +558,32 @@ impl ScenarioSession {
             est.resolve_slots(&u, &mut cache_ref, &self.options, &troot, &m, &mut report)?;
         enforce_degradation_ceiling(self.options.policy, &report)?;
 
-        // Merge: retained clean results + fresh dirty results. Both sides
-        // go through `NetworkEstimate::aggregate`, and `merge_estimates`
-        // re-sorts the concatenated samples, so the merged estimate is
-        // bit-identical to aggregating all per-path distributions at once.
-        let retained: Vec<PathDistribution> = (0..self.slots.len())
-            .filter(|&i| !dirty[i])
-            .filter_map(|i| self.slots[i].dist.clone())
+        let gone: Vec<&PathDistribution> = dirty_pos
+            .iter()
+            .filter_map(|&i| self.slots[i].dist.as_ref())
             .collect();
-        let fresh: Vec<PathDistribution> = (0..dirty_pos.len())
-            .filter_map(|j| resolved[u.slot_of[j]].clone())
+        let fresh: Vec<&PathDistribution> = (0..dirty_pos.len())
+            .filter_map(|j| resolved[u.slot_of[j]].as_ref())
             .collect();
-        if retained.is_empty() && fresh.is_empty() {
+        let held = self.slots.iter().filter(|s| s.dist.is_some()).count();
+        if held - gone.len() + fresh.len() == 0 {
             return Err(M3Error::NoUsableSamples {
                 total: self.slots.len(),
             });
         }
         report.events.sort_by_key(|e| e.scenario);
-        let mut merged = match (retained.is_empty(), fresh.is_empty()) {
-            (false, false) => {
-                let a = NetworkEstimate::aggregate(&retained);
-                let b = NetworkEstimate::aggregate(&fresh);
-                merge_estimates(&[&a, &b])
-            }
-            (true, false) => NetworkEstimate::aggregate(&fresh),
-            (false, true) => NetworkEstimate::aggregate(&retained),
-            (true, true) => unreachable!("handled above"),
-        };
+
+        // Commit. `self.last` is the aggregate of the current slots, so
+        // swapping the dirty slots' distributions for the fresh ones keeps
+        // it so (see `splice_paths`).
+        splice_paths(&mut self.last, &gone, &fresh);
         let snapshot = call_metrics.snapshot();
-        merged.timings = StageTimings::from_snapshot(&snapshot);
-        merged.degradation = report;
+        self.last.timings = StageTimings::from_snapshot(&snapshot);
+        self.last.degradation = report;
         if let Some(ext) = &self.options.metrics {
             ext.absorb(&snapshot);
         }
         troot.finish();
-
-        // Commit.
         for (j, &i) in dirty_pos.iter().enumerate() {
             let slot = u.slot_of[j];
             self.slots[i] = PathSlot {
@@ -547,11 +596,10 @@ impl ScenarioSession {
             self.eff_flows = eff;
         }
         self.model_fp = model_fp;
-        self.last = merged.clone();
         self.repin();
 
         Ok(SessionUpdate {
-            estimate: merged,
+            estimate: self.last.clone(),
             total_paths: self.slots.len(),
             dirty_paths: dirty_pos.len(),
             reused_paths: self.slots.len() - dirty_pos.len(),
@@ -987,6 +1035,143 @@ mod tests {
             same_value(&update.estimate, &scratch(&est, session.state(), k, seed));
         }
         assert_ne!(view(session.state()), before.0);
+    }
+
+    /// The retained aggregate is the aggregate of the slots: after every
+    /// update, degraded and dropped slots included, `estimate()` equals
+    /// `NetworkEstimate::aggregate` over the slots' current distributions.
+    /// (The faulted proptest compares two incremental runs with each
+    /// other, so it cannot see a bookkeeping error both runs share.)
+    #[test]
+    fn retained_aggregate_matches_the_slots_under_faults() {
+        use crate::faultinject::{FaultPlan, InjectedFault};
+        use crate::pipeline::DegradationPolicy;
+
+        let from_slots = |s: &ScenarioSession| {
+            let dists: Vec<PathDistribution> = s
+                .slots
+                .iter()
+                .filter_map(|slot| slot.dist.clone())
+                .collect();
+            NetworkEstimate::aggregate(&dists)
+        };
+        let (ft, flows, cfg) = small_workload(1200);
+        let est = untrained_estimator();
+        let degrade = EstimateOptions {
+            policy: DegradationPolicy::Degrade {
+                max_degraded_frac: 1.0,
+            },
+            fault_plan: Some(
+                FaultPlan::new(5)
+                    .with(InjectedFault::ForwardPoison, 0.2)
+                    .with(InjectedFault::FlowsimBudget, 0.1),
+            ),
+            ..EstimateOptions::default()
+        };
+        let (mut session, _) = ScenarioSession::open(
+            &est,
+            ft.topo.clone(),
+            flows.clone(),
+            cfg,
+            16,
+            4,
+            SharedScenarioCache::new(4096),
+            degrade,
+        )
+        .unwrap();
+        let mut degraded = 0;
+        let mut dropped = 0;
+        for (i, link) in flows
+            .iter()
+            .take(8)
+            .flat_map(|f| f.path.clone())
+            .enumerate()
+        {
+            let delta = if i % 3 == 2 {
+                ScenarioDelta::TrafficShift {
+                    src: Some(flows[i].src.index() as u32),
+                    dst: None,
+                    num: 5,
+                    den: 4,
+                }
+            } else {
+                ScenarioDelta::LinkCapacity {
+                    link: link.index() as u32,
+                    bandwidth: (3 + i as u64 % 5) * GBPS,
+                }
+            };
+            let update = session.apply_delta(&est, &delta).unwrap();
+            same_value(&update.estimate, &from_slots(&session));
+            same_value(session.estimate(), &update.estimate);
+            degraded += update.estimate.degradation.degraded_samples;
+            dropped += update.estimate.degradation.dropped_samples;
+        }
+        assert!(degraded > 0 && dropped > 0, "want both fault kinds in play");
+
+        // A fail-fast update that errors leaves the estimate as it was.
+        let before = session.estimate().clone();
+        session.options = EstimateOptions {
+            policy: DegradationPolicy::FailFast,
+            fault_plan: Some(FaultPlan::new(1).with(InjectedFault::ForwardPoison, 1.0)),
+            ..EstimateOptions::default()
+        };
+        let delta = ScenarioDelta::LinkCapacity {
+            link: flows[0].path[0].index() as u32,
+            bandwidth: 2 * GBPS,
+        };
+        session.apply_delta(&est, &delta).unwrap_err();
+        same_value(session.estimate(), &before);
+        same_value(session.estimate(), &from_slots(&session));
+    }
+
+    /// An update applies the degradation ceiling over all of the session's
+    /// paths, as a from-scratch estimate does, not over its dirty subset:
+    /// one degraded path among two dirty ones is not half the estimate.
+    #[test]
+    fn degradation_ceiling_divides_by_every_path() {
+        use crate::faultinject::{FaultPlan, InjectedFault};
+
+        let ft = FatTree::build(FatTreeSpec::small(2));
+        let routing = Routing::new(&ft.topo);
+        let sc = Scenario {
+            n_flows: 500,
+            matrix_name: "B".into(),
+            sizes: SizeDistribution::web_server(),
+            sigma: 1.0,
+            max_load: 0.4,
+            seed: 3,
+        };
+        let flows = generate(&ft, &routing, &sc).flows;
+        let est = M3Estimator::new(M3Net::new(ModelConfig::repro_default(SPEC_DIM), 7));
+        let options = EstimateOptions {
+            fault_plan: Some(FaultPlan::new(0).with(InjectedFault::ForwardPoison, 0.1)),
+            ..EstimateOptions::default()
+        };
+        let (mut session, opened) = ScenarioSession::open(
+            &est,
+            ft.topo.clone(),
+            flows,
+            SimConfig::default(),
+            20,
+            3,
+            SharedScenarioCache::new(4096),
+            options,
+        )
+        .unwrap();
+        let report = &opened.estimate.degradation;
+        assert_eq!((report.degraded_samples, report.total_samples), (3, 20));
+        for link in 0..=10u32 {
+            let delta = ScenarioDelta::LinkCapacity {
+                link,
+                bandwidth: session.state().topo.link(LinkId(link)).bandwidth / 2,
+            };
+            let update = session
+                .apply_delta(&est, &delta)
+                .unwrap_or_else(|e| panic!("halving link {link}: {e}"));
+            let report = &update.estimate.degradation;
+            assert_eq!(report.total_samples, 20);
+            assert!(report.degraded_frac() <= 0.25, "link {link}: {report:?}");
+        }
     }
 
     #[test]
