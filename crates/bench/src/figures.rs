@@ -37,12 +37,7 @@ pub const FIGURES: [(&str, Figure); 16] = [
 
 /// The figures a `repro <target>` runs: `all`, or one by name.
 pub fn plan(target: &str) -> Res<Vec<(&'static str, Figure)>> {
-    if target == "all" {
-        return Ok(FIGURES.to_vec());
-    }
-    (FIGURES.iter().find(|(name, _)| *name == target))
-        .map(|f| vec![*f])
-        .ok_or_else(|| format!("unknown figure {target:?}"))
+    crate::plan(&FIGURES, target)
 }
 
 fn pct(v: f64) -> String {

@@ -1,7 +1,8 @@
 //! # m3-bench
 //!
 //! One harness for every table and figure of the paper (driven by the
-//! `repro` binary), plus the criterion micro-benchmarks.
+//! `repro` binary), and one for the speed gates (driven by the `gate`
+//! binary).
 //!
 //! A run has one [`Scale`]: [`Scale::full`] writes `results/` and keeps its
 //! models in `assets/`; [`Scale::small`] is a toy point that runs every
@@ -9,10 +10,16 @@
 //! figure shares: one model source (`Repro::models`), one seeded sweep
 //! builder (`dctcp_sweep`), one table printer (`Repro::table`) and one
 //! writer of `<name>.json` / `<name>.txt` (`Repro::write`).
+//!
+//! The gates ([`gates::GATES`]) share one k-path fat-tree fixture
+//! (`fixture`), one bit-identity check (`same_bits`), one timing rule
+//! (`pairs`: alternating pairs, gated on the median per-pair ratio) and
+//! one writer of `BENCH_<name>.json` that stamps the host (`Record`).
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod figures;
+pub mod gates;
 
 use m3_core::prelude::*;
 use m3_netsim::prelude::*;
@@ -20,15 +27,15 @@ use m3_nn::prelude::*;
 use m3_workload::prelude::{sample_test_point, TestPoint, TrainingPoint};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Serialize, Value};
+use serde::{Map, Serialize, Value};
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// The CPU model `/proc/cpuinfo` names, or `"unknown"`: the criterion
-/// gates record it in their `BENCH_*.json` `machine` object.
-pub fn cpu_model() -> String {
+/// The CPU model `/proc/cpuinfo` names, or `"unknown"`.
+fn cpu_model() -> String {
     std::fs::read_to_string("/proc/cpuinfo")
         .ok()
         .and_then(|info| {
@@ -519,4 +526,281 @@ fn dctcp_sweep(r: &Repro) -> Res<Vec<SweepRecord>> {
     std::fs::create_dir_all(s.out_dir).map_err(|e| format!("{}: {e}", s.out_dir))?;
     save_sweep(&cache_path, &key, &records)?;
     Ok(records)
+}
+
+/// The entries of `table` a `<binary> <target>` runs: `all`, or one by name.
+pub(crate) fn plan<T: Copy>(
+    table: &[(&'static str, T)],
+    target: &str,
+) -> Res<Vec<(&'static str, T)>> {
+    if target == "all" {
+        return Ok(table.to_vec());
+    }
+    (table.iter().find(|(name, _)| *name == target))
+        .map(|entry| vec![*entry])
+        .ok_or_else(|| format!("unknown target {target:?}"))
+}
+
+// ---------------------------------------------------------------------------
+// Gate harness: one fixture, one bit-identity check, one timing rule, one
+// writer.
+// ---------------------------------------------------------------------------
+
+/// Sampled paths per estimate of every gate.
+pub(crate) const K_PATHS: usize = 100;
+/// Sampling seed of every gate estimate.
+pub(crate) const SEED: u64 = 13;
+/// Timed pairs behind every comparison: an odd count, so the median is one
+/// pair's ratio.
+pub(crate) const PAIRS: usize = 41;
+
+/// The gates' scenario: flows of traffic matrix B with WebServer sizes at
+/// load 0.5 on a fat tree, and an untrained model of the repro architecture
+/// (weights change speed, not cost).
+pub(crate) struct Fixture {
+    pub(crate) est: std::sync::Arc<M3Estimator>,
+    pub(crate) topo: Topology,
+    pub(crate) flows: Vec<FlowSpec>,
+    pub(crate) cfg: SimConfig,
+}
+
+/// `n_flows` flows on the fat tree `spec`.
+pub(crate) fn fixture(spec: FatTreeSpec, n_flows: usize) -> Fixture {
+    use m3_workload::prelude::{generate, Scenario, SizeDistribution};
+    let ft = FatTree::build(spec);
+    let scenario = Scenario {
+        n_flows,
+        matrix_name: "B".into(),
+        sizes: SizeDistribution::web_server(),
+        sigma: 1.0,
+        max_load: 0.5,
+        seed: 23,
+    };
+    let flows = generate(&ft, &Routing::new(&ft.topo), &scenario).flows;
+    let net = M3Net::new(ModelConfig::repro_default(SPEC_DIM), 7);
+    Fixture {
+        est: std::sync::Arc::new(M3Estimator::new(net)),
+        topo: ft.topo,
+        flows,
+        cfg: SimConfig::default(),
+    }
+}
+
+impl Fixture {
+    /// One uncached [`K_PATHS`]-path estimate of the fixture.
+    pub(crate) fn estimate(&self, opts: &EstimateOptions) -> Res<NetworkEstimate> {
+        (self.est)
+            .try_estimate(&self.topo, &self.flows, &self.cfg, K_PATHS, SEED, opts)
+            .map_err(|e| format!("estimate: {e}"))
+    }
+}
+
+/// A value [`same_bits`] compares by the bits of its numbers.
+pub(crate) trait Bits {
+    fn push_bits(&self, out: &mut Vec<u64>);
+}
+
+impl Bits for f32 {
+    fn push_bits(&self, out: &mut Vec<u64>) {
+        out.push(u64::from(self.to_bits()));
+    }
+}
+
+impl Bits for f64 {
+    fn push_bits(&self, out: &mut Vec<u64>) {
+        out.push(self.to_bits());
+    }
+}
+
+impl Bits for usize {
+    fn push_bits(&self, out: &mut Vec<u64>) {
+        out.push(*self as u64);
+    }
+}
+
+impl<T: Bits> Bits for [T] {
+    fn push_bits(&self, out: &mut Vec<u64>) {
+        out.push(self.len() as u64);
+        self.iter().for_each(|x| x.push_bits(out));
+    }
+}
+
+impl<T: Bits> Bits for Vec<T> {
+    fn push_bits(&self, out: &mut Vec<u64>) {
+        self.as_slice().push_bits(out);
+    }
+}
+
+/// An estimate's value: its bucket counts and samples, not its timings.
+impl Bits for NetworkEstimate {
+    fn push_bits(&self, out: &mut Vec<u64>) {
+        self.bucket_counts.push_bits(out);
+        self.bucket_samples.push_bits(out);
+    }
+}
+
+/// Whether `a` and `b` are equal bit for bit. A gate that times a fast
+/// path against a slow one is meaningless if the two compute different
+/// things.
+pub(crate) fn same_bits<T: Bits + ?Sized>(a: &T, b: &T) -> bool {
+    let bits = |x: &T| {
+        let mut out = Vec::new();
+        x.push_bits(&mut out);
+        out
+    };
+    bits(a) == bits(b)
+}
+
+/// `Ok` when `holds`, else the failure `what`.
+pub(crate) fn ensure(holds: bool, what: impl Into<String>) -> Res<()> {
+    if holds {
+        Ok(())
+    } else {
+        Err(what.into())
+    }
+}
+
+/// Lower quartile, median and upper quartile of a sample.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Quartiles {
+    pub(crate) q1: f64,
+    pub(crate) median: f64,
+    pub(crate) q3: f64,
+}
+
+impl Quartiles {
+    pub(crate) fn of(mut v: Vec<f64>) -> Quartiles {
+        v.sort_by(f64::total_cmp);
+        let at = |p| m3_netsim::stats::percentile(&v, p);
+        Quartiles {
+            q1: at(25.0),
+            median: at(50.0),
+            q3: at(75.0),
+        }
+    }
+}
+
+/// The wall times (ns) of two arms over the timed pairs, pair by pair.
+pub(crate) struct Paired {
+    pub(crate) a: Vec<f64>,
+    pub(crate) b: Vec<f64>,
+}
+
+impl Paired {
+    /// The quartiles of `f(a, b)` over the pairs; a gate reads the median.
+    pub(crate) fn ratio(&self, f: impl Fn(f64, f64) -> f64) -> Quartiles {
+        Quartiles::of(self.a.iter().zip(&self.b).map(|(&a, &b)| f(a, b)).collect())
+    }
+}
+
+/// The fastest of `ns`.
+pub(crate) fn min(ns: &[f64]) -> f64 {
+    ns.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+/// The median of `ns`.
+pub(crate) fn median(ns: &[f64]) -> f64 {
+    Quartiles::of(ns.to_vec()).median
+}
+
+/// The one timing rule: one warm-up call of each arm, then [`PAIRS`]
+/// timed pairs in alternating order. An arm's error fails the timing.
+pub(crate) fn pairs<A, B>(
+    mut a: impl FnMut() -> Res<A>,
+    mut b: impl FnMut() -> Res<B>,
+) -> Res<Paired> {
+    black_box((a()?, b()?));
+    alternate(PAIRS, a, b)
+}
+
+/// `n` timed pairs. The arm that runs first flips every pair, so neither
+/// arm always inherits the other's cache state or frequency ramp.
+fn alternate<A, B>(
+    n: usize,
+    mut a: impl FnMut() -> Res<A>,
+    mut b: impl FnMut() -> Res<B>,
+) -> Res<Paired> {
+    let mut p = Paired {
+        a: Vec::with_capacity(n),
+        b: Vec::with_capacity(n),
+    };
+    for i in 0..n {
+        if i % 2 == 0 {
+            p.a.push(time_ns(&mut a)?);
+            p.b.push(time_ns(&mut b)?);
+        } else {
+            p.b.push(time_ns(&mut b)?);
+            p.a.push(time_ns(&mut a)?);
+        }
+    }
+    Ok(p)
+}
+
+fn time_ns<T>(f: &mut impl FnMut() -> Res<T>) -> Res<f64> {
+    let t = Instant::now();
+    black_box(f()?);
+    Ok(t.elapsed().as_nanos() as f64)
+}
+
+/// `x` rounded to `digits` decimals.
+pub(crate) fn round(x: f64, digits: i32) -> f64 {
+    let scale = 10f64.powi(digits);
+    (x * scale).round() / scale
+}
+
+/// One `BENCH_<bench>.json` record at the workspace root. Every record
+/// names its host under `machine`: the CPU model, the core count and the
+/// matmul kernel path the forward pass dispatches to (`avx2` or
+/// `portable`), since timings do not carry across hosts.
+pub(crate) struct Record {
+    bench: &'static str,
+    fields: Map,
+}
+
+impl Record {
+    pub(crate) fn new(bench: &'static str) -> Record {
+        let mut machine = Map::new();
+        machine.insert("cpu", cpu_model().to_value());
+        let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+        machine.insert("nproc", nproc.to_value());
+        machine.insert("kernel_path", Kernel::detect(true).path().to_value());
+        let mut fields = Map::new();
+        fields.insert("bench", bench.to_value());
+        fields.insert("machine", Value::Object(machine));
+        Record { bench, fields }
+    }
+
+    pub(crate) fn put(&mut self, key: &str, value: impl Serialize) -> &mut Record {
+        self.fields.insert(key, value.to_value());
+        self
+    }
+
+    /// `key`: `x` rounded to `digits` decimals.
+    pub(crate) fn round(&mut self, key: &str, x: f64, digits: i32) -> &mut Record {
+        self.put(key, round(x, digits))
+    }
+
+    /// `key`: `ns` in milliseconds.
+    pub(crate) fn ms(&mut self, key: &str, ns: f64) -> &mut Record {
+        self.round(key, ns / 1e6, 3)
+    }
+
+    /// `key`: the median of `q`; `<key>_q1`, `<key>_q3`: its quartiles.
+    pub(crate) fn spread(&mut self, key: &str, q: Quartiles, digits: i32) -> &mut Record {
+        self.round(key, q.median, digits)
+            .round(&format!("{key}_q1"), q.q1, digits)
+            .round(&format!("{key}_q3"), q.q3, digits)
+    }
+
+    /// Write the record and return it. A failed write fails the gate, so a
+    /// stale file never outlives a run.
+    pub(crate) fn write(&self) -> Res<Value> {
+        let value = Value::Object(self.fields.clone());
+        let json = serde_json::to_string_pretty(&value).map_err(|e| e.to_string())?;
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let path = root.join(format!("BENCH_{}.json", self.bench));
+        std::fs::write(&path, json + "\n").map_err(|e| format!("{}: {e}", path.display()))?;
+        eprintln!("[gate] wrote BENCH_{}.json", self.bench);
+        Ok(value)
+    }
 }

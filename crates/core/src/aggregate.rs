@@ -135,9 +135,9 @@ impl DegradationReport {
 
 /// Per-stage wall-clock seconds and work counters of the `estimate` call
 /// that produced a [`NetworkEstimate`]. All-zero when the estimate was not
-/// produced by the timed pipeline (e.g. ground truth). The bench binaries
-/// serialize these into their BENCH_*.json records to track where time
-/// goes.
+/// produced by the timed pipeline (e.g. ground truth). The `repro`
+/// figures serialize these into their `results/*.json` records to track
+/// where time goes.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageTimings {
     /// Path decomposition, sampling, and scenario materialization.

@@ -15,8 +15,8 @@
 //! * **No-op mode.** [`MetricsRegistry::noop`] yields a disabled registry
 //!   whose handles early-return without touching memory or sampling the
 //!   clock. Instrumented code paths therefore cost a predictable branch
-//!   when telemetry is off, which is what `BENCH_telemetry_overhead.json`
-//!   measures.
+//!   when telemetry is off. The `gate` binary's `overhead` gate bounds
+//!   the cost of a live registry (`BENCH_telemetry_overhead.json`).
 //! * **Determinism.** Counters, gauges, and histograms carry values that
 //!   are identical across reruns of a deterministic workload (atomic `u64`
 //!   additions commute). Wall-clock metrics — timers, and any gauge or

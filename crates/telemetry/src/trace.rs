@@ -7,7 +7,8 @@
 //! ring fills, the oldest events are overwritten — recording never blocks
 //! on memory and never grows unbounded. Like the metrics registry, the
 //! recorder is a noop-able handle: a disabled recorder costs one branch
-//! per call site, which is what `BENCH_tracing_overhead.json` gates.
+//! per call site, which the `gate` binary's `overhead` gate bounds
+//! (`BENCH_tracing_overhead.json`).
 //!
 //! ## Causality and determinism
 //!

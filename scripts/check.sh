@@ -1,18 +1,13 @@
 #!/usr/bin/env bash
-# Repo-wide quality gate: formatting, lints, tests.
-# Usage: scripts/check.sh [--bench]
-#   --bench  also run the mean-based telemetry overhead gate (slow and
-#            scheduling-sensitive, so off by default).
+# Repo-wide quality gate: formatting, lints, tests, figures, speed gates.
+# Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-RUN_BENCH=0
-for arg in "$@"; do
-  case "$arg" in
-    --bench) RUN_BENCH=1 ;;
-    *) echo "unknown argument: $arg" >&2; exit 2 ;;
-  esac
-done
+if [[ $# -gt 0 ]]; then
+  echo "usage: scripts/check.sh (takes no arguments)" >&2
+  exit 2
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -78,30 +73,13 @@ if ! diff -q tests/golden/estimate_trace.json "$TRACE_TMP" > /dev/null; then
 fi
 echo "trace golden matches"
 
-echo "==> tracing overhead gate (<3% disabled-tracing overhead, writes BENCH_tracing_overhead.json)"
-cargo bench -p m3-bench --bench tracing_overhead
-
-echo "==> hot-path kernel gate (>=4x forward reference-vs-pooled, writes BENCH_hotpath.json)"
-cargo bench -p m3-bench --bench hotpath
+echo "==> speed gates (gate all: hotpath >=4x forward, session >=5x, cluster >=6x at 8 shards, tracing <3% / telemetry <2% / monitor <2% overhead; writes six BENCH_*.json)"
+cargo run --release -q -p m3-bench --bin gate -- all
 # Which matmul kernel instantiation the forward pass dispatched to here: the
 # timings above are not comparable between an avx2 and a portable host.
 echo "hot-path kernel path on this host: $(grep -o '"kernel_path": "[a-z0-9]*"' BENCH_hotpath.json | cut -d'"' -f4)"
 
-echo "==> cluster scaling gate (>=6x aggregate throughput at 8 shards, writes BENCH_cluster_scaling.json)"
-cargo bench -p m3-bench --bench cluster_scaling
-
-echo "==> session incremental gate (>=5x p50 for a 1%-dirty delta vs full re-estimate, writes BENCH_session_incremental.json)"
-cargo bench -p m3-bench --bench session_incremental
-
-echo "==> monitor overhead gate (<2% per-estimate sampling overhead, writes BENCH_monitor_overhead.json)"
-cargo bench -p m3-bench --bench monitor_overhead
-
 echo "==> fault soak (service, cluster, swap, session, monitor schedules on seeds 1-3)"
 cargo run --release -q -p m3-serve --bin soak -- all 1 2 3
-
-if [[ "$RUN_BENCH" == 1 ]]; then
-  echo "==> telemetry overhead gate (<2%, writes BENCH_telemetry_overhead.json)"
-  cargo bench -p m3-bench --bench telemetry_overhead
-fi
 
 echo "All checks passed."
