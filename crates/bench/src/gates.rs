@@ -654,6 +654,29 @@ mod tests {
     }
 
     #[test]
+    fn a_written_record_names_the_isa_flags_of_its_host() {
+        let dir = std::env::temp_dir().join(format!("m3-gate-record-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Record::new("isa_probe").put("x", 1).write_in(&dir).unwrap();
+        let path = dir.join("BENCH_isa_probe.json");
+        let written: Value =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let machine = written
+            .as_object()
+            .and_then(|o| o.get("machine"))
+            .and_then(Value::as_object)
+            .unwrap();
+        for (flag, present) in isa_flags() {
+            assert_eq!(machine.get(flag), Some(&Value::Bool(present)), "{flag}");
+        }
+        // The kernel path and the flags agree: `avx2` dispatch needs avx2.
+        if machine.get("kernel_path").and_then(Value::as_str) == Some("avx2") {
+            assert_eq!(machine.get("avx2"), Some(&Value::Bool(true)));
+        }
+    }
+
+    #[test]
     fn every_gate_runs_once_under_all() {
         let all: Vec<&str> = plan("all").unwrap().iter().map(|(n, _)| *n).collect();
         assert_eq!(all, ["hotpath", "session", "cluster", "overhead"]);

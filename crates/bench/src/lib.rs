@@ -47,6 +47,20 @@ fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
+/// The ISA extensions the matmul kernels care about, as this CPU reports
+/// them (all `false` off x86).
+fn isa_flags() -> [(&'static str, bool); 3] {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    let flags = [
+        ("avx2", std::is_x86_feature_detected!("avx2")),
+        ("fma", std::is_x86_feature_detected!("fma")),
+        ("avx512f", std::is_x86_feature_detected!("avx512f")),
+    ];
+    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+    let flags = [("avx2", false), ("fma", false), ("avx512f", false)];
+    flags
+}
+
 /// A figure's failure: what went wrong, for the run's summary.
 pub type Res<T> = Result<T, String>;
 
@@ -749,9 +763,10 @@ pub(crate) fn round(x: f64, digits: i32) -> f64 {
 }
 
 /// One `BENCH_<bench>.json` record at the workspace root. Every record
-/// names its host under `machine`: the CPU model, the core count and the
+/// names its host under `machine`: the CPU model, the core count, the
 /// matmul kernel path the forward pass dispatches to (`avx2` or
-/// `portable`), since timings do not carry across hosts.
+/// `portable`) and whether the CPU has `avx2`, `fma` and `avx512f`, since
+/// timings do not carry across hosts.
 pub(crate) struct Record {
     bench: &'static str,
     fields: Map,
@@ -764,6 +779,9 @@ impl Record {
         let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
         machine.insert("nproc", nproc.to_value());
         machine.insert("kernel_path", Kernel::detect(true).path().to_value());
+        for (flag, present) in isa_flags() {
+            machine.insert(flag, present.to_value());
+        }
         let mut fields = Map::new();
         fields.insert("bench", bench.to_value());
         fields.insert("machine", Value::Object(machine));
@@ -795,9 +813,13 @@ impl Record {
     /// Write the record and return it. A failed write fails the gate, so a
     /// stale file never outlives a run.
     pub(crate) fn write(&self) -> Res<Value> {
+        self.write_in(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
+    }
+
+    /// [`write`](Self::write) into directory `root`.
+    pub(crate) fn write_in(&self, root: &Path) -> Res<Value> {
         let value = Value::Object(self.fields.clone());
         let json = serde_json::to_string_pretty(&value).map_err(|e| e.to_string())?;
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let path = root.join(format!("BENCH_{}.json", self.bench));
         std::fs::write(&path, json + "\n").map_err(|e| format!("{}: {e}", path.display()))?;
         eprintln!("[gate] wrote BENCH_{}.json", self.bench);

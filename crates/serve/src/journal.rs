@@ -13,6 +13,13 @@
 //! Recovery validates the header, verifies every record checksum, and
 //! truncates a torn tail (a record cut short by the crash) rather than
 //! refusing to start.
+//!
+//! Encoding a record and appending it are separate steps (`Frame::encode`,
+//! `Journal::append_frame`), so the service, which serializes appends
+//! under its state lock, encodes before taking it. An append that fails
+//! (disk full, file size limit, I/O error) cuts the file back to its last
+//! complete frame before it returns the error, so a later append never
+//! lands behind a partial frame.
 
 use crate::request::{EstimateRequest, OpenSessionRequest};
 use m3_core::prelude::{M3Error, NetworkEstimate, ScenarioDelta};
@@ -257,10 +264,26 @@ fn write_quarantine(path: &Path, frames: &[m3_nn::integrity::CorruptFrame]) -> i
     std::fs::write(path, out)
 }
 
+/// One journal record encoded as its on-disk frame
+/// (`[len u32 LE][checksum64 u64 LE][json]`), ready to append.
+pub(crate) struct Frame(Vec<u8>);
+
+impl Frame {
+    /// Encode `record`. Pure: needs no journal and takes no lock.
+    pub(crate) fn encode(record: &JournalRecord) -> io::Result<Frame> {
+        let payload = serde_json::to_vec(record)
+            .map_err(|e| bad_data(format!("journal record encode: {e}")))?;
+        Ok(Frame(encode_record(&payload)))
+    }
+}
+
 /// Append-only, checksummed, fsync'd job journal.
 pub struct Journal {
     file: File,
     path: PathBuf,
+    /// File length at the end of the last complete frame: where the next
+    /// append starts, and what a failed append cuts the file back to.
+    len: u64,
 }
 
 impl Journal {
@@ -276,7 +299,11 @@ impl Journal {
         file.write_all(MAGIC)?;
         file.write_all(&VERSION.to_le_bytes())?;
         file.sync_data()?;
-        Ok(Journal { file, path })
+        Ok(Journal {
+            file,
+            path,
+            len: HEADER_LEN as u64,
+        })
     }
 
     /// Open an existing journal, replaying its records. A torn final
@@ -382,18 +409,39 @@ impl Journal {
             file.set_len(scan.valid_len as u64)?;
             file.sync_data()?;
         }
-        file.seek(SeekFrom::End(0))?;
-        Ok((Journal { file, path }, replay))
+        let len = file.seek(SeekFrom::End(0))?;
+        Ok((Journal { file, path, len }, replay))
     }
 
     /// Append one record and fsync before returning — a record the caller
     /// has seen acknowledged survives a crash.
     pub fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
-        let payload = serde_json::to_vec(record)
-            .map_err(|e| bad_data(format!("{}: encode: {e}", self.path.display())))?;
-        self.file.write_all(&encode_record(&payload))?;
-        self.file.sync_data()?;
-        Ok(())
+        self.append_frame(&Frame::encode(record)?)
+    }
+
+    /// Append one encoded frame and fsync before returning. On an error
+    /// the file is cut back to its last complete frame first: a partial
+    /// frame left mid-file would make recovery read its length field
+    /// across the frames appended after it and drop them.
+    pub(crate) fn append_frame(&mut self, frame: &Frame) -> io::Result<()> {
+        let written = self
+            .file
+            .write_all(&frame.0)
+            .and_then(|()| self.file.sync_data());
+        match written {
+            Ok(()) => {
+                self.len += frame.0.len() as u64;
+                Ok(())
+            }
+            Err(e) => {
+                // Best effort: if the cut fails too, the seek still puts
+                // the next frame over the partial one, leaving at most a
+                // torn tail, which recovery truncates.
+                let _ = self.file.set_len(self.len);
+                let _ = self.file.seek(SeekFrom::Start(self.len));
+                Err(e)
+            }
+        }
     }
 
     pub fn path(&self) -> &Path {
@@ -691,6 +739,73 @@ mod tests {
         assert_eq!(live[0].0, 3);
         // Session ids count toward the shared id allocator.
         assert_eq!(replay.next_id(), 6);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Where the child half of the rollback test writes its journal.
+    const ROLLBACK_JOURNAL_VAR: &str = "M3_SERVE_ROLLBACK_JOURNAL";
+
+    /// Child half of `a_failed_append_is_cut_back_and_later_records_replay`,
+    /// run under a file size limit: a small record fits, a large one fails
+    /// part-way through its frame, and the next small record must fit again.
+    #[test]
+    #[ignore = "run by a_failed_append_is_cut_back_and_later_records_replay under `ulimit -f`"]
+    fn append_under_a_file_size_limit() {
+        let Some(path) = std::env::var_os(ROLLBACK_JOURNAL_VAR) else {
+            return;
+        };
+        let accepted = |id| JournalRecord::Accepted {
+            id,
+            request: Box::new(req(id)),
+            trace: None,
+        };
+        let mut j = Journal::create(&path).unwrap();
+        j.append(&accepted(0)).unwrap();
+        let large = JournalRecord::Terminal {
+            id: 0,
+            outcome: Box::new(JobOutcome::Shed {
+                reason: "x".repeat(64 << 10),
+            }),
+        };
+        let err = j
+            .append(&large)
+            .expect_err("a 64 KiB frame must exceed the limit");
+        println!("large append failed: {err}");
+        j.append(&accepted(1)).unwrap();
+        println!("second small append ok");
+    }
+
+    /// A failed append must not leave its partial frame mid-file: recovery
+    /// would read that frame's length field across the records appended
+    /// after it and quarantine or truncate them, losing acknowledged work.
+    /// The failure is real: a child process appends under `ulimit -f` with
+    /// SIGXFSZ ignored, so `write` returns EFBIG part-way through a frame.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_append_is_cut_back_and_later_records_replay() {
+        let path = tmpfile("rollback");
+        let exe = std::env::current_exe().unwrap();
+        let out = std::process::Command::new("sh")
+            .arg("-c")
+            .arg(
+                "trap '' XFSZ; ulimit -f 16; exec \"$0\" --ignored --exact --nocapture \
+                 journal::tests::append_under_a_file_size_limit",
+            )
+            .arg(&exe)
+            .env(ROLLBACK_JOURNAL_VAR, &path)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("second small append ok"),
+            "child failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let (_j, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay.accepted.keys().copied().collect::<Vec<_>>(), [0, 1]);
+        assert!(replay.terminal.is_empty(), "the failed record replayed");
+        assert!(!replay.truncated_tail, "a partial frame was left behind");
+        assert!(replay.corruption.is_none(), "{:?}", replay.corruption);
         std::fs::remove_file(&path).ok();
     }
 

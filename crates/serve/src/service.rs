@@ -24,17 +24,32 @@
 //! 5. **Supervision** — a worker that panics is reaped, its in-flight job
 //!    is re-enqueued (front of queue, attempt count preserved), and a
 //!    replacement worker is spawned.
+//!
+//! A request pays for its own work and little else:
+//!
+//! * Each worker runs under a `rayon` worker count of
+//!   `max(1, cores / workers)`, so the pipeline's parallel sections split
+//!   the cores with the other workers instead of each fanning out to all
+//!   of them.
+//! * `(Topology, flows, SimConfig)` come from a small LRU keyed on the
+//!   exact bits of `(ScenarioSpec, seed)`, so a repeated spec is
+//!   materialized once.
+//! * Journal frames are encoded before the state lock is taken; under it
+//!   only the write and the fsync remain.
 
 use crate::backoff::RetryPolicy;
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-use crate::journal::{JobOutcome, Journal, JournalCorruption, JournalRecord, Replay};
-use crate::request::{EstimateRequest, OpenSessionRequest};
+use crate::journal::{Frame, JobOutcome, Journal, JournalCorruption, JournalRecord, Replay};
+use crate::request::{
+    ConfigSpec, EstimateRequest, OpenSessionRequest, ScenarioSpec, TopoSpec, WorkloadSpec,
+};
 use m3_core::prelude::{
     flowsim_estimate_sliced, CacheStats, EstimateOptions, InjectedFault, M3Error, M3Estimator,
     NetworkEstimate, ScenarioDelta, ScenarioSession, SessionUpdate, SharedScenarioCache, Stage,
     StageBudget,
 };
 use m3_flowsim::prelude::FluidBudget;
+use m3_netsim::prelude::{FlowSpec, SimConfig, Topology};
 use m3_nn::prelude::{M3Net, ModelRef, ModelRegistry};
 use m3_telemetry::trace::{TraceCtx, TraceRecorder};
 use m3_telemetry::{Counter, Gauge, Histogram, HistogramEdges, MetricsRegistry, MetricsSnapshot};
@@ -374,6 +389,134 @@ impl ServeMetrics {
 /// pays.
 const RECENT_WINDOW_CAP: usize = 64;
 
+/// Entries of the materialize memo: room for a few hot specs next to the
+/// fresh ones passing through, which never repeat.
+const MATERIALIZE_MEMO_CAP: usize = 4;
+
+/// What [`ScenarioSpec::materialize`] returns.
+type Materialized = (Topology, Vec<FlowSpec>, SimConfig);
+
+/// The `rayon` worker count of each of `workers` service workers: the
+/// process's count split between them, at least 1. With as many workers
+/// as cores, a request's parallel sections run on its own worker thread.
+fn worker_threads(workers: usize) -> usize {
+    (rayon::current_num_threads() / workers.max(1)).max(1)
+}
+
+/// The exact bits of a `(ScenarioSpec, seed)`. Floats are compared by
+/// `to_bits`: under `PartialEq` a NaN never matches (the memo would never
+/// hit) and -0.0 equals 0.0 (the memo could serve one for the other).
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SpecKey {
+    topology: (u8, usize),
+    n_flows: usize,
+    matrix: String,
+    sizes: String,
+    sigma: u64,
+    max_load: u64,
+    cc: Option<String>,
+    init_window: Option<u64>,
+    buffer_size: Option<u64>,
+    pfc: Option<bool>,
+    seed: u64,
+}
+
+impl SpecKey {
+    fn new(spec: &ScenarioSpec, seed: u64) -> SpecKey {
+        // Destructured without `..`: a field added to the spec does not
+        // compile here until the key covers it.
+        let ScenarioSpec {
+            topology,
+            workload:
+                WorkloadSpec {
+                    n_flows,
+                    matrix,
+                    sizes,
+                    sigma,
+                    max_load,
+                },
+            config:
+                ConfigSpec {
+                    cc,
+                    init_window,
+                    buffer_size,
+                    pfc,
+                },
+        } = spec;
+        SpecKey {
+            topology: match *topology {
+                TopoSpec::FatTreeSmall { oversub } => (0, oversub),
+                TopoSpec::FatTreeLarge => (1, 0),
+            },
+            n_flows: *n_flows,
+            matrix: matrix.clone(),
+            sizes: sizes.clone(),
+            sigma: sigma.to_bits(),
+            max_load: max_load.to_bits(),
+            cc: cc.clone(),
+            init_window: *init_window,
+            buffer_size: *buffer_size,
+            pfc: *pfc,
+            seed,
+        }
+    }
+}
+
+/// A least-recently-used memo of at most [`MATERIALIZE_MEMO_CAP`] values,
+/// keyed by [`SpecKey`]. Materialization is deterministic, so a memoized
+/// value is the one a fresh call would build.
+struct SpecMemo<V> {
+    /// Most recently used last.
+    entries: Mutex<VecDeque<(SpecKey, Arc<V>)>>,
+}
+
+impl<V> SpecMemo<V> {
+    fn new() -> Self {
+        SpecMemo {
+            entries: Mutex::new(VecDeque::new()),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, VecDeque<(SpecKey, Arc<V>)>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The value memoized for `(spec, seed)`, else `make()`'s, which is
+    /// memoized unless it failed. `make` runs without the lock held: two
+    /// workers missing on one spec at once both build it, the first to
+    /// finish is kept, and both get that one.
+    fn get_or_try<E>(
+        &self,
+        spec: &ScenarioSpec,
+        seed: u64,
+        make: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
+        let key = SpecKey::new(spec, seed);
+        if let Some(hit) = touch(&mut self.lock(), &key) {
+            return Ok(hit);
+        }
+        let made = Arc::new(make()?);
+        let mut entries = self.lock();
+        if let Some(raced) = touch(&mut entries, &key) {
+            return Ok(raced);
+        }
+        entries.push_back((key, Arc::clone(&made)));
+        if entries.len() > MATERIALIZE_MEMO_CAP {
+            entries.pop_front();
+        }
+        Ok(made)
+    }
+}
+
+/// Move `key`'s entry to the most-recently-used end and return its value.
+fn touch<V>(entries: &mut VecDeque<(SpecKey, Arc<V>)>, key: &SpecKey) -> Option<Arc<V>> {
+    let at = entries.iter().position(|(k, _)| k == key)?;
+    let entry = entries.remove(at)?;
+    let value = Arc::clone(&entry.1);
+    entries.push_back(entry);
+    Some(value)
+}
+
 /// The model currently serving new admissions: estimator plus registry
 /// identity. Swapped as a unit under its own lock so the job hot path only
 /// pays one short lock + `Arc` clone per job.
@@ -406,7 +549,6 @@ struct State {
     flowsim_breaker: CircuitBreaker,
     forward_breaker: CircuitBreaker,
     journal: Option<Journal>,
-    next_id: u64,
     shutdown: bool,
     /// Mid-file corruption found when this service resumed its journal.
     journal_corruption: Option<JournalCorruption>,
@@ -414,6 +556,18 @@ struct State {
 
 struct Inner {
     state: Mutex<State>,
+    /// The next job or session id. Stored only under the state lock, which
+    /// orders the stores (hence `Relaxed`), so ids are journaled in order;
+    /// read without it only to guess the id an admission will get and
+    /// encode its record before taking the lock, a guess checked under it.
+    next_id: AtomicU64,
+    /// Whether `State::journal` is set (fixed at construction): without a
+    /// journal there is nothing to encode.
+    journaled: bool,
+    /// The `rayon` worker count each worker runs its jobs under.
+    worker_threads: usize,
+    /// Recently materialized scenarios of `process`.
+    materialized: SpecMemo<Materialized>,
     /// Signals workers (new job / shutdown) and waiters (job settled).
     cond: Condvar,
     config: ServiceConfig,
@@ -472,6 +626,53 @@ impl Inner {
 
     fn supervisor_stale_ms(&self) -> u64 {
         elapsed_ms(self.started).saturating_sub(self.last_beat_ms.load(Ordering::Relaxed))
+    }
+
+    /// `record`'s frame, encoded before the state lock is taken; `None`
+    /// when the service has no journal.
+    fn encode(&self, record: &JournalRecord) -> Option<io::Result<Frame>> {
+        self.journaled.then(|| Frame::encode(record))
+    }
+
+    /// Write and fsync a frame from [`encode`](Self::encode) under the
+    /// state lock (held by the caller as `st`).
+    fn append(&self, st: &mut State, frame: Option<io::Result<Frame>>) -> io::Result<()> {
+        match (st.journal.as_mut(), frame) {
+            (Some(journal), Some(frame)) => journal.append_frame(&frame?),
+            _ => Ok(()),
+        }
+    }
+
+    /// The frame of `record(id)` for the id the next admission will
+    /// probably get, encoded before the state lock is taken; `None`
+    /// without a journal.
+    fn encode_admission(
+        &self,
+        record: impl Fn(u64) -> JournalRecord,
+    ) -> Option<(u64, io::Result<Frame>)> {
+        let id = self.next_id.load(Ordering::Relaxed);
+        self.encode(&record(id)).map(|frame| (id, frame))
+    }
+
+    /// Take the next id under the state lock and journal `record(id)` with
+    /// the frame from [`encode_admission`](Self::encode_admission), or a
+    /// fresh one when another admission took the guessed id first. On a
+    /// journal error the id is not taken.
+    fn admit(
+        &self,
+        st: &mut State,
+        frame: Option<(u64, io::Result<Frame>)>,
+        record: impl Fn(u64) -> JournalRecord,
+    ) -> io::Result<u64> {
+        let id = self.next_id.load(Ordering::Relaxed);
+        let frame = match frame {
+            Some((guess, frame)) if guess == id => Some(frame),
+            Some(_) => self.encode(&record(id)),
+            None => None,
+        };
+        self.append(st, frame)?;
+        self.next_id.store(id + 1, Ordering::Relaxed);
+        Ok(id)
     }
 
     /// Materialize and fully estimate the base scenario of session `id`.
@@ -629,7 +830,7 @@ impl Service {
         let svc = Service::build_versioned(estimator, config, Some(journal), pending, version);
         {
             let mut st = svc.inner.lock();
-            st.next_id = replay.next_id();
+            svc.inner.next_id.store(replay.next_id(), Ordering::Relaxed);
             st.journal_corruption = replay.corruption.clone();
             // `build` already counted the re-enqueued pending jobs.
             let settled = (replay.accepted.len() - replay.pending().len()) as u64;
@@ -692,6 +893,10 @@ impl Service {
         metrics.model_version.set(model_version.unwrap_or(0) as f64);
         let fingerprint = estimator.net.fingerprint();
         let inner = Arc::new(Inner {
+            next_id: AtomicU64::new(0),
+            journaled: journal.is_some(),
+            worker_threads: worker_threads(config.workers),
+            materialized: SpecMemo::new(),
             state: Mutex::new(State {
                 queue: preloaded.into(),
                 recent: VecDeque::new(),
@@ -701,7 +906,6 @@ impl Service {
                 flowsim_breaker: CircuitBreaker::new(config.breaker),
                 forward_breaker: CircuitBreaker::new(config.breaker),
                 journal,
-                next_id: 0,
                 shutdown: false,
                 journal_corruption: None,
             }),
@@ -737,6 +941,13 @@ impl Service {
     /// Submit a request. On success the job is journaled and queued and
     /// its id is returned; on `QueueFull` it was shed.
     pub fn submit(&self, request: EstimateRequest) -> Result<u64, SubmitError> {
+        let traced = self.inner.config.trace.is_enabled();
+        let accepted = |id| JournalRecord::Accepted {
+            id,
+            request: Box::new(request.clone()),
+            trace: traced.then(|| trace_id_for(id)),
+        };
+        let frame = self.inner.encode_admission(accepted);
         let mut st = self.inner.lock();
         if st.shutdown {
             return Err(SubmitError::ShuttingDown);
@@ -747,21 +958,10 @@ impl Service {
                 capacity: self.inner.config.queue_capacity,
             });
         }
-        let id = st.next_id;
-        if let Some(j) = st.journal.as_mut() {
-            j.append(&JournalRecord::Accepted {
-                id,
-                request: Box::new(request.clone()),
-                trace: self
-                    .inner
-                    .config
-                    .trace
-                    .is_enabled()
-                    .then(|| trace_id_for(id)),
-            })
+        let id = self
+            .inner
+            .admit(&mut st, frame, accepted)
             .map_err(SubmitError::Journal)?;
-        }
-        st.next_id += 1;
         st.accepted += 1;
         self.inner.metrics.accepted.inc();
         st.recent.push_back(request.clone());
@@ -796,21 +996,19 @@ impl Service {
         &self,
         request: OpenSessionRequest,
     ) -> Result<(u64, SessionUpdate), SessionError> {
+        let open = |id| JournalRecord::SessionOpen {
+            id,
+            request: Box::new(request.clone()),
+        };
+        let frame = self.inner.encode_admission(open);
         let id = {
             let mut st = self.inner.lock();
             if st.shutdown {
                 return Err(SessionError::ShuttingDown);
             }
-            let id = st.next_id;
-            if let Some(j) = st.journal.as_mut() {
-                j.append(&JournalRecord::SessionOpen {
-                    id,
-                    request: Box::new(request.clone()),
-                })
-                .map_err(SessionError::Journal)?;
-            }
-            st.next_id += 1;
-            id
+            self.inner
+                .admit(&mut st, frame, open)
+                .map_err(SessionError::Journal)?
         };
         let (session, update) = self.inner.build_session(id, &request)?;
         let mut sessions = self.inner.lock_sessions();
@@ -838,19 +1036,16 @@ impl Service {
             .get_mut(&id)
             .ok_or(SessionError::UnknownSession { id })?;
         entry.session.validate_delta(delta)?;
-        {
-            // Lock order: `sessions` (held) then `state` — matches every
-            // other session path.
-            let mut st = self.inner.lock();
-            if let Some(j) = st.journal.as_mut() {
-                j.append(&JournalRecord::SessionDelta {
-                    id,
-                    seq: entry.seq,
-                    delta: *delta,
-                })
-                .map_err(SessionError::Journal)?;
-            }
-        }
+        let frame = self.inner.encode(&JournalRecord::SessionDelta {
+            id,
+            seq: entry.seq,
+            delta: *delta,
+        });
+        // Lock order: `sessions` (held) then `state` — matches every other
+        // session path.
+        self.inner
+            .append(&mut self.inner.lock(), frame)
+            .map_err(SessionError::Journal)?;
         entry.seq += 1;
         Ok(self.inner.apply_to_session(entry, delta)?)
     }
@@ -862,16 +1057,12 @@ impl Service {
         let entry = sessions
             .remove(&id)
             .ok_or(SessionError::UnknownSession { id })?;
-        {
-            let mut st = self.inner.lock();
-            if let Some(j) = st.journal.as_mut() {
-                if let Err(e) = j.append(&JournalRecord::SessionClose { id }) {
-                    // Put the session back: the caller can retry the close,
-                    // and resume would re-adopt it anyway.
-                    sessions.insert(id, entry);
-                    return Err(SessionError::Journal(e));
-                }
-            }
+        let frame = self.inner.encode(&JournalRecord::SessionClose { id });
+        if let Err(e) = self.inner.append(&mut self.inner.lock(), frame) {
+            // Put the session back: the caller can retry the close, and
+            // resume would re-adopt it anyway.
+            sessions.insert(id, entry);
+            return Err(SessionError::Journal(e));
         }
         self.inner.metrics.sessions_closed.inc();
         self.inner.metrics.sessions_open.set(sessions.len() as f64);
@@ -1230,7 +1421,10 @@ fn spawn_worker(inner: &Arc<Inner>, token: usize) -> thread::JoinHandle<()> {
     let inner = Arc::clone(inner);
     thread::Builder::new()
         .name(format!("m3-serve-worker-{token}"))
-        .spawn(move || worker_loop(inner, token))
+        .spawn(move || {
+            let threads = inner.worker_threads;
+            rayon::with_num_threads(threads, || worker_loop(inner, token))
+        })
         .unwrap_or_else(|e| {
             // Thread spawn failing at startup is unrecoverable for the
             // pool; surface it loudly rather than running with fewer
@@ -1265,16 +1459,15 @@ fn worker_loop(inner: Arc<Inner>, token: usize) {
 /// publish it, release the in-flight slot, and wake any `wait_idle`
 /// callers.
 fn settle(inner: &Arc<Inner>, token: usize, job: &Job, outcome: JobOutcome) {
+    let frame = inner.encode(&JournalRecord::Terminal {
+        id: job.id,
+        outcome: Box::new(outcome.clone()),
+    });
     let mut st = inner.lock();
-    if let Some(j) = st.journal.as_mut() {
-        // A failed terminal append leaves the job pending in the journal;
-        // on restart it will be replayed (idempotent by determinism), so
-        // losing the record is safe, just wasteful.
-        let _ = j.append(&JournalRecord::Terminal {
-            id: job.id,
-            outcome: Box::new(outcome.clone()),
-        });
-    }
+    // A failed terminal append leaves the job pending in the journal; on
+    // restart it will be replayed (idempotent by determinism), so losing
+    // the record is safe, just wasteful.
+    let _ = inner.append(&mut st, frame);
     bump_terminal_counter(&inner.metrics, &outcome);
     inner
         .metrics
@@ -1323,17 +1516,21 @@ fn process(inner: &Arc<Inner>, job: &Job) -> JobOutcome {
         }
     }
 
-    // Materialize once per job, not per attempt: spec errors are
-    // persistent by construction, so they fail fast.
-    let (topo, flows, config) = match req.scenario.materialize(req.seed) {
+    // Materialize once per job, not per attempt, and once per spec while
+    // it stays in the memo: spec errors are persistent by construction,
+    // so they fail fast (and are not memoized).
+    let scenario = match inner.materialized.get_or_try(&req.scenario, req.seed, || {
+        req.scenario.materialize(req.seed)
+    }) {
         Ok(parts) => parts,
-        Err(e) => {
+        Err(error) => {
             return JobOutcome::Failed {
-                error: e,
+                error,
                 attempts: job.attempt + 1,
             }
         }
     };
+    let (topo, flows, config) = &*scenario;
 
     let retry = inner.config.retry;
     let mut attempt = job.attempt;
@@ -1395,14 +1592,8 @@ fn process(inner: &Arc<Inner>, job: &Job) -> JobOutcome {
                      serving flowSim-only path"
                 ),
             );
-            let estimate = flowsim_estimate_sliced(
-                &topo,
-                &flows,
-                &config,
-                req.paths,
-                req.seed,
-                req.path_slice,
-            );
+            let estimate =
+                flowsim_estimate_sliced(topo, flows, config, req.paths, req.seed, req.path_slice);
             return JobOutcome::Degraded {
                 estimate,
                 attempts: attempt + 1,
@@ -1427,9 +1618,9 @@ fn process(inner: &Arc<Inner>, job: &Job) -> JobOutcome {
         };
 
         let result = estimator.try_estimate_with_shared_cache(
-            &topo,
-            &flows,
-            &config,
+            topo,
+            flows,
+            config,
             req.paths,
             req.seed,
             &inner.cache,
@@ -1608,6 +1799,109 @@ mod tests {
         }
         assert!(svc.heartbeat() > frozen, "supervisor never thawed");
         svc.shutdown();
+    }
+
+    #[test]
+    fn an_equal_spec_and_seed_is_materialized_once() {
+        let memo = SpecMemo::new();
+        let spec = tiny_request(1).scenario;
+        let made = std::cell::Cell::new(0);
+        let get = |seed| {
+            memo.get_or_try(&spec, seed, || {
+                made.set(made.get() + 1);
+                spec.materialize(seed)
+            })
+            .unwrap()
+        };
+        let first = get(7);
+        let again = get(7);
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(made.get(), 1);
+        // An equal spec built separately is the same key.
+        let twin = tiny_request(2).scenario;
+        let twin_hit = memo.get_or_try(&twin, 7, || twin.materialize(7)).unwrap();
+        assert!(Arc::ptr_eq(&first, &twin_hit));
+        // Another seed is another scenario.
+        assert!(!Arc::ptr_eq(&first, &get(8)));
+        assert_eq!(made.get(), 2);
+        assert_eq!(first.1, tiny_request(1).scenario.materialize(7).unwrap().1);
+    }
+
+    #[test]
+    fn the_memo_keys_floats_by_their_bits() {
+        let memo: SpecMemo<u32> = SpecMemo::new();
+        let made = std::cell::Cell::new(0);
+        let get = |spec: &ScenarioSpec| {
+            *memo
+                .get_or_try(spec, 7, || {
+                    made.set(made.get() + 1);
+                    Ok::<_, M3Error>(made.get())
+                })
+                .unwrap()
+        };
+        let with = |sigma: f64, max_load: f64| {
+            let mut spec = tiny_request(1).scenario;
+            spec.workload.sigma = sigma;
+            spec.workload.max_load = max_load;
+            spec
+        };
+        // -0.0 == 0.0 under PartialEq, but they are different keys.
+        let zero = get(&with(1.0, 0.0));
+        let neg_zero = get(&with(1.0, -0.0));
+        assert_ne!(zero, neg_zero);
+        assert_eq!(get(&with(1.0, -0.0)), neg_zero);
+        // A NaN shares no entry with a number or with another NaN payload,
+        // and (unlike under PartialEq) hits its own entry.
+        let nan = get(&with(f64::NAN, 0.3));
+        assert_ne!(get(&with(1.0, 0.3)), nan);
+        let other_nan = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        assert!(other_nan.is_nan());
+        assert_ne!(get(&with(other_nan, 0.3)), nan);
+        assert_eq!(made.get(), 5);
+        assert_eq!(get(&with(f64::NAN, 0.3)), nan);
+        assert_eq!(made.get(), 5);
+    }
+
+    #[test]
+    fn a_failed_materialization_is_not_memoized() {
+        let memo = SpecMemo::new();
+        let mut spec = tiny_request(1).scenario;
+        spec.workload.matrix = "no such matrix".into();
+        let made = std::cell::Cell::new(0);
+        let get = || {
+            memo.get_or_try(&spec, 7, || {
+                made.set(made.get() + 1);
+                spec.materialize(7)
+            })
+            .expect_err("an unknown matrix must not materialize")
+        };
+        let first = get();
+        assert!(matches!(first, M3Error::InvalidSpec { .. }), "{first:?}");
+        assert_eq!(get(), first);
+        assert_eq!(made.get(), 2, "a failure was memoized");
+        assert!(memo.lock().is_empty());
+    }
+
+    #[test]
+    fn the_memo_holds_at_most_its_cap_and_evicts_the_least_recently_used() {
+        let memo: SpecMemo<u64> = SpecMemo::new();
+        let spec = tiny_request(1).scenario;
+        let get = |seed: u64| {
+            *memo
+                .get_or_try(&spec, seed, || Ok::<_, M3Error>(seed))
+                .unwrap()
+        };
+        for seed in 0..3 * MATERIALIZE_MEMO_CAP as u64 {
+            get(seed);
+            // Seed 0 is used between every fresh seed: it stays in.
+            get(0);
+            assert!(memo.lock().len() <= MATERIALIZE_MEMO_CAP);
+        }
+        let kept: Vec<u64> = memo.lock().iter().map(|(k, _)| k.seed).collect();
+        let last = 3 * MATERIALIZE_MEMO_CAP as u64 - 1;
+        let mut want: Vec<u64> = (last + 2 - MATERIALIZE_MEMO_CAP as u64..=last).collect();
+        want.push(0);
+        assert_eq!(kept, want);
     }
 
     fn tiny_session_request(seed: u64) -> OpenSessionRequest {

@@ -75,12 +75,21 @@ fn assert_estimates_bit_identical(a: &NetworkEstimate, b: &NetworkEstimate) {
 /// Run `requests` through an uninterrupted service and return the
 /// estimates, as the reference for recovery comparisons.
 fn reference_outcomes(requests: &[EstimateRequest]) -> Vec<NetworkEstimate> {
-    let svc = Service::start(untrained_estimator(), fast_config(2));
-    let ids: Vec<u64> = requests
-        .iter()
-        .map(|r| svc.submit(r.clone()).expect("reference submit"))
-        .collect();
-    assert!(svc.wait_idle(IDLE), "reference run did not settle");
+    served_outcomes(2, &[requests])
+}
+
+/// Run `waves` of requests through an uninterrupted service of `workers`
+/// workers, each wave submitted once the one before has settled, and
+/// return the estimates in submission order.
+fn served_outcomes(workers: usize, waves: &[&[EstimateRequest]]) -> Vec<NetworkEstimate> {
+    let svc = Service::start(untrained_estimator(), fast_config(workers));
+    let mut ids = Vec::new();
+    for wave in waves {
+        for r in *wave {
+            ids.push(svc.submit(r.clone()).expect("reference submit"));
+        }
+        assert!(svc.wait_idle(IDLE), "reference run did not settle");
+    }
     let out = ids
         .iter()
         .map(|id| {
@@ -93,6 +102,43 @@ fn reference_outcomes(requests: &[EstimateRequest]) -> Vec<NetworkEstimate> {
         .collect();
     svc.shutdown();
     out
+}
+
+/// What a served request must equal: a direct `try_estimate` of its
+/// materialized spec with default options.
+fn direct_outcome(r: &EstimateRequest) -> NetworkEstimate {
+    let (topo, flows, config) = r.scenario.materialize(r.seed).expect("materialize");
+    untrained_estimator()
+        .try_estimate(
+            &topo,
+            &flows,
+            &config,
+            r.paths,
+            r.seed,
+            &EstimateOptions::default(),
+        )
+        .expect("direct estimate")
+}
+
+/// A service worker runs its requests under a `rayon` worker count of
+/// `max(1, cores / workers)` (2/1/1 at 1/2/4 workers on a 2-core box) and
+/// takes repeated specs from its materialize memo. Neither may move a bit:
+/// a fresh seed, and a repeated one served from the scenario cache and the
+/// memo, both equal a direct `try_estimate`.
+#[test]
+fn served_estimates_equal_direct_ones_at_1_2_and_4_workers() {
+    let req = |seed| EstimateRequest::new(scenario(500), PATHS, seed);
+    let first = [req(41)];
+    // Submitted after `first` settled: a repeat and a fresh seed.
+    let second = [req(41), req(42)];
+    let direct: Vec<NetworkEstimate> = first.iter().chain(&second).map(direct_outcome).collect();
+    for workers in [1, 2, 4] {
+        let served = served_outcomes(workers, &[&first, &second]);
+        assert_eq!(served.len(), direct.len());
+        for (got, want) in served.iter().zip(&direct) {
+            assert_estimates_bit_identical(got, want);
+        }
+    }
 }
 
 fn batch(n: usize) -> Vec<EstimateRequest> {
