@@ -13,6 +13,10 @@
 //! * `overhead` — three arms against one default-options baseline: noop
 //!   tracing (< 3 %), a live metrics registry (< 2 %), and a live
 //!   registry sampled by an SLO monitor after every estimate (< 2 %).
+//! * `journal` — a journaled service may write at most 1 KiB per settled
+//!   `Completed` request, and a resume must recompute those requests to
+//!   the same bits; the decision record's encode time is reported beside
+//!   the full terminal record's.
 
 use crate::*;
 use m3_flowsim::prelude::*;
@@ -25,11 +29,12 @@ use std::sync::Arc;
 pub type Gate = fn() -> Res<Value>;
 
 /// Every gate, in the order `gate all` runs them.
-pub const GATES: [(&str, Gate); 4] = [
+pub const GATES: [(&str, Gate); 5] = [
     ("hotpath", hotpath),
     ("session", session),
     ("cluster", cluster),
     ("overhead", overhead),
+    ("journal", journal),
 ];
 
 /// The pooled forward pass must beat the per-sample tape reference by this
@@ -45,6 +50,8 @@ const MAX_TRACING_OVERHEAD: f64 = 0.03;
 const MAX_MONITOR_OVERHEAD: f64 = 0.02;
 /// Largest tolerated relative overhead of a live metrics registry.
 const MAX_TELEMETRY_OVERHEAD: f64 = 0.02;
+/// Most journal bytes one settled `Completed` request may write.
+const MAX_COMPLETED_JOURNAL_BYTES: u64 = 1024;
 /// FNV-1a digest of the hotpath fixture's log-encoded feature maps
 /// (foreground, then each hop, per scenario): `GOLDEN_ENCODE_LOG` in
 /// `crates/core/tests/feature_bits.rs`, whose header gives the recipe.
@@ -609,6 +616,101 @@ fn overhead() -> Res<Value> {
     Ok(Value::Object(written))
 }
 
+/// Requests the `journal` gate settles, one at a time.
+const JOURNAL_JOBS: u64 = 8;
+/// Flows per `journal` gate request: the size of the benchmark's
+/// `serve_mix` requests.
+const JOURNAL_FLOWS: usize = 4_000;
+
+/// The journal a default journaled service writes when a [`K_PATHS`]-path
+/// request completes: its size (what the settle appended), and that a
+/// resume recomputes it to the same bits. The encode times compare the
+/// decision record with the full terminal record it replaced.
+fn journal() -> Res<Value> {
+    let dir = std::env::temp_dir().join(format!("m3-gate-journal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).map_err(err("scratch directory"))?;
+    let path = dir.join("serve.journal");
+    let len = || (std::fs::metadata(&path).map(|m| m.len())).map_err(err("journal size"));
+    let net = M3Net::new(ModelConfig::repro_default(SPEC_DIM), 7);
+    let estimator = || M3Estimator::new(net.clone());
+    let idle = Duration::from_secs(600);
+
+    let svc = Service::start_journaled(estimator(), ServiceConfig::default(), &path)
+        .map_err(err("start the service"))?;
+    let (mut settle_bytes, mut completed) = (Vec::new(), Vec::new());
+    for seed in 0..JOURNAL_JOBS {
+        let req = request(JOURNAL_FLOWS, K_PATHS, seed);
+        let id = svc.submit(req).map_err(err("submit"))?;
+        let accepted = len()?;
+        ensure(svc.wait_idle(idle), "the service did not settle")?;
+        settle_bytes.push(len()? - accepted);
+        match svc.outcome(id) {
+            Some(outcome @ JobOutcome::Completed { .. }) => completed.push((id, outcome)),
+            other => return Err(format!("job {id} did not complete: {other:?}")),
+        }
+    }
+    svc.abort();
+
+    let no_workers = ServiceConfig {
+        workers: 0,
+        ..ServiceConfig::default()
+    };
+    let (resumed, replay) =
+        Service::resume(estimator(), no_workers, &path).map_err(err("resume"))?;
+    ensure(
+        replay.decisions.len() == completed.len(),
+        format!("{} decision records", replay.decisions.len()),
+    )?;
+    for (id, outcome) in &completed {
+        let again = resumed.outcome(*id).and_then(|o| o.estimate().cloned());
+        ensure(
+            again.is_some_and(|e| outcome.estimate().is_some_and(|o| same_bits(o, &e))),
+            format!("job {id} did not recompute to its estimate"),
+        )?;
+    }
+    resumed.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let (id, outcome) = &completed[0];
+    let terminal = JournalRecord::Terminal {
+        id: *id,
+        outcome: Box::new(outcome.clone()),
+    };
+    let fingerprint = net.fingerprint();
+    let frame = |r: &JournalRecord| {
+        let json = serde_json::to_vec(r).map_err(err("encode"))?;
+        Ok(encode_record(&json))
+    };
+    let timed = pairs(
+        || frame(&terminal),
+        || frame(&JournalRecord::settled(*id, outcome, fingerprint)),
+    )?;
+    let most = settle_bytes.iter().copied().max().unwrap_or(0);
+    let value = Record::new("journal")
+        .put("n_flows", JOURNAL_FLOWS)
+        .put("k_paths", K_PATHS)
+        .put("jobs", JOURNAL_JOBS)
+        .put("completed_journal_bytes", most)
+        .put("max_completed_journal_bytes", MAX_COMPLETED_JOURNAL_BYTES)
+        .put("full_terminal_bytes", frame(&terminal)?.len())
+        .ms("decision_encode_ms", median(&timed.b))
+        .ms("terminal_encode_ms", median(&timed.a))
+        .spread(
+            "encode_speedup",
+            timed.ratio(|full, decision| full / decision),
+            1,
+        )
+        .write()?;
+    ensure(
+        most <= MAX_COMPLETED_JOURNAL_BYTES,
+        format!(
+            "a settled Completed request journaled {most} B, over the \
+             {MAX_COMPLETED_JOURNAL_BYTES} B gate"
+        ),
+    )?;
+    Ok(value)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -679,7 +781,10 @@ mod tests {
     #[test]
     fn every_gate_runs_once_under_all() {
         let all: Vec<&str> = plan("all").unwrap().iter().map(|(n, _)| *n).collect();
-        assert_eq!(all, ["hotpath", "session", "cluster", "overhead"]);
+        assert_eq!(
+            all,
+            ["hotpath", "session", "cluster", "overhead", "journal"]
+        );
         assert!(plan("components").is_err());
     }
 }

@@ -283,6 +283,25 @@ impl NetworkEstimate {
     pub fn p99(&self) -> f64 {
         self.overall_quantile(99.0)
     }
+
+    /// Word-wise FNV-1a over the bits of the estimate's value:
+    /// `bucket_counts`, then each bucket's length and sample bits, in
+    /// order. Timings and the degradation report are not part of it, so
+    /// two runs that agree bit for bit on the value agree on the digest.
+    pub fn digest(&self) -> u64 {
+        let word = |h: u64, w: u64| (h ^ w).wrapping_mul(0x100_0000_01b3);
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for &c in &self.bucket_counts {
+            h = word(h, c as u64);
+        }
+        for bucket in &self.bucket_samples {
+            h = word(h, bucket.len() as u64);
+            for v in bucket {
+                h = word(h, v.to_bits());
+            }
+        }
+        h
+    }
 }
 
 /// Deterministically merge partial [`NetworkEstimate`]s (disjoint path
@@ -342,6 +361,31 @@ pub fn merge_estimates(parts: &[&NetworkEstimate]) -> NetworkEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_digest_covers_every_value_bit_and_nothing_else() {
+        let base = NetworkEstimate {
+            bucket_counts: [3, 0, 1, 0],
+            bucket_samples: vec![vec![1.0, 4.5], vec![], vec![2.0], vec![]],
+            ..NetworkEstimate::default()
+        };
+        // Word-wise FNV-1a over the counts, then each bucket's length and
+        // sample bits, worked out by hand.
+        assert_eq!(base.digest(), 0xbfb5_121d_10ce_a054);
+        let mut timed = base.clone();
+        timed.timings.flowsim_s = 1.0;
+        assert_eq!(timed.digest(), base.digest());
+        let mut flipped = base.clone();
+        flipped.bucket_samples[0][1] = f64::from_bits(4.5f64.to_bits() ^ 1);
+        assert_ne!(flipped.digest(), base.digest());
+        let mut moved = base.clone();
+        moved.bucket_samples[2].clear();
+        moved.bucket_samples[1].push(2.0);
+        assert_ne!(moved.digest(), base.digest());
+        let mut counted = base.clone();
+        counted.bucket_counts[3] += 1;
+        assert_ne!(counted.digest(), base.digest());
+    }
 
     fn dist(vals: &[(u64, f64)]) -> PathDistribution {
         PathDistribution::from_samples(vals)

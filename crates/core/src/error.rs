@@ -138,6 +138,15 @@ pub enum M3Error {
     NoUsableSamples { total: usize },
     /// A caller-imposed deadline expired before the work finished.
     DeadlineExceeded { deadline_ms: u64, elapsed_ms: u64 },
+    /// A recorded estimate could not be recomputed to its recorded digest
+    /// ([`NetworkEstimate::digest`](crate::aggregate::NetworkEstimate::digest)):
+    /// the model it ran on is unavailable, the recompute failed, or it
+    /// produced a different value.
+    NotReproduced {
+        fingerprint: u64,
+        digest: u64,
+        reason: String,
+    },
 }
 
 impl M3Error {
@@ -149,7 +158,9 @@ impl M3Error {
         match self {
             M3Error::StageFault { fault, .. } => fault.class() == FaultClass::Transient,
             M3Error::DegradationLimitExceeded { .. } | M3Error::NoUsableSamples { .. } => true,
-            M3Error::InvalidSpec { .. } | M3Error::DeadlineExceeded { .. } => false,
+            M3Error::InvalidSpec { .. }
+            | M3Error::DeadlineExceeded { .. }
+            | M3Error::NotReproduced { .. } => false,
         }
     }
 }
@@ -182,6 +193,14 @@ impl fmt::Display for M3Error {
             } => write!(
                 f,
                 "deadline of {deadline_ms} ms exceeded ({elapsed_ms} ms elapsed)"
+            ),
+            M3Error::NotReproduced {
+                fingerprint,
+                digest,
+                reason,
+            } => write!(
+                f,
+                "estimate {digest:#018x} on model {fingerprint:#018x} not reproduced: {reason}"
             ),
         }
     }

@@ -1,4 +1,4 @@
-//! Fault soak for the estimation stack: five seeded (hence reproducible)
+//! Fault soak for the estimation stack: six seeded (hence reproducible)
 //! schedules over one harness, each asserting one layer's guarantees.
 //!
 //! * `service` — an overload burst of clean, transient-fault, panicking,
@@ -17,17 +17,22 @@
 //! * `monitor` — clean/faulty/clean traffic with kills: the SLO fires and
 //!   clears, drift is scored, the event log is append-only with
 //!   consistent transition chains, and the monitor only observes.
+//! * `crash` — a crash point at every write and fsync of the journal over
+//!   a short schedule (submit, settle, session open/delta/close, swap
+//!   intent/commit): after each, the resumed service holds every fsync'd
+//!   record, settles every accepted job exactly once, and recomputes every
+//!   completed outcome seen before the crash to its digest.
 //!
-//! Usage: `soak <all|service|cluster|swap|session|monitor> [SEED...]`
+//! Usage: `soak <all|service|cluster|swap|session|monitor|crash> [SEED...]`
 //! (seed 1 when none is given). Every violation prints the command that
 //! replays it alone.
 //! Exit codes: 0 = invariants held, 1 = violation, 2 = usage or setup error.
 
 use m3_core::prelude::*;
 use m3_netsim::units::GBPS;
-use m3_nn::prelude::{checksum64, Lineage, M3Net, ModelConfig, ModelRef, ModelRegistry};
+use m3_nn::prelude::{Lineage, M3Net, ModelConfig, ModelRef, ModelRegistry};
 use m3_serve::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Display;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -40,12 +45,13 @@ use std::time::{Duration, Instant};
 
 type Schedule = fn(&mut Soak) -> Step<String>;
 
-const SCHEDULES: [(&str, Schedule); 5] = [
+const SCHEDULES: [(&str, Schedule); 6] = [
     ("service", service),
     ("cluster", cluster),
     ("swap", swap),
     ("session", session),
     ("monitor", monitor),
+    ("crash", crash),
 ];
 
 const IDLE: Duration = Duration::from_secs(300);
@@ -206,7 +212,7 @@ fn main() -> ExitCode {
     };
     let seeds: Result<Vec<u64>, _> = args.iter().skip(1).map(|s| s.parse()).collect();
     let (Ok(mut seeds), false) = (seeds, chosen.is_empty()) else {
-        eprintln!("usage: soak <all|service|cluster|swap|session|monitor> [SEED...]");
+        eprintln!("usage: soak <all|service|cluster|swap|session|monitor|crash> [SEED...]");
         return ExitCode::from(2);
     };
     if seeds.is_empty() {
@@ -222,7 +228,7 @@ fn main() -> ExitCode {
 }
 
 // ---------------------------------------------------------------------------
-// Shared by the schedules: test net, scenario, generator, digest, kills.
+// Shared by the schedules: test net, scenario, generator, kills.
 // ---------------------------------------------------------------------------
 
 fn small_net(seed: u64) -> M3Net {
@@ -262,21 +268,6 @@ fn mix(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
     z ^ (z >> 31)
-}
-
-/// `checksum64` over every estimate's sample bits, then its bucket counts,
-/// in order.
-fn digest<'a>(estimates: impl IntoIterator<Item = &'a NetworkEstimate>) -> u64 {
-    let mut buf: Vec<u8> = Vec::new();
-    for est in estimates {
-        for v in est.bucket_samples.iter().flatten() {
-            buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        for c in est.bucket_counts {
-            buf.extend_from_slice(&(c as u64).to_le_bytes());
-        }
-    }
-    checksum64(&buf)
 }
 
 /// Seeded kill points in `range`, about one in `one_in`; never empty, as
@@ -360,6 +351,9 @@ fn service(soak: &mut Soak) -> Step<String> {
             seed,
         },
         cache_capacity: 64,
+        // Each attempt takes at least this long, so the burst outruns the
+        // workers however fast the machine estimates and fsyncs.
+        simulated_io: Duration::from_millis(25),
         ..ServiceConfig::default()
     };
     let svc = soak.start(&config)?;
@@ -489,7 +483,8 @@ fn cluster_config(
 }
 
 struct ClusterRun {
-    digest: u64,
+    /// Every job's estimate digest, in submission order.
+    digests: Vec<u64>,
     /// The merged deterministic metric view, serialized.
     metrics_json: String,
     stats: ClusterStats,
@@ -514,11 +509,11 @@ fn cluster_run(
     if !cluster.wait_idle(IDLE) {
         return violation(format!("{label}: the cluster did not settle"));
     }
-    let mut estimates = Vec::new();
+    let mut digests = Vec::new();
     for id in ids {
         let outcome = cluster.outcome(id);
         match outcome.as_ref().and_then(JobOutcome::estimate) {
-            Some(est) => estimates.push(est.clone()),
+            Some(est) => digests.push(est.digest()),
             None => soak.fail(format!("{label}: job {id} lost or incomplete: {outcome:?}")),
         }
     }
@@ -533,7 +528,7 @@ fn cluster_run(
     let metrics_json = cluster.merged_metrics().deterministic_view().to_json();
     cluster.shutdown();
     Ok(ClusterRun {
-        digest: digest(&estimates),
+        digests,
         metrics_json,
         stats,
     })
@@ -560,26 +555,31 @@ fn cluster(soak: &mut Soak) -> Step<String> {
     let clean_a = cluster_run(soak, "clean-a", &jobs, None)?;
     let clean_b = cluster_run(soak, "clean-b", &jobs, None)?;
     soak.check(
-        faulted.digest == clean_a.digest,
+        faulted.digests == clean_a.digests,
         format!(
-            "LOSSY REROUTING — faulted digest {:#018x} != clean {:#018x}",
-            faulted.digest, clean_a.digest
+            "LOSSY REROUTING — faulted digests {:x?} != clean {:x?}",
+            faulted.digests, clean_a.digests
         ),
     );
     soak.check(
-        clean_a.digest == clean_b.digest,
+        clean_a.digests == clean_b.digests,
         "fault-free runs disagree on estimates",
     );
     soak.check(
         clean_a.metrics_json == clean_b.metrics_json,
         "merged deterministic metric views differ between clean runs",
     );
+    soak.check(
+        faulted.stats.recompute_failures == 0,
+        "an adopted decision did not recompute to its digest",
+    );
     Ok(format!(
         "crash {crashed:?}, stall {stalled:?}: {} deaths, {} recoveries, {} rerouted, \
-         {} duplicate terminals dropped",
+         {} adopted by recompute, {} duplicate terminals dropped",
         faulted.stats.shard_deaths,
         faulted.stats.shard_recoveries,
         faulted.stats.rerouted,
+        faulted.stats.recomputed,
         faulted.stats.duplicate_terminals_dropped
     ))
 }
@@ -894,7 +894,7 @@ fn session(soak: &mut Soak) -> Step<String> {
             )),
         }
         soak.check(
-            digest([&before]) == digest([&session_estimate(&svc, id)?]),
+            before.digest() == session_estimate(&svc, id)?.digest(),
             format!("the rejected delta after {i} changed the estimate"),
         );
         if kills.contains(&(i as u64)) {
@@ -909,13 +909,13 @@ fn session(soak: &mut Soak) -> Step<String> {
     svc.close_session(id).must("close")?;
     svc.shutdown();
 
-    let uninterrupted = digest([&uninterrupted]);
+    let uninterrupted = uninterrupted.digest();
     soak.check(
-        digest([&resumed]) == uninterrupted,
+        resumed.digest() == uninterrupted,
         "DIVERGED — the killed/resumed session differs from the uninterrupted one",
     );
     soak.check(
-        digest([&scratch]) == uninterrupted,
+        scratch.digest() == uninterrupted,
         "DIVERGED — the incremental session differs from a from-scratch estimate",
     );
     Ok(format!("{SESSION_DELTAS} deltas, kills after {kills:?}"))
@@ -974,7 +974,7 @@ fn monitor_config(events: &Path, status: &Path) -> MonitorConfig {
 
 fn completed_digest(svc: &Service, id: u64, what: &str) -> Step<u64> {
     match svc.outcome(id) {
-        Some(JobOutcome::Completed { estimate, .. }) => Ok(digest([&estimate])),
+        Some(JobOutcome::Completed { estimate, .. }) => Ok(estimate.digest()),
         other => violation(format!("{what} not Completed: {other:?}")),
     }
 }
@@ -1091,5 +1091,221 @@ fn monitor(soak: &mut Soak) -> Step<String> {
     );
     Ok(format!(
         "kills after rounds {kills:?}, {fires} fire / {clears} clear transition(s)"
+    ))
+}
+
+// ---------------------------------------------------------------------------
+// crash
+// ---------------------------------------------------------------------------
+
+/// What identifies a journal record across runs: its kind and its ids.
+/// Terminal and decision records share a key, as either settles a job.
+fn record_key(record: &JournalRecord) -> String {
+    match record {
+        JournalRecord::Accepted { id, .. } => format!("accepted {id}"),
+        JournalRecord::Terminal { id, .. } | JournalRecord::Decision { id, .. } => {
+            format!("settled {id}")
+        }
+        JournalRecord::SwapIntent { version, .. } => format!("swap intent v{version}"),
+        JournalRecord::ModelSwap { version, .. } => format!("swap v{version}"),
+        JournalRecord::SessionOpen { id, .. } => format!("open {id}"),
+        JournalRecord::SessionDelta { id, seq, .. } => format!("delta {id}.{seq}"),
+        JournalRecord::SessionClose { id } => format!("close {id}"),
+    }
+}
+
+fn record_keys(path: &Path) -> Step<Vec<String>> {
+    let records = read_records(path).must("read the journal")?;
+    Ok(records.iter().map(record_key).collect())
+}
+
+/// The crash schedule's client: one journaled single-worker service, run
+/// step by step until its journal reaches the crash point.
+struct CrashRun {
+    svc: Service,
+    faults: JournalFaults,
+    /// Completed outcomes the client saw: job id -> estimate digest.
+    completed: BTreeMap<u64, u64>,
+}
+
+impl CrashRun {
+    /// Whether the last call failed at the crash point (`Ok(true)`: stop
+    /// here); a failure anywhere else is a violation.
+    fn crashed<T, E: Display>(&self, result: Result<T, E>, what: &str) -> Step<bool> {
+        match result {
+            Ok(_) => Ok(self.faults.tripped()),
+            Err(_) if self.faults.tripped() => Ok(true),
+            Err(e) => violation(format!("{what} failed before the crash point: {e}")),
+        }
+    }
+
+    /// Submit `request`, let it settle, and note its outcome.
+    fn job(&mut self, request: EstimateRequest) -> Step<bool> {
+        let submitted = self.svc.submit(request);
+        let id = match &submitted {
+            Ok(id) => *id,
+            Err(_) => return self.crashed(submitted, "submit"),
+        };
+        settle(&self.svc)?;
+        match self.svc.outcome(id) {
+            Some(JobOutcome::Completed { estimate, .. }) => {
+                self.completed.insert(id, estimate.digest());
+            }
+            Some(_) => {}
+            None => return violation(format!("job {id} settled without an outcome")),
+        }
+        Ok(self.faults.tripped())
+    }
+}
+
+/// The schedule: a completed job, a degraded one, a session opened,
+/// updated and closed, a committed swap to `next`, and a completed job on
+/// it. Stops at the crash point; returns the client's view.
+fn crash_schedule(soak: &Soak, faults: &JournalFaults, next: &M3Net) -> Step<CrashRun> {
+    let seed = soak.seed;
+    let config = ServiceConfig {
+        workers: 1,
+        journal_faults: Some(faults.clone()),
+        ..ServiceConfig::default()
+    };
+    let mut run = CrashRun {
+        svc: soak.start(&config)?,
+        faults: faults.clone(),
+        completed: BTreeMap::new(),
+    };
+    let clean = |k: u64| EstimateRequest::new(scenario(150 + 50 * k as usize), 3, seed ^ k);
+    let mut poisoned = clean(1);
+    poisoned.fault_plan = Some(FaultPlan::new(seed).with(InjectedFault::ForwardPoison, 1.0));
+    poisoned.policy = Some(DegradationPolicy::Degrade {
+        max_degraded_frac: 1.0,
+    });
+    if run.job(clean(0))? || run.job(poisoned)? {
+        return Ok(run);
+    }
+    let opened = run
+        .svc
+        .open_session(OpenSessionRequest::new(scenario(150), 3, seed));
+    let id = match &opened {
+        Ok((id, _)) => *id,
+        Err(_) => {
+            run.crashed(opened, "open session")?;
+            return Ok(run);
+        }
+    };
+    let delta = ScenarioDelta::LinkCapacity {
+        link: (seed % 24) as u32,
+        bandwidth: 5 * GBPS,
+    };
+    if run.crashed(run.svc.apply_delta(id, &delta), "delta")?
+        || run.crashed(run.svc.close_session(id), "close session")?
+        || run.crashed(
+            run.svc.journal_swap_intent(1, next.fingerprint()),
+            "swap intent",
+        )?
+        || run.crashed(run.svc.install_model(next.clone(), Some(1)), "swap commit")?
+    {
+        return Ok(run);
+    }
+    run.job(clean(2))?;
+    Ok(run)
+}
+
+fn crash(soak: &mut Soak) -> Step<String> {
+    let next = small_net(soak.seed + 100);
+    let registry = ModelRegistry::open(soak.path("registry")).setup("open the registry")?;
+    registry
+        .publish(&next, soak.seed, Lineage::default())
+        .setup("publish")?;
+
+    // The whole schedule, no crash: how many writes and fsyncs it makes
+    // and what it leaves in the journal.
+    let clean = JournalFaults::fail_at(u64::MAX);
+    let run = crash_schedule(soak, &clean, &next)?;
+    run.svc.shutdown();
+    let reference = record_keys(&soak.journal())?;
+    let points = clean.ops();
+    if points != 2 * reference.len() as u64 {
+        return violation(format!(
+            "{points} journal operations for {} records",
+            reference.len()
+        ));
+    }
+
+    let mut recomputed = 0;
+    for n in 0..points {
+        let faults = JournalFaults::fail_at(n);
+        let run = crash_schedule(soak, &faults, &next)?;
+        run.svc.abort();
+        let at = format!("crash point {n}");
+
+        // No fsync'd record lost, none invented: the journal holds the
+        // acknowledged appends, plus the crashed one when its write went
+        // through before its fsync failed.
+        let left = record_keys(&soak.journal())?;
+        let acked = faults.appended() as usize;
+        let fits = |len: usize| left.len() == len && left[..] == reference[..len];
+        soak.check(
+            acked == (n / 2) as usize && (fits(acked) || (n % 2 == 1 && fits(acked + 1))),
+            format!("{at}: the journal holds {left:?}, {acked} append(s) were fsync'd"),
+        );
+
+        let (journal, config) = (soak.journal(), ServiceConfig::default());
+        let (svc, replay) = Service::resume_with_registry(estimator(), config, journal, &registry)
+            .must(&format!("{at}: resume"))?;
+        soak.check(
+            replay.corruption.is_none() && replay.orphan_terminals == 0,
+            format!("{at}: a crash point left more than a torn tail"),
+        );
+        settle(&svc)?;
+
+        // Exactly one terminal per accepted job.
+        let records = read_records(soak.journal()).must("read the resumed journal")?;
+        let mut settles: BTreeMap<u64, (bool, usize)> = BTreeMap::new();
+        for record in &records {
+            match record {
+                JournalRecord::Accepted { id, .. } => settles.entry(*id).or_default().0 = true,
+                JournalRecord::Terminal { id, .. } | JournalRecord::Decision { id, .. } => {
+                    settles.entry(*id).or_default().1 += 1;
+                }
+                _ => {}
+            }
+        }
+        for (id, (accepted, count)) in settles {
+            soak.check(
+                accepted && count == 1,
+                format!("{at}: job {id} (accepted: {accepted}) has {count} terminal record(s)"),
+            );
+        }
+
+        // Every completed outcome seen before the crash recomputes to the
+        // digest it had, and its decision record (if any) holds that digest.
+        for (&id, &digest) in &run.completed {
+            let decided = records.iter().find_map(|r| match r {
+                JournalRecord::Decision { id: d, digest, .. } if *d == id => Some(*digest),
+                _ => None,
+            });
+            soak.check(
+                decided.is_none_or(|d| d == digest),
+                format!("{at}: job {id}'s decision records another digest"),
+            );
+            match svc.outcome(id) {
+                Some(JobOutcome::Completed { estimate, .. }) if estimate.digest() == digest => {}
+                other => soak.fail(format!(
+                    "{at}: job {id} resumed as {other:?}, want digest {digest:#018x}"
+                )),
+            }
+        }
+        let stats = svc.stats();
+        check_books(soak, &stats);
+        soak.check(
+            stats.recompute_failures == 0,
+            format!("{at}: {} recompute failure(s)", stats.recompute_failures),
+        );
+        recomputed += stats.recomputed;
+        svc.shutdown();
+    }
+    Ok(format!(
+        "{points} crash points over {} records, {recomputed} outcomes recomputed",
+        reference.len()
     ))
 }

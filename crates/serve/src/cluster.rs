@@ -27,8 +27,10 @@
 //!    thread cannot be killed mid-estimate from safe code), its journal
 //!    is replayed, already-settled outcomes are **adopted** —
 //!    at-most-once per terminal state: a result the coordinator already
-//!    harvested is dropped, counted in `duplicate_terminals_dropped` —
-//!    and unsettled jobs are **rerouted** by rehashing over the
+//!    harvested is dropped, counted in `duplicate_terminals_dropped`; a
+//!    completed job's decision record is recomputed on the cluster's model
+//!    and checked against its digest first — and unsettled jobs are
+//!    **rerouted** by rehashing over the
 //!    survivors, with bounded retries under the deterministic-jitter
 //!    [`RetryPolicy`].
 //! 5. **Recovery** — dead shards are restarted with a fresh journal and
@@ -45,7 +47,7 @@
 
 use crate::backoff::RetryPolicy;
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-use crate::journal::{JobOutcome, Journal, SessionReplay};
+use crate::journal::{JobOutcome, Journal, Replay};
 use crate::request::{EstimateRequest, OpenSessionRequest};
 use crate::routing::{rank, routing_key, session_routing_key};
 use crate::service::{Service, ServiceConfig, ServiceStats, SessionError, SubmitError};
@@ -259,6 +261,14 @@ pub struct ClusterStats {
     /// (state re-adopted from the dead shard's journal).
     #[serde(default)]
     pub sessions_failed_over: u64,
+    /// Decision records adopted from a dead shard's journal and recomputed
+    /// to their digest.
+    #[serde(default)]
+    pub recomputed: u64,
+    /// Adopted decision records that resolved to `Failed` instead (model
+    /// unavailable, recompute failed, digest mismatch).
+    #[serde(default)]
+    pub recompute_failures: u64,
 }
 
 impl ClusterStats {
@@ -296,6 +306,11 @@ struct ClusterMetrics {
     /// `cluster.sessions_failed_over` — session parts re-homed after a
     /// shard death.
     sessions_failed_over: Counter,
+    /// `cluster.recomputed` — adopted decisions recomputed to their digest.
+    recomputed: Counter,
+    /// `cluster.recompute_failures` — adopted decisions that resolved to
+    /// `Failed`.
+    recompute_failures: Counter,
 }
 
 impl ClusterMetrics {
@@ -319,6 +334,8 @@ impl ClusterMetrics {
             sessions_opened: r.counter("cluster.sessions_opened"),
             session_updates: r.counter("cluster.session_updates"),
             sessions_failed_over: r.counter("cluster.sessions_failed_over"),
+            recomputed: r.counter("cluster.recomputed"),
+            recompute_failures: r.counter("cluster.recompute_failures"),
         }
     }
 }
@@ -861,6 +878,8 @@ impl Cluster {
             sessions_opened: m.sessions_opened.get(),
             session_updates: m.session_updates.get(),
             sessions_failed_over: m.sessions_failed_over.get(),
+            recomputed: m.recomputed.get(),
+            recompute_failures: m.recompute_failures.get(),
         }
     }
 
@@ -1392,12 +1411,13 @@ fn failover(inner: &ClusterInner, idx: usize) {
     if let Some(svc) = service {
         svc.abort();
     }
-    let (adopted, journal_sessions): (BTreeMap<u64, JobOutcome>, BTreeMap<u64, SessionReplay>) =
-        journal_path
-            .as_ref()
-            .and_then(|p| Journal::open(p).ok())
-            .map(|(_, replay)| (replay.terminal, replay.sessions))
-            .unwrap_or_default();
+    let replay = journal_path
+        .as_ref()
+        .and_then(|p| Journal::open(p).ok())
+        .map(|(_, replay)| replay)
+        .unwrap_or_default();
+    let adopted = adopt_outcomes(inner, &replay, &assigned);
+    let journal_sessions = replay.sessions;
     let restarted = if inner.config.restart_dead_shards {
         // Restart on the *current* cluster-wide model: a shard that died
         // before a swap must not resurrect the pre-swap model.
@@ -1488,6 +1508,42 @@ fn failover(inner: &ClusterInner, idx: usize) {
     }
     drop(st);
     inner.cond.notify_all();
+}
+
+/// The outcomes a dead shard's journal holds for its `assigned` jobs
+/// (shard-local id → cluster id), by shard-local id. A decision record is
+/// recomputed from its accepted request on the cluster's model, which
+/// must have the recorded fingerprint (see
+/// [`Decision::recompute`](crate::journal::Decision::recompute)).
+fn adopt_outcomes(
+    inner: &ClusterInner,
+    replay: &Replay,
+    assigned: &HashMap<u64, u64>,
+) -> BTreeMap<u64, JobOutcome> {
+    let mut estimator: Option<(M3Estimator, u64)> = None;
+    let mut adopted = BTreeMap::new();
+    for sid in assigned.keys() {
+        if let Some(outcome) = replay.terminal.get(sid) {
+            adopted.insert(*sid, outcome.clone());
+            continue;
+        }
+        let (Some(decision), Some(request)) = (replay.decisions.get(sid), replay.accepted.get(sid))
+        else {
+            continue;
+        };
+        let (est, fingerprint) = estimator.get_or_insert_with(|| {
+            let model = inner.lock_model();
+            (M3Estimator::new(model.net.clone()), model.fingerprint)
+        });
+        let model = (*fingerprint == decision.fingerprint).then_some(&*est);
+        let outcome = decision.recompute(request, model, None);
+        match outcome {
+            JobOutcome::Completed { .. } => inner.metrics.recomputed.inc(),
+            _ => inner.metrics.recompute_failures.inc(),
+        }
+        adopted.insert(*sid, outcome);
+    }
+    adopted
 }
 
 /// Collect terminal outcomes from every live shard.

@@ -3,9 +3,18 @@
 //! Every accepted request is appended (and fsync'd) *before* the submit
 //! call returns, and every terminal outcome is appended when the job
 //! settles. A service that is killed and restarted replays the journal:
-//! jobs with an `Accepted` record but no `Terminal` record are re-enqueued
+//! jobs with an `Accepted` record but no terminal record are re-enqueued
 //! and — because requests are pure data and the pipeline is deterministic —
 //! complete with bit-identical results to an uninterrupted run.
+//!
+//! The same determinism keeps a completed job's record small: it journals
+//! the decision ([`JournalRecord::Decision`]: attempts, model fingerprint,
+//! [`NetworkEstimate::digest`]), not the estimate, and resume recomputes
+//! the estimate from the `Accepted` request when a client asks for it.
+//! Degraded, failed and shed outcomes keep their full
+//! [`JournalRecord::Terminal`] record. Version 1 journals, written before
+//! decision records existed, hold a full terminal for every outcome and
+//! still replay; opening one upgrades its header to version 2.
 //!
 //! The on-disk format reuses the checkpoint-hardening idiom from
 //! `m3-nn`: a magic/version header, then length-prefixed records each
@@ -22,21 +31,29 @@
 //! lands behind a partial frame.
 
 use crate::request::{EstimateRequest, OpenSessionRequest};
-use m3_core::prelude::{M3Error, NetworkEstimate, ScenarioDelta};
+use m3_core::prelude::{
+    EstimateOptions, M3Error, M3Estimator, NetworkEstimate, ScenarioDelta, SharedScenarioCache,
+};
 use m3_nn::prelude::{encode_record, scan_records_lenient};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// File magic: "m3 serve journal".
 const MAGIC: &[u8; 8] = b"M3SRVJRN";
-const VERSION: u32 = 1;
+/// Version 2 added [`JournalRecord::Decision`].
+const VERSION: u32 = 2;
+/// The oldest version the reader replays.
+const MIN_VERSION: u32 = 1;
 const HEADER_LEN: usize = MAGIC.len() + 4;
 
 /// Terminal state of a job. Every accepted job reaches exactly one of
-/// these; the variant (with its payload) is what the journal persists.
+/// these. The journal persists it whole, except a `Completed` outcome,
+/// which it persists as a [`JournalRecord::Decision`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(tag = "state", rename_all = "snake_case")]
 pub enum JobOutcome {
@@ -89,25 +106,28 @@ pub enum JournalRecord {
         #[serde(default)]
         trace: Option<u64>,
     },
-    Terminal {
+    /// Job `id` settled with `outcome`. Since version 2 a `Completed`
+    /// outcome is journaled as a [`JournalRecord::Decision`] instead.
+    Terminal { id: u64, outcome: Box<JobOutcome> },
+    /// Job `id` completed after `attempts` attempts on the model with
+    /// `fingerprint`, and its estimate has
+    /// [`digest`](NetworkEstimate::digest) `digest`. The estimate itself
+    /// is recomputed from the job's `Accepted` request on demand.
+    Decision {
         id: u64,
-        outcome: Box<JobOutcome>,
+        attempts: u32,
+        fingerprint: u64,
+        digest: u64,
     },
     /// A model swap passed its gates and is about to install. Written
     /// *before* the install so a crash between intent and commit is
     /// recoverable: an intent with no following [`JournalRecord::ModelSwap`]
     /// is a dangling swap and the pre-swap model stays active on resume.
-    SwapIntent {
-        version: u64,
-        fingerprint: u64,
-    },
+    SwapIntent { version: u64, fingerprint: u64 },
     /// A model version was installed as the active model (promotion or
     /// rollback — a rollback is just a swap back to the prior version).
     /// Kill-and-resume replays to the last one of these.
-    ModelSwap {
-        version: u64,
-        fingerprint: u64,
-    },
+    ModelSwap { version: u64, fingerprint: u64 },
     /// An incremental session was opened. Written (and fsync'd) before the
     /// expensive initial estimate runs, so a crash mid-open replays the
     /// open deterministically.
@@ -128,9 +148,101 @@ pub enum JournalRecord {
         delta: ScenarioDelta,
     },
     /// Session `id` was closed; resume does not re-open it.
-    SessionClose {
-        id: u64,
-    },
+    SessionClose { id: u64 },
+}
+
+impl JournalRecord {
+    /// The record that journals job `id` settling with `outcome` on the
+    /// model with `fingerprint`: a decision for a completed job, the full
+    /// outcome otherwise.
+    pub fn settled(id: u64, outcome: &JobOutcome, fingerprint: u64) -> JournalRecord {
+        match outcome {
+            JobOutcome::Completed { estimate, attempts } => JournalRecord::Decision {
+                id,
+                attempts: *attempts,
+                fingerprint,
+                digest: estimate.digest(),
+            },
+            _ => JournalRecord::Terminal {
+                id,
+                outcome: Box::new(outcome.clone()),
+            },
+        }
+    }
+}
+
+/// A completed job as a [`JournalRecord::Decision`] records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Decision {
+    pub attempts: u32,
+    pub fingerprint: u64,
+    pub digest: u64,
+}
+
+impl Decision {
+    /// The outcome this decision stands for, recomputed from the job's
+    /// `request` on `estimator`, the model with the recorded fingerprint
+    /// (`None` when no such model is at hand). The run repeats the
+    /// successful attempt — same policy, path slice and attempt-stamped
+    /// fault plan, no deadline — and goes through `cache` when given, as
+    /// the pipeline's bits do not depend on the cache. An estimate whose
+    /// digest differs from the recorded one, like a missing model or a
+    /// failed run, yields `Failed` with [`M3Error::NotReproduced`], never a
+    /// different estimate. The recomputed estimate's `timings` describe the
+    /// recompute run.
+    pub(crate) fn recompute(
+        &self,
+        request: &EstimateRequest,
+        estimator: Option<&M3Estimator>,
+        cache: Option<&SharedScenarioCache>,
+    ) -> JobOutcome {
+        let failed = |reason: String| JobOutcome::Failed {
+            error: M3Error::NotReproduced {
+                fingerprint: self.fingerprint,
+                digest: self.digest,
+                reason,
+            },
+            attempts: self.attempts,
+        };
+        let Some(estimator) = estimator else {
+            return failed("the model is not available".into());
+        };
+        let options = EstimateOptions {
+            policy: request.policy.unwrap_or_default(),
+            fault_plan: request
+                .fault_plan
+                .as_ref()
+                .map(|p| p.at_attempt(self.attempts.saturating_sub(1))),
+            path_slice: request.path_slice,
+            ..EstimateOptions::default()
+        };
+        let (paths, seed) = (request.paths, request.seed);
+        let run =
+            request
+                .scenario
+                .materialize(seed)
+                .and_then(|(topo, flows, config)| match cache {
+                    Some(cache) => estimator.try_estimate_with_shared_cache(
+                        &topo, &flows, &config, paths, seed, cache, &options,
+                    ),
+                    None => estimator.try_estimate(&topo, &flows, &config, paths, seed, &options),
+                });
+        match run {
+            Ok(estimate) => {
+                let (digest, clean) = (estimate.digest(), estimate.degradation.is_clean());
+                if digest == self.digest && clean {
+                    JobOutcome::Completed {
+                        estimate,
+                        attempts: self.attempts,
+                    }
+                } else {
+                    let degraded = if clean { "" } else { ", degraded" };
+                    failed(format!("recomputed digest {digest:#018x}{degraded}"))
+                }
+            }
+            Err(e) => failed(format!("the recompute failed: {e}")),
+        }
+    }
 }
 
 /// Typed account of mid-file journal corruption found during recovery.
@@ -175,8 +287,15 @@ pub struct Replay {
     /// Trace id recorded with each acceptance (absent for pre-tracing
     /// journals), for correlating journal entries with exported traces.
     pub trace_ids: BTreeMap<u64, u64>,
-    /// Terminal outcomes by job id.
+    /// Full terminal outcomes by job id: every outcome of a version 1
+    /// journal, and the non-`Completed` ones since.
     pub terminal: BTreeMap<u64, JobOutcome>,
+    /// Completed jobs by id, as their decision records hold them.
+    pub decisions: BTreeMap<u64, Decision>,
+    /// Terminal and decision records whose job has no `Accepted` record
+    /// (it was quarantined). They are left out of `terminal` and
+    /// `decisions`: there is no request to serve or recompute them from.
+    pub orphan_terminals: usize,
     /// True if a torn tail was truncated during recovery.
     pub truncated_tail: bool,
     /// Mid-file corruption quarantined during recovery (`None` on a clean
@@ -198,24 +317,100 @@ pub struct Replay {
     /// Deltas for an id with no preceding open are dropped — they cannot
     /// be applied to anything and indicate a quarantined open record.
     pub sessions: BTreeMap<u64, SessionReplay>,
+    /// The highest job or session id any replayed record names.
+    last_id: Option<u64>,
 }
 
 impl Replay {
+    /// Fold one record into the replay state.
+    fn apply(&mut self, rec: JournalRecord) {
+        let id = match rec {
+            JournalRecord::Accepted { id, request, trace } => {
+                self.accepted.insert(id, *request);
+                if let Some(t) = trace {
+                    self.trace_ids.insert(id, t);
+                }
+                id
+            }
+            JournalRecord::Terminal { id, outcome } => {
+                self.terminal.insert(id, *outcome);
+                id
+            }
+            JournalRecord::Decision {
+                id,
+                attempts,
+                fingerprint,
+                digest,
+            } => {
+                let decision = Decision {
+                    attempts,
+                    fingerprint,
+                    digest,
+                };
+                self.decisions.insert(id, decision);
+                id
+            }
+            JournalRecord::SwapIntent {
+                version,
+                fingerprint,
+            } => {
+                self.dangling_swap = Some((version, fingerprint));
+                return;
+            }
+            JournalRecord::ModelSwap {
+                version,
+                fingerprint,
+            } => {
+                self.active_model = Some((version, fingerprint));
+                self.dangling_swap = None;
+                return;
+            }
+            JournalRecord::SessionOpen { id, request } => {
+                let open = SessionReplay {
+                    request: *request,
+                    deltas: Vec::new(),
+                    closed: false,
+                };
+                self.sessions.insert(id, open);
+                id
+            }
+            JournalRecord::SessionDelta { id, seq, delta } => {
+                if let Some(s) = self.sessions.get_mut(&id) {
+                    s.deltas.push((seq, delta));
+                }
+                id
+            }
+            JournalRecord::SessionClose { id } => {
+                if let Some(s) = self.sessions.get_mut(&id) {
+                    s.closed = true;
+                }
+                id
+            }
+        };
+        self.last_id = self.last_id.max(Some(id));
+    }
+
     /// Jobs that were accepted but never settled — the re-enqueue set.
     pub fn pending(&self) -> Vec<(u64, EstimateRequest)> {
         self.accepted
             .iter()
-            .filter(|(id, _)| !self.terminal.contains_key(id))
+            .filter(|(id, _)| !self.terminal.contains_key(id) && !self.decisions.contains_key(id))
             .map(|(id, req)| (*id, req.clone()))
             .collect()
     }
 
+    /// Accepted jobs with a terminal or decision record.
+    pub fn settled(&self) -> usize {
+        self.terminal.len() + self.decisions.len()
+    }
+
     /// First id not yet used (ids are allocated monotonically from one
-    /// counter shared by jobs and sessions).
+    /// counter shared by jobs and sessions). Past every id a surviving
+    /// record names, including records whose `Accepted` or `SessionOpen`
+    /// was quarantined: reusing such an id would pair a new job with the
+    /// old one's records.
     pub fn next_id(&self) -> u64 {
-        let last_job = self.accepted.keys().next_back().copied();
-        let last_session = self.sessions.keys().next_back().copied();
-        last_job.max(last_session).map(|id| id + 1).unwrap_or(0)
+        self.last_id.map_or(0, |id| id + 1)
     }
 
     /// Sessions that were opened and never closed — the re-adopt set.
@@ -264,6 +459,103 @@ fn write_quarantine(path: &Path, frames: &[m3_nn::integrity::CorruptFrame]) -> i
     std::fs::write(path, out)
 }
 
+/// The version in `buf`'s header, if it is a journal this reader replays.
+fn check_header(path: &Path, buf: &[u8]) -> io::Result<u32> {
+    if buf.len() < HEADER_LEN || &buf[..MAGIC.len()] != MAGIC {
+        return Err(bad_data(format!("{}: not an m3 journal", path.display())));
+    }
+    let mut ver = [0u8; 4];
+    ver.copy_from_slice(&buf[MAGIC.len()..HEADER_LEN]);
+    let version = u32::from_le_bytes(ver);
+    if !(MIN_VERSION..=VERSION).contains(&version) {
+        return Err(bad_data(format!(
+            "{}: journal version {version} (supported: {MIN_VERSION}-{VERSION})",
+            path.display()
+        )));
+    }
+    Ok(version)
+}
+
+fn decode(path: &Path, payload: &[u8]) -> io::Result<JournalRecord> {
+    serde_json::from_slice(payload)
+        .map_err(|e| bad_data(format!("{}: bad journal record: {e}", path.display())))
+}
+
+/// Every intact record of the journal at `path`, in file order, without
+/// opening it for appending or changing it: corrupt frames are skipped and
+/// a torn tail is ignored.
+pub fn read_records(path: impl AsRef<Path>) -> io::Result<Vec<JournalRecord>> {
+    let path = path.as_ref();
+    let buf = std::fs::read(path)?;
+    check_header(path, &buf)?;
+    let scan = scan_records_lenient(&buf, HEADER_LEN);
+    scan.records.iter().map(|p| decode(path, p)).collect()
+}
+
+/// Crash points for tests and soaks: counting every write and every fsync
+/// of the appends to the journals it is attached to (0-based, in order),
+/// the `n`-th fails and so does every later one, as when the process dies
+/// at that point. A failing write first writes half its frame, and nothing
+/// is cut back after it, so the frame stays torn.
+#[derive(Debug, Clone)]
+pub struct JournalFaults(Arc<FaultCounts>);
+
+#[derive(Debug)]
+struct FaultCounts {
+    fail_at: u64,
+    ops: AtomicU64,
+    appended: AtomicU64,
+}
+
+/// What an injected write or fsync does.
+#[derive(PartialEq)]
+enum Injected {
+    Pass,
+    /// The crash point: a write leaves half its frame.
+    Crash,
+    /// Past the crash point: nothing reaches the file.
+    Dead,
+}
+
+impl JournalFaults {
+    /// Fail the `n`-th write or fsync and every later one.
+    pub fn fail_at(n: u64) -> JournalFaults {
+        JournalFaults(Arc::new(FaultCounts {
+            fail_at: n,
+            ops: AtomicU64::new(0),
+            appended: AtomicU64::new(0),
+        }))
+    }
+
+    /// Writes and fsyncs attempted so far.
+    pub fn ops(&self) -> u64 {
+        self.0.ops.load(Ordering::SeqCst)
+    }
+
+    /// Appends that returned `Ok` (so were fsync'd).
+    pub fn appended(&self) -> u64 {
+        self.0.appended.load(Ordering::SeqCst)
+    }
+
+    /// Whether the crash point has been reached.
+    pub fn tripped(&self) -> bool {
+        self.ops() > self.0.fail_at
+    }
+
+    fn next(&self) -> Injected {
+        let op = self.0.ops.fetch_add(1, Ordering::SeqCst);
+        match op.cmp(&self.0.fail_at) {
+            std::cmp::Ordering::Less => Injected::Pass,
+            std::cmp::Ordering::Equal => Injected::Crash,
+            std::cmp::Ordering::Greater => Injected::Dead,
+        }
+    }
+}
+
+fn injected() -> io::Error {
+    io::Error::other("injected journal crash point")
+}
+
 /// One journal record encoded as its on-disk frame
 /// (`[len u32 LE][checksum64 u64 LE][json]`), ready to append.
 pub(crate) struct Frame(Vec<u8>);
@@ -284,6 +576,7 @@ pub struct Journal {
     /// File length at the end of the last complete frame: where the next
     /// append starts, and what a failed append cuts the file back to.
     len: u64,
+    faults: Option<JournalFaults>,
 }
 
 impl Journal {
@@ -303,6 +596,7 @@ impl Journal {
             file,
             path,
             len: HEADER_LEN as u64,
+            faults: None,
         })
     }
 
@@ -318,18 +612,7 @@ impl Journal {
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         let mut buf = Vec::new();
         file.read_to_end(&mut buf)?;
-        if buf.len() < HEADER_LEN || &buf[..MAGIC.len()] != MAGIC {
-            return Err(bad_data(format!("{}: not an m3 journal", path.display())));
-        }
-        let mut ver = [0u8; 4];
-        ver.copy_from_slice(&buf[MAGIC.len()..HEADER_LEN]);
-        let version = u32::from_le_bytes(ver);
-        if version != VERSION {
-            return Err(bad_data(format!(
-                "{}: journal version {version} (supported: {VERSION})",
-                path.display()
-            )));
-        }
+        let version = check_header(&path, &buf)?;
 
         let scan = scan_records_lenient(&buf, HEADER_LEN);
         let corruption = if scan.corrupt.is_empty() {
@@ -356,52 +639,18 @@ impl Journal {
             ..Replay::default()
         };
         for payload in &scan.records {
-            let rec: JournalRecord = serde_json::from_slice(payload)
-                .map_err(|e| bad_data(format!("{}: bad journal record: {e}", path.display())))?;
-            match rec {
-                JournalRecord::Accepted { id, request, trace } => {
-                    replay.accepted.insert(id, *request);
-                    if let Some(t) = trace {
-                        replay.trace_ids.insert(id, t);
-                    }
-                }
-                JournalRecord::Terminal { id, outcome } => {
-                    replay.terminal.insert(id, *outcome);
-                }
-                JournalRecord::SwapIntent {
-                    version,
-                    fingerprint,
-                } => {
-                    replay.dangling_swap = Some((version, fingerprint));
-                }
-                JournalRecord::ModelSwap {
-                    version,
-                    fingerprint,
-                } => {
-                    replay.active_model = Some((version, fingerprint));
-                    replay.dangling_swap = None;
-                }
-                JournalRecord::SessionOpen { id, request } => {
-                    replay.sessions.insert(
-                        id,
-                        SessionReplay {
-                            request: *request,
-                            deltas: Vec::new(),
-                            closed: false,
-                        },
-                    );
-                }
-                JournalRecord::SessionDelta { id, seq, delta } => {
-                    if let Some(s) = replay.sessions.get_mut(&id) {
-                        s.deltas.push((seq, delta));
-                    }
-                }
-                JournalRecord::SessionClose { id } => {
-                    if let Some(s) = replay.sessions.get_mut(&id) {
-                        s.closed = true;
-                    }
-                }
-            }
+            replay.apply(decode(&path, payload)?);
+        }
+        let accepted = &replay.accepted;
+        let settled = replay.settled();
+        replay.terminal.retain(|id, _| accepted.contains_key(id));
+        replay.decisions.retain(|id, _| accepted.contains_key(id));
+        replay.orphan_terminals = settled - replay.settled();
+        if version < VERSION {
+            // Decision records may follow; say so before the first one.
+            file.seek(SeekFrom::Start(MAGIC.len() as u64))?;
+            file.write_all(&VERSION.to_le_bytes())?;
+            file.sync_data()?;
         }
         if replay.truncated_tail {
             // Drop the torn bytes so the next append starts on a clean
@@ -410,7 +659,13 @@ impl Journal {
             file.sync_data()?;
         }
         let len = file.seek(SeekFrom::End(0))?;
-        Ok((Journal { file, path, len }, replay))
+        let journal = Journal {
+            file,
+            path,
+            len,
+            faults: None,
+        };
+        Ok((journal, replay))
     }
 
     /// Append one record and fsync before returning — a record the caller
@@ -424,24 +679,58 @@ impl Journal {
     /// frame left mid-file would make recovery read its length field
     /// across the frames appended after it and drop them.
     pub(crate) fn append_frame(&mut self, frame: &Frame) -> io::Result<()> {
-        let written = self
-            .file
-            .write_all(&frame.0)
-            .and_then(|()| self.file.sync_data());
+        let written = self.write(&frame.0).and_then(|()| self.sync());
         match written {
             Ok(()) => {
                 self.len += frame.0.len() as u64;
+                if let Some(faults) = &self.faults {
+                    faults.0.appended.fetch_add(1, Ordering::SeqCst);
+                }
                 Ok(())
             }
             Err(e) => {
-                // Best effort: if the cut fails too, the seek still puts
-                // the next frame over the partial one, leaving at most a
-                // torn tail, which recovery truncates.
-                let _ = self.file.set_len(self.len);
-                let _ = self.file.seek(SeekFrom::Start(self.len));
+                if !self.faults.as_ref().is_some_and(JournalFaults::tripped) {
+                    // Best effort: if the cut fails too, the seek still
+                    // puts the next frame over the partial one, leaving at
+                    // most a torn tail, which recovery truncates.
+                    let _ = self.file.set_len(self.len);
+                    let _ = self.file.seek(SeekFrom::Start(self.len));
+                }
                 Err(e)
             }
         }
+    }
+
+    fn write(&mut self, bytes: &[u8]) -> io::Result<()> {
+        match self
+            .faults
+            .as_ref()
+            .map_or(Injected::Pass, JournalFaults::next)
+        {
+            Injected::Pass => self.file.write_all(bytes),
+            Injected::Crash => {
+                self.file.write_all(&bytes[..bytes.len() / 2])?;
+                Err(injected())
+            }
+            Injected::Dead => Err(injected()),
+        }
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        match self
+            .faults
+            .as_ref()
+            .map_or(Injected::Pass, JournalFaults::next)
+        {
+            Injected::Pass => self.file.sync_data(),
+            Injected::Crash | Injected::Dead => Err(injected()),
+        }
+    }
+
+    /// Inject `faults` into this journal's appends.
+    pub(crate) fn with_faults(mut self, faults: Option<JournalFaults>) -> Journal {
+        self.faults = faults;
+        self
     }
 
     pub fn path(&self) -> &Path {
@@ -737,8 +1026,9 @@ mod tests {
         let live = replay.live_sessions();
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].0, 3);
-        // Session ids count toward the shared id allocator.
-        assert_eq!(replay.next_id(), 6);
+        // Session ids count toward the shared id allocator, the id of the
+        // dropped delta included: its open may have been quarantined.
+        assert_eq!(replay.next_id(), 100);
         std::fs::remove_file(&path).ok();
     }
 
@@ -815,5 +1105,178 @@ mod tests {
         std::fs::write(&path, b"NOTAJRNL\x01\x00\x00\x00").unwrap();
         assert!(Journal::open(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    fn accepted(id: u64) -> JournalRecord {
+        JournalRecord::Accepted {
+            id,
+            request: Box::new(req(id)),
+            trace: None,
+        }
+    }
+
+    fn estimate(seed: u64) -> NetworkEstimate {
+        let mut est = NetworkEstimate::default();
+        est.bucket_counts[0] = seed as usize;
+        est.bucket_samples = vec![vec![1.0, 1.5 + seed as f64], vec![], vec![2.0], vec![]];
+        est
+    }
+
+    #[test]
+    fn a_completed_outcome_journals_a_decision_and_the_rest_in_full() {
+        let path = tmpfile("decision");
+        let completed = JobOutcome::Completed {
+            estimate: estimate(3),
+            attempts: 2,
+        };
+        let shed = JobOutcome::Shed {
+            reason: "late".into(),
+        };
+        let decision = JournalRecord::settled(0, &completed, 0xF00D);
+        assert!(Frame::encode(&decision).unwrap().0.len() < 200);
+        let mut j = Journal::create(&path).unwrap();
+        for record in [
+            accepted(0),
+            decision,
+            accepted(1),
+            JournalRecord::settled(1, &shed, 0xF00D),
+            accepted(2),
+        ] {
+            j.append(&record).unwrap();
+        }
+        drop(j);
+
+        let (_j, replay) = Journal::open(&path).unwrap();
+        let want = Decision {
+            attempts: 2,
+            fingerprint: 0xF00D,
+            digest: estimate(3).digest(),
+        };
+        assert_eq!(replay.decisions.get(&0), Some(&want));
+        assert!(matches!(
+            replay.terminal.get(&1),
+            Some(JobOutcome::Shed { .. })
+        ));
+        assert_eq!(replay.settled(), 2);
+        assert_eq!(replay.pending().len(), 1);
+        assert_eq!(replay.pending()[0].0, 2);
+        assert_eq!(replay.orphan_terminals, 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Byte offset of the frame holding the `n`-th record of `path`.
+    fn frame_offset(path: &Path, n: usize) -> usize {
+        let bytes = std::fs::read(path).unwrap();
+        let mut at = HEADER_LEN;
+        for _ in 0..n {
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            at += 12 + len as usize;
+        }
+        at
+    }
+
+    #[test]
+    fn orphan_terminals_are_counted_not_replayed_and_their_ids_not_reused() {
+        let path = tmpfile("orphans");
+        let mut j = Journal::create(&path).unwrap();
+        let completed = JobOutcome::Completed {
+            estimate: estimate(1),
+            attempts: 1,
+        };
+        for record in [
+            accepted(0),
+            accepted(1),
+            JournalRecord::settled(1, &completed, 7),
+            accepted(2),
+            JournalRecord::Terminal {
+                id: 2,
+                outcome: Box::new(JobOutcome::Shed { reason: "x".into() }),
+            },
+        ] {
+            j.append(&record).unwrap();
+        }
+        drop(j);
+        // Quarantine the acceptances of jobs 1 and 2, the highest ids.
+        let mut bytes = std::fs::read(&path).unwrap();
+        for n in [1, 3] {
+            bytes[frame_offset(&path, n) + 12 + 5] ^= 0x01;
+        }
+        std::fs::write(&path, &bytes).unwrap();
+
+        let (_j, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay.corruption.as_ref().unwrap().records_quarantined, 2);
+        assert_eq!(replay.accepted.keys().copied().collect::<Vec<_>>(), [0]);
+        assert!(replay.decisions.is_empty() && replay.terminal.is_empty());
+        assert_eq!(replay.orphan_terminals, 2);
+        assert_eq!(replay.next_id(), 3, "an orphan's id must not be reused");
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(tmpfile("orphans.corrupt")).ok();
+    }
+
+    #[test]
+    fn version_1_replays_and_is_upgraded_and_unknown_versions_are_refused() {
+        let path = tmpfile("versions");
+        let mut j = Journal::create(&path).unwrap();
+        j.append(&accepted(0)).unwrap();
+        drop(j);
+        let set_version = |v: u32| {
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[MAGIC.len()..HEADER_LEN].copy_from_slice(&v.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+        };
+        let version =
+            || u32::from_le_bytes(std::fs::read(&path).unwrap()[8..12].try_into().unwrap());
+        set_version(1);
+        let (_j, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay.accepted.len(), 1);
+        assert_eq!(version(), VERSION, "a v1 header was not upgraded");
+        for v in [0, VERSION + 1] {
+            set_version(v);
+            let err = Journal::open(&path).err().unwrap();
+            assert!(err.to_string().contains("journal version"), "{err}");
+            assert!(read_records(&path).is_err());
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Append `records` with a crash point at write-or-fsync `n`, then
+    /// replay what the file holds.
+    fn crash_at(n: u64, records: &[JournalRecord]) -> (JournalFaults, Replay) {
+        let path = tmpfile(&format!("crash-{n}"));
+        let faults = JournalFaults::fail_at(n);
+        let mut j = Journal::create(&path)
+            .unwrap()
+            .with_faults(Some(faults.clone()));
+        for (i, record) in records.iter().enumerate() {
+            let ok = j.append(record).is_ok();
+            assert_eq!(ok, (2 * i as u64 + 1) < n, "append {i} at crash point {n}");
+        }
+        drop(j);
+        let (_j, replay) = Journal::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        (faults, replay)
+    }
+
+    #[test]
+    fn a_crash_point_fails_that_write_or_fsync_and_every_later_one() {
+        let records = [accepted(0), accepted(1), accepted(2)];
+        // The write of append 1 crashes: half its frame stays as a torn
+        // tail; append 2 writes nothing.
+        let (faults, replay) = crash_at(2, &records);
+        assert!(faults.tripped());
+        assert_eq!((faults.ops(), faults.appended()), (4, 1));
+        assert!(replay.truncated_tail);
+        assert_eq!(replay.accepted.keys().copied().collect::<Vec<_>>(), [0]);
+        // The fsync of append 1 crashes: its frame was written whole, so it
+        // replays though the append failed.
+        let (faults, replay) = crash_at(3, &records);
+        assert_eq!((faults.ops(), faults.appended()), (5, 1));
+        assert!(!replay.truncated_tail);
+        assert_eq!(replay.accepted.keys().copied().collect::<Vec<_>>(), [0, 1]);
+        // Past the last operation nothing fails.
+        let (faults, replay) = crash_at(6, &records);
+        assert!(!faults.tripped());
+        assert_eq!(faults.appended(), 3);
+        assert_eq!(replay.accepted.len(), 3);
     }
 }

@@ -58,7 +58,8 @@ pub mod prelude {
         ShardStatus,
     };
     pub use crate::journal::{
-        JobOutcome, Journal, JournalCorruption, JournalRecord, Replay, SessionReplay,
+        read_records, Decision, JobOutcome, Journal, JournalCorruption, JournalFaults,
+        JournalRecord, Replay, SessionReplay,
     };
     pub use crate::monitor::{
         default_slos, render_report, DriftConfig, DriftReport, EventLog, HealthEvent, HealthReport,

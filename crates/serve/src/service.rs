@@ -36,10 +36,15 @@
 //!   materialized once.
 //! * Journal frames are encoded before the state lock is taken; under it
 //!   only the write and the fsync remain.
+//! * A completed job journals its decision (a digest of the estimate), not
+//!   the estimate. A resumed service recomputes the estimate the first
+//!   time [`Service::outcome`] is asked for it, outside the state lock.
 
 use crate::backoff::RetryPolicy;
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-use crate::journal::{Frame, JobOutcome, Journal, JournalCorruption, JournalRecord, Replay};
+use crate::journal::{
+    Decision, Frame, JobOutcome, Journal, JournalCorruption, JournalFaults, JournalRecord, Replay,
+};
 use crate::request::{
     ConfigSpec, EstimateRequest, OpenSessionRequest, ScenarioSpec, TopoSpec, WorkloadSpec,
 };
@@ -102,6 +107,10 @@ pub struct ServiceConfig {
     /// cluster fan-out benchmarks measure coordinator concurrency honestly
     /// on any core count (shards overlap sleeps even on one core).
     pub simulated_io: Duration,
+    /// Crash points injected into the journal's appends (see
+    /// [`JournalFaults`]); `None`, the default, injects nothing. For
+    /// crash-recovery tests and soaks.
+    pub journal_faults: Option<JournalFaults>,
 }
 
 impl Default for ServiceConfig {
@@ -118,6 +127,7 @@ impl Default for ServiceConfig {
             trace_stride_ns: 0,
             liveness_timeout: Duration::from_secs(2),
             simulated_io: Duration::ZERO,
+            journal_faults: None,
         }
     }
 }
@@ -253,6 +263,18 @@ pub struct ServiceStats {
     /// Deltas applied across all sessions (successful applies only).
     #[serde(default)]
     pub session_updates: u64,
+    /// Completed jobs resumed from a decision record whose estimate was
+    /// recomputed to the recorded digest.
+    #[serde(default)]
+    pub recomputed: u64,
+    /// Decision records that resolved to a `Failed` outcome instead: the
+    /// model was unavailable, the recompute failed, or the digest differed.
+    #[serde(default)]
+    pub recompute_failures: u64,
+    /// Terminal and decision records the resume that started this service
+    /// dropped because their `Accepted` record was quarantined.
+    #[serde(default)]
+    pub journal_orphan_terminals: usize,
 }
 
 impl ServiceStats {
@@ -335,6 +357,11 @@ pub struct ServeMetrics {
     pub sessions_open: Gauge,
     /// `serve.session_update_seconds` — per-delta apply latency (wall).
     pub session_update_latency: Histogram,
+    /// `serve.recomputed` — decision records recomputed to their digest.
+    pub recomputed: Counter,
+    /// `serve.recompute_failures` — decision records that resolved to
+    /// `Failed` (model unavailable, recompute failed, digest mismatch).
+    pub recompute_failures: Counter,
     /// `serve.cache_eviction_pressure` — evictions plus pin-blocked
     /// eviction attempts in the shared scenario cache (wall; sampled by
     /// the supervisor each tick). Rising while sessions are open means the
@@ -377,6 +404,8 @@ impl ServeMetrics {
                 "serve.session_update_seconds",
                 HistogramEdges::latency_seconds(),
             ),
+            recomputed: registry.counter("serve.recomputed"),
+            recompute_failures: registry.counter("serve.recompute_failures"),
             cache_eviction_pressure: registry.wall_gauge("serve.cache_eviction_pressure"),
             trace_dropped: registry.wall_gauge("trace.dropped_events"),
         }
@@ -526,6 +555,26 @@ struct ActiveModel {
     fingerprint: u64,
 }
 
+/// A settled job as [`Service::outcome`] finds it.
+enum Settled {
+    Outcome(JobOutcome),
+    /// Resumed from a decision record; recomputed on the first `outcome`.
+    Decided {
+        request: EstimateRequest,
+        decision: Decision,
+    },
+}
+
+/// Where a resumed decision finds the model it was made on, other than the
+/// active model: the models the service was resumed with (the
+/// construction-time one and the journal's active one, which a later swap
+/// may replace), and the registry it was resumed with.
+#[derive(Default)]
+struct DecisionModels {
+    by_fingerprint: HashMap<u64, Arc<M3Estimator>>,
+    registry: Option<ModelRegistry>,
+}
+
 /// One live incremental session: the core session plus its per-session
 /// delta sequence counter (the `seq` stamped on journal records).
 struct ServeSession {
@@ -541,7 +590,7 @@ struct State {
     /// Jobs currently being processed, keyed by worker token — the
     /// supervisor recovers these when a worker dies.
     in_flight: HashMap<usize, Job>,
-    outcomes: BTreeMap<u64, JobOutcome>,
+    outcomes: BTreeMap<u64, Settled>,
     /// Accepted jobs ever (preload + submissions); mirrored by the
     /// `serve.accepted` counter but kept under the lock because
     /// `wait_idle` compares it against `outcomes.len()`.
@@ -552,6 +601,8 @@ struct State {
     shutdown: bool,
     /// Mid-file corruption found when this service resumed its journal.
     journal_corruption: Option<JournalCorruption>,
+    /// Orphan terminal records dropped when this service resumed.
+    journal_orphan_terminals: usize,
 }
 
 struct Inner {
@@ -572,6 +623,7 @@ struct Inner {
     cond: Condvar,
     config: ServiceConfig,
     model: Mutex<ActiveModel>,
+    decision_models: Mutex<DecisionModels>,
     cache: SharedScenarioCache,
     /// Live, always-enabled registry: service counters plus the absorbed
     /// per-job pipeline metrics.
@@ -615,7 +667,39 @@ impl Inner {
     /// `Arc` once at pickup, so an install mid-job never changes the model
     /// an in-flight request runs on.
     fn active_estimator(&self) -> Arc<M3Estimator> {
-        Arc::clone(&self.lock_model().estimator)
+        self.pin_model().0
+    }
+
+    /// [`active_estimator`](Self::active_estimator) and its fingerprint.
+    fn pin_model(&self) -> (Arc<M3Estimator>, u64) {
+        let slot = self.lock_model();
+        (Arc::clone(&slot.estimator), slot.fingerprint)
+    }
+
+    /// The model with `fingerprint`, for recomputing a decision: the
+    /// active one, one the service was resumed with, or the registry's.
+    fn model_for(&self, fingerprint: u64) -> Option<Arc<M3Estimator>> {
+        let (active, active_fp) = self.pin_model();
+        if active_fp == fingerprint {
+            return Some(active);
+        }
+        let mut models = self
+            .decision_models
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(est) = models.by_fingerprint.get(&fingerprint) {
+            return Some(Arc::clone(est));
+        }
+        let (_, net) = models
+            .registry
+            .as_ref()?
+            .load(ModelRef::Fingerprint(fingerprint))
+            .ok()?;
+        let mut est = M3Estimator::new(net);
+        est.use_context = active.use_context;
+        let est = Arc::new(est);
+        models.by_fingerprint.insert(fingerprint, Arc::clone(&est));
+        Some(est)
     }
 
     fn note_beat(&self) {
@@ -789,6 +873,10 @@ impl Service {
         registry: Option<&ModelRegistry>,
     ) -> io::Result<(Service, Replay)> {
         let (journal, replay) = Journal::open(path)?;
+        let mut decision_models = DecisionModels {
+            registry: registry.cloned(),
+            ..DecisionModels::default()
+        };
         let (estimator, version) = match (replay.active_model, registry) {
             (Some((ver, fp)), Some(reg)) => {
                 let (entry, net) = reg.load(ModelRef::Version(ver))?;
@@ -804,6 +892,10 @@ impl Service {
                 }
                 let mut est = M3Estimator::new(net);
                 est.use_context = default_estimator.use_context;
+                let default_fp = default_estimator.net.fingerprint();
+                decision_models
+                    .by_fingerprint
+                    .insert(default_fp, Arc::new(default_estimator));
                 (est, Some(ver))
             }
             (Some((ver, _)), None) => {
@@ -828,17 +920,34 @@ impl Service {
             })
             .collect();
         let svc = Service::build_versioned(estimator, config, Some(journal), pending, version);
+        let (active, active_fp) = svc.inner.pin_model();
+        decision_models.by_fingerprint.insert(active_fp, active);
+        *svc.inner
+            .decision_models
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = decision_models;
         {
             let mut st = svc.inner.lock();
             svc.inner.next_id.store(replay.next_id(), Ordering::Relaxed);
             st.journal_corruption = replay.corruption.clone();
+            st.journal_orphan_terminals = replay.orphan_terminals;
             // `build` already counted the re-enqueued pending jobs.
-            let settled = (replay.accepted.len() - replay.pending().len()) as u64;
+            let settled = replay.settled() as u64;
             st.accepted = replay.accepted.len() as u64;
             svc.inner.metrics.accepted.add(settled);
             for (id, outcome) in &replay.terminal {
                 bump_terminal_counter(&svc.inner.metrics, outcome);
-                st.outcomes.insert(*id, outcome.clone());
+                st.outcomes.insert(*id, Settled::Outcome(outcome.clone()));
+            }
+            for (id, decision) in &replay.decisions {
+                // `Journal::open` keeps only decisions of accepted jobs.
+                let Some(request) = replay.accepted.get(id).cloned() else {
+                    continue;
+                };
+                svc.inner.metrics.completed.inc();
+                let decision = *decision;
+                st.outcomes
+                    .insert(*id, Settled::Decided { request, decision });
             }
         }
         // Re-adopt live sessions: re-open each from its journaled request
@@ -905,9 +1014,10 @@ impl Service {
                 accepted: accepted_preload,
                 flowsim_breaker: CircuitBreaker::new(config.breaker),
                 forward_breaker: CircuitBreaker::new(config.breaker),
-                journal,
+                journal: journal.map(|j| j.with_faults(config.journal_faults.clone())),
                 shutdown: false,
                 journal_corruption: None,
+                journal_orphan_terminals: 0,
             }),
             cond: Condvar::new(),
             model: Mutex::new(ActiveModel {
@@ -915,6 +1025,7 @@ impl Service {
                 version: model_version,
                 fingerprint,
             }),
+            decision_models: Mutex::new(DecisionModels::default()),
             cache: SharedScenarioCache::new(config.cache_capacity),
             config,
             registry,
@@ -980,9 +1091,30 @@ impl Service {
         Ok(id)
     }
 
-    /// The terminal outcome of job `id`, if it has settled.
+    /// The terminal outcome of job `id`, if it has settled. A job resumed
+    /// from a decision record is recomputed on the first call (outside the
+    /// state lock) on the model with the recorded fingerprint and checked
+    /// against the recorded digest. A mismatch or a missing model yields
+    /// `Failed` with [`M3Error::NotReproduced`]; a recomputed estimate's
+    /// `timings` describe the recompute run.
     pub fn outcome(&self, id: u64) -> Option<JobOutcome> {
-        self.inner.lock().outcomes.get(&id).cloned()
+        let (request, decision) = match self.inner.lock().outcomes.get(&id)? {
+            Settled::Outcome(outcome) => return Some(outcome.clone()),
+            Settled::Decided { request, decision } => (request.clone(), *decision),
+        };
+        let model = self.inner.model_for(decision.fingerprint);
+        let outcome = decision.recompute(&request, model.as_deref(), Some(&self.inner.cache));
+        let mut st = self.inner.lock();
+        if let Some(Settled::Outcome(first)) = st.outcomes.get(&id) {
+            // Another caller recomputed it first.
+            return Some(first.clone());
+        }
+        match outcome {
+            JobOutcome::Completed { .. } => self.inner.metrics.recomputed.inc(),
+            _ => self.inner.metrics.recompute_failures.inc(),
+        }
+        st.outcomes.insert(id, Settled::Outcome(outcome.clone()));
+        Some(outcome)
     }
 
     /// Open a long-lived incremental session: journal the open
@@ -1146,6 +1278,9 @@ impl Service {
             sessions_open: m.sessions_open.get() as usize,
             sessions_opened: m.sessions_opened.get(),
             session_updates: m.session_updates.get(),
+            recomputed: m.recomputed.get(),
+            recompute_failures: m.recompute_failures.get(),
+            journal_orphan_terminals: st.journal_orphan_terminals,
         }
     }
 
@@ -1450,19 +1585,20 @@ fn worker_loop(inner: Arc<Inner>, token: usize) {
                 st = inner.cond.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let outcome = process(&inner, &job);
-        settle(&inner, token, &job, outcome);
+        let (estimator, fingerprint) = inner.pin_model();
+        let outcome = process(&inner, &job, &estimator);
+        settle(&inner, token, &job, outcome, fingerprint);
     }
 }
 
-/// Record a terminal outcome: journal it, count it, observe its latency,
-/// publish it, release the in-flight slot, and wake any `wait_idle`
-/// callers.
-fn settle(inner: &Arc<Inner>, token: usize, job: &Job, outcome: JobOutcome) {
-    let frame = inner.encode(&JournalRecord::Terminal {
-        id: job.id,
-        outcome: Box::new(outcome.clone()),
-    });
+/// Record a terminal outcome reached on the model with `fingerprint`:
+/// journal it (a decision when it completed), count it, observe its
+/// latency, publish it, release the in-flight slot, and wake any
+/// `wait_idle` callers.
+fn settle(inner: &Arc<Inner>, token: usize, job: &Job, outcome: JobOutcome, fingerprint: u64) {
+    let frame = inner
+        .journaled
+        .then(|| Frame::encode(&JournalRecord::settled(job.id, &outcome, fingerprint)));
     let mut st = inner.lock();
     // A failed terminal append leaves the job pending in the journal; on
     // restart it will be replayed (idempotent by determinism), so losing
@@ -1473,7 +1609,7 @@ fn settle(inner: &Arc<Inner>, token: usize, job: &Job, outcome: JobOutcome) {
         .metrics
         .request_latency
         .observe(job.accepted_at.elapsed().as_secs_f64());
-    st.outcomes.insert(job.id, outcome);
+    st.outcomes.insert(job.id, Settled::Outcome(outcome));
     st.in_flight.remove(&token);
     inner.metrics.in_flight.set(st.in_flight.len() as f64);
     drop(st);
@@ -1485,13 +1621,12 @@ fn elapsed_ms(start: Instant) -> u64 {
     start.elapsed().as_millis().min(u64::MAX as u128) as u64
 }
 
-/// Run one job to a terminal outcome (never panics except via an injected
-/// `WorkerPanic`, which is the supervisor's test hook).
-fn process(inner: &Arc<Inner>, job: &Job) -> JobOutcome {
+/// Run one job to a terminal outcome on `estimator`, pinned for the whole
+/// job so a hot swap mid-job cannot change the model between retries
+/// (never panics except via an injected `WorkerPanic`, which is the
+/// supervisor's test hook).
+fn process(inner: &Arc<Inner>, job: &Job, estimator: &M3Estimator) -> JobOutcome {
     let req = &job.request;
-    // Pin the active model for the whole job: a hot swap mid-job must not
-    // change the model between retries of the same request.
-    let estimator = inner.active_estimator();
 
     // Per-job trace context: every attempt of this job (and its journal
     // entry) shares one trace id. The serve-level span records job-scope
@@ -1902,6 +2037,151 @@ mod tests {
         let mut want: Vec<u64> = (last + 2 - MATERIALIZE_MEMO_CAP as u64..=last).collect();
         want.push(0);
         assert_eq!(kept, want);
+    }
+
+    fn tmp_journal(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("m3-serve-{name}-{}.jrn", std::process::id()))
+    }
+
+    /// A journal in which jobs 0 and 1 completed, one after the other, left
+    /// by a killed service; and job 0's estimate.
+    fn journal_of_two_completed_jobs(path: &Path) -> NetworkEstimate {
+        let config = ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        };
+        let svc = Service::start_journaled(tiny_estimator(), config, path).unwrap();
+        for seed in 1..3 {
+            svc.submit(tiny_request(seed)).unwrap();
+            assert!(svc.wait_idle(Duration::from_secs(60)));
+        }
+        let Some(JobOutcome::Completed { estimate, .. }) = svc.outcome(0) else {
+            panic!("job 0 did not complete");
+        };
+        svc.abort();
+        estimate
+    }
+
+    fn no_workers() -> ServiceConfig {
+        ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_resumed_decision_is_recomputed_once_to_its_estimate() {
+        let path = tmp_journal("recompute");
+        let before = journal_of_two_completed_jobs(&path);
+        let records = crate::journal::read_records(&path).unwrap();
+        assert!(
+            matches!(
+                records[1],
+                JournalRecord::Decision {
+                    id: 0,
+                    attempts: 1,
+                    ..
+                }
+            ),
+            "{:?}",
+            records[1]
+        );
+        let (svc, replay) = Service::resume(tiny_estimator(), no_workers(), &path).unwrap();
+        assert_eq!((replay.decisions.len(), replay.settled()), (2, 2));
+        assert_eq!(svc.stats().completed, 2);
+        for _ in 0..2 {
+            let Some(JobOutcome::Completed { estimate, attempts }) = svc.outcome(0) else {
+                panic!("job 0 did not recompute");
+            };
+            same_estimate(&estimate, &before);
+            assert_eq!(attempts, 1);
+        }
+        let stats = svc.stats();
+        assert_eq!((stats.recomputed, stats.recompute_failures), (1, 0));
+        svc.shutdown();
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Resume `path` after rewriting every decision's digest with
+    /// `digest(old)`, on `estimator`; job 0's outcome and the stats after.
+    fn resume_rewritten(
+        path: &Path,
+        digest: impl Fn(u64) -> u64,
+        estimator: M3Estimator,
+    ) -> (JobOutcome, ServiceStats) {
+        let records = crate::journal::read_records(path).unwrap();
+        let mut journal = Journal::create(path).unwrap();
+        for mut record in records {
+            if let JournalRecord::Decision { digest: d, .. } = &mut record {
+                *d = digest(*d);
+            }
+            journal.append(&record).unwrap();
+        }
+        drop(journal);
+        let (svc, _) = Service::resume(estimator, no_workers(), path).unwrap();
+        let outcome = svc.outcome(0).unwrap();
+        let stats = svc.stats();
+        svc.shutdown();
+        (outcome, stats)
+    }
+
+    #[test]
+    fn a_flipped_digest_or_a_missing_model_resumes_as_a_typed_failure() {
+        let path = tmp_journal("flipped");
+        journal_of_two_completed_jobs(&path);
+        let (outcome, stats) = resume_rewritten(&path, |d| d ^ 1, tiny_estimator());
+        match outcome {
+            JobOutcome::Failed {
+                error: M3Error::NotReproduced { reason, .. },
+                attempts: 1,
+            } => assert!(reason.contains("recomputed digest"), "{reason}"),
+            other => panic!("expected a typed failure, got {other:?}"),
+        }
+        assert_eq!((stats.recomputed, stats.recompute_failures), (0, 1));
+
+        // Flipped back, but resumed on another model.
+        let other = M3Estimator::new(M3Net::new(tiny_estimator().net.cfg.clone(), 4));
+        let (outcome, stats) = resume_rewritten(&path, |d| d ^ 1, other);
+        match outcome {
+            JobOutcome::Failed {
+                error: M3Error::NotReproduced { reason, .. },
+                ..
+            } => assert!(reason.contains("not available"), "{reason}"),
+            other => panic!("expected a typed failure, got {other:?}"),
+        }
+        assert_eq!(stats.recompute_failures, 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// An orphan is a terminal whose `Accepted` record was quarantined.
+    /// Resume used to hand its id to the next submission, which then read
+    /// the orphan's outcome at once.
+    #[test]
+    fn a_quarantined_acceptance_does_not_hand_its_id_to_the_next_job() {
+        let path = tmp_journal("orphan");
+        journal_of_two_completed_jobs(&path);
+        // Records: Accepted 0, Decision 0, Accepted 1, Decision 1. Flip a
+        // payload bit of the last Accepted frame.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mut at = 12;
+        for _ in 0..2 {
+            at += 12 + u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        }
+        bytes[at + 12 + 5] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let (svc, replay) = Service::resume(tiny_estimator(), no_workers(), &path).unwrap();
+        assert_eq!(replay.orphan_terminals, 1);
+        assert_eq!(svc.stats().journal_orphan_terminals, 1);
+        assert!(svc.outcome(1).is_none());
+        let id = svc.submit(tiny_request(9)).unwrap();
+        assert_eq!(id, 2);
+        assert!(svc.outcome(id).is_none(), "a fresh job read an old outcome");
+        svc.shutdown();
+        std::fs::remove_file(&path).ok();
+        let mut sidecar = path.into_os_string();
+        sidecar.push(".corrupt");
+        std::fs::remove_file(sidecar).ok();
     }
 
     fn tiny_session_request(seed: u64) -> OpenSessionRequest {

@@ -73,13 +73,13 @@ if ! diff -q tests/golden/estimate_trace.json "$TRACE_TMP" > /dev/null; then
 fi
 echo "trace golden matches"
 
-echo "==> speed gates (gate all: hotpath >=4x forward, session >=5x, cluster >=6x at 8 shards, tracing <3% / telemetry <2% / monitor <2% overhead; writes six BENCH_*.json)"
+echo "==> speed gates (gate all: hotpath >=4x forward, session >=5x, cluster >=6x at 8 shards, tracing <3% / telemetry <2% / monitor <2% overhead, journal <=1 KiB per completed request; writes seven BENCH_*.json)"
 cargo run --release -q -p m3-bench --bin gate -- all
 # Which matmul kernel instantiation the forward pass dispatched to here: the
 # timings above are not comparable between an avx2 and a portable host.
 echo "hot-path kernel path on this host: $(grep -o '"kernel_path": "[a-z0-9]*"' BENCH_hotpath.json | cut -d'"' -f4)"
 
-echo "==> fault soak (service, cluster, swap, session, monitor schedules on seeds 1-3)"
+echo "==> fault soak (service, cluster, swap, session, monitor, crash schedules on seeds 1-3)"
 cargo run --release -q -p m3-serve --bin soak -- all 1 2 3
 
 echo "All checks passed."

@@ -762,7 +762,7 @@ fn run_serve(spec: &ServiceSpec, metrics_out: Option<&str>, trace: Option<&Trace
             println!(
                 "resumed journal {path}: {} accepted, {} settled, {} pending{}",
                 replay.accepted.len(),
-                replay.terminal.len(),
+                replay.settled(),
                 replay.pending().len(),
                 if replay.truncated_tail {
                     " (torn tail truncated)"
@@ -814,10 +814,8 @@ fn run_serve(spec: &ServiceSpec, metrics_out: Option<&str>, trace: Option<&Trace
     ) {
         die(EXIT_FAULT, "service did not settle all jobs within 1 h");
     }
-    let stats = svc.stats();
-
     let mut failed = 0u64;
-    for id in 0..stats.accepted {
+    for id in 0..svc.stats().accepted {
         match svc.outcome(id) {
             Some(JobOutcome::Completed { estimate, attempts }) => {
                 let took = Duration::from_secs_f64(estimate.timings.total_s());
@@ -854,6 +852,8 @@ fn run_serve(spec: &ServiceSpec, metrics_out: Option<&str>, trace: Option<&Trace
         }
     }
 
+    // After the outcomes: a resumed decision is recomputed when read.
+    let stats = svc.stats();
     svc.shutdown();
     match serde_json::to_string_pretty(&stats) {
         Ok(s) => println!("{s}"),

@@ -213,7 +213,7 @@ fn partial_crash_recovery_completes_the_pending_tail() {
     let (svc, replay) =
         Service::resume(untrained_estimator(), fast_config(2), &path).expect("resume");
     assert!(
-        replay.terminal.len() as u64 >= settled_before,
+        replay.settled() as u64 >= settled_before,
         "settled outcomes must be journaled"
     );
     assert!(svc.wait_idle(IDLE), "resumed run did not settle");
@@ -594,4 +594,98 @@ fn degraded_and_shed_requests_record_request_latency() {
         "both the degraded and the shed job must be observed"
     );
     svc.shutdown();
+}
+
+/// A version 1 journal, written before decision records existed by the
+/// journal writer of commit 21e77be: job 0 completed (its full estimate in
+/// the terminal record), job 1 degraded, job 2 accepted and pending,
+/// session 3 opened, updated and closed, and registry version 1 of
+/// `untrained_estimator`'s model swapped in.
+const JOURNAL_V1: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/journal_v1.bin");
+
+/// The digest of job 0's estimate in `JOURNAL_V1`.
+const JOURNAL_V1_JOB0_DIGEST: u64 = 0xdb2c_3c8e_acc7_0447;
+
+#[test]
+fn a_version_1_journal_replays_and_serves_its_estimates_without_recompute() {
+    use m3::nn::prelude::{Lineage, ModelRegistry};
+    let dir = tmpjournal("v1");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("journal_v1.bin");
+    std::fs::copy(JOURNAL_V1, &path).expect("copy the fixture");
+
+    let records = read_records(&path).expect("read the v1 fixture");
+    let kinds: Vec<&str> = records
+        .iter()
+        .map(|r| match r {
+            JournalRecord::Accepted { .. } => "accepted",
+            JournalRecord::Terminal { .. } => "terminal",
+            JournalRecord::Decision { .. } => "decision",
+            JournalRecord::SwapIntent { .. } => "swap_intent",
+            JournalRecord::ModelSwap { .. } => "model_swap",
+            JournalRecord::SessionOpen { .. } => "session_open",
+            JournalRecord::SessionDelta { .. } => "session_delta",
+            JournalRecord::SessionClose { .. } => "session_close",
+        })
+        .collect();
+    assert_eq!(
+        kinds,
+        [
+            "accepted",
+            "terminal",
+            "accepted",
+            "terminal",
+            "accepted",
+            "session_open",
+            "session_delta",
+            "session_close",
+            "swap_intent",
+            "model_swap"
+        ]
+    );
+    let Some(JournalRecord::Terminal { outcome, .. }) = records.get(1) else {
+        unreachable!()
+    };
+    let v1_estimate = outcome.estimate().expect("a completed estimate").clone();
+    assert_eq!(v1_estimate.digest(), JOURNAL_V1_JOB0_DIGEST);
+
+    let registry = ModelRegistry::open(dir.join("registry")).expect("registry");
+    let published = registry
+        .publish(&untrained_estimator().net, 3, Lineage::default())
+        .expect("publish");
+    let (svc, replay) =
+        Service::resume_with_registry(untrained_estimator(), fast_config(0), &path, &registry)
+            .expect("resume the v1 journal");
+    assert_eq!(replay.active_model, Some((1, published.fingerprint)));
+    assert_eq!((replay.terminal.len(), replay.decisions.len()), (2, 0));
+    assert_eq!(replay.pending().len(), 1);
+    assert!(replay.sessions[&3].closed);
+    assert_eq!(replay.next_id(), 4);
+
+    match svc.outcome(0).expect("job 0") {
+        JobOutcome::Completed { estimate, .. } => {
+            assert_estimates_bit_identical(&estimate, &v1_estimate);
+            assert_eq!(estimate.timings.flowsim_s, v1_estimate.timings.flowsim_s);
+        }
+        other => panic!("job 0: {other:?}"),
+    }
+    assert!(matches!(
+        svc.outcome(1),
+        Some(JobOutcome::Degraded {
+            via_breaker: true,
+            ..
+        })
+    ));
+    assert!(svc.outcome(2).is_none());
+    let stats = svc.stats();
+    assert_eq!((stats.recomputed, stats.recompute_failures), (0, 0));
+    assert_eq!((stats.completed, stats.degraded), (1, 1));
+    svc.shutdown();
+    let header = std::fs::read(&path).expect("reread");
+    assert_eq!(
+        header[8..12],
+        2u32.to_le_bytes(),
+        "the header was not upgraded"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
