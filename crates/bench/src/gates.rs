@@ -5,8 +5,9 @@
 //!
 //! * `hotpath` — the pooled forward pass must beat the per-sample tape
 //!   reference 4×; flowSim (fresh vs warm workspace), the two decompose
-//!   stages, the feature maps (pinned to `ENCODE_LOG_DIGEST`) and the cold
-//!   estimate are reported.
+//!   stages, the feature maps (pinned to `ENCODE_LOG_DIGEST`), the cold
+//!   estimate and the all-hit warm estimate (bit-checked against the cold
+//!   one) are reported.
 //! * `session` — a ~1%-dirty session delta must beat an uncached full
 //!   re-estimate of the same state 5×.
 //! * `cluster` — eight shards must drain a batch 6× faster than one.
@@ -192,6 +193,26 @@ fn hotpath() -> Res<Value> {
         || Ok(encode(&datas, &sims)),
         || fx.estimate(&EstimateOptions::default()),
     )?;
+    // The same estimate through a cache holding every scenario it asks
+    // for: each path is a hit, so none is materialized or simulated.
+    let opts = EstimateOptions::default();
+    let mut cache = ScenarioCache::new(256);
+    let mut warm = || {
+        (fx.est)
+            .try_estimate_with_cache(topo, flows, cfg, K_PATHS, SEED, &mut cache, &opts)
+            .map_err(err("warm estimate"))
+    };
+    warm()?;
+    let hit = warm()?;
+    ensure(
+        hit.timings.flowsim_runs == 0,
+        "the warm estimate missed the filled cache",
+    )?;
+    ensure(
+        same_bits(&hit, &fx.estimate(&opts)?),
+        "the warm estimate diverged from the cold one",
+    )?;
+    let cached = pairs(|| fx.estimate(&opts), &mut warm)?;
 
     let speedup = forward.ratio(|reference, pooled| reference / pooled);
     let value = Record::new("hotpath")
@@ -215,6 +236,7 @@ fn hotpath() -> Res<Value> {
         .round("flowsim.ns_per_event", min(&flowsim.b) / events as f64, 1)
         .ms("features_min_ms", min(&rest.a))
         .ms("estimate_cold_min_ms", min(&rest.b))
+        .ms("estimate_warm_min_ms", min(&cached.b))
         .write()?;
     ensure(
         speedup.median >= MIN_FORWARD_SPEEDUP,

@@ -1,5 +1,5 @@
-//! Cross-run scenario cache: content fingerprints for path scenarios and
-//! an in-memory LRU keyed by (scenario fingerprint, model fingerprint).
+//! Cross-run scenario cache: content keys for path scenarios and an
+//! in-memory LRU keyed by (scenario key, model fingerprint).
 //!
 //! A prediction for one sampled path depends on exactly three things: the
 //! materialized [`PathScenarioData`] (which determines the flowSim result
@@ -11,6 +11,14 @@
 //! therefore imply bit-identical predictions, so repeated `estimate` calls
 //! — the counterfactual-query loop and the fig-sweep binaries — skip both
 //! flowSim and the network for scenarios they have already answered.
+//!
+//! The key is a word-at-a-time hash (`KeyHasher`) over one word per
+//! field and two words per flow: a digest of the flow's own fields
+//! (`flow_digest`) and its hop span. The estimate pipeline streams the
+//! same words straight from the decomposition index, so a cache hit never
+//! materializes its scenario; `scenario_fingerprint` is the definition that
+//! stream is tested against. Keys live only in memory: nothing persists
+//! them, so the hash can change without a version bump.
 
 use crate::aggregate::PathDistribution;
 use crate::pathsim::PathScenarioData;
@@ -18,8 +26,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// FNV-1a 64-bit: tiny, dependency-free, stable across platforms and runs
-/// (unlike `DefaultHasher`, which is randomly keyed per process). Also used
-/// by [`crate::faultinject`] for deterministic per-slot fault decisions.
+/// (unlike `DefaultHasher`, which is randomly keyed per process). Used by
+/// [`crate::faultinject`] for deterministic per-slot fault decisions.
 pub(crate) struct Fnv(u64);
 
 const FNV_PRIME: u64 = 0x100_0000_01b3;
@@ -42,11 +50,6 @@ impl Fnv {
     pub(crate) fn write_u8(&mut self, b: u8) {
         self.0 = (self.0 ^ b as u64).wrapping_mul(FNV_PRIME);
     }
-    pub(crate) fn write_u32(&mut self, v: u32) {
-        for b in v.to_le_bytes() {
-            self.write_u8(b);
-        }
-    }
     /// The eight little-endian bytes of `v`, as eight [`write_u8`] calls
     /// would hash them. A zero byte's step is a bare multiply by the
     /// prime, so the high zero bytes of `v` (most of a size, a hop index
@@ -66,44 +69,105 @@ impl Fnv {
     }
 }
 
-/// Content hash of everything one path prediction depends on besides the
-/// model parameters: link bandwidths/delays, every flow's behavior-relevant
-/// fields (sizes, arrivals, hop spans, NIC caps, latencies, ideal FCTs),
-/// the foreground base RTT and bottleneck, the encoded spec vector, and
+/// The low and high halves of the 128-bit product `x * y`, xored: the
+/// mixing step of foldhash and wyhash. Flipping bit `i` of `x` moves the
+/// product by `2^i * y`, which changes many low bits for small `i` and
+/// many high bits for large `i`; the fold keeps both halves.
+#[inline]
+fn folded_multiply(x: u64, y: u64) -> u64 {
+    let full = u128::from(x) * u128::from(y);
+    (full as u64) ^ ((full >> 64) as u64)
+}
+
+/// The scenario-key hash: one folded multiply per 64-bit word. Unlike
+/// word-wise FNV-1a, where a product's top bit depends only on the input's
+/// top bit (so flipping bit 63 of two consecutive words cancels out), a
+/// flip anywhere in a word changes the whole state. One step costs a
+/// multiply's latency, against eight serial multiplies of byte-wise FNV-1a.
+pub(crate) struct KeyHasher(u64);
+
+impl KeyHasher {
+    /// Initial state: the fractional digits of pi.
+    const SEED: u64 = 0x243f_6a88_85a3_08d3;
+    /// Odd multiplier: the fractional digits of the golden ratio.
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    pub(crate) fn new() -> Self {
+        KeyHasher(Self::SEED)
+    }
+
+    #[inline]
+    pub(crate) fn write(&mut self, word: u64) {
+        self.0 = folded_multiply(self.0 ^ word, Self::MUL);
+    }
+
+    /// One flow on the path: its [`flow_digest`] and its hop span
+    /// `first | last << 32` (hop indices are below 2^16, which
+    /// [`validate_workload`](crate::error::validate_workload) enforces).
+    #[inline]
+    pub(crate) fn write_flow(&mut self, digest: u64, first_hop: usize, last_hop: usize) {
+        self.write(digest);
+        self.write(first_hop as u64 | (last_hop as u64) << 32);
+    }
+
+    /// The words after the flows: base RTT, bottleneck, the spec vector's
+    /// length and bits, and the context flag. Returns the key.
+    pub(crate) fn finish_scenario(
+        mut self,
+        base_rtt: u64,
+        bottleneck: u64,
+        spec: &[f32],
+        use_context: bool,
+    ) -> u64 {
+        self.write(base_rtt);
+        self.write(bottleneck);
+        self.write(spec.len() as u64);
+        for &v in spec {
+            self.write(u64::from(v.to_bits()));
+        }
+        self.write(u64::from(use_context));
+        self.0
+    }
+}
+
+/// Everything a flow contributes to a scenario key besides its hop span:
+/// size, arrival, NIC cap, latency and ideal FCT, as one word.
+pub(crate) fn flow_digest(
+    size: u64,
+    arrival: u64,
+    nic_cap: u64,
+    latency: u64,
+    ideal_fct: u64,
+) -> u64 {
+    let mut h = KeyHasher::new();
+    for word in [size, arrival, nic_cap, latency, ideal_fct] {
+        h.write(word);
+    }
+    h.0
+}
+
+/// Content key of everything one path prediction depends on besides the
+/// model parameters. The words, in order: the hop count; each link's
+/// bandwidth, then each link's delay; the foreground count, then each
+/// foreground flow's `flow_digest` and hop span; the same for the
+/// background; the foreground base RTT and bottleneck; the spec vector;
 /// the context-ablation flag. Flow `global_idx` is deliberately excluded —
 /// it does not enter flowSim or the feature maps, so scenarios that differ
 /// only in workload indices dedupe to one forward pass.
 pub fn scenario_fingerprint(data: &PathScenarioData, spec: &[f32], use_context: bool) -> u64 {
-    let mut h = Fnv::new();
-    h.write_u64(data.link_bw.len() as u64);
-    for &bw in &data.link_bw {
-        h.write_u64(bw);
+    let mut h = KeyHasher::new();
+    h.write(data.link_bw.len() as u64);
+    for &word in data.link_bw.iter().chain(&data.link_delay) {
+        h.write(word);
     }
-    for &d in &data.link_delay {
-        h.write_u64(d);
-    }
-    let write_flows = |h: &mut Fnv, flows: &[crate::pathsim::PathFlow]| {
-        h.write_u64(flows.len() as u64);
+    for flows in [&data.fg, &data.bg] {
+        h.write(flows.len() as u64);
         for f in flows {
-            h.write_u64(f.size);
-            h.write_u64(f.arrival);
-            h.write_u64(f.first_hop as u64);
-            h.write_u64(f.last_hop as u64);
-            h.write_u64(f.nic_cap);
-            h.write_u64(f.latency);
-            h.write_u64(f.ideal_fct);
+            let digest = flow_digest(f.size, f.arrival, f.nic_cap, f.latency, f.ideal_fct);
+            h.write_flow(digest, f.first_hop, f.last_hop);
         }
-    };
-    write_flows(&mut h, &data.fg);
-    write_flows(&mut h, &data.bg);
-    h.write_u64(data.fg_base_rtt);
-    h.write_u64(data.fg_bottleneck);
-    h.write_u64(spec.len() as u64);
-    for &v in spec {
-        h.write_u32(v.to_bits());
     }
-    h.write_u8(use_context as u8);
-    h.finish()
+    h.finish_scenario(data.fg_base_rtt, data.fg_bottleneck, spec, use_context)
 }
 
 struct Entry {
@@ -379,8 +443,8 @@ mod tests {
 
     #[test]
     fn write_u64_hashes_like_eight_byte_writes() {
-        // Persisted cache keys and fault-plan decisions depend on these
-        // values: the folded high zero bytes must not change them.
+        // Fault-plan decisions depend on these values: the folded high
+        // zero bytes must not change them.
         let mut values = vec![0, 1, 0xff, 0x100, u32::MAX as u64, 1 << 32, u64::MAX];
         values.extend((0..64).map(|s| 0x9E37_79B9_7F4A_7C15u64 >> s));
         values.extend((0..8).map(|b| 0x80u64 << (8 * b)));
@@ -557,6 +621,144 @@ mod tests {
         assert_eq!(s.hits, 800);
         assert_eq!(s.evictions, 0);
         assert!((s.hit_rate() - 1.0).abs() < 1e-12);
+    }
+
+    /// A two-hop scenario with one foreground and one background flow.
+    fn hand_built() -> PathScenarioData {
+        use crate::pathsim::PathFlow;
+        let flow = |size, first_hop, last_hop| PathFlow {
+            global_idx: 0,
+            size,
+            arrival: 5,
+            first_hop,
+            last_hop,
+            nic_cap: 10_000_000_000,
+            latency: 2000,
+            ideal_fct: 3000,
+        };
+        PathScenarioData {
+            link_bw: vec![10_000_000_000, 25_000_000_000],
+            link_delay: vec![1000, 1500],
+            fg: vec![flow(1000, 0, 1)],
+            bg: vec![flow(7000, 1, 1)],
+            fg_base_rtt: 8000,
+            fg_bottleneck: 10_000_000_000,
+        }
+    }
+
+    #[test]
+    fn scenario_key_value_is_pinned() {
+        // Keys are never persisted, but the streamed key and every caller
+        // must agree on one definition: a change of the hash shows here.
+        // The value was also computed from the definition by an
+        // independent implementation outside the crate.
+        let key = scenario_fingerprint(&hand_built(), &SPEC, true);
+        assert_eq!(key, 0xf4cc_0a87_e6f0_54bd);
+    }
+
+    const SPEC: [f32; 4] = [0.5, 0.25, 0.0, 1.0];
+
+    /// Every full-word hashed field of [`hand_built`]: all but the hop
+    /// spans, the spec vector and the context flag.
+    fn word_fields(d: &mut PathScenarioData) -> Vec<&mut u64> {
+        let mut fields: Vec<&mut u64> = d.link_bw.iter_mut().collect();
+        fields.extend(d.link_delay.iter_mut());
+        for f in d.fg.iter_mut().chain(d.bg.iter_mut()) {
+            fields.extend([
+                &mut f.size,
+                &mut f.arrival,
+                &mut f.nic_cap,
+                &mut f.latency,
+                &mut f.ideal_fct,
+            ]);
+        }
+        fields.extend([&mut d.fg_base_rtt, &mut d.fg_bottleneck]);
+        fields
+    }
+
+    #[test]
+    fn flipping_any_bit_of_any_hashed_field_changes_the_key() {
+        let base = scenario_fingerprint(&hand_built(), &SPEC, true);
+        let mut keys = std::collections::HashSet::from([base]);
+        let mut flipped = |key: u64, what: String| {
+            assert!(keys.insert(key), "{what}: key collides with another flip");
+        };
+        for field in 0..word_fields(&mut hand_built()).len() {
+            for bit in 0..64 {
+                let mut d = hand_built();
+                *word_fields(&mut d).swap_remove(field) ^= 1 << bit;
+                let what = format!("field {field} bit {bit}");
+                flipped(scenario_fingerprint(&d, &SPEC, true), what);
+            }
+        }
+        // Hop indices are below 2^16, so 32 bits of each is generous.
+        for flow in 0..2 {
+            for bit in 0..32 {
+                for last in [false, true] {
+                    let mut d = hand_built();
+                    let f = if flow == 0 {
+                        &mut d.fg[0]
+                    } else {
+                        &mut d.bg[0]
+                    };
+                    *(if last {
+                        &mut f.last_hop
+                    } else {
+                        &mut f.first_hop
+                    }) ^= 1 << bit;
+                    let what = format!("flow {flow} hop bit {bit} (last: {last})");
+                    flipped(scenario_fingerprint(&d, &SPEC, true), what);
+                }
+            }
+        }
+        for i in 0..SPEC.len() {
+            for bit in 0..32 {
+                let mut spec = SPEC;
+                spec[i] = f32::from_bits(spec[i].to_bits() ^ 1 << bit);
+                let key = scenario_fingerprint(&hand_built(), &spec, true);
+                flipped(key, format!("spec {i} bit {bit}"));
+            }
+        }
+        flipped(
+            scenario_fingerprint(&hand_built(), &SPEC, false),
+            "context".into(),
+        );
+    }
+
+    #[test]
+    fn flipping_the_top_bit_of_two_words_changes_the_key() {
+        // Word-wise FNV-1a, `h = (h ^ w) * prime`, carries a flip of bit 63
+        // of the input to bit 63 of the product and nowhere else (the
+        // prime is odd), so the same flip in the next word cancels it.
+        let fnv_words = |words: &[u64]| {
+            (words.iter()).fold(0xcbf2_9ce4_8422_2325u64, |h, &w| {
+                (h ^ w).wrapping_mul(0x100_0000_01b3)
+            })
+        };
+        let key_words = |words: &[u64]| {
+            let mut h = KeyHasher::new();
+            words.iter().for_each(|&w| h.write(w));
+            h.0
+        };
+        let words: Vec<u64> = (1..=12).map(|i| i * 0x1234_5678_9abc).collect();
+        let top = 1u64 << 63;
+        for i in 0..words.len() {
+            for j in i + 1..words.len() {
+                let mut w = words.clone();
+                w[i] ^= top;
+                w[j] ^= top;
+                assert_ne!(key_words(&w), key_words(&words), "words {i} and {j}");
+                if j == i + 1 {
+                    assert_eq!(fnv_words(&w), fnv_words(&words), "the FNV-1a collision");
+                }
+            }
+        }
+        // The same pair in a scenario: the top bits of both link rates.
+        let mut d = hand_built();
+        d.link_bw[0] ^= top;
+        d.link_bw[1] ^= top;
+        let key = scenario_fingerprint(&d, &SPEC, true);
+        assert_ne!(key, scenario_fingerprint(&hand_built(), &SPEC, true));
     }
 
     #[test]

@@ -286,11 +286,17 @@ impl SpecValidation for SimConfig {
     }
 }
 
+/// Longest route [`validate_workload`] accepts: flowSim's hop indices are
+/// `u16`, so hops `0..=u16::MAX`.
+pub const MAX_PATH_HOPS: usize = u16::MAX as usize + 1;
+
 /// Validate a workload against its topology: every flow must reference
 /// existing nodes and carry a non-empty path of links that exist and chain
 /// from `src` to `dst`. Decomposition derives each hop's direction from the
 /// node the previous hop reached, so a discontiguous path would otherwise be
-/// estimated over the wrong ports without any error.
+/// estimated over the wrong ports without any error. A path may have at
+/// most [`MAX_PATH_HOPS`] hops: flowSim indexes a path's links with `u16`,
+/// and a longer route would alias its hop indices.
 pub fn validate_workload(topo: &Topology, flows: &[FlowSpec]) -> Result<(), M3Error> {
     if flows.is_empty() {
         return Err(invalid("workload has no flows"));
@@ -316,6 +322,13 @@ pub fn validate_workload(topo: &Topology, flows: &[FlowSpec]) -> Result<(), M3Er
         }
         if f.path.is_empty() {
             return Err(invalid(format!("flow {}: empty path", f.id)));
+        }
+        if f.path.len() > MAX_PATH_HOPS {
+            return Err(invalid(format!(
+                "flow {}: path has {} hops, more than the {MAX_PATH_HOPS} flowSim can index",
+                f.id,
+                f.path.len()
+            )));
         }
         let mut cur = f.src;
         for (hop, &l) in f.path.iter().enumerate() {

@@ -74,6 +74,41 @@ impl FlowAttrs {
             ideal_fct: topo.ideal_fct(&f.path, f.size, config.mtu),
         }
     }
+
+    /// The [`flow_digest`](crate::cache::flow_digest) of flow `f` with
+    /// these attributes: what its [`PathFlow`] on any path hashes to,
+    /// besides its span.
+    pub(crate) fn digest(&self, f: &FlowSpec) -> u64 {
+        crate::cache::flow_digest(
+            f.size,
+            f.arrival,
+            self.nic_cap,
+            self.latency,
+            self.ideal_fct,
+        )
+    }
+}
+
+impl PathFlow {
+    /// Flow `fi` (`f`) spanning hops `first..=last` of a path.
+    pub(crate) fn on_path(
+        fi: u32,
+        f: &FlowSpec,
+        first: usize,
+        last: usize,
+        attrs: FlowAttrs,
+    ) -> Self {
+        PathFlow {
+            global_idx: fi,
+            size: f.size,
+            arrival: f.arrival,
+            first_hop: first,
+            last_hop: last,
+            nic_cap: attrs.nic_cap,
+            latency: attrs.latency,
+            ideal_fct: attrs.ideal_fct,
+        }
+    }
 }
 
 impl PathScenarioData {
@@ -85,16 +120,20 @@ impl PathScenarioData {
         group_idx: usize,
         config: &SimConfig,
     ) -> Self {
-        Self::from_group_with(topo, flows, index, group_idx, config, |fi| {
-            FlowAttrs::of(topo, &flows[fi as usize], config)
-        })
+        let attrs_of = |fi: u32| FlowAttrs::of(topo, &flows[fi as usize], config);
+        let mut data = Self::without_background(topo, flows, index, group_idx, config, attrs_of);
+        index.for_each_background(group_idx, |fi, first, last| {
+            let f = &flows[fi as usize];
+            data.bg
+                .push(PathFlow::on_path(fi, f, first, last, attrs_of(fi)));
+        });
+        data
     }
 
-    /// [`from_group`](Self::from_group) with the per-flow attributes
-    /// supplied by `attrs_of` (flow index -> attributes), so a caller
-    /// materializing many groups computes them once per flow rather than
-    /// once per (flow, path) pair.
-    pub(crate) fn from_group_with(
+    /// A group's scenario with an empty background, the flow attributes
+    /// supplied by `attrs_of` (flow index -> attributes): the caller adds
+    /// the background, from the index's merge or from a list it kept.
+    pub(crate) fn without_background(
         topo: &Topology,
         flows: &[FlowSpec],
         index: &PathIndex,
@@ -102,38 +141,17 @@ impl PathScenarioData {
         config: &SimConfig,
         attrs_of: impl Fn(u32) -> FlowAttrs,
     ) -> Self {
-        let rep = index.rep_flow(group_idx, flows);
-        let n = rep.path.len();
-        let link_bw: Vec<Bps> = rep.path.iter().map(|&l| topo.link(l).bandwidth).collect();
-        let link_delay: Vec<Nanos> = rep.path.iter().map(|&l| topo.link(l).delay).collect();
-        let mk = |fi: u32, first: usize, last: usize| {
-            let f = &flows[fi as usize];
-            let attrs = attrs_of(fi);
-            PathFlow {
-                global_idx: fi,
-                size: f.size,
-                arrival: f.arrival,
-                first_hop: first,
-                last_hop: last,
-                nic_cap: attrs.nic_cap,
-                latency: attrs.latency,
-                ideal_fct: attrs.ideal_fct,
-            }
-        };
-        let fg: Vec<PathFlow> = index
-            .foreground_of(group_idx)
-            .iter()
-            .map(|&fi| mk(fi, 0, n - 1))
-            .collect();
-        let mut bg: Vec<PathFlow> = Vec::new();
-        index.for_each_background(group_idx, |fi, a, b| bg.push(mk(fi, a, b)));
+        let path = &index.rep_flow(group_idx, flows).path;
+        let last = path.len() - 1;
         PathScenarioData {
-            fg_base_rtt: crate::spec::path_base_rtt(topo, &rep.path, config),
-            fg_bottleneck: topo.bottleneck_bandwidth(&rep.path),
-            link_bw,
-            link_delay,
-            fg,
-            bg,
+            link_bw: path.iter().map(|&l| topo.link(l).bandwidth).collect(),
+            link_delay: path.iter().map(|&l| topo.link(l).delay).collect(),
+            fg: (index.foreground_of(group_idx).iter())
+                .map(|&fi| PathFlow::on_path(fi, &flows[fi as usize], 0, last, attrs_of(fi)))
+                .collect(),
+            bg: Vec::new(),
+            fg_base_rtt: crate::spec::path_base_rtt(topo, path, config),
+            fg_bottleneck: topo.bottleneck_bandwidth(path),
         }
     }
 

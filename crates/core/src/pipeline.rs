@@ -13,13 +13,13 @@ use crate::aggregate::{
     DegradationEvent, DegradationReport, NetworkEstimate, PathDistribution, StageTimings,
     NUM_OUTPUT_BUCKETS,
 };
-use crate::cache::{scenario_fingerprint, ScenarioCache, SharedScenarioCache};
+use crate::cache::{scenario_fingerprint, KeyHasher, ScenarioCache, SharedScenarioCache};
 use crate::decompose::PathIndex;
 use crate::error::{validate_workload, FaultKind, M3Error, SpecValidation, Stage};
 use crate::faultinject::InjectedFault;
 use crate::features::output_bucket;
 use crate::metrics::PipelineMetrics;
-use crate::pathsim::{FlowAttrs, FlowsimResult, PathScenarioData};
+use crate::pathsim::{FlowAttrs, FlowsimResult, PathFlow, PathScenarioData};
 use crate::spec::spec_vector;
 use m3_flowsim::prelude::{
     try_simulate_staged, FluidBudget, FluidError, FluidFlow, FluidProbe, FluidProbeSink,
@@ -228,15 +228,28 @@ impl CacheRef<'_> {
     }
 }
 
-/// The per-path work units of one estimate: sampled path groups
-/// materialized into scenario data, keyed by content hash
-/// ([`scenario_fingerprint`]), and deduplicated into unique slots in
-/// first-occurrence order. This is the unit the incremental session layer
+/// The per-path work units of one estimate: the distinct sampled path
+/// groups, each keyed by content hash (the words of
+/// [`scenario_fingerprint`], streamed from the index) and deduplicated into
+/// unique slots in first-occurrence order. A unit keeps its background as
+/// the merge listed it, so a slot the cache misses is materialized
+/// ([`materialize`](Self::materialize)) without a second merge, and a slot
+/// it hits never is. This is also the unit the incremental session layer
 /// ([`crate::session`]) schedules: a work unit whose key matches a retained
 /// result needs no recomputation at all.
-pub(crate) struct WorkUnits {
-    /// One materialized unit per distinct sampled group, ascending in
-    /// group index.
+pub(crate) struct WorkUnits<'a> {
+    topo: &'a Topology,
+    flows: &'a [FlowSpec],
+    index: &'a PathIndex,
+    config: &'a SimConfig,
+    use_context: bool,
+    /// Flow -> its path-independent attributes and [`flow_digest`]
+    /// (`FlowAttrs::digest`), computed the first time a unit touches the
+    /// flow: once per call however many sampled paths it is background of.
+    ///
+    /// [`flow_digest`]: crate::cache::flow_digest
+    attrs: Vec<OnceLock<(FlowAttrs, u64)>>,
+    /// One unit per distinct sampled group, ascending in group index.
     units: Vec<WorkUnit>,
     /// slot -> the unit of the first sampled path with that content key.
     uniq: Vec<usize>,
@@ -246,14 +259,149 @@ pub(crate) struct WorkUnits {
     pub(crate) multiplicity: Vec<usize>,
 }
 
-/// One materialized path scenario with its spec vector and content key.
+/// One distinct sampled group with its spec vector and content key.
 pub(crate) struct WorkUnit {
-    pub(crate) data: PathScenarioData,
+    group: usize,
+    /// The group's background as `(flow, first_hop, last_hop)`, ascending
+    /// in flow index: 12 bytes per flow, against a 64-byte `PathFlow`.
+    bg: Vec<(u32, u32, u32)>,
     pub(crate) spec: Vec<f32>,
     pub(crate) key: u64,
 }
 
-impl WorkUnits {
+impl<'a> WorkUnits<'a> {
+    /// Key the work units of `groups` (group indices into `index`), in
+    /// order, and deduplicate them into unique slots. Pure and
+    /// deterministic; parallel over the distinct groups.
+    pub(crate) fn key(
+        topo: &'a Topology,
+        flows: &'a [FlowSpec],
+        index: &'a PathIndex,
+        groups: &[usize],
+        config: &'a SimConfig,
+        use_context: bool,
+    ) -> Self {
+        // Sampling is with replacement, so each distinct group is keyed
+        // once.
+        let mut distinct = groups.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut u = WorkUnits {
+            topo,
+            flows,
+            index,
+            config,
+            use_context,
+            attrs: (0..flows.len()).map(|_| OnceLock::new()).collect(),
+            units: Vec::new(),
+            uniq: Vec::new(),
+            slot_of: Vec::with_capacity(groups.len()),
+            multiplicity: Vec::new(),
+        };
+        u.units = distinct.par_iter().map(|&g| u.key_unit(g)).collect();
+        // Dedupe by content hash: sampling with replacement and symmetric
+        // topologies both produce repeated scenarios, which need only one
+        // flowSim run and one forward-pass row each. `slot_of[i]` maps
+        // sampled path i to its unique-scenario slot (first-occurrence
+        // order, so everything downstream stays deterministic).
+        let mut slot_by_key: HashMap<u64, usize> = HashMap::new();
+        for g in groups {
+            let Ok(unit) = distinct.binary_search(g) else {
+                unreachable!("`distinct` holds every sampled group")
+            };
+            let slot = *slot_by_key.entry(u.units[unit].key).or_insert_with(|| {
+                u.uniq.push(unit);
+                u.uniq.len() - 1
+            });
+            u.slot_of.push(slot);
+        }
+        // Sampled paths represented by each unique slot (degradation of a
+        // slot affects this many of the k samples).
+        u.multiplicity = vec![0usize; u.uniq.len()];
+        for &s in &u.slot_of {
+            u.multiplicity[s] += 1;
+        }
+        u
+    }
+
+    /// Flow `fi`'s attributes and digest, computed on first use.
+    fn attrs(&self, fi: u32) -> &(FlowAttrs, u64) {
+        self.attrs[fi as usize].get_or_init(|| {
+            let f = &self.flows[fi as usize];
+            let attrs = FlowAttrs::of(self.topo, f, self.config);
+            (attrs, attrs.digest(f))
+        })
+    }
+
+    /// Group `g`'s unit: one background merge, whose list the unit keeps,
+    /// and the words [`scenario_fingerprint`] hashes, in its order, from
+    /// the topology, the index and the flow digests.
+    fn key_unit(&self, g: usize) -> WorkUnit {
+        let (topo, config) = (self.topo, self.config);
+        let path = &self.index.rep_flow(g, self.flows).path;
+        let last = path.len() - 1;
+        let mut h = KeyHasher::new();
+        h.write(path.len() as u64);
+        for &l in path {
+            h.write(topo.link(l).bandwidth);
+        }
+        for &l in path {
+            h.write(topo.link(l).delay);
+        }
+        let fg = self.index.foreground_of(g);
+        h.write(fg.len() as u64);
+        for &fi in fg {
+            h.write_flow(self.attrs(fi).1, 0, last);
+        }
+        let mut bg = Vec::new();
+        (self.index).for_each_background(g, |fi, first, last| {
+            bg.push((fi, first as u32, last as u32));
+        });
+        h.write(bg.len() as u64);
+        for &(fi, first, last) in &bg {
+            h.write_flow(self.attrs(fi).1, first as usize, last as usize);
+        }
+        let base_rtt = crate::spec::path_base_rtt(topo, path, config);
+        let bottleneck = topo.bottleneck_bandwidth(path);
+        let spec = spec_vector(config, base_rtt, bottleneck);
+        let key = h.finish_scenario(base_rtt, bottleneck, &spec, self.use_context);
+        WorkUnit {
+            group: g,
+            bg,
+            spec,
+            key,
+        }
+    }
+
+    /// A unique slot's [`PathScenarioData`], built from its unit's kept
+    /// background list: what `PathScenarioData::from_group` builds, without
+    /// merging the background again. Only the slots the cache misses are
+    /// materialized.
+    pub(crate) fn materialize(&self, slot: usize) -> PathScenarioData {
+        let unit = self.slot(slot);
+        let attrs_of = |fi: u32| self.attrs(fi).0;
+        let mut data = PathScenarioData::without_background(
+            self.topo,
+            self.flows,
+            self.index,
+            unit.group,
+            self.config,
+            attrs_of,
+        );
+        data.bg = (unit.bg.iter())
+            .map(|&(fi, first, last)| {
+                let f = &self.flows[fi as usize];
+                PathFlow::on_path(fi, f, first as usize, last as usize, attrs_of(fi))
+            })
+            .collect();
+        debug_assert_eq!(
+            scenario_fingerprint(&data, &unit.spec, self.use_context),
+            unit.key,
+            "slot {slot}: the materialized scenario does not hash to its streamed key"
+        );
+        data
+    }
+
     /// Number of sampled paths.
     pub(crate) fn len(&self) -> usize {
         self.slot_of.len()
@@ -576,68 +724,6 @@ impl M3Estimator {
         result
     }
 
-    /// Materialize and content-key the work units of `groups` (group
-    /// indices into `index`), in order, and deduplicate them into unique
-    /// slots. Pure and deterministic; parallel over paths.
-    pub(crate) fn materialize_units(
-        &self,
-        topo: &Topology,
-        flows: &[FlowSpec],
-        index: &PathIndex,
-        groups: &[usize],
-        config: &SimConfig,
-    ) -> WorkUnits {
-        // Sampling is with replacement, so each distinct group is
-        // materialized and fingerprinted once, and a flow's path-independent
-        // attributes once however many of the paths it is background of.
-        let mut distinct = groups.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let attrs: Vec<OnceLock<FlowAttrs>> = (0..flows.len()).map(|_| OnceLock::new()).collect();
-        let units: Vec<WorkUnit> = distinct
-            .par_iter()
-            .map(|&g| {
-                let data = PathScenarioData::from_group_with(topo, flows, index, g, config, |fi| {
-                    *attrs[fi as usize]
-                        .get_or_init(|| FlowAttrs::of(topo, &flows[fi as usize], config))
-                });
-                let spec = spec_vector(config, data.fg_base_rtt, data.fg_bottleneck);
-                let key = scenario_fingerprint(&data, &spec, self.use_context);
-                WorkUnit { data, spec, key }
-            })
-            .collect();
-        // Dedupe by content hash: sampling with replacement and symmetric
-        // topologies both produce repeated scenarios, which need only one
-        // flowSim run and one forward-pass row each. `slot_of[i]` maps
-        // sampled path i to its unique-scenario slot (first-occurrence
-        // order, so everything downstream stays deterministic).
-        let mut slot_by_key: HashMap<u64, usize> = HashMap::new();
-        let mut uniq: Vec<usize> = Vec::new();
-        let mut slot_of: Vec<usize> = Vec::with_capacity(groups.len());
-        for g in groups {
-            let Ok(unit) = distinct.binary_search(g) else {
-                unreachable!("`distinct` holds every sampled group")
-            };
-            let slot = *slot_by_key.entry(units[unit].key).or_insert_with(|| {
-                uniq.push(unit);
-                uniq.len() - 1
-            });
-            slot_of.push(slot);
-        }
-        // Sampled paths represented by each unique slot (degradation of a
-        // slot affects this many of the k samples).
-        let mut multiplicity = vec![0usize; uniq.len()];
-        for &s in &slot_of {
-            multiplicity[s] += 1;
-        }
-        WorkUnits {
-            units,
-            uniq,
-            slot_of,
-            multiplicity,
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn estimate_inner(
         &self,
@@ -673,7 +759,7 @@ impl M3Estimator {
             });
         }
 
-        // Stage 1: decompose, sample, materialize work units in parallel.
+        // Stage 1: decompose, sample, key work units in parallel.
         let span = m.decompose.span();
         let tspan = troot.child("decompose");
         let index = PathIndex::build(topo, flows);
@@ -706,7 +792,7 @@ impl M3Estimator {
                 sampled[sl.start..sl.end.min(sampled.len())].to_vec()
             }
         };
-        let u = self.materialize_units(topo, flows, &index, &sampled, config);
+        let u = WorkUnits::key(topo, flows, &index, &sampled, config, self.use_context);
         tspan.finish();
         span.finish();
         m.sampled_paths.add(u.len() as u64);
@@ -741,14 +827,20 @@ impl M3Estimator {
         m.degraded_samples.add(report.degraded_samples as u64);
         m.dropped_samples.add(report.dropped_samples as u64);
 
-        let info = collect_info.then(|| RunInfo {
-            dists: u.slot_of.iter().map(|&s| resolved[s].clone()).collect(),
-            clean: u.slot_of.iter().map(|&s| clean[s]).collect(),
-            keys: u.keys(),
-            index,
-            sampled,
-            model_fp,
-        });
+        // `u` borrows the index, so the struct is built in place: its
+        // fields are read from `u` before the index moves in.
+        let info = if collect_info {
+            Some(RunInfo {
+                dists: u.slot_of.iter().map(|&s| resolved[s].clone()).collect(),
+                clean: u.slot_of.iter().map(|&s| clean[s]).collect(),
+                keys: u.keys(),
+                index,
+                sampled,
+                model_fp,
+            })
+        } else {
+            None
+        };
 
         // The compatibility view is derived from the call's snapshot; the
         // caller's long-lived registry (if any) absorbs it only on success.
@@ -763,17 +855,17 @@ impl M3Estimator {
     }
 
     /// Resolve every unique work unit to a path distribution: probe the
-    /// cache (integrity-checked hits), flowSim + feature maps + one
-    /// batched forward pass for the misses, and insert fully-corrected
-    /// results back into the cache. Returns per-slot distributions
-    /// (`None` = dropped), a per-slot `clean` flag (cache hit or fresh
-    /// fully-corrected result — the only things the cache holds and a
-    /// session may retain), and the model fingerprint used for cache keys
-    /// (`None` when no cache is attached).
+    /// cache (integrity-checked hits), materialize the misses and run
+    /// flowSim + feature maps + one batched forward pass on them, and
+    /// insert fully-corrected results back into the cache. Returns
+    /// per-slot distributions (`None` = dropped), a per-slot `clean` flag
+    /// (cache hit or fresh fully-corrected result — the only things the
+    /// cache holds and a session may retain), and the model fingerprint
+    /// used for cache keys (`None` when no cache is attached).
     #[allow(clippy::type_complexity)]
     pub(crate) fn resolve_slots(
         &self,
-        u: &WorkUnits,
+        u: &WorkUnits<'_>,
         cache: &mut CacheRef<'_>,
         options: &EstimateOptions,
         troot: &TraceSpan,
@@ -842,27 +934,28 @@ impl M3Estimator {
             }
         }
 
-        // Stage 2: flowSim the unresolved unique scenarios in parallel,
-        // each isolated (budget + panic barrier). Each slot gets its own
-        // trace span on lane `1 + slot` with an explicit child index, so
-        // span IDs stay deterministic under rayon scheduling.
+        // Stage 2: materialize the unresolved unique scenarios and flowSim
+        // them in parallel, each run isolated (budget + panic barrier).
+        // Each slot gets its own trace span on lane `1 + slot` with an
+        // explicit child index, so span IDs stay deterministic under rayon
+        // scheduling.
         let span = m.flowsim.span();
         let tflow = troot.child("flowsim");
-        let sims: Vec<Result<(FlowsimResult, FluidRunStats), (FaultKind, String)>> = todo
+        #[allow(clippy::type_complexity)]
+        let sims: Vec<(
+            PathScenarioData,
+            Result<(FlowsimResult, FluidRunStats), (FaultKind, String)>,
+        )> = todo
             .par_iter()
             .map(|&s| {
                 let slot_span =
                     tracing.then(|| tflow.child_on_lane("slot", s as u32, 1 + s as u32));
-                catch_unwind(AssertUnwindSafe(|| {
-                    self.run_flowsim_slot(
-                        &u.slot(s).data,
-                        s,
-                        options,
-                        slot_span.as_ref(),
-                        stride_ns,
-                    )
+                let data = u.materialize(s);
+                let sim = catch_unwind(AssertUnwindSafe(|| {
+                    self.run_flowsim_slot(&data, s, options, slot_span.as_ref(), stride_ns)
                 }))
-                .unwrap_or_else(|p| Err((FaultKind::Panic, panic_detail(p))))
+                .unwrap_or_else(|p| Err((FaultKind::Panic, panic_detail(p))));
+                (data, sim)
             })
             .collect();
         tflow.finish();
@@ -871,7 +964,7 @@ impl M3Estimator {
         // Budget consumption, summed sequentially over the (deterministic)
         // slot order so the totals are independent of rayon scheduling.
         let mut fluid_stats = FluidRunStats::default();
-        for (_, s) in sims.iter().flatten() {
+        for (_, s) in sims.iter().filter_map(|(_, r)| r.as_ref().ok()) {
             fluid_stats.add(*s);
         }
         m.flowsim_events.add(fluid_stats.events);
@@ -879,7 +972,7 @@ impl M3Estimator {
 
         // Classify flowSim faults. A faulted slot has no distribution to
         // fall back on, so its samples are dropped from the aggregate.
-        for (j, r) in sims.iter().enumerate() {
+        for (j, (_, r)) in sims.iter().enumerate() {
             if let Err((fault, detail)) = r {
                 if fail_fast {
                     return Err(M3Error::StageFault {
@@ -906,9 +999,9 @@ impl M3Estimator {
         // Stage 3: feature maps + encoding for the surviving slots.
         let span = m.features.span();
         let tspan = troot.child("features");
-        let ok: Vec<usize> = (0..todo.len()).filter(|&j| sims[j].is_ok()).collect();
+        let ok: Vec<usize> = (0..todo.len()).filter(|&j| sims[j].1.is_ok()).collect();
         let sim_of = |j: usize| -> &FlowsimResult {
-            match &sims[j] {
+            match &sims[j].1 {
                 Ok((s, _)) => s,
                 Err(_) => unreachable!("only surviving slots are consulted"),
             }
@@ -916,12 +1009,11 @@ impl M3Estimator {
         let inputs: Vec<SampleInput> = ok
             .par_iter()
             .map(|&j| {
-                let unit = u.slot(todo[j]);
-                let (fg_map, bg_maps) = unit.data.features(sim_of(j));
+                let (fg_map, bg_maps) = sims[j].0.features(sim_of(j));
                 SampleInput {
                     fg: fg_map.encode_log(),
                     bg: bg_maps.iter().map(|m| m.encode_log()).collect(),
-                    spec: unit.spec.clone(),
+                    spec: u.slot(todo[j]).spec.clone(),
                     use_context: self.use_context,
                 }
             })
@@ -975,7 +1067,7 @@ impl M3Estimator {
                         let decoded = crate::features::decode_log(out);
                         resolved[s] = Some(PathDistribution::from_model_output(
                             &decoded,
-                            fg_counts(&u.slot(s).data),
+                            fg_counts(&sims[j].0),
                         ));
                         clean[s] = true;
                         cacheable.push(s);
@@ -1260,7 +1352,7 @@ mod tests {
         let index = PathIndex::build(&ft.topo, &flows);
         let mut sampled = index.sample_paths(80, 11);
         sampled.extend_from_within(..5);
-        let u = est.materialize_units(&ft.topo, &flows, &index, &sampled, &cfg);
+        let u = WorkUnits::key(&ft.topo, &flows, &index, &sampled, &cfg, est.use_context);
 
         assert_eq!(u.len(), sampled.len());
         let mut distinct = sampled.clone();
@@ -1277,11 +1369,12 @@ mod tests {
             let slot = u.slot_of[i];
             assert_eq!(u.slot(slot).key, key, "sampled path {i}");
             assert_eq!(u.keys()[i], key);
-            // Slots are numbered by first occurrence, and a slot holds
-            // its first occurrence's scenario, field for field.
+            // Slots are numbered by first occurrence, and a slot
+            // materializes its first occurrence's scenario, field for
+            // field.
             if slot == next_slot {
                 next_slot += 1;
-                assert_eq!(u.slot(slot).data, data, "sampled path {i}");
+                assert_eq!(u.materialize(slot), data, "sampled path {i}");
                 assert_eq!(u.slot(slot).spec, spec);
             } else {
                 assert!(slot < next_slot, "slot {slot} skipped ahead at path {i}");
@@ -1289,6 +1382,204 @@ mod tests {
         }
         assert_eq!(next_slot, u.slots());
         assert_eq!(u.units.len(), distinct.len(), "one unit per distinct group");
+    }
+
+    /// The byte-wise FNV-1a scenario key the streamed key replaced: the
+    /// same fields, each hashed as its little-endian bytes (spec entries
+    /// as four, the context flag as one).
+    fn fnv_fingerprint(data: &PathScenarioData, spec: &[f32], use_context: bool) -> u64 {
+        let mut h = crate::cache::Fnv::new();
+        h.write_u64(data.link_bw.len() as u64);
+        for &w in data.link_bw.iter().chain(&data.link_delay) {
+            h.write_u64(w);
+        }
+        for flows in [&data.fg, &data.bg] {
+            h.write_u64(flows.len() as u64);
+            for f in flows {
+                let (first, last) = (f.first_hop as u64, f.last_hop as u64);
+                for w in [
+                    f.size,
+                    f.arrival,
+                    first,
+                    last,
+                    f.nic_cap,
+                    f.latency,
+                    f.ideal_fct,
+                ] {
+                    h.write_u64(w);
+                }
+            }
+        }
+        h.write_u64(data.fg_base_rtt);
+        h.write_u64(data.fg_bottleneck);
+        h.write_u64(spec.len() as u64);
+        for v in spec {
+            v.to_bits()
+                .to_le_bytes()
+                .iter()
+                .for_each(|&b| h.write_u8(b));
+        }
+        h.write_u8(use_context as u8);
+        h.finish()
+    }
+
+    /// [`WorkUnits::key`] over `sampled` against the materializing
+    /// definitions, with and without context: every unit's streamed key
+    /// and spec are those of `from_group` + [`scenario_fingerprint`], every
+    /// slot materializes to `from_group` field for field, and the slots
+    /// split the sampled paths exactly as the FNV-1a key did.
+    fn check_streamed_keys(
+        topo: &Topology,
+        flows: &[FlowSpec],
+        cfg: &SimConfig,
+        sampled: &[usize],
+    ) {
+        let index = PathIndex::build(topo, flows);
+        let from_group = |g| PathScenarioData::from_group(topo, flows, &index, g, cfg);
+        let spec_of = |d: &PathScenarioData| spec_vector(cfg, d.fg_base_rtt, d.fg_bottleneck);
+        for use_context in [true, false] {
+            let u = WorkUnits::key(topo, flows, &index, sampled, cfg, use_context);
+            for unit in &u.units {
+                let data = from_group(unit.group);
+                let spec = spec_of(&data);
+                assert_eq!(unit.spec, spec, "group {}", unit.group);
+                let key = scenario_fingerprint(&data, &spec, use_context);
+                assert_eq!(unit.key, key, "group {}", unit.group);
+            }
+            for slot in 0..u.slots() {
+                assert_eq!(u.materialize(slot), from_group(u.slot(slot).group));
+            }
+            let mut slot_by_key = HashMap::new();
+            let mut multiplicity: Vec<usize> = Vec::new();
+            let slot_of: Vec<usize> = (sampled.iter())
+                .map(|&g| {
+                    let data = from_group(g);
+                    let key = fnv_fingerprint(&data, &spec_of(&data), use_context);
+                    let slot = *slot_by_key.entry(key).or_insert(multiplicity.len());
+                    if slot == multiplicity.len() {
+                        multiplicity.push(0);
+                    }
+                    multiplicity[slot] += 1;
+                    slot
+                })
+                .collect();
+            assert_eq!(u.slot_of, slot_of);
+            assert_eq!(u.multiplicity, multiplicity);
+        }
+    }
+
+    /// Four switches in a line, s0 - s1 - s2 - s3, with s4 hanging between
+    /// s1 and s2 and host `i` on switch `i`; links of three bandwidths.
+    /// Each pick is a route template (a switch sequence), whether to
+    /// reverse it, and a flow size. The templates give reverse traffic,
+    /// routes sharing only a suffix, and a detour that leaves a route at
+    /// s1 and rejoins it at s2 (a non-contiguous intersection).
+    fn detour_fabric(picks: &[(usize, bool, u64)]) -> (Topology, Vec<FlowSpec>) {
+        const SWITCH_LINKS: [(usize, usize, u64); 5] =
+            [(0, 1, 10), (1, 2, 10), (2, 3, 25), (1, 4, 10), (4, 2, 40)];
+        const ROUTES: [&[usize]; 5] = [
+            &[0, 1, 2, 3],
+            &[0, 1, 4, 2, 3],
+            &[1, 2, 3],
+            &[4, 2, 3],
+            &[1, 4],
+        ];
+        let mut topo = Topology::new();
+        let switches: Vec<NodeId> = (0..5).map(|_| topo.add_switch()).collect();
+        let hosts: Vec<NodeId> = (0..5).map(|_| topo.add_host()).collect();
+        for (a, b, gbps) in SWITCH_LINKS {
+            topo.add_link(switches[a], switches[b], gbps * GBPS, USEC);
+        }
+        for (i, (&h, &sw)) in hosts.iter().zip(&switches).enumerate() {
+            topo.add_link(h, sw, [10, 25][i % 2] * GBPS, 2 * USEC);
+        }
+        let between = |a: usize, b: usize| {
+            let l = SWITCH_LINKS
+                .iter()
+                .position(|&(x, y, _)| (x, y) == (a, b) || (x, y) == (b, a));
+            LinkId(l.unwrap() as u32)
+        };
+        let access = |sw: usize| LinkId((SWITCH_LINKS.len() + sw) as u32);
+        let flows = (picks.iter().enumerate())
+            .map(|(i, &(route, reverse, size))| {
+                let mut hops = ROUTES[route].to_vec();
+                if reverse {
+                    hops.reverse();
+                }
+                let (first, last) = (hops[0], hops[hops.len() - 1]);
+                let mut path = vec![access(first)];
+                path.extend(hops.windows(2).map(|w| between(w[0], w[1])));
+                path.push(access(last));
+                FlowSpec {
+                    id: i as u32,
+                    src: hosts[first],
+                    dst: hosts[last],
+                    size,
+                    arrival: 300 * i as u64,
+                    path,
+                }
+            })
+            .collect();
+        (topo, flows)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn streamed_keys_match_materialized_scenarios_on_fat_trees(
+            n_flows in 20usize..600,
+            load in 0.2f64..0.8,
+            workload_seed in 0u64..1_000,
+            k in 1usize..60,
+            seed in 0u64..1_000,
+        ) {
+            let ft = FatTree::build(FatTreeSpec::small(2));
+            let scenario = Scenario {
+                n_flows,
+                matrix_name: "B".into(),
+                sizes: SizeDistribution::web_server(),
+                sigma: 1.0,
+                max_load: load,
+                seed: workload_seed,
+            };
+            let flows = generate(&ft, &Routing::new(&ft.topo), &scenario).flows;
+            let sampled = PathIndex::build(&ft.topo, &flows).sample_paths(k, seed);
+            check_streamed_keys(&ft.topo, &flows, &SimConfig::default(), &sampled);
+        }
+
+        #[test]
+        fn streamed_keys_match_materialized_scenarios_on_a_detour_fabric(
+            picks in proptest::prelude::prop::collection::vec(
+                (0usize..5, proptest::prelude::prop::bool::ANY, 1u64..200_000),
+                1..80,
+            ),
+            k in 1usize..40,
+            seed in 0u64..1_000,
+        ) {
+            let (topo, flows) = detour_fabric(&picks);
+            assert!(validate_workload(&topo, &flows).is_ok());
+            let sampled = PathIndex::build(&topo, &flows).sample_paths(k, seed);
+            check_streamed_keys(&topo, &flows, &SimConfig::default(), &sampled);
+        }
+    }
+
+    #[test]
+    fn streamed_keys_split_the_hotpath_fixture_as_fnv_did() {
+        // The `gate hotpath` fixture: 4 000 flows of matrix B at load 0.5,
+        // workload seed 23, k = 100 sampled with seed 13.
+        let ft = FatTree::build(FatTreeSpec::small(2));
+        let scenario = Scenario {
+            n_flows: 4_000,
+            matrix_name: "B".into(),
+            sizes: SizeDistribution::web_server(),
+            sigma: 1.0,
+            max_load: 0.5,
+            seed: 23,
+        };
+        let flows = generate(&ft, &Routing::new(&ft.topo), &scenario).flows;
+        let sampled = PathIndex::build(&ft.topo, &flows).sample_paths(100, 13);
+        check_streamed_keys(&ft.topo, &flows, &SimConfig::default(), &sampled);
     }
 
     /// Child half of `estimate_is_bit_identical_at_1_2_and_4_workers`:
@@ -1302,7 +1593,7 @@ mod tests {
         let est = untrained_estimator();
         let index = PathIndex::build(&ft.topo, &flows);
         let sampled = index.sample_paths(40, 5);
-        let u = est.materialize_units(&ft.topo, &flows, &index, &sampled, &cfg);
+        let u = WorkUnits::key(&ft.topo, &flows, &index, &sampled, &cfg, est.use_context);
         let e = est
             .try_estimate(&ft.topo, &flows, &cfg, 40, 5, &EstimateOptions::default())
             .unwrap();

@@ -44,7 +44,7 @@ use crate::error::{M3Error, SpecValidation, Stage};
 use crate::metrics::PipelineMetrics;
 use crate::optimizer::Knob;
 use crate::pipeline::{
-    enforce_degradation_ceiling, CacheRef, EstimateOptions, M3Estimator, RunInfo,
+    enforce_degradation_ceiling, CacheRef, EstimateOptions, M3Estimator, RunInfo, WorkUnits,
 };
 use m3_netsim::prelude::*;
 use m3_telemetry::MetricsRegistry;
@@ -546,12 +546,13 @@ impl ScenarioSession {
         };
 
         let dirty_sampled: Vec<usize> = dirty_pos.iter().map(|&i| self.sampled[i]).collect();
-        let u = est.materialize_units(
+        let u = WorkUnits::key(
             &self.state.topo,
             eff,
             &self.index,
             &dirty_sampled,
             &self.state.config,
+            est.use_context,
         );
         let mut cache_ref = CacheRef::Shared(&self.cache);
         let (resolved, clean, model_fp) =

@@ -548,3 +548,47 @@ fn discontiguous_path_is_rejected_with_a_typed_error() {
     flows[i] = original;
     assert!(validate_workload(&ft.topo, &flows).is_ok());
 }
+
+#[test]
+fn route_longer_than_flowsim_can_index_is_rejected_with_a_typed_error() {
+    // flowSim indexes a path's hops with `u16`: a contiguous route that
+    // bounces over one link 65 537 times used to be accepted, and its
+    // foreground then spanned hop 0 only, with no error.
+    use m3::core::error::MAX_PATH_HOPS;
+    let mut topo = Topology::new();
+    let (a, b) = (topo.add_host(), topo.add_host());
+    let link = topo.add_link(a, b, 10 * GBPS, USEC);
+    let bounce = |hops: usize| FlowSpec {
+        id: 0,
+        src: a,
+        dst: b,
+        size: 1_000,
+        arrival: 0,
+        path: vec![link; hops],
+    };
+    // An odd hop count ends at `b`, so both routes are contiguous.
+    assert_eq!(MAX_PATH_HOPS, 65_536);
+    assert!(validate_workload(&topo, &[bounce(MAX_PATH_HOPS - 1)]).is_ok());
+    let too_long = [bounce(MAX_PATH_HOPS + 1)];
+    let err = untrained_estimator()
+        .try_estimate(
+            &topo,
+            &too_long,
+            &SimConfig::default(),
+            K_PATHS,
+            SEED,
+            &EstimateOptions::default(),
+        )
+        .unwrap_err();
+    match &err {
+        M3Error::InvalidSpec {
+            stage: Stage::Validate,
+            reason,
+        } => assert_eq!(
+            reason,
+            "flow 0: path has 65537 hops, more than the 65536 flowSim can index"
+        ),
+        other => panic!("expected InvalidSpec at validate, got {other}"),
+    }
+    assert!(!err.is_transient());
+}
