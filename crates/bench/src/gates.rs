@@ -794,9 +794,14 @@ mod tests {
         for (flag, present) in isa_flags() {
             assert_eq!(machine.get(flag), Some(&Value::Bool(present)), "{flag}");
         }
-        // The kernel path and the flags agree: `avx2` dispatch needs avx2.
-        if machine.get("kernel_path").and_then(Value::as_str) == Some("avx2") {
+        // The kernel path and the flags agree: `avx2` dispatch needs avx2,
+        // `avx512` dispatch needs avx512f.
+        let path = machine.get("kernel_path").and_then(Value::as_str);
+        if path == Some("avx2") {
             assert_eq!(machine.get("avx2"), Some(&Value::Bool(true)));
+        }
+        if path == Some("avx512") {
+            assert_eq!(machine.get("avx512f"), Some(&Value::Bool(true)));
         }
     }
 

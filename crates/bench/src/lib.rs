@@ -764,7 +764,7 @@ pub(crate) fn round(x: f64, digits: i32) -> f64 {
 
 /// One `BENCH_<bench>.json` record at the workspace root. Every record
 /// names its host under `machine`: the CPU model, the core count, the
-/// matmul kernel path the forward pass dispatches to (`avx2` or
+/// matmul kernel path the forward pass dispatches to (`avx512`, `avx2` or
 /// `portable`) and whether the CPU has `avx2`, `fma` and `avx512f`, since
 /// timings do not carry across hosts.
 pub(crate) struct Record {

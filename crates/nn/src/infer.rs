@@ -9,28 +9,40 @@
 //! * every intermediate draws from a [`TensorArena`] (zero steady-state
 //!   allocation after warmup),
 //! * per layer, the `wq`/`wk`/`wv` weights of all heads are packed side by
-//!   side into one `[embed, 3·embed]` matrix, so Q, K and V of every head
+//!   side into one `[embed, 3·embed]` matrix, once per call (every chunk
+//!   of a pooled call borrows it read-only), so Q, K and V of every head
 //!   come from one full-panel matmul; heads read their `dh`-column slices
 //!   of the product. Column `j` of the packed product is the same
 //!   ascending-`k` dot product as column `j` of the per-head product.
 //!   `wo` stays per head: the heads' projections combine by the
 //!   left-to-right fold `((p0 + p1) + p2) + p3`, which is not the
 //!   association one `[embed, embed]` matmul would produce,
+//! * only what reaches the output is computed: the output reads row
+//!   `l - 1` of the last layer, so that layer runs `norm1` and the QKV
+//!   matmul over every row (the last query attends to every row's K and
+//!   V) and everything after them — scores, softmax, `attn·V`, `wo`, the
+//!   residuals, `norm2`, the SwiGLU feed-forward and the final norm — over
+//!   row `l - 1` alone. Every pruned op is row-local, so that row's bits
+//!   are unchanged; the tape still computes every row and is the oracle,
 //! * the SwiGLU gate is fused into one elementwise pass
 //!   (`silu(a) * b`, same two multiplies in the same order as the chained
 //!   `silu` + `mul` tape ops),
 //! * one [`Kernel`] per call: the panel-kernel instantiation is detected
 //!   once, and the sparsity zero-skip is gated on the store's memoized
 //!   finiteness flag instead of per-matmul scans,
-//! * one parallel section: each worker runs `forward_chunk` —
-//!   contexts *and* the MLP head — on its contiguous chunk of samples.
+//! * one parallel section over fixed chunks of 8 samples (`CHUNK_SAMPLES`):
+//!   the `rayon` workers claim chunks one at a time, each with an arena
+//!   from the pool, and run `forward_chunk` — contexts *and* the MLP head —
+//!   on it, so a worker that drew short sequences claims more chunks
+//!   instead of idling behind a static split.
 //!
 //! Bit-identity with the tape path holds by construction: matmuls call the
 //! same blocked kernels on the same operand values, and the elementwise
 //! stages (`rms_norm_into`, `causal_softmax_into`, bias/residual adds,
 //! SiLU) are either shared helpers or replicate the tape ops' exact
-//! per-element expressions. `predict_batch_bit_identical_to_predict` and
-//! the proptest suite (`tests/prop.rs`) verify this against the retained
+//! per-element expressions, and each row of a pruned op is computed as the
+//! tape computes it. `predict_batch_bit_identical_to_predict` and the
+//! proptest suite (`tests/prop.rs`) verify this against the retained
 //! tape-based reference implementations in `model.rs`.
 
 use crate::arena::{ArenaPool, TensorArena};
@@ -38,6 +50,11 @@ use crate::model::{M3Net, SampleInput};
 use crate::tape::{causal_softmax_into, rms_norm_into, sigmoid};
 use crate::tensor::{dot, gemm, Kernel, Tensor};
 use rayon::prelude::*;
+
+/// Samples per chunk of [`M3Net::predict_batch_pooled`]: small enough that
+/// a batch of a few dozen samples keeps every worker busy until the end,
+/// large enough that the MLP head still runs as a batched matmul.
+const CHUNK_SAMPLES: usize = 8;
 
 /// Reusable scratch for the sequential batched forward pass. Hold one per
 /// call site and the second call performs zero heap allocations.
@@ -64,13 +81,13 @@ impl M3Net {
     /// matrix, whose columns are `wq` of heads `0..`, then `wk`, then `wv`
     /// (head `h` of each third at column `h * dh`).
     ///
-    /// Runs once per [`M3Net::forward_chunk`], so every call (and every
-    /// worker of a pooled call) copies `layers · 3 · embed²` floats whatever
-    /// the batch size: 96 KiB and 0.01 ms for `repro_default`, 15 MiB and
-    /// 2.2 ms for `paper_scale` — there a quarter of a single-sample
-    /// `predict` (7.9 ms), 6 % of a 4-sample call, noise from a few dozen
-    /// samples on. Packing at load time instead would be a cache keyed on
-    /// the store's content, invalidated by every training step.
+    /// Runs once per forward call, and every chunk of a pooled call borrows
+    /// the result read-only, so a call copies `layers · 3 · embed²` floats
+    /// whatever the batch size and worker count: 96 KiB and 0.01 ms for
+    /// `repro_default`, 15 MiB and 2.2 ms for `paper_scale` — there a
+    /// quarter of a single-sample `predict` (7.9 ms), noise from a few
+    /// dozen samples on. Packing at load time instead would be a cache
+    /// keyed on the store's content, invalidated by every training step.
     fn pack_qkv(&self, arena: &mut TensorArena) -> Tensor {
         let embed = self.cfg.embed;
         let dh = self.cfg.head_dim();
@@ -91,8 +108,9 @@ impl M3Net {
     }
 
     /// Transformer context of one sample written into `out` (`[embed]`),
-    /// mirroring the tape-built graph in `M3Net::context` op for op.
-    /// `qkv_w` is [`M3Net::pack_qkv`]'s matrix.
+    /// mirroring the tape-built graph in `M3Net::context` op for op on
+    /// every value that reaches row `l - 1` of the final norm, the only row
+    /// the output reads. `qkv_w` is [`M3Net::pack_qkv`]'s matrix.
     fn context_into(
         &self,
         sample: &SampleInput,
@@ -128,7 +146,7 @@ impl M3Net {
             }
         }
 
-        let dh = self.cfg.head_dim();
+        let (dh, ff_hidden) = (self.cfg.head_dim(), self.cfg.ff_hidden);
         let scale = 1.0 / (dh as f32).sqrt();
         let e3 = 3 * embed;
         // Scratch of every layer and head, taken once. The matmul kernels
@@ -143,12 +161,23 @@ impl M3Net {
         let mut out_h = arena.take(l, dh);
         let mut proj = arena.take(l, embed);
         let mut attn_acc = arena.take(l, embed);
-        let mut a = arena.take(l, self.cfg.ff_hidden);
-        let mut b = arena.take(l, self.cfg.ff_hidden);
+        let mut a = arena.take(l, ff_hidden);
+        let mut b = arena.take(l, ff_hidden);
         let mut ff = arena.take(l, embed);
         for (li, layer) in self.layers.iter().enumerate() {
+            // Rows `r0..l` are the ones this layer must produce. The last
+            // layer's output is read at row `l - 1` only, and every op
+            // but the attention's K and V is row-local, so there `norm1`
+            // and the QKV matmul run over every row (the last query attends
+            // to all of them) and everything after them over row `l - 1`.
+            let r0 = if li + 1 == self.layers.len() {
+                l - 1
+            } else {
+                0
+            };
+
             // Attention sublayer: Q, K and V of all heads in one matmul.
-            rms_norm_into(&x, &self.store.get(layer.norm1).data, &mut normed.data);
+            rms_norm_into(&x.data, &self.store.get(layer.norm1).data, &mut normed.data);
             qkv.data.fill(0.0);
             let w = &qkv_w.data[li * embed * e3..(li + 1) * embed * e3];
             gemm(
@@ -162,7 +191,7 @@ impl M3Net {
             for h in 0..self.cfg.heads {
                 let (q_col, k_col, v_col) = (h * dh, embed + h * dh, 2 * embed + h * dh);
                 // Causal: the softmax reads row `i` up to column `i` only.
-                for i in 0..l {
+                for i in r0..l {
                     let q = &qkv.data[i * e3 + q_col..][..dh];
                     for j in 0..=i {
                         let k = &qkv.data[j * e3 + k_col..][..dh];
@@ -171,48 +200,80 @@ impl M3Net {
                         scores.data[i * l + j] = (0.0 + dot(q, k)) * scale;
                     }
                 }
-                causal_softmax_into(&scores.data, l, &mut attn.data);
+                causal_softmax_into(&scores.data, l, r0, &mut attn.data);
                 // attn · V_h, with V_h read in place as a column range of
                 // the packed product.
-                out_h.data.fill(0.0);
+                out_h.data[r0 * dh..].fill(0.0);
                 let v = &qkv.data[v_col..];
-                gemm(kern, attn.data.chunks_exact(l), v, e3, dh, &mut out_h.data);
-                // Heads combine left to right, matching the tape's fold.
-                let wo = self.store.get(layer.wo[h]);
-                if h == 0 {
-                    attn_acc.data.fill(0.0);
-                    Tensor::matmul_into_gated(&out_h, wo, &mut attn_acc, kern);
-                } else {
-                    proj.data.fill(0.0);
-                    Tensor::matmul_into_gated(&out_h, wo, &mut proj, kern);
-                    for (acc, &p) in attn_acc.data.iter_mut().zip(&proj.data) {
+                let attn_rows = from_row(&attn, r0).chunks_exact(l);
+                gemm(kern, attn_rows, v, e3, dh, &mut out_h.data[r0 * dh..]);
+                // Heads combine left to right, matching the tape's fold:
+                // head 0 lands in the zeroed accumulator, later heads in
+                // `proj` and are then added.
+                let wo = &self.store.get(layer.wo[h]).data;
+                let dst = if h == 0 { &mut attn_acc } else { &mut proj };
+                dst.data[r0 * embed..].fill(0.0);
+                let head_rows = from_row(&out_h, r0).chunks_exact(dh);
+                gemm(
+                    kern,
+                    head_rows,
+                    wo,
+                    embed,
+                    embed,
+                    &mut dst.data[r0 * embed..],
+                );
+                if h > 0 {
+                    for (acc, &p) in attn_acc.data[r0 * embed..]
+                        .iter_mut()
+                        .zip(from_row(&proj, r0))
+                    {
                         *acc += p;
                     }
                 }
             }
-            for (xv, &a) in x.data.iter_mut().zip(&attn_acc.data) {
+            for (xv, &a) in x.data[r0 * embed..].iter_mut().zip(from_row(&attn_acc, r0)) {
                 *xv += a;
             }
 
             // SwiGLU feed-forward sublayer, gate fused into one pass.
-            rms_norm_into(&x, &self.store.get(layer.norm2).data, &mut normed.data);
-            a.data.fill(0.0);
-            b.data.fill(0.0);
-            Tensor::matmul_into_gated(&normed, self.store.get(layer.w1), &mut a, kern);
-            Tensor::matmul_into_gated(&normed, self.store.get(layer.w3), &mut b, kern);
-            for (av, &bv) in a.data.iter_mut().zip(&b.data) {
+            let norm2 = &self.store.get(layer.norm2).data;
+            rms_norm_into(from_row(&x, r0), norm2, &mut normed.data[r0 * embed..]);
+            a.data[r0 * ff_hidden..].fill(0.0);
+            b.data[r0 * ff_hidden..].fill(0.0);
+            for (w, dst) in [(layer.w1, &mut a), (layer.w3, &mut b)] {
+                let normed_rows = from_row(&normed, r0).chunks_exact(embed);
+                let w = &self.store.get(w).data;
+                gemm(
+                    kern,
+                    normed_rows,
+                    w,
+                    ff_hidden,
+                    ff_hidden,
+                    &mut dst.data[r0 * ff_hidden..],
+                );
+            }
+            for (av, &bv) in a.data[r0 * ff_hidden..].iter_mut().zip(from_row(&b, r0)) {
                 let xv = *av;
                 *av = (xv * sigmoid(xv)) * bv;
             }
-            ff.data.fill(0.0);
-            Tensor::matmul_into_gated(&a, self.store.get(layer.w2), &mut ff, kern);
-            for (xv, &f) in x.data.iter_mut().zip(&ff.data) {
+            ff.data[r0 * embed..].fill(0.0);
+            let w2 = &self.store.get(layer.w2).data;
+            let gated_rows = from_row(&a, r0).chunks_exact(ff_hidden);
+            gemm(
+                kern,
+                gated_rows,
+                w2,
+                embed,
+                embed,
+                &mut ff.data[r0 * embed..],
+            );
+            for (xv, &f) in x.data[r0 * embed..].iter_mut().zip(from_row(&ff, r0)) {
                 *xv += f;
             }
         }
 
-        rms_norm_into(&x, &self.store.get(self.final_norm).data, &mut normed.data);
-        out.copy_from_slice(&normed.data[(l - 1) * embed..l * embed]);
+        let last = &x.data[(l - 1) * embed..];
+        rms_norm_into(last, &self.store.get(self.final_norm).data, out);
         for t in [
             x, normed, qkv, scores, attn, out_h, proj, attn_acc, a, b, ff,
         ] {
@@ -220,25 +281,26 @@ impl M3Net {
         }
     }
 
-    /// The whole forward pass over one contiguous run of samples — packed
-    /// weights, contexts, then the batched MLP head over the rows
+    /// The whole forward pass over one contiguous run of samples —
+    /// contexts, then the batched MLP head over the rows
     /// `[fg ∥ context ∥ spec]` — writing sample `i`'s output into `out[i]`.
-    /// Every output row depends on its own sample alone, so how a batch is
-    /// cut into chunks changes no bits.
+    /// `qkv_w` is [`M3Net::pack_qkv`]'s matrix, packed once per call and
+    /// shared by every chunk. Every output row depends on its own sample
+    /// alone, so how a batch is cut into chunks changes no bits.
     fn forward_chunk(
         &self,
         samples: &[SampleInput],
+        qkv_w: &Tensor,
         arena: &mut TensorArena,
         kern: Kernel,
         out: &mut [Vec<f32>],
     ) {
         let (feat, embed) = (self.cfg.feat_dim, self.cfg.embed);
         let mlp_in = feat + embed + self.cfg.spec_dim;
-        let qkv_w = self.pack_qkv(arena);
         let mut joined = arena.take(samples.len(), mlp_in);
         for (s, row) in samples.iter().zip(joined.data.chunks_exact_mut(mlp_in)) {
             row[..feat].copy_from_slice(&s.fg);
-            self.context_into(s, &qkv_w, arena, kern, &mut row[feat..feat + embed]);
+            self.context_into(s, qkv_w, arena, kern, &mut row[feat..feat + embed]);
             row[feat + embed..].copy_from_slice(&s.spec);
         }
 
@@ -257,7 +319,7 @@ impl M3Net {
             dst.clear();
             dst.extend(row.iter().zip(&b2.data).map(|(&v, &b)| v + b));
         }
-        for t in [qkv_w, joined, h, o] {
+        for t in [joined, h, o] {
             arena.give(t);
         }
     }
@@ -291,8 +353,8 @@ impl M3Net {
     }
 
     /// [`M3Net::predict_batch_into`] on the baseline kernel instantiation,
-    /// whatever the CPU: how tests run, on an AVX2 host, the forward pass
-    /// of a host without AVX2.
+    /// whatever the CPU: how tests run, on an AVX2 or AVX-512 host, the
+    /// forward pass of a host without either.
     #[doc(hidden)]
     pub fn predict_batch_into_portable(
         &self,
@@ -314,7 +376,10 @@ impl M3Net {
         self.check_sample_widths(samples);
         out.resize_with(samples.len(), Vec::new);
         if !samples.is_empty() {
-            self.forward_chunk(samples, &mut scratch.arena, kern, out);
+            let arena = &mut scratch.arena;
+            let qkv_w = self.pack_qkv(arena);
+            self.forward_chunk(samples, &qkv_w, arena, kern, out);
+            arena.give(qkv_w);
         }
     }
 
@@ -325,36 +390,46 @@ impl M3Net {
     }
 
     /// [`M3Net::predict_batch`] drawing all scratch from a caller-held
-    /// [`ArenaPool`], so repeated estimates reuse warm buffers. The batch
-    /// is cut into one contiguous chunk per `rayon` worker, each worker
-    /// runs the whole forward pass on its chunk, and the vendored rayon
-    /// returns the chunks' outputs in order.
+    /// [`ArenaPool`], so repeated estimates reuse warm buffers. The QKV
+    /// weights are packed once; the batch is cut into chunks of 8 samples
+    /// (`CHUNK_SAMPLES`), which the `rayon` workers claim one at a time,
+    /// each running the whole forward pass on its chunk with an arena from
+    /// the pool; the vendored rayon returns the chunks' outputs in order.
     pub fn predict_batch_pooled(&self, samples: &[SampleInput], pool: &ArenaPool) -> Vec<Vec<f32>> {
         if samples.is_empty() {
             return Vec::new();
         }
         self.check_sample_widths(samples);
         let kern = self.kernel();
-        let chunk_len = samples.len().div_ceil(rayon::current_num_threads());
-        let chunks: Vec<&[SampleInput]> = samples.chunks(chunk_len).collect();
+        let mut arena = pool.take();
+        let qkv_w = self.pack_qkv(&mut arena);
+        let chunks: Vec<&[SampleInput]> = samples.chunks(CHUNK_SAMPLES).collect();
         let parts: Vec<Vec<Vec<f32>>> = chunks
             .par_iter()
             .map(|part| {
                 let mut arena = pool.take();
                 let mut rows = vec![Vec::new(); part.len()];
-                self.forward_chunk(part, &mut arena, kern, &mut rows);
+                self.forward_chunk(part, &qkv_w, &mut arena, kern, &mut rows);
                 pool.put(arena);
                 rows
             })
             .collect();
+        arena.give(qkv_w);
+        pool.put(arena);
         parts.into_iter().flatten().collect()
     }
+}
+
+/// Rows `r..` of `t`, as one slice.
+fn from_row(t: &Tensor, r: usize) -> &[f32] {
+    &t.data[r * t.cols..]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::tests::{sample, tiny_cfg};
+    use crate::model::ModelConfig;
 
     /// The zero-skip gate is a memo now: a NaN planted after a forward
     /// call has cached "finite" must clear it, or a zero activation would
@@ -377,18 +452,46 @@ mod tests {
         assert!(net.clone().predict(&s)[0].is_nan(), "clone lost the flag");
     }
 
+    /// In a one-layer pass row 0 reaches the last row only through the
+    /// pruned layer's K and V, so a NaN planted in hop 0's background map
+    /// must still poison the context. The context is checked rather than
+    /// the output: the head's ReLU (`NaN.max(0.0) == 0.0`) swallows a NaN,
+    /// on the tape as here.
+    #[test]
+    fn nan_in_hop_0_reaches_the_context_through_the_last_layer() {
+        let cfg = ModelConfig {
+            layers: 1,
+            ..tiny_cfg()
+        };
+        let net = M3Net::new(cfg, 9);
+        let mut s = sample(net.cfg.block, &net.cfg);
+        s.bg[0][3] = f32::NAN;
+        let mut arena = TensorArena::new();
+        let qkv_w = net.pack_qkv(&mut arena);
+        let mut ctx = vec![0.0; net.cfg.embed];
+        net.context_into(&s, &qkv_w, &mut arena, net.kernel(), &mut ctx);
+        assert!(ctx.iter().all(|v| v.is_nan()), "NaN lost: {ctx:?}");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&net.predict(&s)), bits(&net.predict_reference(&s)));
+    }
+
     /// Child half of `pooled_forward_is_bit_identical_at_1_2_and_4_workers`:
     /// checks the pooled batch against per-sample `predict` and prints the
-    /// worker count with a digest of every output bit.
+    /// worker count with a digest of every output bit. 56 samples are
+    /// seven `CHUNK_SAMPLES` chunks, several per worker at 2 and 4.
     #[test]
     #[ignore = "run by pooled_forward_is_bit_identical_at_1_2_and_4_workers, which sets RAYON_NUM_THREADS"]
     fn print_worker_count_and_forward_digest() {
         let net = M3Net::new(tiny_cfg(), 9);
-        let mut samples: Vec<SampleInput> = [0usize, 1, 3, 6, 2, 4, 9, 5, 1, 2, 6]
-            .iter()
-            .map(|&h| sample(h, &net.cfg))
+        let hops = [0usize, 1, 3, 6, 2, 4, 9, 5, 1, 2, 6];
+        let samples: Vec<SampleInput> = (0..56)
+            .map(|i| {
+                let mut s = sample(hops[i % hops.len()], &net.cfg);
+                s.fg[i % net.cfg.feat_dim] += i as f32 * 0.01;
+                s.use_context = i % 11 != 4;
+                s
+            })
             .collect();
-        samples[4].use_context = false;
         let pool = ArenaPool::new();
         let batched = net.predict_batch_pooled(&samples, &pool);
         assert_eq!(batched.len(), samples.len());
@@ -407,9 +510,9 @@ mod tests {
         );
     }
 
-    /// `predict_batch_pooled` cuts the batch into one chunk per `rayon`
-    /// worker, so the chunking follows `RAYON_NUM_THREADS`; the outputs
-    /// must not. The stand-in fixes its worker count per process, hence
+    /// `predict_batch_pooled`'s workers claim its chunks one at a time, so
+    /// which worker runs which chunk follows `RAYON_NUM_THREADS` (and the
+    /// scheduler); the outputs must not. The stand-in fixes its worker count per process, hence
     /// one child process per count (the pattern of `m3-core`'s
     /// `estimate_is_bit_identical_at_1_2_and_4_workers`).
     #[test]

@@ -29,8 +29,8 @@
 // either propagate as typed Results or use an explicitly justified panic.
 // scripts/check.sh runs clippy with -D warnings, making these hard errors.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
-// The crate's one `unsafe` block is the call into the AVX2 instantiation of
-// the matmul kernel (`tensor.rs`).
+// The crate's two `unsafe` blocks are the calls into the AVX2 and AVX-512
+// instantiations of the matmul kernel (`tensor.rs`).
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod arena;

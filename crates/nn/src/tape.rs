@@ -275,7 +275,7 @@ impl<'p> Tape<'p> {
             av.rows
         };
         let mut v = self.fresh(n, n);
-        causal_softmax_into(&self.val(a).data, n, &mut v.data);
+        causal_softmax_into(&self.val(a).data, n, 0, &mut v.data);
         self.push(Op::CausalSoftmax(a), v)
     }
 
@@ -287,7 +287,7 @@ impl<'p> Tape<'p> {
             av.shape()
         };
         let mut v = self.fresh(r, c);
-        rms_norm_into(self.val(a), &self.val(gain).data, &mut v.data);
+        rms_norm_into(&self.val(a).data, &self.val(gain).data, &mut v.data);
         self.push(Op::RmsNorm(a, gain), v)
     }
 
@@ -516,12 +516,13 @@ pub(crate) fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// Row-wise causal softmax of an `[n, n]` score matrix into `out` (which
-/// must be zeroed: entries above the diagonal are left untouched). Shared
-/// by the tape op and the no-tape inference fast path so the two are
+/// Row-wise causal softmax of rows `start..n` of an `[n, n]` score matrix
+/// into `out` (which must be zeroed: entries above the diagonal are left
+/// untouched, and so are rows before `start`). Shared by the tape op
+/// (`start` 0) and the no-tape inference fast path so the two are
 /// bit-identical by construction.
-pub(crate) fn causal_softmax_into(scores: &[f32], n: usize, out: &mut [f32]) {
-    for i in 0..n {
+pub(crate) fn causal_softmax_into(scores: &[f32], n: usize, start: usize, out: &mut [f32]) {
+    for i in start..n {
         let row = &scores[i * n..(i + 1) * n];
         let max = row[..=i].iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let mut denom = 0.0f32;
@@ -537,12 +538,12 @@ pub(crate) fn causal_softmax_into(scores: &[f32], n: usize, out: &mut [f32]) {
     }
 }
 
-/// Row-wise RMS norm with a gain row, shared by the tape op and the
-/// inference fast path (overwrites `out`).
-pub(crate) fn rms_norm_into(a: &Tensor, gain: &[f32], out: &mut [f32]) {
-    let cols = a.cols;
-    for r in 0..a.rows {
-        let row = &a.data[r * cols..(r + 1) * cols];
+/// Row-wise RMS norm with a gain row over the `gain.len()`-wide rows of
+/// `a`, shared by the tape op and the inference fast path (overwrites
+/// `out`).
+pub(crate) fn rms_norm_into(a: &[f32], gain: &[f32], out: &mut [f32]) {
+    let cols = gain.len();
+    for (r, row) in a.chunks_exact(cols).enumerate() {
         let ms = row.iter().map(|x| x * x).sum::<f32>() / cols as f32;
         let inv = 1.0 / (ms + RMS_EPS).sqrt();
         let o = &mut out[r * cols..(r + 1) * cols];

@@ -21,21 +21,40 @@
 //! `matmul_into_reference` and the proptest suite).
 //!
 //! Run-time dispatch: the workspace is built for baseline x86-64, where a
-//! 64-float panel is all sixteen `xmm` registers. The one kernel body
-//! (`gemm_body`, `#[inline(always)]`) is therefore instantiated twice —
-//! as is, and inside an `avx2` `#[target_feature]` function — and a
-//! [`Kernel`] picks one: once per forward call on the inference path
-//! (`infer.rs`), once per matmul through [`Tensor::matmul_into`], the tape
-//! and training entry (the detection is a cached atomic load, and that
-//! entry scans `B` for finiteness per matmul anyway). Only `avx2` is enabled and
-//! `mul_add` is never used, so no multiply-add is contracted: on either
-//! path every lane is one IEEE multiply and one IEEE add per `k` step, in
-//! ascending `k`, independent of its neighbours. Vector width changes how
-//! many lanes move per instruction, not what any lane computes; the two
-//! paths agree bit for bit. (One caveat, as old as the portable kernel:
-//! when two NaNs with *different* payloads meet in one add, x86 keeps the
-//! first operand's, and operand order is the compiler's choice. A poisoned
-//! run is NaN on both paths; which NaN is not pinned.)
+//! 64-float panel is all sixteen `xmm` registers. The kernel source is
+//! safe code instantiated three times, and a [`Kernel`] picks one: once
+//! per forward call on the inference path (`infer.rs`), once per matmul
+//! through [`Tensor::matmul_into`], the tape and training entry (the
+//! detection is a cached atomic load, and that entry scans `B` for
+//! finiteness per matmul anyway).
+//!
+//! * *portable*: `gemm_body` (`#[inline(always)]`) as is;
+//! * *avx2*: the same `gemm_body` inside an `avx2` `#[target_feature]`
+//!   function (a two-row body measured slower there);
+//! * *avx512*: `gemm_pairs_body` inside an `avx512f` `#[target_feature]`
+//!   function. It runs rows of `A` in pairs through one 64-wide panel
+//!   (eight `zmm` accumulators), so each load of a `B` block feeds two
+//!   rows instead of one: the weight panel is streamed once per row pair,
+//!   not once per row. An odd last row and the column tails run the
+//!   one-row panels.
+//!
+//! `mul_add` is never written, and Rust never contracts `a * b + c` into
+//! a fused multiply-add (not even under `avx512f`, which implies the `fma`
+//! feature), so on every path every lane is one IEEE
+//! multiply and one IEEE add per `k` step, in ascending `k`, independent
+//! of its neighbours. Vector width changes how many lanes move per
+//! instruction, not what any lane computes. The two-row panel keeps each
+//! row's zero-skip exactly: it skips a `k` step only when *both* rows skip
+//! it, and when only one row's activation is a skipped zero, that row keeps
+//! its accumulator through a branchless select
+//! (`x = if keep { x + a·b } else { x }`), so it takes the same terms the
+//! one-row panel gives it — which is what keeps it equal to portable under
+//! an unsound skip over a poisoned `B` and on a `-0.0` in `C` (skipping
+//! only when both rows are zero would add a `0·b` the one-row panel
+//! skips). All paths agree bit for bit. (One caveat, as old as the
+//! portable kernel: when two NaNs with *different* payloads meet in one
+//! add, x86 keeps the first operand's, and operand order is the compiler's
+//! choice. A poisoned run is NaN on every path; which NaN is not pinned.)
 //!
 //! Sparsity fast path: feature maps are mostly exact zeros (empty
 //! percentile buckets), so skipping `a[i,k] == 0.0` rows of `B` is a large
@@ -52,8 +71,8 @@
 use std::fmt;
 
 /// Output-column panel width for the register-blocked kernels: one panel
-/// of `f32` accumulators (8 AVX2 vectors' worth) held in registers across
-/// the entire `k` loop.
+/// of `f32` accumulators (8 AVX2 or 4 AVX-512 vectors' worth) held in
+/// registers across the entire `k` loop.
 const JB: usize = 64;
 
 /// What every matmul of one forward call shares: which instantiation of
@@ -61,11 +80,13 @@ const JB: usize = 64;
 /// be on when the `B` side is known finite; the inference fast path reads
 /// one memoized finiteness flag for all weights).
 ///
-/// The fields are private because the `unsafe` call into the AVX2
-/// instantiation relies on `avx2` being set by [`Kernel::detect`] alone.
+/// The fields are private because the `unsafe` calls into the AVX2 and
+/// AVX-512 instantiations rely on `avx2` and `avx512` being set from
+/// [`Kernel::detect`] alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Kernel {
     avx2: bool,
+    avx512: bool,
     zero_skip: bool,
 }
 
@@ -73,10 +94,17 @@ impl Kernel {
     /// The widest instantiation this CPU runs.
     pub fn detect(zero_skip: bool) -> Self {
         #[cfg(target_arch = "x86_64")]
-        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        let (avx2, avx512) = (
+            std::arch::is_x86_feature_detected!("avx2"),
+            std::arch::is_x86_feature_detected!("avx512f"),
+        );
         #[cfg(not(target_arch = "x86_64"))]
-        let avx2 = false;
-        Kernel { avx2, zero_skip }
+        let (avx2, avx512) = (false, false);
+        Kernel {
+            avx2,
+            avx512,
+            zero_skip,
+        }
     }
 
     /// The baseline instantiation, whatever the CPU: what a host without
@@ -85,13 +113,36 @@ impl Kernel {
     pub fn portable(zero_skip: bool) -> Self {
         Kernel {
             avx2: false,
+            avx512: false,
             zero_skip,
         }
     }
 
-    /// `"avx2"` or `"portable"`, for bench fingerprints.
+    /// Every instantiation this CPU runs, narrowest first: portable, then
+    /// AVX2 and AVX-512 where detected. [`Kernel::detect`] picks the last
+    /// one, so on an AVX-512 host the AVX2 body is reachable only from
+    /// here; tests compare each entry against the portable one.
+    #[doc(hidden)]
+    pub fn instantiations(zero_skip: bool) -> Vec<Self> {
+        let widest = Kernel::detect(zero_skip);
+        let mut all = vec![Kernel::portable(zero_skip)];
+        if widest.avx2 {
+            all.push(Kernel {
+                avx512: false,
+                ..widest
+            });
+        }
+        if widest.avx512 {
+            all.push(widest);
+        }
+        all
+    }
+
+    /// `"avx512"`, `"avx2"` or `"portable"`, for bench fingerprints.
     pub fn path(self) -> &'static str {
-        if self.avx2 {
+        if self.avx512 {
+            "avx512"
+        } else if self.avx2 {
             "avx2"
         } else {
             "portable"
@@ -125,8 +176,38 @@ fn panel<const W: usize>(
     c_row[jb..jb + W].copy_from_slice(&acc);
 }
 
-/// The kernel body both instantiations share: `C += A * B`, one row of `A`
-/// (and `m` floats of `out`) at a time, panels widest first.
+/// Columns `jb..m` of one output row: full panels, then the fixed 16- and
+/// 8-wide sub-panels, then single columns.
+#[inline(always)]
+fn row_panels(
+    a_row: &[f32],
+    b: &[f32],
+    ldb: usize,
+    mut jb: usize,
+    m: usize,
+    c_row: &mut [f32],
+    zero_skip: bool,
+) {
+    while jb + JB <= m {
+        panel::<JB>(a_row, b, ldb, jb, c_row, zero_skip);
+        jb += JB;
+    }
+    while jb + 16 <= m {
+        panel::<16>(a_row, b, ldb, jb, c_row, zero_skip);
+        jb += 16;
+    }
+    if jb + 8 <= m {
+        panel::<8>(a_row, b, ldb, jb, c_row, zero_skip);
+        jb += 8;
+    }
+    while jb < m {
+        panel::<1>(a_row, b, ldb, jb, c_row, zero_skip);
+        jb += 1;
+    }
+}
+
+/// The kernel body the portable and AVX2 instantiations share: `C += A * B`,
+/// one row of `A` (and `m` floats of `out`) at a time, panels widest first.
 #[inline(always)]
 fn gemm_body<'a>(
     a_rows: impl Iterator<Item = &'a [f32]>,
@@ -137,23 +218,75 @@ fn gemm_body<'a>(
     zero_skip: bool,
 ) {
     for (a_row, c_row) in a_rows.zip(out.chunks_exact_mut(m)) {
-        let mut jb = 0;
-        while jb + JB <= m {
-            panel::<JB>(a_row, b, ldb, jb, c_row, zero_skip);
-            jb += JB;
+        row_panels(a_row, b, ldb, 0, m, c_row, zero_skip);
+    }
+}
+
+/// One [`JB`]-wide panel of two output rows at once, so each load of a `B`
+/// block feeds both rows. A `k` step is skipped when both rows skip it;
+/// when only one does, that row keeps its accumulator through a select, so
+/// each row takes exactly the terms [`panel`] would give it, one IEEE
+/// multiply and one add per lane, in ascending `k`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn panel_pair(
+    a0: &[f32],
+    a1: &[f32],
+    b: &[f32],
+    ldb: usize,
+    jb: usize,
+    c0: &mut [f32],
+    c1: &mut [f32],
+    zero_skip: bool,
+) {
+    let mut acc0 = [0.0f32; JB];
+    let mut acc1 = [0.0f32; JB];
+    acc0.copy_from_slice(&c0[jb..jb + JB]);
+    acc1.copy_from_slice(&c1[jb..jb + JB]);
+    for (k, (&x0, &x1)) in a0.iter().zip(a1).enumerate() {
+        let keep0 = !(zero_skip && x0 == 0.0);
+        let keep1 = !(zero_skip && x1 == 0.0);
+        if !keep0 && !keep1 {
+            continue;
         }
-        while jb + 16 <= m {
-            panel::<16>(a_row, b, ldb, jb, c_row, zero_skip);
-            jb += 16;
+        let b_blk = &b[k * ldb + jb..k * ldb + jb + JB];
+        for ((s0, s1), &bv) in acc0.iter_mut().zip(acc1.iter_mut()).zip(b_blk) {
+            let (t0, t1) = (*s0 + x0 * bv, *s1 + x1 * bv);
+            *s0 = if keep0 { t0 } else { *s0 };
+            *s1 = if keep1 { t1 } else { *s1 };
         }
-        if jb + 8 <= m {
-            panel::<8>(a_row, b, ldb, jb, c_row, zero_skip);
-            jb += 8;
+    }
+    c0[jb..jb + JB].copy_from_slice(&acc0);
+    c1[jb..jb + JB].copy_from_slice(&acc1);
+}
+
+/// The AVX-512 kernel body: rows of `A` in pairs through [`panel_pair`]
+/// over the full panels, each row's column tail through [`row_panels`];
+/// an odd last row runs [`row_panels`] alone.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn gemm_pairs_body<'a>(
+    a_rows: impl Iterator<Item = &'a [f32]>,
+    b: &[f32],
+    ldb: usize,
+    m: usize,
+    out: &mut [f32],
+    zero_skip: bool,
+) {
+    let full = m / JB * JB;
+    let mut rows = a_rows.zip(out.chunks_exact_mut(m));
+    while let Some((a0, c0)) = rows.next() {
+        let Some((a1, c1)) = rows.next() else {
+            row_panels(a0, b, ldb, 0, m, c0, zero_skip);
+            break;
+        };
+        assert_eq!(a0.len(), a1.len(), "matmul inner dims");
+        for jb in (0..full).step_by(JB) {
+            panel_pair(a0, a1, b, ldb, jb, c0, c1, zero_skip);
         }
-        while jb < m {
-            panel::<1>(a_row, b, ldb, jb, c_row, zero_skip);
-            jb += 1;
-        }
+        row_panels(a0, b, ldb, full, m, c0, zero_skip);
+        row_panels(a1, b, ldb, full, m, c1, zero_skip);
     }
 }
 
@@ -169,6 +302,20 @@ fn gemm_avx2<'a>(
     zero_skip: bool,
 ) {
     gemm_body(a_rows, b, ldb, m, out, zero_skip);
+}
+
+/// [`gemm_pairs_body`] compiled with 512-bit vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_avx512<'a>(
+    a_rows: impl Iterator<Item = &'a [f32]>,
+    b: &[f32],
+    ldb: usize,
+    m: usize,
+    out: &mut [f32],
+    zero_skip: bool,
+) {
+    gemm_pairs_body(a_rows, b, ldb, m, out, zero_skip);
 }
 
 /// `C += A * B` over slices: `a_rows` yields the rows of `A`, row `k` of
@@ -188,11 +335,21 @@ pub(crate) fn gemm<'a>(
     }
     assert!(ldb >= m, "matmul B row stride");
     #[cfg(target_arch = "x86_64")]
+    if kern.avx512 {
+        // SAFETY: `gemm_avx512` is safe code whose only requirement is
+        // that the CPU supports AVX-512F. `Kernel`'s fields are private and
+        // `avx512` is set only from `Kernel::detect`'s
+        // `is_x86_feature_detected!("avx512f")` (`Kernel::instantiations`
+        // copies a detected kernel).
+        return unsafe { gemm_avx512(a_rows, b, ldb, m, out, kern.zero_skip) };
+    }
+    #[cfg(target_arch = "x86_64")]
     if kern.avx2 {
         // SAFETY: `gemm_avx2` is safe code whose only requirement is that
-        // the CPU supports AVX2. `Kernel`'s fields are private and
-        // `Kernel::detect`, the one place that sets `avx2`, sets it from
-        // `is_x86_feature_detected!("avx2")`.
+        // the CPU supports AVX2. `Kernel`'s fields are private and `avx2`
+        // is set only from `Kernel::detect`'s
+        // `is_x86_feature_detected!("avx2")` (`Kernel::instantiations`
+        // copies a detected kernel).
         return unsafe { gemm_avx2(a_rows, b, ldb, m, out, kern.zero_skip) };
     }
     gemm_body(a_rows, b, ldb, m, out, kern.zero_skip);

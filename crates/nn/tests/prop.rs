@@ -2,10 +2,11 @@
 //! central finite differences for randomly-shaped compositions, and model
 //! outputs must be finite and deterministic for arbitrary inputs.
 //!
-//! The kernel suites compare the dispatched (AVX2) instantiation of the
-//! panel kernel against the portable one bit for bit. On a host without
-//! AVX2 both are the same code, so those suites print a note and pass
-//! without comparing anything.
+//! The kernel suites compare every instantiation of the panel kernel this
+//! host runs (`Kernel::instantiations`: portable, and AVX2 and the two-row
+//! AVX-512 body where the CPU has them) against the portable one bit for
+//! bit. On a host with neither, only portable runs, so those suites print
+//! a note and pass without comparing anything.
 
 use m3_nn::prelude::*;
 use proptest::prelude::*;
@@ -37,16 +38,24 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Whether `Kernel::detect` picks something other than the portable
-/// instantiation here; says so once when it does not.
+/// Whether this host runs an instantiation other than the portable one;
+/// names the instantiations found, once.
 fn dispatch_differs() -> bool {
     static NOTE: std::sync::Once = std::sync::Once::new();
-    let differs = Kernel::detect(false) != Kernel::portable(false);
-    if !differs {
-        NOTE.call_once(|| {
-            eprintln!("no AVX2 on this host: dispatched == portable, kernel comparisons skipped")
-        });
-    }
+    let found = Kernel::instantiations(false);
+    let differs = found.len() > 1;
+    NOTE.call_once(|| {
+        let names: Vec<&str> = found.iter().map(|k| k.path()).collect();
+        let skipped = if differs {
+            ""
+        } else {
+            "; kernel comparisons skipped"
+        };
+        eprintln!(
+            "kernel instantiations on this host: {}{skipped}",
+            names.join(", ")
+        );
+    });
     differs
 }
 
@@ -62,10 +71,11 @@ fn signed_zero_tensor_from(vals: &[f32], rows: usize, cols: usize) -> Tensor {
     Tensor::from_vec(rows, cols, data)
 }
 
-/// The AVX2 instantiation of the panel kernel equals the portable one bit
-/// for bit on `C += A * B` with `-0.0` and `0.0` activations, the zero-skip
-/// on or off, and `poison` (unless `0.0`) planted in `B` — where a sound
-/// caller turns the skip off, but the instantiations must agree either way.
+/// Every instantiation of the panel kernel this host runs equals the
+/// portable one bit for bit on `C += A * B` with `-0.0` and `0.0`
+/// activations, a non-zero `C` with planted `-0.0`s, the zero-skip on or
+/// off, and `poison` (unless `0.0`) planted in `B` — where a sound caller
+/// turns the skip off, but the instantiations must agree either way.
 fn assert_dispatched_equals_portable(
     n: usize,
     k: usize,
@@ -81,20 +91,30 @@ fn assert_dispatched_equals_portable(
         let at = poison_at % b.data.len();
         b.data[at] = poison;
     }
-    // Accumulate into a non-zero C, as the backward pass does.
-    let c0 = tensor_from(&vals[2..], n, m);
+    // Accumulate into a non-zero C, as the backward pass does, with a few
+    // `-0.0`s: a skipped step must leave them `-0.0`, an added `+0.0`
+    // product turns them `+0.0`.
+    let mut c0 = tensor_from(&vals[2..], n, m);
+    for v in c0.data.iter_mut().step_by(7) {
+        *v = -0.0;
+    }
     let mut portable = c0.clone();
     Tensor::matmul_into_gated(&a, &b, &mut portable, Kernel::portable(zero_skip));
-    let mut dispatched = c0.clone();
-    Tensor::matmul_into_gated(&a, &b, &mut dispatched, Kernel::detect(zero_skip));
-    let shape = format!("({n},{k},{m}) zero_skip {zero_skip} poison {poison}");
-    assert_eq!(bits(&portable), bits(&dispatched), "{shape}");
-    // And both are the reference kernel when the skip is set the way
-    // `matmul_into` sets it.
-    if zero_skip == (poison == 0.0) {
-        let mut reference = c0.clone();
-        Tensor::matmul_into_reference(&a, &b, &mut reference);
-        assert_eq!(bits(&reference), bits(&dispatched), "{shape}");
+    let mut reference = c0.clone();
+    Tensor::matmul_into_reference(&a, &b, &mut reference);
+    for kern in Kernel::instantiations(zero_skip) {
+        let mut got = c0.clone();
+        Tensor::matmul_into_gated(&a, &b, &mut got, kern);
+        let shape = format!(
+            "{} ({n},{k},{m}) zero_skip {zero_skip} poison {poison}",
+            kern.path()
+        );
+        assert_eq!(bits(&portable), bits(&got), "{shape}");
+        // And each is the reference kernel when the skip is set the way
+        // `matmul_into` sets it.
+        if zero_skip == (poison == 0.0) {
+            assert_eq!(bits(&reference), bits(&got), "{shape}");
+        }
     }
 }
 
@@ -395,7 +415,7 @@ proptest! {
     /// heads reading column slices) equals the retained per-head tape path
     /// bit for bit, for one, two and four heads and for the shortest and
     /// the longest sequence; the portable forward pass — what a host
-    /// without AVX2 runs — equals the dispatched one.
+    /// without AVX2 or AVX-512 runs — equals the dispatched one.
     #[test]
     fn packed_qkv_forward_matches_tape_reference(
         heads in prop::sample::select(vec![1usize, 2, 4]),
@@ -418,6 +438,41 @@ proptest! {
             &mut out,
         );
         prop_assert_eq!(&to_bits(&out[0]), &reference);
+    }
+
+    /// The pruned last layer — everything after its QKV matmul on row
+    /// `l - 1` only — equals the tape, which computes every row, bit for
+    /// bit: at every sequence length around the block edge, with the
+    /// context ablated, for one to three layers (with one, the only layer
+    /// is the pruned one), and through `predict`, the pooled batch and the
+    /// portable kernel.
+    #[test]
+    fn pruned_forward_matches_tape_reference_at_every_length(
+        heads in prop::sample::select(vec![1usize, 2, 4]),
+        layers in 1usize..4,
+        fill in -2.0f32..2.0,
+        seed in 0u64..40,
+    ) {
+        let cfg = ModelConfig { layers, ..model_cfg(heads) };
+        let net = M3Net::new(cfg.clone(), seed);
+        let block = cfg.block;
+        let mut samples: Vec<SampleInput> = [0, 1, 2, block - 1, block, block + 3]
+            .iter()
+            .map(|&hops| model_sample(&cfg, hops, fill))
+            .collect();
+        let mut ablated = model_sample(&cfg, block, fill);
+        ablated.use_context = false;
+        samples.push(ablated);
+        let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let pooled = net.predict_batch_pooled(&samples, &ArenaPool::new());
+        let mut portable = Vec::new();
+        net.predict_batch_into_portable(&samples, &mut InferScratch::new(), &mut portable);
+        for (i, s) in samples.iter().enumerate() {
+            let reference = to_bits(&net.predict_reference(s));
+            prop_assert_eq!(&to_bits(&net.predict(s)), &reference, "sample {}", i);
+            prop_assert_eq!(&to_bits(&pooled[i]), &reference, "sample {}", i);
+            prop_assert_eq!(&to_bits(&portable[i]), &reference, "sample {}", i);
+        }
     }
 
     /// Checkpoint roundtrips preserve every prediction bit-exactly.
@@ -483,20 +538,29 @@ fn blocked_matmul_edge_shapes_match_reference() {
     }
 }
 
-/// Every panel width of the dispatched kernel — full 64s, the 16- and
-/// 8-wide sub-panels, single columns, and their combinations — against the
-/// portable instantiation, with every kind of poison and the skip both
-/// ways.
+/// Every panel width of every instantiation — full 64s, the 16- and 8-wide
+/// sub-panels, single columns, and their combinations — against the
+/// portable one, with every kind of poison and the skip both ways, at odd
+/// and even row counts: the AVX-512 body runs rows in pairs, so 1, 3, 5
+/// and 17 rows end on a lone row through the one-row panels. With `k = 20`
+/// both rows of a pair have their zero activations at the same steps (the
+/// pair skips them); with `k = 19` and `k = 21` the zeros shift from row
+/// to row (one row keeps its accumulator through the select).
 #[test]
 fn dispatched_kernel_edge_widths_match_portable() {
     if !dispatch_differs() {
         return;
     }
     let vals: Vec<f32> = (0..29).map(|i| (i as f32 * 0.37).sin() * 2.5).collect();
-    for m in [1, 7, 8, 15, 16, 17, 63, 64, 65, 400] {
-        for zero_skip in [false, true] {
-            for poison in [0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-                assert_dispatched_equals_portable(3, 21, m, &vals, zero_skip, poison, 5 * m + 3);
+    for n in [1, 2, 3, 5, 17] {
+        for k in [19, 20, 21] {
+            for m in [1, 7, 8, 15, 16, 17, 63, 64, 65, 400] {
+                for zero_skip in [false, true] {
+                    for poison in [0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                        let at = 5 * m + n;
+                        assert_dispatched_equals_portable(n, k, m, &vals, zero_skip, poison, at);
+                    }
+                }
             }
         }
     }

@@ -21,7 +21,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> kernel suite, optimized (portable vs dispatched panel kernel: the debug build does not vectorise)"
+echo "==> kernel suite, optimized (every instantiation this host runs vs the portable panel kernel: the debug build does not vectorise)"
 cargo test --release -q -p m3-nn --test prop
 
 echo "==> fault-injection suite"
@@ -76,7 +76,8 @@ echo "trace golden matches"
 echo "==> speed gates (gate all: hotpath >=4x forward + estimate_warm_min_ms all-hit row bit-checked against cold, session >=5x, cluster >=6x at 8 shards, tracing <3% / telemetry <2% / monitor <2% overhead, journal <=1 KiB per completed request; writes seven BENCH_*.json)"
 cargo run --release -q -p m3-bench --bin gate -- all
 # Which matmul kernel instantiation the forward pass dispatched to here: the
-# timings above are not comparable between an avx2 and a portable host.
+# timings above are not comparable between an avx512, an avx2 and a portable
+# host.
 echo "hot-path kernel path on this host: $(grep -o '"kernel_path": "[a-z0-9]*"' BENCH_hotpath.json | cut -d'"' -f4)"
 
 echo "==> fault soak (service, cluster, swap, session, monitor, crash schedules on seeds 1-3)"
