@@ -213,6 +213,29 @@ fn hotpath() -> Res<Value> {
         "the warm estimate diverged from the cold one",
     )?;
     let cached = pairs(|| fx.estimate(&opts), &mut warm)?;
+    // The same estimate as a served repeat runs it: through its prepared
+    // value and a shared cache holding every scenario it asks for, so only
+    // the probe and the aggregate are left.
+    let prepared = (fx.est)
+        .prepare(topo.clone(), flows.clone(), *cfg, K_PATHS, SEED, None)
+        .map_err(err("prepare"))?;
+    let shared = SharedScenarioCache::new(256);
+    let resolve = || {
+        (fx.est)
+            .try_estimate_prepared(&prepared, &shared, &opts)
+            .map_err(err("prepared estimate"))
+    };
+    resolve()?;
+    let hit = resolve()?;
+    ensure(
+        hit.timings.flowsim_runs == 0,
+        "the prepared estimate missed the filled cache",
+    )?;
+    ensure(
+        same_bits(&hit, &fx.estimate(&opts)?),
+        "the prepared estimate diverged from the cold one",
+    )?;
+    let repeat = pairs(&mut warm, resolve)?;
 
     let speedup = forward.ratio(|reference, pooled| reference / pooled);
     let value = Record::new("hotpath")
@@ -237,6 +260,7 @@ fn hotpath() -> Res<Value> {
         .ms("features_min_ms", min(&rest.a))
         .ms("estimate_cold_min_ms", min(&rest.b))
         .ms("estimate_warm_min_ms", min(&cached.b))
+        .ms("estimate_prepared_min_ms", min(&repeat.b))
         .write()?;
     ensure(
         speedup.median >= MIN_FORWARD_SPEEDUP,

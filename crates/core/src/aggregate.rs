@@ -220,7 +220,23 @@ impl NetworkEstimate {
     /// Uniformly pool the per-bucket percentile vectors of all paths.
     pub fn aggregate(paths: &[PathDistribution]) -> Self {
         assert!(!paths.is_empty(), "need at least one path distribution");
-        let mut bucket_samples: Vec<Vec<f64>> = vec![Vec::new(); NUM_OUTPUT_BUCKETS];
+        Self::pool(paths.iter())
+    }
+
+    /// [`aggregate`](Self::aggregate) over borrowed distributions, wherever
+    /// they lie. Each bucket is sorted unstably under `total_cmp`, which
+    /// calls two floats equal only when their bits are, so the order of
+    /// equal elements cannot show: the result is the stable sort's, bit
+    /// for bit.
+    pub(crate) fn pool<'a>(paths: impl Iterator<Item = &'a PathDistribution> + Clone) -> Self {
+        let mut lens = [0usize; NUM_OUTPUT_BUCKETS];
+        for p in paths.clone() {
+            for (len, bucket) in lens.iter_mut().zip(&p.buckets) {
+                *len += bucket.len();
+            }
+        }
+        let mut bucket_samples: Vec<Vec<f64>> =
+            lens.iter().map(|&n| Vec::with_capacity(n)).collect();
         let mut bucket_counts = [0usize; NUM_OUTPUT_BUCKETS];
         for p in paths {
             for b in 0..NUM_OUTPUT_BUCKETS {
@@ -229,7 +245,7 @@ impl NetworkEstimate {
             }
         }
         for v in bucket_samples.iter_mut() {
-            v.sort_by(|a, b| a.total_cmp(b));
+            v.sort_unstable_by(f64::total_cmp);
         }
         NetworkEstimate {
             bucket_samples,
@@ -432,6 +448,47 @@ mod tests {
         let med = agg.bucket_quantile(0, 50.0);
         assert!((2.0..=6.0).contains(&med));
         assert_eq!(agg.bucket_counts[0], 2);
+    }
+
+    #[test]
+    fn the_unstable_sort_pools_the_stable_sorts_bits() {
+        // Values `total_cmp` orders but `==` does not: both zeros, NaNs of
+        // either sign with distinct payloads, infinities, and duplicates of
+        // each spread over paths so equal elements start out of order.
+        let nan = |sign: u64, payload: u64| f64::from_bits(sign << 63 | 0x7ff8 << 48 | payload);
+        let planted = [
+            0.0,
+            -0.0,
+            nan(0, 1),
+            nan(1, 1),
+            nan(0, 0x2_0000),
+            nan(1, 7),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+        ];
+        let paths: Vec<PathDistribution> = (0..7)
+            .map(|i| PathDistribution {
+                buckets: (0..NUM_OUTPUT_BUCKETS)
+                    .map(|b| {
+                        (0..40)
+                            .map(|j| planted[(i * 5 + b * 3 + j * 7) % planted.len()])
+                            .collect()
+                    })
+                    .collect(),
+                counts: [i + 1, 2, 0, 3],
+            })
+            .collect();
+        let pooled = NetworkEstimate::aggregate(&paths);
+        for b in 0..NUM_OUTPUT_BUCKETS {
+            let mut stable: Vec<f64> = paths.iter().flat_map(|p| p.buckets[b].clone()).collect();
+            stable.sort_by(|x, y| x.total_cmp(y));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&pooled.bucket_samples[b]), bits(&stable), "bucket {b}");
+        }
+        assert_eq!(pooled.bucket_counts, [28, 14, 0, 21]);
     }
 
     #[test]

@@ -233,19 +233,19 @@ impl CacheRef<'_> {
 /// [`scenario_fingerprint`], streamed from the index) and deduplicated into
 /// unique slots in first-occurrence order. A unit keeps its background as
 /// the merge listed it, so a slot the cache misses is materialized
-/// ([`materialize`](Self::materialize)) without a second merge, and a slot
-/// it hits never is. This is also the unit the incremental session layer
+/// ([`WorkUnits::materialize`]) without a second merge, and a slot it hits
+/// never is. This is also the unit the incremental session layer
 /// ([`crate::session`]) schedules: a work unit whose key matches a retained
 /// result needs no recomputation at all.
-pub(crate) struct WorkUnits<'a> {
-    topo: &'a Topology,
-    flows: &'a [FlowSpec],
-    index: &'a PathIndex,
-    config: &'a SimConfig,
+///
+/// The table owns no input: a [`WorkUnits`] view pairs it with the
+/// topology, flows, index and config it was keyed from, so one table can be
+/// kept (in a [`PreparedEstimate`]) and resolved any number of times.
+pub(crate) struct UnitTable {
     use_context: bool,
     /// Flow -> its path-independent attributes and [`flow_digest`]
     /// (`FlowAttrs::digest`), computed the first time a unit touches the
-    /// flow: once per call however many sampled paths it is background of.
+    /// flow: once per table however many sampled paths it is background of.
     ///
     /// [`flow_digest`]: crate::cache::flow_digest
     attrs: Vec<OnceLock<(FlowAttrs, u64)>>,
@@ -259,6 +259,15 @@ pub(crate) struct WorkUnits<'a> {
     pub(crate) multiplicity: Vec<usize>,
 }
 
+/// A [`UnitTable`] together with the inputs it was keyed from.
+pub(crate) struct WorkUnits<'a> {
+    topo: &'a Topology,
+    flows: &'a [FlowSpec],
+    index: &'a PathIndex,
+    config: &'a SimConfig,
+    pub(crate) table: &'a UnitTable,
+}
+
 /// One distinct sampled group with its spec vector and content key.
 pub(crate) struct WorkUnit {
     group: usize,
@@ -269,16 +278,16 @@ pub(crate) struct WorkUnit {
     pub(crate) key: u64,
 }
 
-impl<'a> WorkUnits<'a> {
+impl UnitTable {
     /// Key the work units of `groups` (group indices into `index`), in
     /// order, and deduplicate them into unique slots. Pure and
     /// deterministic; parallel over the distinct groups.
     pub(crate) fn key(
-        topo: &'a Topology,
-        flows: &'a [FlowSpec],
-        index: &'a PathIndex,
+        topo: &Topology,
+        flows: &[FlowSpec],
+        index: &PathIndex,
         groups: &[usize],
-        config: &'a SimConfig,
+        config: &SimConfig,
         use_context: bool,
     ) -> Self {
         // Sampling is with replacement, so each distinct group is keyed
@@ -286,11 +295,7 @@ impl<'a> WorkUnits<'a> {
         let mut distinct = groups.to_vec();
         distinct.sort_unstable();
         distinct.dedup();
-        let mut u = WorkUnits {
-            topo,
-            flows,
-            index,
-            config,
+        let mut t = UnitTable {
             use_context,
             attrs: (0..flows.len()).map(|_| OnceLock::new()).collect(),
             units: Vec::new(),
@@ -298,7 +303,10 @@ impl<'a> WorkUnits<'a> {
             slot_of: Vec::with_capacity(groups.len()),
             multiplicity: Vec::new(),
         };
-        u.units = distinct.par_iter().map(|&g| u.key_unit(g)).collect();
+        t.units = {
+            let u = t.view(topo, flows, index, config);
+            distinct.par_iter().map(|&g| u.key_unit(g)).collect()
+        };
         // Dedupe by content hash: sampling with replacement and symmetric
         // topologies both produce repeated scenarios, which need only one
         // flowSim run and one forward-pass row each. `slot_of[i]` maps
@@ -309,26 +317,66 @@ impl<'a> WorkUnits<'a> {
             let Ok(unit) = distinct.binary_search(g) else {
                 unreachable!("`distinct` holds every sampled group")
             };
-            let slot = *slot_by_key.entry(u.units[unit].key).or_insert_with(|| {
-                u.uniq.push(unit);
-                u.uniq.len() - 1
+            let slot = *slot_by_key.entry(t.units[unit].key).or_insert_with(|| {
+                t.uniq.push(unit);
+                t.uniq.len() - 1
             });
-            u.slot_of.push(slot);
+            t.slot_of.push(slot);
         }
         // Sampled paths represented by each unique slot (degradation of a
         // slot affects this many of the k samples).
-        u.multiplicity = vec![0usize; u.uniq.len()];
-        for &s in &u.slot_of {
-            u.multiplicity[s] += 1;
+        t.multiplicity = vec![0usize; t.uniq.len()];
+        for &s in &t.slot_of {
+            t.multiplicity[s] += 1;
         }
-        u
+        t
     }
 
+    /// This table over the inputs it was keyed from.
+    pub(crate) fn view<'a>(
+        &'a self,
+        topo: &'a Topology,
+        flows: &'a [FlowSpec],
+        index: &'a PathIndex,
+        config: &'a SimConfig,
+    ) -> WorkUnits<'a> {
+        WorkUnits {
+            topo,
+            flows,
+            index,
+            config,
+            table: self,
+        }
+    }
+
+    /// Number of sampled paths.
+    pub(crate) fn len(&self) -> usize {
+        self.slot_of.len()
+    }
+
+    /// Number of unique slots.
+    pub(crate) fn slots(&self) -> usize {
+        self.uniq.len()
+    }
+
+    /// The unit a unique slot stands for.
+    pub(crate) fn slot(&self, slot: usize) -> &WorkUnit {
+        &self.units[self.uniq[slot]]
+    }
+
+    /// Content key per sampled path.
+    pub(crate) fn keys(&self) -> Vec<u64> {
+        self.slot_of.iter().map(|&s| self.slot(s).key).collect()
+    }
+}
+
+impl<'a> WorkUnits<'a> {
     /// Flow `fi`'s attributes and digest, computed on first use.
-    fn attrs(&self, fi: u32) -> &(FlowAttrs, u64) {
-        self.attrs[fi as usize].get_or_init(|| {
-            let f = &self.flows[fi as usize];
-            let attrs = FlowAttrs::of(self.topo, f, self.config);
+    fn attrs(&self, fi: u32) -> &'a (FlowAttrs, u64) {
+        let (topo, flows, config) = (self.topo, self.flows, self.config);
+        self.table.attrs[fi as usize].get_or_init(|| {
+            let f = &flows[fi as usize];
+            let attrs = FlowAttrs::of(topo, f, config);
             (attrs, attrs.digest(f))
         })
     }
@@ -364,7 +412,7 @@ impl<'a> WorkUnits<'a> {
         let base_rtt = crate::spec::path_base_rtt(topo, path, config);
         let bottleneck = topo.bottleneck_bandwidth(path);
         let spec = spec_vector(config, base_rtt, bottleneck);
-        let key = h.finish_scenario(base_rtt, bottleneck, &spec, self.use_context);
+        let key = h.finish_scenario(base_rtt, bottleneck, &spec, self.table.use_context);
         WorkUnit {
             group: g,
             bg,
@@ -378,7 +426,7 @@ impl<'a> WorkUnits<'a> {
     /// merging the background again. Only the slots the cache misses are
     /// materialized.
     pub(crate) fn materialize(&self, slot: usize) -> PathScenarioData {
-        let unit = self.slot(slot);
+        let unit = self.table.slot(slot);
         let attrs_of = |fi: u32| self.attrs(fi).0;
         let mut data = PathScenarioData::without_background(
             self.topo,
@@ -395,31 +443,11 @@ impl<'a> WorkUnits<'a> {
             })
             .collect();
         debug_assert_eq!(
-            scenario_fingerprint(&data, &unit.spec, self.use_context),
+            scenario_fingerprint(&data, &unit.spec, self.table.use_context),
             unit.key,
             "slot {slot}: the materialized scenario does not hash to its streamed key"
         );
         data
-    }
-
-    /// Number of sampled paths.
-    pub(crate) fn len(&self) -> usize {
-        self.slot_of.len()
-    }
-
-    /// Number of unique slots.
-    pub(crate) fn slots(&self) -> usize {
-        self.uniq.len()
-    }
-
-    /// The unit a unique slot stands for.
-    pub(crate) fn slot(&self, slot: usize) -> &WorkUnit {
-        &self.units[self.uniq[slot]]
-    }
-
-    /// Content key per sampled path.
-    pub(crate) fn keys(&self) -> Vec<u64> {
-        self.slot_of.iter().map(|&s| self.slot(s).key).collect()
     }
 }
 
@@ -444,6 +472,109 @@ pub(crate) struct RunInfo {
     /// cache was attached).
     pub(crate) model_fp: Option<u64>,
 }
+
+/// The prepare half of an estimate, kept: its inputs, their decomposition
+/// index and the keyed work units of its sampled paths. Everything here is
+/// a pure function of `(inputs, k_paths, seed, path_slice, use_context)`,
+/// so one value answers every repeat of that query through
+/// [`M3Estimator::try_estimate_prepared`], which only probes the cache,
+/// runs what missed and aggregates. It owns its inputs, so it cannot be
+/// resolved against the wrong topology.
+pub struct PreparedEstimate {
+    topo: Topology,
+    flows: Vec<FlowSpec>,
+    config: SimConfig,
+    index: PathIndex,
+    path_slice: Option<PathSlice>,
+    table: UnitTable,
+}
+
+impl PreparedEstimate {
+    pub fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
+    pub fn flows(&self) -> &[FlowSpec] {
+        &self.flows
+    }
+
+    pub fn config(&self) -> &SimConfig {
+        &self.config
+    }
+
+    fn units(&self) -> WorkUnits<'_> {
+        (self.table).view(&self.topo, &self.flows, &self.index, &self.config)
+    }
+}
+
+/// The prepare half's stages: validate every input, build the index, sample
+/// `k_paths` paths, cut `path_slice` out of them and key the work units.
+/// Returns the index, the (sliced) sampled groups and the unit table.
+#[allow(clippy::too_many_arguments)]
+fn prepare_stages(
+    topo: &Topology,
+    flows: &[FlowSpec],
+    config: &SimConfig,
+    k_paths: usize,
+    seed: u64,
+    path_slice: Option<PathSlice>,
+    use_context: bool,
+    troot: &TraceSpan,
+    m: &PipelineMetrics,
+) -> Result<(PathIndex, Vec<usize>, UnitTable), M3Error> {
+    // Stage 0: validate every input before spending any work.
+    config.validate_spec()?;
+    validate_workload(topo, flows)?;
+    if k_paths == 0 {
+        return Err(M3Error::InvalidSpec {
+            stage: Stage::Validate,
+            reason: "k_paths must be at least 1".into(),
+        });
+    }
+
+    // Stage 1: decompose, sample, key work units in parallel.
+    let span = m.decompose.span();
+    let tspan = troot.child("decompose");
+    let index = PathIndex::build(topo, flows);
+    tspan.finish();
+    let tspan = troot.child("sample");
+    let sampled = index.sample_paths(k_paths, seed);
+    if sampled.is_empty() {
+        return Err(M3Error::InvalidSpec {
+            stage: Stage::Decompose,
+            reason: "workload has no populated paths to sample".into(),
+        });
+    }
+    // Scatter support: restrict to the requested slice of the sampled
+    // sequence. The sample itself is always drawn over the full k, so
+    // slice indices mean the same thing on every shard.
+    let sampled = match path_slice {
+        None => sampled,
+        Some(sl) => {
+            if sl.start >= sl.end || sl.start >= sampled.len() {
+                return Err(M3Error::InvalidSpec {
+                    stage: Stage::Decompose,
+                    reason: format!(
+                        "path slice [{}, {}) is empty or out of range (sampled {})",
+                        sl.start,
+                        sl.end,
+                        sampled.len()
+                    ),
+                });
+            }
+            sampled[sl.start..sl.end.min(sampled.len())].to_vec()
+        }
+    };
+    let table = UnitTable::key(topo, flows, &index, &sampled, config, use_context);
+    tspan.finish();
+    span.finish();
+    Ok((index, sampled, table))
+}
+
+/// What [`M3Estimator::resolve_slots`] returns: per-slot distributions
+/// (`None` = dropped), per-slot `clean` flags, and the model fingerprint
+/// the cache was keyed under (`None` without a cache).
+pub(crate) type SlotResults = (Vec<Option<PathDistribution>>, Vec<bool>, Option<u64>);
 
 /// Enforce a [`DegradationPolicy::Degrade`] ceiling over a report. Shared
 /// by the batch pipeline and the incremental session updates.
@@ -724,6 +855,84 @@ impl M3Estimator {
         result
     }
 
+    /// The prepare half of an estimate, kept for repeats: validate the
+    /// inputs, build their index, sample `k_paths` paths with `seed`, cut
+    /// out `path_slice` and key the work units, exactly as
+    /// [`try_estimate`](Self::try_estimate) does before it probes. The
+    /// value holds the inputs moved in and this estimator's `use_context`.
+    /// Invalid inputs return the same typed error `try_estimate` would.
+    #[allow(clippy::too_many_arguments)]
+    pub fn prepare(
+        &self,
+        topo: Topology,
+        flows: Vec<FlowSpec>,
+        config: SimConfig,
+        k_paths: usize,
+        seed: u64,
+        path_slice: Option<PathSlice>,
+    ) -> Result<PreparedEstimate, M3Error> {
+        let m = PipelineMetrics::register(&MetricsRegistry::noop());
+        let (index, _, table) = prepare_stages(
+            &topo,
+            &flows,
+            &config,
+            k_paths,
+            seed,
+            path_slice,
+            self.use_context,
+            &TraceCtx::noop().root("prepare"),
+            &m,
+        )?;
+        Ok(PreparedEstimate {
+            topo,
+            flows,
+            config,
+            index,
+            path_slice,
+            table,
+        })
+    }
+
+    /// The resolve half of an estimate over a [`prepare`](Self::prepare)d
+    /// value: probe `cache`, run flowSim and the forward pass on what
+    /// missed (materialized from the kept work units), enforce the
+    /// degradation ceiling and aggregate. Bit-identical, degradation report
+    /// included, to [`try_estimate_with_shared_cache`] of the prepared
+    /// inputs; `timings` carry no decompose time. `options.path_slice` and
+    /// this estimator's `use_context` must be the prepared ones, else the
+    /// call returns [`M3Error::InvalidSpec`].
+    ///
+    /// [`try_estimate_with_shared_cache`]: Self::try_estimate_with_shared_cache
+    pub fn try_estimate_prepared(
+        &self,
+        prepared: &PreparedEstimate,
+        cache: &SharedScenarioCache,
+        options: &EstimateOptions,
+    ) -> Result<NetworkEstimate, M3Error> {
+        let (slice, context) = (prepared.path_slice, prepared.table.use_context);
+        if options.path_slice != slice || self.use_context != context {
+            return Err(M3Error::InvalidSpec {
+                stage: Stage::Validate,
+                reason: format!(
+                    "path slice {:?} with use_context {} does not match the prepared \
+                     {slice:?} with use_context {context}",
+                    options.path_slice, self.use_context
+                ),
+            });
+        }
+        let call_metrics = MetricsRegistry::new();
+        let troot = options.trace.root("estimate");
+        let (est, _) = self.resolve_and_aggregate(
+            &prepared.units(),
+            CacheRef::Shared(cache),
+            options,
+            &call_metrics,
+            &PipelineMetrics::register(&call_metrics),
+            troot,
+        )?;
+        Ok(est)
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn estimate_inner(
         &self,
@@ -732,7 +941,7 @@ impl M3Estimator {
         config: &SimConfig,
         k_paths: usize,
         seed: u64,
-        mut cache: CacheRef<'_>,
+        cache: CacheRef<'_>,
         options: &EstimateOptions,
         collect_info: bool,
     ) -> Result<(NetworkEstimate, Option<RunInfo>), M3Error> {
@@ -747,100 +956,81 @@ impl M3Estimator {
         // stage, one per-slot flowSim span. All no-ops when the context is
         // disabled; closed by Drop on every early-return path.
         let troot = options.trace.root("estimate");
-        let mut report = DegradationReport::default();
+        let (index, sampled, table) = prepare_stages(
+            topo,
+            flows,
+            config,
+            k_paths,
+            seed,
+            options.path_slice,
+            self.use_context,
+            &troot,
+            &m,
+        )?;
+        let (est, (resolved, clean, model_fp)) = self.resolve_and_aggregate(
+            &table.view(topo, flows, &index, config),
+            cache,
+            options,
+            &call_metrics,
+            &m,
+            troot,
+        )?;
+        let info = collect_info.then(|| RunInfo {
+            dists: table.slot_of.iter().map(|&s| resolved[s].clone()).collect(),
+            clean: table.slot_of.iter().map(|&s| clean[s]).collect(),
+            keys: table.keys(),
+            index,
+            sampled,
+            model_fp,
+        });
+        Ok((est, info))
+    }
 
-        // Stage 0: validate every input before spending any work.
-        config.validate_spec()?;
-        validate_workload(topo, flows)?;
-        if k_paths == 0 {
-            return Err(M3Error::InvalidSpec {
-                stage: Stage::Validate,
-                reason: "k_paths must be at least 1".into(),
-            });
-        }
-
-        // Stage 1: decompose, sample, key work units in parallel.
-        let span = m.decompose.span();
-        let tspan = troot.child("decompose");
-        let index = PathIndex::build(topo, flows);
-        tspan.finish();
-        let tspan = troot.child("sample");
-        let sampled = index.sample_paths(k_paths, seed);
-        if sampled.is_empty() {
-            return Err(M3Error::InvalidSpec {
-                stage: Stage::Decompose,
-                reason: "workload has no populated paths to sample".into(),
-            });
-        }
-        // Scatter support: restrict to the requested slice of the sampled
-        // sequence. The sample itself is always drawn over the full k, so
-        // slice indices mean the same thing on every shard.
-        let sampled = match options.path_slice {
-            None => sampled,
-            Some(sl) => {
-                if sl.start >= sl.end || sl.start >= sampled.len() {
-                    return Err(M3Error::InvalidSpec {
-                        stage: Stage::Decompose,
-                        reason: format!(
-                            "path slice [{}, {}) is empty or out of range (sampled {})",
-                            sl.start,
-                            sl.end,
-                            sampled.len()
-                        ),
-                    });
-                }
-                sampled[sl.start..sl.end.min(sampled.len())].to_vec()
-            }
+    /// The resolve half shared by every entry point: resolve the unique
+    /// slots, enforce the degradation ceiling, aggregate the sampled paths'
+    /// distributions, and close the call's metrics and root span. Returns
+    /// the estimate and [`resolve_slots`](Self::resolve_slots)'s per-slot
+    /// results.
+    fn resolve_and_aggregate(
+        &self,
+        u: &WorkUnits<'_>,
+        mut cache: CacheRef<'_>,
+        options: &EstimateOptions,
+        call_metrics: &MetricsRegistry,
+        m: &PipelineMetrics,
+        troot: TraceSpan,
+    ) -> Result<(NetworkEstimate, SlotResults), M3Error> {
+        let t = u.table;
+        let mut report = DegradationReport {
+            total_samples: t.len(),
+            ..Default::default()
         };
-        let u = WorkUnits::key(topo, flows, &index, &sampled, config, self.use_context);
-        tspan.finish();
-        span.finish();
-        m.sampled_paths.add(u.len() as u64);
-        report.total_samples = u.len();
-        m.unique_scenarios.add(u.slots() as u64);
+        m.sampled_paths.add(t.len() as u64);
+        m.unique_scenarios.add(t.slots() as u64);
 
         let (resolved, clean, model_fp) =
-            self.resolve_slots(&u, &mut cache, options, &troot, &m, &mut report)?;
+            self.resolve_slots(u, &mut cache, options, &troot, m, &mut report)?;
 
         // Enforce the degradation ceiling before aggregating.
         enforce_degradation_ceiling(options.policy, &report)?;
 
         // Stage 5: fan the unique distributions back out to the sampled
         // paths (duplicates keep their pooling weight; dropped slots are
-        // skipped) and aggregate.
+        // skipped) and aggregate them where they lie.
         let span = m.aggregate.span();
         let tspan = troot.child("aggregate");
-        let dists: Vec<PathDistribution> = u
-            .slot_of
-            .iter()
-            .filter_map(|&s| resolved[s].clone())
-            .collect();
-        if dists.is_empty() {
+        let dists = t.slot_of.iter().filter_map(|&s| resolved[s].as_ref());
+        if dists.clone().next().is_none() {
             return Err(M3Error::NoUsableSamples {
                 total: report.total_samples,
             });
         }
         report.events.sort_by_key(|e| e.scenario);
-        let mut est = NetworkEstimate::aggregate(&dists);
+        let mut est = NetworkEstimate::pool(dists);
         tspan.finish();
         span.finish();
         m.degraded_samples.add(report.degraded_samples as u64);
         m.dropped_samples.add(report.dropped_samples as u64);
-
-        // `u` borrows the index, so the struct is built in place: its
-        // fields are read from `u` before the index moves in.
-        let info = if collect_info {
-            Some(RunInfo {
-                dists: u.slot_of.iter().map(|&s| resolved[s].clone()).collect(),
-                clean: u.slot_of.iter().map(|&s| clean[s]).collect(),
-                keys: u.keys(),
-                index,
-                sampled,
-                model_fp,
-            })
-        } else {
-            None
-        };
 
         // The compatibility view is derived from the call's snapshot; the
         // caller's long-lived registry (if any) absorbs it only on success.
@@ -851,7 +1041,7 @@ impl M3Estimator {
             ext.absorb(&snapshot);
         }
         troot.finish();
-        Ok((est, info))
+        Ok((est, (resolved, clean, model_fp)))
     }
 
     /// Resolve every unique work unit to a path distribution: probe the
@@ -862,7 +1052,6 @@ impl M3Estimator {
     /// (cache hit or fresh fully-corrected result — the only things the
     /// cache holds and a session may retain), and the model fingerprint
     /// used for cache keys (`None` when no cache is attached).
-    #[allow(clippy::type_complexity)]
     pub(crate) fn resolve_slots(
         &self,
         u: &WorkUnits<'_>,
@@ -871,11 +1060,12 @@ impl M3Estimator {
         troot: &TraceSpan,
         m: &PipelineMetrics,
         report: &mut DegradationReport,
-    ) -> Result<(Vec<Option<PathDistribution>>, Vec<bool>, Option<u64>), M3Error> {
+    ) -> Result<SlotResults, M3Error> {
         let tracing = troot.is_enabled();
         let stride_ns = options.trace.stride_ns();
         let fail_fast = matches!(options.policy, DegradationPolicy::FailFast);
-        let multiplicity = &u.multiplicity;
+        let t = u.table;
+        let multiplicity = &t.multiplicity;
 
         // Cache probe. The model fingerprint is only computed when a cache
         // is present — it hashes every parameter, which is not free. Hits
@@ -883,8 +1073,8 @@ impl M3Estimator {
         // (exact repair, so it neither counts against the degradation
         // budget nor aborts a fail-fast run).
         let model_fp = cache.present().then(|| self.net.fingerprint());
-        let mut resolved: Vec<Option<PathDistribution>> = vec![None; u.slots()];
-        let mut clean: Vec<bool> = vec![false; u.slots()];
+        let mut resolved: Vec<Option<PathDistribution>> = vec![None; t.slots()];
+        let mut clean: Vec<bool> = vec![false; t.slots()];
         if let Some(fp) = model_fp {
             // One lock (shared variant) spans the whole probe loop: the
             // map lookups are cheap next to the flowSim runs a miss costs.
@@ -892,7 +1082,7 @@ impl M3Estimator {
             let clean = &mut clean;
             cache.with(|c| {
                 for (slot, cached) in resolved.iter_mut().enumerate() {
-                    let key = u.slot(slot).key;
+                    let key = t.slot(slot).key;
                     match c.get(key, fp) {
                         Some(d) if d.is_sane() => {
                             *cached = Some(d);
@@ -917,7 +1107,7 @@ impl M3Estimator {
         }
         m.cache_hits
             .add(resolved.iter().filter(|r| r.is_some()).count() as u64);
-        let todo: Vec<usize> = (0..u.slots()).filter(|&s| resolved[s].is_none()).collect();
+        let todo: Vec<usize> = (0..t.slots()).filter(|&s| resolved[s].is_none()).collect();
         if cache.present() {
             m.cache_misses.add(todo.len() as u64);
         }
@@ -1013,7 +1203,7 @@ impl M3Estimator {
                 SampleInput {
                     fg: fg_map.encode_log(),
                     bg: bg_maps.iter().map(|m| m.encode_log()).collect(),
-                    spec: u.slot(todo[j]).spec.clone(),
+                    spec: t.slot(todo[j]).spec.clone(),
                     use_context: self.use_context,
                 }
             })
@@ -1109,7 +1299,7 @@ impl M3Estimator {
                     let before = c.evictions();
                     for &s in &cacheable {
                         if let Some(dist) = resolved[s].clone() {
-                            c.insert(u.slot(s).key, fp, dist);
+                            c.insert(t.slot(s).key, fp, dist);
                         }
                     }
                     c.evictions() - before
@@ -1352,36 +1542,37 @@ mod tests {
         let index = PathIndex::build(&ft.topo, &flows);
         let mut sampled = index.sample_paths(80, 11);
         sampled.extend_from_within(..5);
-        let u = WorkUnits::key(&ft.topo, &flows, &index, &sampled, &cfg, est.use_context);
+        let t = UnitTable::key(&ft.topo, &flows, &index, &sampled, &cfg, est.use_context);
+        let u = t.view(&ft.topo, &flows, &index, &cfg);
 
-        assert_eq!(u.len(), sampled.len());
+        assert_eq!(t.len(), sampled.len());
         let mut distinct = sampled.clone();
         distinct.sort_unstable();
         distinct.dedup();
         assert!(distinct.len() < sampled.len(), "want repeated groups");
-        assert_eq!(u.multiplicity.iter().sum::<usize>(), sampled.len());
+        assert_eq!(t.multiplicity.iter().sum::<usize>(), sampled.len());
 
         let mut next_slot = 0;
         for (i, &g) in sampled.iter().enumerate() {
             let data = PathScenarioData::from_group(&ft.topo, &flows, &index, g, &cfg);
             let spec = spec_vector(&cfg, data.fg_base_rtt, data.fg_bottleneck);
             let key = scenario_fingerprint(&data, &spec, est.use_context);
-            let slot = u.slot_of[i];
-            assert_eq!(u.slot(slot).key, key, "sampled path {i}");
-            assert_eq!(u.keys()[i], key);
+            let slot = t.slot_of[i];
+            assert_eq!(t.slot(slot).key, key, "sampled path {i}");
+            assert_eq!(t.keys()[i], key);
             // Slots are numbered by first occurrence, and a slot
             // materializes its first occurrence's scenario, field for
             // field.
             if slot == next_slot {
                 next_slot += 1;
                 assert_eq!(u.materialize(slot), data, "sampled path {i}");
-                assert_eq!(u.slot(slot).spec, spec);
+                assert_eq!(t.slot(slot).spec, spec);
             } else {
                 assert!(slot < next_slot, "slot {slot} skipped ahead at path {i}");
             }
         }
-        assert_eq!(next_slot, u.slots());
-        assert_eq!(u.units.len(), distinct.len(), "one unit per distinct group");
+        assert_eq!(next_slot, t.slots());
+        assert_eq!(t.units.len(), distinct.len(), "one unit per distinct group");
     }
 
     /// The byte-wise FNV-1a scenario key the streamed key replaced: the
@@ -1423,7 +1614,7 @@ mod tests {
         h.finish()
     }
 
-    /// [`WorkUnits::key`] over `sampled` against the materializing
+    /// [`UnitTable::key`] over `sampled` against the materializing
     /// definitions, with and without context: every unit's streamed key
     /// and spec are those of `from_group` + [`scenario_fingerprint`], every
     /// slot materializes to `from_group` field for field, and the slots
@@ -1438,16 +1629,17 @@ mod tests {
         let from_group = |g| PathScenarioData::from_group(topo, flows, &index, g, cfg);
         let spec_of = |d: &PathScenarioData| spec_vector(cfg, d.fg_base_rtt, d.fg_bottleneck);
         for use_context in [true, false] {
-            let u = WorkUnits::key(topo, flows, &index, sampled, cfg, use_context);
-            for unit in &u.units {
+            let t = UnitTable::key(topo, flows, &index, sampled, cfg, use_context);
+            let u = t.view(topo, flows, &index, cfg);
+            for unit in &t.units {
                 let data = from_group(unit.group);
                 let spec = spec_of(&data);
                 assert_eq!(unit.spec, spec, "group {}", unit.group);
                 let key = scenario_fingerprint(&data, &spec, use_context);
                 assert_eq!(unit.key, key, "group {}", unit.group);
             }
-            for slot in 0..u.slots() {
-                assert_eq!(u.materialize(slot), from_group(u.slot(slot).group));
+            for slot in 0..t.slots() {
+                assert_eq!(u.materialize(slot), from_group(t.slot(slot).group));
             }
             let mut slot_by_key = HashMap::new();
             let mut multiplicity: Vec<usize> = Vec::new();
@@ -1463,8 +1655,8 @@ mod tests {
                     slot
                 })
                 .collect();
-            assert_eq!(u.slot_of, slot_of);
-            assert_eq!(u.multiplicity, multiplicity);
+            assert_eq!(t.slot_of, slot_of);
+            assert_eq!(t.multiplicity, multiplicity);
         }
     }
 
@@ -1564,6 +1756,179 @@ mod tests {
         }
     }
 
+    /// Both sides of an estimate: bit-equal values and equal degradation
+    /// reports, or equal errors.
+    fn assert_same_outcome(
+        got: &Result<NetworkEstimate, M3Error>,
+        want: &Result<NetworkEstimate, M3Error>,
+    ) {
+        match (got, want) {
+            (Ok(g), Ok(w)) => {
+                assert_estimates_bit_identical(g, w);
+                assert_eq!(g.degradation, w.degradation);
+            }
+            (g, w) => assert_eq!(g.as_ref().err(), w.as_ref().err()),
+        }
+    }
+
+    /// [`M3Estimator::try_estimate_prepared`] against
+    /// `try_estimate_with_shared_cache` of the same query, each through its
+    /// own cache: cold, then warm, and through a one-entry cache that keeps
+    /// (almost) no slot, so every repeat rebuilds its misses from the kept
+    /// table.
+    fn check_prepared_matches_direct(
+        topo: &Topology,
+        flows: &[FlowSpec],
+        k: usize,
+        seed: u64,
+        path_slice: Option<PathSlice>,
+        fault_plan: Option<crate::faultinject::FaultPlan>,
+    ) {
+        let est = untrained_estimator();
+        let cfg = SimConfig::default();
+        let opts = EstimateOptions {
+            path_slice,
+            fault_plan,
+            ..EstimateOptions::default()
+        };
+        let prepared = est.prepare(topo.clone(), flows.to_vec(), cfg, k, seed, path_slice);
+        let Ok(prepared) = prepared else {
+            let direct = est.try_estimate(topo, flows, &cfg, k, seed, &opts);
+            assert_eq!(
+                prepared.err(),
+                direct.err(),
+                "prepare and estimate disagree"
+            );
+            return;
+        };
+        for capacity in [256, 1] {
+            let (direct_cache, prepared_cache) = (
+                SharedScenarioCache::new(capacity),
+                SharedScenarioCache::new(capacity),
+            );
+            for _cold_then_warm in 0..2 {
+                let want = est.try_estimate_with_shared_cache(
+                    topo,
+                    flows,
+                    &cfg,
+                    k,
+                    seed,
+                    &direct_cache,
+                    &opts,
+                );
+                let got = est.try_estimate_prepared(&prepared, &prepared_cache, &opts);
+                assert_same_outcome(&got, &want);
+            }
+        }
+    }
+
+    /// The fault plans the prepared-path oracle draws from: none, poisoned
+    /// forward rows (degraded slots), or flowSim runs out of budget
+    /// (dropped slots).
+    fn oracle_faults(which: usize, seed: u64) -> Option<crate::faultinject::FaultPlan> {
+        use crate::faultinject::{FaultPlan, InjectedFault};
+        match which {
+            0 => None,
+            1 => Some(FaultPlan::new(seed).with(InjectedFault::ForwardPoison, 0.2)),
+            _ => Some(FaultPlan::new(seed).with(InjectedFault::FlowsimBudget, 0.2)),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn a_prepared_estimate_equals_the_direct_one_on_fat_trees(
+            n_flows in 20usize..400,
+            workload_seed in 0u64..1_000,
+            many in proptest::prelude::prop::bool::ANY,
+            seed in 0u64..1_000,
+            sliced in proptest::prelude::prop::bool::ANY,
+            start in 0usize..60,
+            len in 1usize..60,
+            faults in 0usize..3,
+        ) {
+            let ft = FatTree::build(FatTreeSpec::small(2));
+            let scenario = Scenario {
+                n_flows,
+                matrix_name: "B".into(),
+                sizes: SizeDistribution::web_server(),
+                sigma: 1.0,
+                max_load: 0.4,
+                seed: workload_seed,
+            };
+            let flows = generate(&ft, &Routing::new(&ft.topo), &scenario).flows;
+            let k = if many { 100 } else { 1 };
+            let slice = sliced.then_some(PathSlice { start, end: start + len });
+            check_prepared_matches_direct(&ft.topo, &flows, k, seed, slice, oracle_faults(faults, seed));
+        }
+
+        #[test]
+        fn a_prepared_estimate_equals_the_direct_one_on_a_detour_fabric(
+            picks in proptest::prelude::prop::collection::vec(
+                (0usize..5, proptest::prelude::prop::bool::ANY, 1u64..200_000),
+                1..60,
+            ),
+            many in proptest::prelude::prop::bool::ANY,
+            seed in 0u64..1_000,
+            sliced in proptest::prelude::prop::bool::ANY,
+            start in 0usize..60,
+            len in 1usize..60,
+            faults in 0usize..3,
+        ) {
+            let (topo, flows) = detour_fabric(&picks);
+            let k = if many { 100 } else { 1 };
+            let slice = sliced.then_some(PathSlice { start, end: start + len });
+            check_prepared_matches_direct(&topo, &flows, k, seed, slice, oracle_faults(faults, seed));
+        }
+    }
+
+    #[test]
+    fn one_prepared_estimate_serves_two_models_and_refuses_a_mismatch() {
+        let (ft, flows, cfg) = small_workload(600);
+        let first = untrained_estimator();
+        let second = {
+            let cfg_m = ModelConfig {
+                embed: 16,
+                heads: 2,
+                layers: 1,
+                ff_hidden: 16,
+                mlp_hidden: 32,
+                ..ModelConfig::repro_default(SPEC_DIM)
+            };
+            M3Estimator::new(M3Net::new(cfg_m, 4))
+        };
+        let slice = Some(PathSlice { start: 2, end: 9 });
+        let prepared = first
+            .prepare(ft.topo.clone(), flows.clone(), cfg, 12, 5, slice)
+            .expect("a valid workload prepares");
+        let opts = EstimateOptions {
+            path_slice: slice,
+            ..EstimateOptions::default()
+        };
+        let cache = SharedScenarioCache::new(256);
+        let mut answers = Vec::new();
+        for est in [&first, &second] {
+            let want = est.try_estimate(&ft.topo, &flows, &cfg, 12, 5, &opts);
+            let got = est.try_estimate_prepared(&prepared, &cache, &opts);
+            assert_same_outcome(&got, &want);
+            answers.push(got.expect("fault-free estimate").digest());
+        }
+        assert_ne!(answers[0], answers[1], "the two models must differ");
+
+        let unsliced = EstimateOptions::default();
+        assert!(matches!(
+            first.try_estimate_prepared(&prepared, &cache, &unsliced),
+            Err(M3Error::InvalidSpec { .. })
+        ));
+        let mut no_context = untrained_estimator();
+        no_context.use_context = false;
+        assert!(matches!(
+            no_context.try_estimate_prepared(&prepared, &cache, &opts),
+            Err(M3Error::InvalidSpec { .. })
+        ));
+    }
+
     #[test]
     fn streamed_keys_split_the_hotpath_fixture_as_fnv_did() {
         // The `gate hotpath` fixture: 4 000 flows of matrix B at load 0.5,
@@ -1593,13 +1958,13 @@ mod tests {
         let est = untrained_estimator();
         let index = PathIndex::build(&ft.topo, &flows);
         let sampled = index.sample_paths(40, 5);
-        let u = WorkUnits::key(&ft.topo, &flows, &index, &sampled, &cfg, est.use_context);
+        let t = UnitTable::key(&ft.topo, &flows, &index, &sampled, &cfg, est.use_context);
         let e = est
             .try_estimate(&ft.topo, &flows, &cfg, 40, 5, &EstimateOptions::default())
             .unwrap();
         let mut h = crate::cache::Fnv::new();
-        u.keys().iter().for_each(|&k| h.write_u64(k));
-        u.slot_of.iter().for_each(|&s| h.write_u64(s as u64));
+        t.keys().iter().for_each(|&k| h.write_u64(k));
+        t.slot_of.iter().for_each(|&s| h.write_u64(s as u64));
         e.bucket_counts.iter().for_each(|&c| h.write_u64(c as u64));
         for bucket in &e.bucket_samples {
             h.write_u64(bucket.len() as u64);

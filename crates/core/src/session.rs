@@ -44,7 +44,7 @@ use crate::error::{M3Error, SpecValidation, Stage};
 use crate::metrics::PipelineMetrics;
 use crate::optimizer::Knob;
 use crate::pipeline::{
-    enforce_degradation_ceiling, CacheRef, EstimateOptions, M3Estimator, RunInfo, WorkUnits,
+    enforce_degradation_ceiling, CacheRef, EstimateOptions, M3Estimator, RunInfo, UnitTable,
 };
 use m3_netsim::prelude::*;
 use m3_telemetry::MetricsRegistry;
@@ -546,14 +546,16 @@ impl ScenarioSession {
         };
 
         let dirty_sampled: Vec<usize> = dirty_pos.iter().map(|&i| self.sampled[i]).collect();
-        let u = WorkUnits::key(
-            &self.state.topo,
+        let (topo, config) = (&self.state.topo, &self.state.config);
+        let t = UnitTable::key(
+            topo,
             eff,
             &self.index,
             &dirty_sampled,
-            &self.state.config,
+            config,
             est.use_context,
         );
+        let u = t.view(topo, eff, &self.index, config);
         let mut cache_ref = CacheRef::Shared(&self.cache);
         let (resolved, clean, model_fp) =
             est.resolve_slots(&u, &mut cache_ref, &self.options, &troot, &m, &mut report)?;
@@ -564,7 +566,7 @@ impl ScenarioSession {
             .filter_map(|&i| self.slots[i].dist.as_ref())
             .collect();
         let fresh: Vec<&PathDistribution> = (0..dirty_pos.len())
-            .filter_map(|j| resolved[u.slot_of[j]].as_ref())
+            .filter_map(|j| resolved[t.slot_of[j]].as_ref())
             .collect();
         let held = self.slots.iter().filter(|s| s.dist.is_some()).count();
         if held - gone.len() + fresh.len() == 0 {
@@ -586,9 +588,9 @@ impl ScenarioSession {
         }
         troot.finish();
         for (j, &i) in dirty_pos.iter().enumerate() {
-            let slot = u.slot_of[j];
+            let slot = t.slot_of[j];
             self.slots[i] = PathSlot {
-                key: u.slot(slot).key,
+                key: t.slot(slot).key,
                 dist: resolved[slot].clone(),
                 clean: clean[slot],
             };

@@ -31,9 +31,12 @@
 //!   `max(1, cores / workers)`, so the pipeline's parallel sections split
 //!   the cores with the other workers instead of each fanning out to all
 //!   of them.
-//! * `(Topology, flows, SimConfig)` come from a small LRU keyed on the
-//!   exact bits of `(ScenarioSpec, seed)`, so a repeated spec is
-//!   materialized once.
+//! * A request's prepared work ([`PreparedEstimate`]: the materialized
+//!   scenario, its path index and the keyed work units of its sampled
+//!   paths) comes from a small LRU keyed on the exact bits of the request's
+//!   spec, seed, path count and slice and the model's `use_context`. A
+//!   repeated request is prepared once; each repeat only probes the cache,
+//!   runs what missed and aggregates.
 //! * Journal frames are encoded before the state lock is taken; under it
 //!   only the write and the fsync remain.
 //! * A completed job journals its decision (a digest of the estimate), not
@@ -50,11 +53,10 @@ use crate::request::{
 };
 use m3_core::prelude::{
     flowsim_estimate_sliced, CacheStats, EstimateOptions, InjectedFault, M3Error, M3Estimator,
-    NetworkEstimate, ScenarioDelta, ScenarioSession, SessionUpdate, SharedScenarioCache, Stage,
-    StageBudget,
+    NetworkEstimate, PathSlice, PreparedEstimate, ScenarioDelta, ScenarioSession, SessionUpdate,
+    SharedScenarioCache, Stage, StageBudget,
 };
 use m3_flowsim::prelude::FluidBudget;
-use m3_netsim::prelude::{FlowSpec, SimConfig, Topology};
 use m3_nn::prelude::{M3Net, ModelRef, ModelRegistry};
 use m3_telemetry::trace::{TraceCtx, TraceRecorder};
 use m3_telemetry::{Counter, Gauge, Histogram, HistogramEdges, MetricsRegistry, MetricsSnapshot};
@@ -418,12 +420,9 @@ impl ServeMetrics {
 /// pays.
 const RECENT_WINDOW_CAP: usize = 64;
 
-/// Entries of the materialize memo: room for a few hot specs next to the
-/// fresh ones passing through, which never repeat.
-const MATERIALIZE_MEMO_CAP: usize = 4;
-
-/// What [`ScenarioSpec::materialize`] returns.
-type Materialized = (Topology, Vec<FlowSpec>, SimConfig);
+/// Entries of the prepared-work memo: room for a few hot requests next to
+/// the fresh ones passing through, which never repeat.
+const PREPARED_MEMO_CAP: usize = 4;
 
 /// The `rayon` worker count of each of `workers` service workers: the
 /// process's count split between them, at least 1. With as many workers
@@ -432,9 +431,11 @@ fn worker_threads(workers: usize) -> usize {
     (rayon::current_num_threads() / workers.max(1)).max(1)
 }
 
-/// The exact bits of a `(ScenarioSpec, seed)`. Floats are compared by
-/// `to_bits`: under `PartialEq` a NaN never matches (the memo would never
-/// hit) and -0.0 equals 0.0 (the memo could serve one for the other).
+/// The exact bits of what a request's prepared work depends on: its
+/// `ScenarioSpec`, seed, path count and slice, and the model's
+/// `use_context`. Floats are compared by `to_bits`: under `PartialEq` a NaN
+/// never matches (the memo would never hit) and -0.0 equals 0.0 (the memo
+/// could serve one for the other).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct SpecKey {
     topology: (u8, usize),
@@ -448,12 +449,25 @@ struct SpecKey {
     buffer_size: Option<u64>,
     pfc: Option<bool>,
     seed: u64,
+    paths: usize,
+    path_slice: Option<PathSlice>,
+    use_context: bool,
 }
 
 impl SpecKey {
-    fn new(spec: &ScenarioSpec, seed: u64) -> SpecKey {
-        // Destructured without `..`: a field added to the spec does not
-        // compile here until the key covers it.
+    fn new(req: &EstimateRequest, use_context: bool) -> SpecKey {
+        // Destructured without `..`: a field added to the request or the
+        // spec does not compile here until the key covers or skips it.
+        // Policy, deadline and fault plan act on the resolve half only.
+        let EstimateRequest {
+            scenario,
+            paths,
+            seed,
+            policy: _,
+            deadline_ms: _,
+            fault_plan: _,
+            path_slice,
+        } = req;
         let ScenarioSpec {
             topology,
             workload:
@@ -471,7 +485,7 @@ impl SpecKey {
                     buffer_size,
                     pfc,
                 },
-        } = spec;
+        } = scenario;
         SpecKey {
             topology: match *topology {
                 TopoSpec::FatTreeSmall { oversub } => (0, oversub),
@@ -486,13 +500,16 @@ impl SpecKey {
             init_window: *init_window,
             buffer_size: *buffer_size,
             pfc: *pfc,
-            seed,
+            seed: *seed,
+            paths: *paths,
+            path_slice: *path_slice,
+            use_context,
         }
     }
 }
 
-/// A least-recently-used memo of at most [`MATERIALIZE_MEMO_CAP`] values,
-/// keyed by [`SpecKey`]. Materialization is deterministic, so a memoized
+/// A least-recently-used memo of at most [`PREPARED_MEMO_CAP`] values,
+/// keyed by [`SpecKey`]. Preparation is deterministic, so a memoized
 /// value is the one a fresh call would build.
 struct SpecMemo<V> {
     /// Most recently used last.
@@ -510,30 +527,28 @@ impl<V> SpecMemo<V> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The value memoized for `(spec, seed)`, else `make()`'s, which is
-    /// memoized unless it failed. `make` runs without the lock held: two
-    /// workers missing on one spec at once both build it, the first to
-    /// finish is kept, and both get that one.
+    /// The value memoized under `key` and `true`, else `make()`'s, which
+    /// is memoized unless it failed, and `false`. `make` runs without the
+    /// lock held: two workers missing on one key at once both build it, the
+    /// first to finish is kept, and both get that one.
     fn get_or_try<E>(
         &self,
-        spec: &ScenarioSpec,
-        seed: u64,
+        key: SpecKey,
         make: impl FnOnce() -> Result<V, E>,
-    ) -> Result<Arc<V>, E> {
-        let key = SpecKey::new(spec, seed);
+    ) -> Result<(Arc<V>, bool), E> {
         if let Some(hit) = touch(&mut self.lock(), &key) {
-            return Ok(hit);
+            return Ok((hit, true));
         }
         let made = Arc::new(make()?);
         let mut entries = self.lock();
         if let Some(raced) = touch(&mut entries, &key) {
-            return Ok(raced);
+            return Ok((raced, false));
         }
         entries.push_back((key, Arc::clone(&made)));
-        if entries.len() > MATERIALIZE_MEMO_CAP {
+        if entries.len() > PREPARED_MEMO_CAP {
             entries.pop_front();
         }
-        Ok(made)
+        Ok((made, false))
     }
 }
 
@@ -617,8 +632,8 @@ struct Inner {
     journaled: bool,
     /// The `rayon` worker count each worker runs its jobs under.
     worker_threads: usize,
-    /// Recently materialized scenarios of `process`.
-    materialized: SpecMemo<Materialized>,
+    /// Recently prepared requests of `process`.
+    prepared: SpecMemo<PreparedEstimate>,
     /// Signals workers (new job / shutdown) and waiters (job settled).
     cond: Condvar,
     config: ServiceConfig,
@@ -1005,7 +1020,7 @@ impl Service {
             next_id: AtomicU64::new(0),
             journaled: journal.is_some(),
             worker_threads: worker_threads(config.workers),
-            materialized: SpecMemo::new(),
+            prepared: SpecMemo::new(),
             state: Mutex::new(State {
                 queue: preloaded.into(),
                 recent: VecDeque::new(),
@@ -1651,13 +1666,19 @@ fn process(inner: &Arc<Inner>, job: &Job, estimator: &M3Estimator) -> JobOutcome
         }
     }
 
-    // Materialize once per job, not per attempt, and once per spec while
+    // Prepare once per job, not per attempt, and once per request while
     // it stays in the memo: spec errors are persistent by construction,
     // so they fail fast (and are not memoized).
-    let scenario = match inner.materialized.get_or_try(&req.scenario, req.seed, || {
-        req.scenario.materialize(req.seed)
-    }) {
-        Ok(parts) => parts,
+    let key = SpecKey::new(req, estimator.use_context);
+    let prepared = inner.prepared.get_or_try(key, || {
+        let (topo, flows, config) = req.scenario.materialize(req.seed)?;
+        estimator.prepare(topo, flows, config, req.paths, req.seed, req.path_slice)
+    });
+    let prepared = match prepared {
+        Ok((prepared, hit)) => {
+            jspan.instant("prepared", if hit { "memo hit" } else { "memo miss" });
+            prepared
+        }
         Err(error) => {
             return JobOutcome::Failed {
                 error,
@@ -1665,7 +1686,6 @@ fn process(inner: &Arc<Inner>, job: &Job, estimator: &M3Estimator) -> JobOutcome
             }
         }
     };
-    let (topo, flows, config) = &*scenario;
 
     let retry = inner.config.retry;
     let mut attempt = job.attempt;
@@ -1727,8 +1747,14 @@ fn process(inner: &Arc<Inner>, job: &Job, estimator: &M3Estimator) -> JobOutcome
                      serving flowSim-only path"
                 ),
             );
-            let estimate =
-                flowsim_estimate_sliced(topo, flows, config, req.paths, req.seed, req.path_slice);
+            let estimate = flowsim_estimate_sliced(
+                prepared.topology(),
+                prepared.flows(),
+                prepared.config(),
+                req.paths,
+                req.seed,
+                req.path_slice,
+            );
             return JobOutcome::Degraded {
                 estimate,
                 attempts: attempt + 1,
@@ -1752,15 +1778,7 @@ fn process(inner: &Arc<Inner>, job: &Job, estimator: &M3Estimator) -> JobOutcome
             trace: tctx.clone(),
         };
 
-        let result = estimator.try_estimate_with_shared_cache(
-            topo,
-            flows,
-            config,
-            req.paths,
-            req.seed,
-            &inner.cache,
-            &options,
-        );
+        let result = estimator.try_estimate_prepared(&prepared, &inner.cache, &options);
 
         match result {
             Ok(estimate) => {
@@ -1936,49 +1954,75 @@ mod tests {
         svc.shutdown();
     }
 
+    /// What `process` memoizes for `req`.
+    fn prepare(est: &M3Estimator, req: &EstimateRequest) -> Result<PreparedEstimate, M3Error> {
+        let (topo, flows, config) = req.scenario.materialize(req.seed)?;
+        est.prepare(topo, flows, config, req.paths, req.seed, req.path_slice)
+    }
+
     #[test]
-    fn an_equal_spec_and_seed_is_materialized_once() {
+    fn an_equal_request_is_prepared_once_and_answers_as_a_direct_estimate() {
+        let est = tiny_estimator();
         let memo = SpecMemo::new();
-        let spec = tiny_request(1).scenario;
         let made = std::cell::Cell::new(0);
-        let get = |seed| {
-            memo.get_or_try(&spec, seed, || {
+        let get = |req: &EstimateRequest| {
+            memo.get_or_try(SpecKey::new(req, est.use_context), || {
                 made.set(made.get() + 1);
-                spec.materialize(seed)
+                prepare(&est, req)
             })
             .unwrap()
         };
-        let first = get(7);
-        let again = get(7);
-        assert!(Arc::ptr_eq(&first, &again));
+        let (first, hit) = get(&tiny_request(7));
+        assert!(!hit);
+        let (again, hit) = get(&tiny_request(7));
+        assert!(hit && Arc::ptr_eq(&first, &again));
         assert_eq!(made.get(), 1);
-        // An equal spec built separately is the same key.
-        let twin = tiny_request(2).scenario;
-        let twin_hit = memo.get_or_try(&twin, 7, || twin.materialize(7)).unwrap();
-        assert!(Arc::ptr_eq(&first, &twin_hit));
-        // Another seed is another scenario.
-        assert!(!Arc::ptr_eq(&first, &get(8)));
-        assert_eq!(made.get(), 2);
-        assert_eq!(first.1, tiny_request(1).scenario.materialize(7).unwrap().1);
+        // Another seed, path count or slice is another entry.
+        let mut more_paths = tiny_request(7);
+        more_paths.paths += 1;
+        let mut sliced = tiny_request(7);
+        sliced.path_slice = Some(PathSlice { start: 0, end: 1 });
+        for other in [tiny_request(8), more_paths, sliced] {
+            let (value, hit) = get(&other);
+            assert!(!hit && !Arc::ptr_eq(&first, &value), "{other:?}");
+        }
+        assert_eq!(made.get(), 4);
+        // So is the same request under a model without context.
+        let no_context = SpecKey::new(&tiny_request(7), false);
+        assert_ne!(no_context, SpecKey::new(&tiny_request(7), true));
+
+        // The memoized value answers as a direct estimate of the request.
+        let req = tiny_request(7);
+        let (topo, flows, config) = req.scenario.materialize(req.seed).unwrap();
+        let opts = EstimateOptions::default();
+        let direct = est
+            .try_estimate(&topo, &flows, &config, req.paths, req.seed, &opts)
+            .unwrap();
+        let cache = SharedScenarioCache::new(16);
+        for _cold_then_warm in 0..2 {
+            let served = est.try_estimate_prepared(&again, &cache, &opts).unwrap();
+            assert_eq!(served.digest(), direct.digest());
+        }
     }
 
     #[test]
     fn the_memo_keys_floats_by_their_bits() {
         let memo: SpecMemo<u32> = SpecMemo::new();
         let made = std::cell::Cell::new(0);
-        let get = |spec: &ScenarioSpec| {
+        let get = |req: &EstimateRequest| {
             *memo
-                .get_or_try(spec, 7, || {
+                .get_or_try(SpecKey::new(req, true), || {
                     made.set(made.get() + 1);
                     Ok::<_, M3Error>(made.get())
                 })
                 .unwrap()
+                .0
         };
         let with = |sigma: f64, max_load: f64| {
-            let mut spec = tiny_request(1).scenario;
-            spec.workload.sigma = sigma;
-            spec.workload.max_load = max_load;
-            spec
+            let mut req = tiny_request(7);
+            req.scenario.workload.sigma = sigma;
+            req.scenario.workload.max_load = max_load;
+            req
         };
         // -0.0 == 0.0 under PartialEq, but they are different keys.
         let zero = get(&with(1.0, 0.0));
@@ -1998,43 +2042,53 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_materialization_is_not_memoized() {
+    fn a_failed_preparation_is_not_memoized() {
+        let est = tiny_estimator();
         let memo = SpecMemo::new();
-        let mut spec = tiny_request(1).scenario;
-        spec.workload.matrix = "no such matrix".into();
-        let made = std::cell::Cell::new(0);
-        let get = || {
-            memo.get_or_try(&spec, 7, || {
-                made.set(made.get() + 1);
-                spec.materialize(7)
-            })
-            .expect_err("an unknown matrix must not materialize")
-        };
-        let first = get();
-        assert!(matches!(first, M3Error::InvalidSpec { .. }), "{first:?}");
-        assert_eq!(get(), first);
-        assert_eq!(made.get(), 2, "a failure was memoized");
-        assert!(memo.lock().is_empty());
+        // One spec that does not materialize, one whose estimate does not
+        // validate.
+        let mut no_matrix = tiny_request(7);
+        no_matrix.scenario.workload.matrix = "no such matrix".into();
+        let mut no_paths = tiny_request(7);
+        no_paths.paths = 0;
+        for req in [no_matrix, no_paths] {
+            let made = std::cell::Cell::new(0);
+            let get = || {
+                memo.get_or_try(SpecKey::new(&req, true), || {
+                    made.set(made.get() + 1);
+                    prepare(&est, &req)
+                })
+                .err()
+                .expect("an invalid request must not prepare")
+            };
+            let first = get();
+            assert!(matches!(first, M3Error::InvalidSpec { .. }), "{first:?}");
+            assert_eq!(get(), first);
+            assert_eq!(made.get(), 2, "a failure was memoized");
+            assert!(memo.lock().is_empty());
+        }
     }
 
     #[test]
     fn the_memo_holds_at_most_its_cap_and_evicts_the_least_recently_used() {
         let memo: SpecMemo<u64> = SpecMemo::new();
-        let spec = tiny_request(1).scenario;
         let get = |seed: u64| {
             *memo
-                .get_or_try(&spec, seed, || Ok::<_, M3Error>(seed))
+                .get_or_try(SpecKey::new(&tiny_request(seed), true), || {
+                    Ok::<_, M3Error>(seed)
+                })
                 .unwrap()
+                .0
         };
-        for seed in 0..3 * MATERIALIZE_MEMO_CAP as u64 {
+        for seed in 0..3 * PREPARED_MEMO_CAP as u64 {
             get(seed);
             // Seed 0 is used between every fresh seed: it stays in.
             get(0);
-            assert!(memo.lock().len() <= MATERIALIZE_MEMO_CAP);
+            assert!(memo.lock().len() <= PREPARED_MEMO_CAP);
         }
         let kept: Vec<u64> = memo.lock().iter().map(|(k, _)| k.seed).collect();
-        let last = 3 * MATERIALIZE_MEMO_CAP as u64 - 1;
-        let mut want: Vec<u64> = (last + 2 - MATERIALIZE_MEMO_CAP as u64..=last).collect();
+        let last = 3 * PREPARED_MEMO_CAP as u64 - 1;
+        let mut want: Vec<u64> = (last + 2 - PREPARED_MEMO_CAP as u64..=last).collect();
         want.push(0);
         assert_eq!(kept, want);
     }

@@ -73,7 +73,7 @@ if ! diff -q tests/golden/estimate_trace.json "$TRACE_TMP" > /dev/null; then
 fi
 echo "trace golden matches"
 
-echo "==> speed gates (gate all: hotpath >=4x forward + estimate_warm_min_ms all-hit row bit-checked against cold, session >=5x, cluster >=6x at 8 shards, tracing <3% / telemetry <2% / monitor <2% overhead, journal <=1 KiB per completed request; writes seven BENCH_*.json)"
+echo "==> speed gates (gate all: hotpath >=4x forward + estimate_warm_min_ms all-hit and estimate_prepared_min_ms prepared all-hit rows bit-checked against cold, session >=5x, cluster >=6x at 8 shards, tracing <3% / telemetry <2% / monitor <2% overhead, journal <=1 KiB per completed request; writes seven BENCH_*.json)"
 cargo run --release -q -p m3-bench --bin gate -- all
 # Which matmul kernel instantiation the forward pass dispatched to here: the
 # timings above are not comparable between an avx512, an avx2 and a portable

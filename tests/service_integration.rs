@@ -122,9 +122,9 @@ fn direct_outcome(r: &EstimateRequest) -> NetworkEstimate {
 
 /// A service worker runs its requests under a `rayon` worker count of
 /// `max(1, cores / workers)` (2/1/1 at 1/2/4 workers on a 2-core box) and
-/// takes repeated specs from its materialize memo. Neither may move a bit:
-/// a fresh seed, and a repeated one served from the scenario cache and the
-/// memo, both equal a direct `try_estimate`.
+/// takes repeated requests' prepared work from its memo. Neither may move a
+/// bit: a fresh seed, and a repeated one served from the scenario cache and
+/// the memo, both equal a direct `try_estimate`.
 #[test]
 fn served_estimates_equal_direct_ones_at_1_2_and_4_workers() {
     let req = |seed| EstimateRequest::new(scenario(500), PATHS, seed);
@@ -139,6 +139,50 @@ fn served_estimates_equal_direct_ones_at_1_2_and_4_workers() {
             assert_estimates_bit_identical(got, want);
         }
     }
+}
+
+/// A one-entry shared cache keeps none of a request's slots, so every
+/// repeat rebuilds its misses from its memoized prepared work, and still
+/// equals a direct estimate. A request that fails validation fails with the
+/// direct estimate's typed error every time it is sent.
+#[test]
+fn repeats_equal_direct_estimates_through_a_cache_that_evicts_them() {
+    let config = ServiceConfig {
+        cache_capacity: 1,
+        ..fast_config(1)
+    };
+    let svc = Service::start(untrained_estimator(), config);
+    let req = EstimateRequest::new(scenario(500), PATHS, 43);
+    let direct = direct_outcome(&req);
+    let mut invalid = req.clone();
+    invalid.paths = 0;
+    let (topo, flows, cfg) = req.scenario.materialize(req.seed).expect("materialize");
+    let direct_error = untrained_estimator()
+        .try_estimate(
+            &topo,
+            &flows,
+            &cfg,
+            0,
+            req.seed,
+            &EstimateOptions::default(),
+        )
+        .expect_err("no paths to sample");
+    for _ in 0..3 {
+        let served = svc.submit(req.clone()).expect("submit");
+        let refused = svc.submit(invalid.clone()).expect("submit");
+        assert!(svc.wait_idle(IDLE), "jobs did not settle");
+        let outcome = svc.outcome(served).expect("served outcome");
+        assert_estimates_bit_identical(outcome.estimate().expect("estimate"), &direct);
+        match svc.outcome(refused).expect("refused outcome") {
+            JobOutcome::Failed { error, attempts } => {
+                assert_eq!(error, direct_error);
+                assert_eq!(attempts, 1);
+            }
+            other => panic!("an invalid request must fail: {other:?}"),
+        }
+    }
+    assert!(svc.stats().cache.evictions > 0, "the cache kept every slot");
+    svc.shutdown();
 }
 
 fn batch(n: usize) -> Vec<EstimateRequest> {
