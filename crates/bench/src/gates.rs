@@ -5,9 +5,9 @@
 //!
 //! * `hotpath` — the pooled forward pass must beat the per-sample tape
 //!   reference 4×; flowSim (fresh vs warm workspace), the two decompose
-//!   stages, the feature maps (pinned to `ENCODE_LOG_DIGEST`), the cold
-//!   estimate and the all-hit warm estimate (bit-checked against the cold
-//!   one) are reported.
+//!   stages, the index at 40 000 flows, the feature maps (pinned to
+//!   `ENCODE_LOG_DIGEST`), the cold estimate and the all-hit warm estimate
+//!   (bit-checked against the cold one) are reported.
 //! * `session` — a ~1%-dirty session delta must beat an uncached full
 //!   re-estimate of the same state 5×.
 //! * `cluster` — eight shards must drain a batch 6× faster than one.
@@ -188,6 +188,14 @@ fn hotpath() -> Res<Value> {
                 .collect::<Vec<_>>())
         },
     )?;
+    // The index at ten times the flows and load 0.8 (the benchmark's
+    // `flowsim_40k` shape), where almost every flow is its own route and
+    // the arrays outgrow the caches: a per-route cost shows here first.
+    let (big_topo, big_flows) = fixture_flows(FatTreeSpec::small(2), 40_000, 0.8);
+    let index_40k = pairs(
+        || Ok(PathIndex::build(&big_topo, &big_flows)),
+        || Ok(PathIndex::build(topo, flows)),
+    )?;
     // Feature maps single-threaded, and the end-to-end cold estimate.
     let rest = pairs(
         || Ok(encode(&datas, &sims)),
@@ -242,6 +250,7 @@ fn hotpath() -> Res<Value> {
         .put("k_paths", K_PATHS)
         .put("unique_scenarios", datas.len())
         .ms("decompose_index_min_ms", min(&decompose.a))
+        .ms("decompose_index_40k_min_ms", min(&index_40k.a))
         .ms("decompose_materialize_min_ms", min(&decompose.b))
         .ms("forward_reference_min_ms", min(&forward.a))
         .ms("forward_batch_reference_min_ms", min(&batch_reference.a))

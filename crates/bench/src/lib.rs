@@ -580,6 +580,22 @@ pub(crate) struct Fixture {
 
 /// `n_flows` flows on the fat tree `spec`.
 pub(crate) fn fixture(spec: FatTreeSpec, n_flows: usize) -> Fixture {
+    let (topo, flows) = fixture_flows(spec, n_flows, 0.5);
+    let net = M3Net::new(ModelConfig::repro_default(SPEC_DIM), 7);
+    Fixture {
+        est: std::sync::Arc::new(M3Estimator::new(net)),
+        topo,
+        flows,
+        cfg: SimConfig::default(),
+    }
+}
+
+/// The fixture's fabric and flows at any load.
+pub(crate) fn fixture_flows(
+    spec: FatTreeSpec,
+    n_flows: usize,
+    max_load: f64,
+) -> (Topology, Vec<FlowSpec>) {
     use m3_workload::prelude::{generate, Scenario, SizeDistribution};
     let ft = FatTree::build(spec);
     let scenario = Scenario {
@@ -587,17 +603,11 @@ pub(crate) fn fixture(spec: FatTreeSpec, n_flows: usize) -> Fixture {
         matrix_name: "B".into(),
         sizes: SizeDistribution::web_server(),
         sigma: 1.0,
-        max_load: 0.5,
+        max_load,
         seed: 23,
     };
     let flows = generate(&ft, &Routing::new(&ft.topo), &scenario).flows;
-    let net = M3Net::new(ModelConfig::repro_default(SPEC_DIM), 7);
-    Fixture {
-        est: std::sync::Arc::new(M3Estimator::new(net)),
-        topo: ft.topo,
-        flows,
-        cfg: SimConfig::default(),
-    }
+    (ft.topo, flows)
 }
 
 impl Fixture {

@@ -5,10 +5,12 @@
 //! background is every flow sharing at least one *directed* channel with it
 //! (full-duplex links mean opposite-direction traffic does not contend).
 //!
-//! Decomposition is lazy: [`PathIndex::build`] lays the workload out as two
-//! CSR tables (flow -> directed ports, directed port -> flows) and groups
-//! flows by route; background sets are only materialized for the k sampled
-//! paths, by merging the sorted flow lists of the path's ports.
+//! Decomposition is lazy: [`PathIndex::build`] lays the workload out as three
+//! CSR tables (flow -> directed ports, directed port -> flows, path group ->
+//! foreground flows), grouping flows by route through one open-addressed
+//! table of group ids. No allocation is made per route or per flow; the
+//! background sets are only materialized for the k sampled paths, by merging
+//! the sorted flow lists of the path's ports.
 //!
 //! The index is purely *structural*: it records routes and ports, never
 //! bandwidths, sizes or anything derived from them. An incremental session
@@ -18,8 +20,6 @@
 use m3_netsim::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// The directed ports (`link * 2 + (forward ? 0 : 1)`) of a flow's path, in
 /// hop order. Expects a contiguous path, which [`validate_workload`]
@@ -45,44 +45,62 @@ pub fn flow_ports(topo: &Topology, flow: &FlowSpec) -> Vec<usize> {
     directed_ports(topo, flow).map(|p| p as usize).collect()
 }
 
-/// Hasher for the route table of [`PathIndex::build`]: one rotate, xor and
-/// multiply per 8-byte word of the key (the `FxHash` mix), where the
-/// default SipHash is about half of the whole index build. The keys are
-/// the directed-port slices of validated routes, already in memory, and the
-/// table lives for one `build` call; a colliding workload costs that call
-/// time, not correctness.
-#[derive(Default)]
-struct RouteHasher(u64);
-
-impl RouteHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
+/// One step of the route hash of [`PathIndex::build`]: a rotate, xor and
+/// multiply per port (the `FxHash` mix), seeded by the hop count. The
+/// route table indexes by the top bits, which the multiply mixes best.
+/// Equal routes hash equal; a colliding workload costs probes, not
+/// correctness, since a match also compares the port slices.
+#[inline]
+fn route_mix(h: u64, port: u32) -> u64 {
+    (h.rotate_left(5) ^ u64::from(port)).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
-impl Hasher for RouteHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(word));
-        }
-    }
+/// An empty slot of the route table.
+const NO_GROUP: u32 = u32::MAX;
 
-    /// The multiply leaves the low bits weakest; the table indexes by them.
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
+/// Pass 3 of [`PathIndex::build`]: group flows by route. Flow `i`'s route
+/// is `flow_port[flow_off[i]..flow_off[i + 1]]` and `hash[i]` any hash of
+/// it under which equal routes are equal. The directed ports encode links
+/// and direction, so equal port slices are equal routes from equal
+/// sources. A new route's first flow is its representative, so groups come
+/// out ascending in `rep`. Returns the groups and flow -> group.
+///
+/// The table is an open-addressed array of group ids: a power of two of at
+/// least `2F` slots, probed linearly from the hash's top bits; a slot
+/// matches when its group's representative has an equal hash and an equal
+/// port slice.
+fn group_routes(flow_off: &[u32], flow_port: &[u32], hash: &[u64]) -> (Vec<PathGroup>, Vec<u32>) {
+    let n = hash.len();
+    let route = |i: usize| &flow_port[flow_off[i] as usize..flow_off[i + 1] as usize];
+    let bits = (2 * n).max(2).next_power_of_two().trailing_zeros();
+    let mask = (1usize << bits) - 1;
+    let mut table = vec![NO_GROUP; mask + 1];
+    let mut groups: Vec<PathGroup> = Vec::new();
+    let mut group_of = Vec::with_capacity(n);
+    for (i, &h) in hash.iter().enumerate() {
+        let mut s = (h >> (64 - bits)) as usize;
+        let g = loop {
+            let g = table[s];
+            if g == NO_GROUP {
+                table[s] = groups.len() as u32;
+                groups.push(PathGroup { rep: i as u32 });
+                break table[s];
+            }
+            let rep = groups[g as usize].rep as usize;
+            if hash[rep] == h && route(rep) == route(i) {
+                break g;
+            }
+            s = (s + 1) & mask;
+        };
+        group_of.push(g);
     }
+    (groups, group_of)
 }
 
-/// One populated path: its route and foreground flow indices.
+/// One populated path, defined by its representative flow. Its foreground
+/// is [`PathIndex::foreground_of`].
 #[derive(Debug, Clone)]
 pub struct PathGroup {
-    /// Indices into the global flow slice, ascending.
-    pub foreground: Vec<u32>,
     /// Representative flow index (defines src/dst/route): the group's
     /// lowest flow index.
     pub rep: u32,
@@ -99,17 +117,20 @@ const INLINE_HOPS: usize = 8;
 /// The decomposition index over a workload.
 ///
 /// Ordering invariants, which the bit-identity of estimates rests on:
-/// `groups` is ascending in `rep`, every `foreground` list and every
-/// port's flow list is ascending in flow index, and a flow's ports are in
-/// hop order.
+/// `groups` is ascending in `rep`, every foreground list and every port's
+/// flow list is ascending in flow index, and a flow's ports are in hop
+/// order.
 pub struct PathIndex {
     /// Populated paths, keyed by route, ascending in `rep`.
     pub groups: Vec<PathGroup>,
     /// Flow -> index of its group.
     group_of: Vec<u32>,
-    /// `cumulative[g]` = foreground flows of groups `0..=g`: the sampling
-    /// weights of [`sample_paths`](Self::sample_paths).
-    cumulative: Vec<u64>,
+    /// CSR group -> foreground flows, ascending: group `g` owns
+    /// `group_flow[group_off[g]..group_off[g + 1]]`. `group_off[g + 1]` is
+    /// the foreground count of groups `0..=g`: the sampling weights of
+    /// [`sample_paths`](Self::sample_paths).
+    group_off: Vec<u32>,
+    group_flow: Vec<u32>,
     /// CSR flow -> directed ports in hop order: flow `i` owns
     /// `flow_port[flow_off[i]..flow_off[i + 1]]`.
     flow_off: Vec<u32>,
@@ -130,17 +151,22 @@ impl PathIndex {
         assert!(hops <= u32::MAX as usize, "workload has too many hops");
         let n_ports = topo.link_count() * 2;
 
-        // Pass 1: every flow's ports into one array, counting per port.
+        // Pass 1: every flow's ports into one array, counting per port and
+        // hashing each route as it is emitted.
         let mut flow_off = Vec::with_capacity(flows.len() + 1);
         let mut flow_port = Vec::with_capacity(hops);
+        let mut hash = Vec::with_capacity(flows.len());
         let mut port_off = vec![0u32; n_ports + 1];
         flow_off.push(0);
         for f in flows {
+            let mut h = f.path.len() as u64;
             for p in directed_ports(topo, f) {
                 port_off[p as usize + 1] += 1;
                 flow_port.push(p);
+                h = route_mix(h, p);
             }
             flow_off.push(flow_port.len() as u32);
+            hash.push(h);
         }
 
         // Pass 2: counting sort inverts it. Flows are scattered in index
@@ -158,39 +184,31 @@ impl PathIndex {
             }
         }
 
-        // Pass 3: group flows by route. The directed ports encode links and
-        // direction, so equal port slices are equal routes from equal
-        // sources. A new route's first flow is its representative, so
-        // groups come out ascending in `rep` and members ascending.
-        let mut groups: Vec<PathGroup> = Vec::new();
-        let mut group_of = Vec::with_capacity(flows.len());
-        {
-            let mut by_route: HashMap<&[u32], u32, BuildHasherDefault<RouteHasher>> =
-                HashMap::with_capacity_and_hasher(flows.len(), Default::default());
-            for (i, w) in flow_off.windows(2).enumerate() {
-                let route = &flow_port[w[0] as usize..w[1] as usize];
-                let g = *by_route.entry(route).or_insert_with(|| {
-                    groups.push(PathGroup {
-                        foreground: Vec::new(),
-                        rep: i as u32,
-                    });
-                    (groups.len() - 1) as u32
-                });
-                groups[g as usize].foreground.push(i as u32);
-                group_of.push(g);
-            }
+        // Pass 3: group flows by route.
+        let (groups, group_of) = group_routes(&flow_off, &flow_port, &hash);
+        drop(hash);
+
+        // Pass 4: a counting sort over `group_of` lays out the foregrounds,
+        // each ascending since flows are scattered in index order.
+        let mut group_off = vec![0u32; groups.len() + 1];
+        for &g in &group_of {
+            group_off[g as usize + 1] += 1;
         }
-        let cumulative = groups
-            .iter()
-            .scan(0u64, |acc, g| {
-                *acc += g.foreground.len() as u64;
-                Some(*acc)
-            })
-            .collect();
+        for g in 0..groups.len() {
+            group_off[g + 1] += group_off[g];
+        }
+        let mut cursor = group_off.clone();
+        let mut group_flow = vec![0u32; flows.len()];
+        for (i, &g) in group_of.iter().enumerate() {
+            let c = &mut cursor[g as usize];
+            group_flow[*c as usize] = i as u32;
+            *c += 1;
+        }
         PathIndex {
             groups,
             group_of,
-            cumulative,
+            group_off,
+            group_flow,
             flow_off,
             flow_port,
             port_off,
@@ -220,14 +238,15 @@ impl PathIndex {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x736d706c);
         // No populated paths (or gen_range would reject an empty range):
         // return no samples and let the caller report the empty workload.
-        let total = self.cumulative.last().copied().unwrap_or(0);
+        let weights = &self.group_off[1..];
+        let total = weights.last().map_or(0, |&c| u64::from(c));
         if total == 0 {
             return Vec::new();
         }
         (0..k)
             .map(|_| {
                 let u = rng.gen_range(0..total);
-                self.cumulative.partition_point(|&c| c <= u)
+                weights.partition_point(|&c| u64::from(c) <= u)
             })
             .collect()
     }
@@ -375,9 +394,26 @@ impl PathIndex {
             .any(|&p| touched[p as usize])
     }
 
-    /// Foreground flow indices of a group.
+    /// Foreground flow indices of a group, ascending.
     pub fn foreground_of(&self, group_idx: usize) -> &[u32] {
-        &self.groups[group_idx].foreground
+        let (a, b) = (self.group_off[group_idx], self.group_off[group_idx + 1]);
+        &self.group_flow[a as usize..b as usize]
+    }
+
+    /// Every flow on a port of the routes of `groups`, as a bitmap over flow
+    /// indices (bit `i % 64` of word `i / 64`): exactly the union of their
+    /// foregrounds and backgrounds. Costs the groups' port lists plus one
+    /// zeroed word per 64 flows.
+    pub(crate) fn touched_flows(&self, groups: &[usize]) -> Vec<u64> {
+        let mut bits = vec![0u64; self.group_of.len().div_ceil(64)];
+        for &g in groups {
+            for &p in self.ports_of(self.groups[g].rep) {
+                for &f in self.flows_on(p) {
+                    bits[f as usize / 64] |= 1 << (f % 64);
+                }
+            }
+        }
+        bits
     }
 
     /// The representative flow defining the path of a group.
@@ -410,11 +446,14 @@ mod tests {
     fn groups_partition_flows() {
         let (ft, flows) = workload();
         let idx = PathIndex::build(&ft.topo, &flows);
-        let total: usize = idx.groups.iter().map(|g| g.foreground.len()).sum();
+        let total: usize = (0..idx.num_paths())
+            .map(|g| idx.foreground_of(g).len())
+            .sum();
         assert_eq!(total, flows.len(), "every flow in exactly one group");
-        for g in &idx.groups {
-            let rep = &flows[g.rep as usize];
-            for &fi in &g.foreground {
+        for (g, group) in idx.groups.iter().enumerate() {
+            let rep = &flows[group.rep as usize];
+            assert_eq!(idx.foreground_of(g)[0], group.rep);
+            for &fi in idx.foreground_of(g) {
                 let f = &flows[fi as usize];
                 assert_eq!(f.path, rep.path);
                 assert_eq!(f.src, rep.src);
@@ -426,13 +465,9 @@ mod tests {
     fn background_shares_a_directed_port() {
         let (ft, flows) = workload();
         let idx = PathIndex::build(&ft.topo, &flows);
-        let g = idx
-            .groups
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, g)| g.foreground.len())
-            .unwrap()
-            .0;
+        let g = (0..idx.num_paths())
+            .max_by_key(|&g| idx.foreground_of(g).len())
+            .unwrap();
         let bg = idx.background_of(g);
         assert!(!bg.is_empty(), "popular path should have background");
         let rep_ports = flow_ports(&ft.topo, idx.rep_flow(g, &flows));
@@ -495,19 +530,11 @@ mod tests {
         let samples = idx.sample_paths(2000, 1);
         // The most popular group should be sampled more often than a
         // singleton group.
-        let popular = idx
-            .groups
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, g)| g.foreground.len())
+        let popular = (0..idx.num_paths())
+            .max_by_key(|&g| idx.foreground_of(g).len())
             .unwrap();
-        let singleton = idx
-            .groups
-            .iter()
-            .enumerate()
-            .find(|(_, g)| g.foreground.len() == 1)
-            .map(|(i, _)| i);
-        let count_pop = samples.iter().filter(|&&s| s == popular.0).count();
+        let singleton = (0..idx.num_paths()).find(|&g| idx.foreground_of(g).len() == 1);
+        let count_pop = samples.iter().filter(|&&s| s == popular).count();
         if let Some(single) = singleton {
             let count_single = samples.iter().filter(|&&s| s == single).count();
             assert!(count_pop >= count_single);
@@ -521,5 +548,61 @@ mod tests {
         let idx = PathIndex::build(&ft.topo, &flows);
         assert_eq!(idx.sample_paths(50, 7), idx.sample_paths(50, 7));
         assert_ne!(idx.sample_paths(50, 7), idx.sample_paths(50, 8));
+    }
+
+    /// The route table groups by port slice, not by hash: degenerate hashes
+    /// (every route in one probe chain, or in two) give the same groups as
+    /// the real one.
+    #[test]
+    fn route_table_groups_the_same_under_colliding_hashes() {
+        let (ft, flows) = workload();
+        let idx = PathIndex::build(&ft.topo, &flows);
+        let real: Vec<u64> = (0..flows.len() as u32)
+            .map(|i| {
+                let ports = idx.ports_of(i);
+                (ports.iter()).fold(ports.len() as u64, |h, &p| route_mix(h, p))
+            })
+            .collect();
+        let reps = |groups: &[PathGroup]| groups.iter().map(|g| g.rep).collect::<Vec<_>>();
+        let expect = reps(&idx.groups);
+        assert!(expect.len() > 100 && expect.len() < flows.len());
+        for hash in [
+            real.clone(),
+            vec![0; flows.len()],
+            real.iter().map(|h| h & 1).collect(),
+            real.iter().map(|h| h & (1 << 63)).collect(),
+        ] {
+            let (groups, group_of) = group_routes(&idx.flow_off, &idx.flow_port, &hash);
+            assert_eq!(reps(&groups), expect);
+            assert_eq!(group_of, idx.group_of);
+        }
+    }
+
+    /// `touched_flows` marks exactly the foreground and background of the
+    /// groups it is given.
+    #[test]
+    fn touched_flows_is_foreground_plus_background() {
+        let (ft, flows) = workload();
+        let idx = PathIndex::build(&ft.topo, &flows);
+        let marked = |bits: &[u64]| -> Vec<u32> {
+            (0..flows.len() as u32)
+                .filter(|&f| bits[f as usize / 64] >> (f % 64) & 1 == 1)
+                .collect()
+        };
+        let mut all = Vec::new();
+        for g in (0..idx.num_paths()).step_by(37) {
+            let mut expect: Vec<u32> = idx.foreground_of(g).to_vec();
+            expect.extend(idx.background_of(g).iter().map(|&(f, _, _)| f));
+            expect.sort_unstable();
+            assert_eq!(marked(&idx.touched_flows(&[g])), expect, "group {g}");
+            all.push(g);
+        }
+        let mut expect: Vec<u32> = (all.iter())
+            .flat_map(|&g| marked(&idx.touched_flows(&[g])))
+            .collect();
+        expect.sort_unstable();
+        expect.dedup();
+        assert_eq!(marked(&idx.touched_flows(&all)), expect);
+        assert!(idx.touched_flows(&[]).iter().all(|&w| w == 0));
     }
 }

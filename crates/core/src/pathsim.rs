@@ -396,12 +396,9 @@ mod tests {
     }
 
     fn busiest_group(idx: &PathIndex) -> usize {
-        idx.groups
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, g)| g.foreground.len())
+        (0..idx.num_paths())
+            .max_by_key(|&g| idx.foreground_of(g).len())
             .unwrap()
-            .0
     }
 
     #[test]

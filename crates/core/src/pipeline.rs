@@ -34,7 +34,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Output-bucket counts of a foreground flow set.
 fn fg_counts(data: &PathScenarioData) -> [usize; NUM_OUTPUT_BUCKETS] {
@@ -243,12 +243,15 @@ impl CacheRef<'_> {
 /// kept (in a [`PreparedEstimate`]) and resolved any number of times.
 pub(crate) struct UnitTable {
     use_context: bool,
-    /// Flow -> its path-independent attributes and [`flow_digest`]
-    /// (`FlowAttrs::digest`), computed the first time a unit touches the
-    /// flow: once per table however many sampled paths it is background of.
+    /// The flows the units touch ([`PathIndex::touched_flows`]), 64 to a
+    /// word: a touched flow's entry in `attrs` is its rank among them.
+    touched: Vec<TouchedWord>,
+    /// Each touched flow's path-independent attributes and [`flow_digest`]
+    /// (`FlowAttrs::digest`), ascending in flow index: computed once per
+    /// table however many sampled paths the flow is background of.
     ///
     /// [`flow_digest`]: crate::cache::flow_digest
-    attrs: Vec<OnceLock<(FlowAttrs, u64)>>,
+    attrs: Vec<(FlowAttrs, u64)>,
     /// One unit per distinct sampled group, ascending in group index.
     units: Vec<WorkUnit>,
     /// slot -> the unit of the first sampled path with that content key.
@@ -257,6 +260,14 @@ pub(crate) struct UnitTable {
     pub(crate) slot_of: Vec<usize>,
     /// slot -> number of sampled paths deduplicated into it.
     pub(crate) multiplicity: Vec<usize>,
+}
+
+/// 64 flows of a [`UnitTable`]'s touched set: flow `64 * w + b` is touched
+/// when bit `b` of word `w` is set, and `before` counts the touched flows
+/// of the words below.
+struct TouchedWord {
+    bits: u64,
+    before: u32,
 }
 
 /// A [`UnitTable`] together with the inputs it was keyed from.
@@ -295,9 +306,28 @@ impl UnitTable {
         let mut distinct = groups.to_vec();
         distinct.sort_unstable();
         distinct.dedup();
+        // Every flow the units hash or materialize is foreground or
+        // background of one of them: cost each once, in flow order.
+        let bits = index.touched_flows(&distinct);
+        let mut touched = Vec::with_capacity(bits.len());
+        let mut attrs = Vec::with_capacity(bits.iter().map(|w| w.count_ones() as usize).sum());
+        for (w, &word) in bits.iter().enumerate() {
+            touched.push(TouchedWord {
+                bits: word,
+                before: attrs.len() as u32,
+            });
+            let mut rest = word;
+            while rest != 0 {
+                let f = &flows[w * 64 + rest.trailing_zeros() as usize];
+                rest &= rest - 1;
+                let a = FlowAttrs::of(topo, f, config);
+                attrs.push((a, a.digest(f)));
+            }
+        }
         let mut t = UnitTable {
             use_context,
-            attrs: (0..flows.len()).map(|_| OnceLock::new()).collect(),
+            touched,
+            attrs,
             units: Vec::new(),
             uniq: Vec::new(),
             slot_of: Vec::with_capacity(groups.len()),
@@ -371,14 +401,12 @@ impl UnitTable {
 }
 
 impl<'a> WorkUnits<'a> {
-    /// Flow `fi`'s attributes and digest, computed on first use.
+    /// Touched flow `fi`'s attributes and digest.
     fn attrs(&self, fi: u32) -> &'a (FlowAttrs, u64) {
-        let (topo, flows, config) = (self.topo, self.flows, self.config);
-        self.table.attrs[fi as usize].get_or_init(|| {
-            let f = &flows[fi as usize];
-            let attrs = FlowAttrs::of(topo, f, config);
-            (attrs, attrs.digest(f))
-        })
+        let word = &self.table.touched[fi as usize / 64];
+        let bit = 1u64 << (fi % 64);
+        debug_assert!(word.bits & bit != 0, "flow {fi} is not touched by a unit");
+        &self.table.attrs[word.before as usize + (word.bits & (bit - 1)).count_ones() as usize]
     }
 
     /// Group `g`'s unit: one background merge, whose list the unit keeps,

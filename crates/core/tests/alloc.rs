@@ -1,9 +1,9 @@
 //! Allocation pins for the decomposition index: `PathIndex::build` is a few
-//! flat arrays plus one list per group, not a `Vec` per flow, and
-//! `background_of` allocates its output and nothing else; and for the
-//! flowSim stage: a warm `try_run_flowsim_traced_into` stages the fluid model
-//! in its workspace and allocates only the `FlowsimResult` it returns; and
-//! for the feature maps: `FeatureMap::build` makes the same few allocations
+//! flat arrays plus the group list's growth, with no allocation per route or
+//! per flow, and `background_of` allocates its output and nothing else; for
+//! the flowSim stage: a warm `try_run_flowsim_traced_into` stages the fluid
+//! model in its workspace and allocates only the `FlowsimResult` it returns;
+//! and for the feature maps: `FeatureMap::build` makes the same few allocations
 //! whatever the sample count and however many buckets are non-empty, and
 //! `encode_log` allocates its output only.
 //!
@@ -154,7 +154,7 @@ fn flowsim_allocates_only_its_result() {
 
 #[test]
 fn allocation_pins() {
-    index_allocates_per_group_and_background_only_its_output();
+    index_allocates_flat_arrays_and_background_only_its_output();
     flowsim_allocates_only_its_result();
     feature_maps_allocate_a_constant_number();
 }
@@ -181,7 +181,28 @@ fn feature_maps_allocate_a_constant_number() {
     }
 }
 
-fn index_allocates_per_group_and_background_only_its_output() {
+/// `PathIndex::build`'s allocations on `flows`, checked against the bound:
+/// the flat arrays and their scratch (a constant), plus the growth of the
+/// group list. Returns the index.
+fn build_within_bound(topo: &Topology, flows: &[FlowSpec], expect_groups: usize) -> PathIndex {
+    validate_workload(topo, flows).unwrap();
+    let (idx, build_allocs) = count(|| PathIndex::build(topo, flows));
+    let groups = idx.num_paths();
+    assert_eq!(groups, expect_groups);
+    // Three CSR tables (six arrays), flow -> group, the route hashes, the
+    // route table and two counting-sort cursors, with room to spare; then
+    // the group list, grown from empty.
+    let bound = 16 + growth_steps(groups);
+    assert!(
+        build_allocs <= bound,
+        "PathIndex::build made {build_allocs} allocations for {groups} groups \
+         ({} flows); want at most {bound}",
+        flows.len(),
+    );
+    idx
+}
+
+fn index_allocates_flat_arrays_and_background_only_its_output() {
     // Eight hosts on one switch and 4 000 flows over 12 routes: many flows,
     // many hops in total, few groups.
     let mut topo = Topology::new();
@@ -206,23 +227,9 @@ fn index_allocates_per_group_and_background_only_its_output() {
             }
         })
         .collect();
-    validate_workload(&topo, &flows).unwrap();
+    let idx = build_within_bound(&topo, &flows, 12);
 
-    let (idx, build_allocs) = count(|| PathIndex::build(&topo, &flows));
-    let groups = idx.num_paths();
-    assert_eq!(groups, 12);
-    // Seven flat arrays, the route table, the group list, and per group one
-    // foreground list that grows to ~333 members.
-    let bound = 16 + groups as u64 * growth_steps(flows.len() / groups);
-    assert!(
-        build_allocs <= bound,
-        "PathIndex::build made {build_allocs} allocations for {groups} groups \
-         ({} flows, {} hops); want at most {bound}",
-        flows.len(),
-        flows.len() * 2
-    );
-
-    for g in 0..groups {
+    for g in 0..idx.num_paths() {
         let (bg, allocs) = count(|| idx.background_of(g));
         assert!(!bg.is_empty());
         assert!(
@@ -231,4 +238,32 @@ fn index_allocates_per_group_and_background_only_its_output() {
             bg.len()
         );
     }
+
+    // 64 hosts on one switch and 4 000 flows, each between a distinct
+    // (source, destination) pair: every flow is its own route, as on a
+    // fat-tree with ECMP, and the build still makes no allocation per route.
+    let mut topo = Topology::new();
+    let switch = topo.add_switch();
+    let hosts: Vec<(NodeId, LinkId)> = (0..64)
+        .map(|_| {
+            let h = topo.add_host();
+            (h, topo.add_link(h, switch, 10 * GBPS, USEC))
+        })
+        .collect();
+    let flows: Vec<FlowSpec> = (0..4_000u32)
+        .map(|i| {
+            let s = (i % 64) as usize;
+            let (src, up) = hosts[s];
+            let (dst, down) = hosts[(s + 1 + (i / 64) as usize % 63) % 64];
+            FlowSpec {
+                id: i,
+                src,
+                dst,
+                size: 1_000 + u64::from(i),
+                arrival: u64::from(i) * 100,
+                path: vec![up, down],
+            }
+        })
+        .collect();
+    build_within_bound(&topo, &flows, 4_000);
 }

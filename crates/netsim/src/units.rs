@@ -31,11 +31,17 @@ pub const GBPS: Bps = 1_000_000_000;
 
 /// Time to serialize `bytes` onto a link of capacity `bps`, rounded up to the
 /// next nanosecond so a packet is never delivered before its last bit.
+///
+/// `bytes * 8e9` fits a `u64` for any flow under 2.3 GB, and a 64-bit
+/// division is several times cheaper than a 128-bit one; larger sizes take
+/// the 128-bit path. Both compute the same value.
 #[inline]
 pub fn tx_time(bytes: Bytes, bps: Bps) -> Nanos {
     debug_assert!(bps > 0, "link capacity must be positive");
-    let bits = (bytes as u128) * 8 * 1_000_000_000;
-    bits.div_ceil(bps as u128) as Nanos
+    match bytes.checked_mul(8 * SEC) {
+        Some(bits) => bits.div_ceil(bps),
+        None => ((bytes as u128) * 8 * 1_000_000_000).div_ceil(bps as u128) as Nanos,
+    }
 }
 
 /// Bytes transmittable in `dur` nanoseconds at `bps` (rounded down).
@@ -73,6 +79,26 @@ mod tests {
         let bps = 40 * GBPS;
         let t = tx_time(9000, bps);
         assert!(bytes_in(t, bps) >= 9000);
+    }
+
+    #[test]
+    fn tx_time_matches_the_128_bit_formula_at_the_boundaries() {
+        let reference = |bytes: Bytes, bps: Bps| {
+            ((bytes as u128) * 8 * 1_000_000_000).div_ceil(bps as u128) as Nanos
+        };
+        let edge = u64::MAX / (8 * SEC);
+        for bytes in [0, 1, 1_000, 9_000, edge - 1, edge, edge + 1, u64::MAX] {
+            for bps in [1, 10 * GBPS, u64::MAX] {
+                assert_eq!(
+                    tx_time(bytes, bps),
+                    reference(bytes, bps),
+                    "{bytes} B at {bps} bps"
+                );
+            }
+        }
+        // The edge is where the 64-bit product stops fitting.
+        assert!(edge.checked_mul(8 * SEC).is_some());
+        assert!((edge + 1).checked_mul(8 * SEC).is_none());
     }
 
     #[test]

@@ -6,6 +6,8 @@ use m3::core::prelude::*;
 use m3::flowsim::prelude::*;
 use m3::netsim::prelude::*;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn arb_fluid_flow(n_links: u16) -> impl Strategy<Value = FluidFlow> {
     (
@@ -36,7 +38,7 @@ mod detour_fabric {
     use m3::netsim::prelude::*;
 
     /// Routes as node names; every template is also used reversed.
-    pub const TEMPLATES: [&[&str]; 6] = [
+    pub const TEMPLATES: [&[&str]; 7] = [
         &["h1", "s1", "s2", "s3", "s4", "h4"],
         // Leaves the first route at s2 and rejoins it at s3.
         &["h1", "s1", "s2", "s5", "s3", "s4", "h4"],
@@ -45,6 +47,8 @@ mod detour_fabric {
         &["h5", "s5", "s3", "s4", "h4"],
         &["h2", "s2", "s5", "h5"],
         &["h3", "s3", "s2", "s1", "h1"],
+        // Loops s2 -> s3 -> s5 -> s2 and crosses s2 -> s3 a second time.
+        &["h2", "s2", "s3", "s5", "s2", "s3", "s4", "h4"],
     ];
 
     const NODES: [&str; 11] = [
@@ -108,12 +112,26 @@ mod detour_fabric {
             .collect();
         (topo, flows)
     }
+
+    /// `n` flows over the templates, picked by a seeded generator.
+    pub fn seeded(n: usize, seed: u64) -> (Topology, Vec<FlowSpec>) {
+        let mut state = seed;
+        let picks: Vec<usize> = (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) as usize % (2 * TEMPLATES.len())
+            })
+            .collect();
+        build(&picks)
+    }
 }
 
-/// `groups`, `foreground_of`, `background_of` (spans included) and
-/// `dirty_groups` of `idx` against an O(F^2) reference that intersects
-/// directed-port sets pairwise. `links` are the link indices whose deltas
-/// are checked (out-of-range ones touch nothing).
+/// `groups`, `foreground_of`, `background_of` (spans included),
+/// `sample_paths` and `dirty_groups` of `idx` against an O(F^2) reference
+/// that intersects directed-port sets pairwise. `links` are the link
+/// indices whose deltas are checked (out-of-range ones touch nothing).
 fn check_index_against_oracle(
     topo: &Topology,
     flows: &[FlowSpec],
@@ -152,6 +170,24 @@ fn check_index_against_oracle(
             .collect();
         prop_assert_eq!(idx.background_of(g), expect, "background of group {}", g);
     }
+
+    // Sampling: uniform over flows, mapped to the flow's group through the
+    // running foreground counts.
+    let mut rng = SmallRng::seed_from_u64(5 ^ 0x736d706c);
+    let mut running = 0u64;
+    let weights: Vec<u64> = (groups.iter())
+        .map(|g| {
+            running += g.len() as u64;
+            running
+        })
+        .collect();
+    let expect: Vec<usize> = (0..40)
+        .map(|_| {
+            let u = rng.gen_range(0..flows.len() as u64);
+            weights.partition_point(|&c| c <= u)
+        })
+        .collect();
+    prop_assert_eq!(idx.sample_paths(40, 5), expect);
 
     // Dirty sets: the groups sharing a port with any flow the delta touches.
     let dirty_for = |touched: Vec<usize>| -> Vec<usize> {
@@ -380,6 +416,21 @@ proptest! {
         let idx = PathIndex::build(&topo, &flows);
         let links: Vec<u32> = (0..topo.link_count() as u32 + 1).collect();
         check_index_against_oracle(&topo, &flows, &idx, &links)?;
+    }
+
+    /// Many flows over few routes, at flow counts on either side of a power
+    /// of two (the route table has the next power of two of at least 2F
+    /// slots) and at F = 1.
+    #[test]
+    fn decomposition_matches_oracle_around_table_sizes(seed in 0u64..1_000) {
+        for n in [1usize, 2, 3, 31, 32, 33, 127, 128, 129, 511, 512, 513] {
+            let (topo, flows) = detour_fabric::seeded(n, seed);
+            prop_assert!(validate_workload(&topo, &flows).is_ok());
+            let idx = PathIndex::build(&topo, &flows);
+            prop_assert!(idx.num_paths() <= 2 * detour_fabric::TEMPLATES.len());
+            let links: Vec<u32> = (0..topo.link_count() as u32 + 1).collect();
+            check_index_against_oracle(&topo, &flows, &idx, &links)?;
+        }
     }
 
     /// Packet simulator sanity on random single-switch workloads: all flows
