@@ -582,8 +582,10 @@ fn hpcc_sweep(
         let (topo, flows, cfg) = (&sc.ft.topo, &sc.flows, &sc.config);
         let (gt_out, t_gt) = timed(|| sc.packet_sim());
         let gt = ground_truth_estimate(&gt_out.records);
+        let opts = EstimateOptions::default();
         let (m3, t_m3) =
-            timed(|| estimator.estimate_with_cache(topo, flows, cfg, k, 4, &mut cache));
+            timed(|| estimator.try_estimate_with_cache(topo, flows, cfg, k, 4, &mut cache, &opts));
+        let m3 = m3.map_err(|e| format!("[{fig}] m3 estimate: {e}"))?;
         let t = &m3.timings;
         eprintln!(
             "[{fig}] {} paths, {} unique, {} flowSim runs, {} cache hits",

@@ -512,8 +512,11 @@ fn dctcp_sweep(r: &Repro) -> Res<Vec<SweepRecord>> {
         let (gt_out, gt_time) = timed(|| sc.packet_sim());
         let gt = ground_truth_estimate(&gt_out.records);
         let cache = &mut scenario_cache;
-        let (m3_est, m3_time) =
-            timed(|| estimator.estimate_with_cache(topo, flows, cfg, k, seed ^ i as u64, cache));
+        let opts = EstimateOptions::default();
+        let (m3_est, m3_time) = timed(|| {
+            estimator.try_estimate_with_cache(topo, flows, cfg, k, seed ^ i as u64, cache, &opts)
+        });
+        let m3_est = m3_est.map_err(|e| format!("{}: m3 estimate: {e}", sc.label))?;
         let (pars, pars_time) = timed(|| parsimon_network(topo, flows, cfg));
         let rec = SweepRecord {
             label: sc.label,

@@ -80,9 +80,8 @@ pub mod prelude {
     };
     pub use crate::pathsim::{FlowsimResult, PathFlow, PathScenarioData};
     pub use crate::pipeline::{
-        flowsim_estimate, flowsim_estimate_sliced, global_flowsim_estimate, ground_truth_estimate,
-        ns3_path_estimate, DegradationPolicy, EstimateOptions, M3Estimator, PathSlice,
-        PreparedEstimate, StageBudget,
+        flowsim_estimate, global_flowsim_estimate, ground_truth_estimate, ns3_path_estimate,
+        DegradationPolicy, EstimateOptions, M3Estimator, PathSlice, PreparedEstimate, StageBudget,
     };
     pub use crate::session::{ScenarioDelta, ScenarioSession, ScenarioState, SessionUpdate};
     pub use crate::spec::{path_base_rtt, spec_vector, SPEC_DIM};

@@ -1,11 +1,13 @@
 //! Telemetry surface of the estimation pipeline.
 //!
 //! [`PipelineMetrics`] bundles every counter and stage timer the pipeline
-//! emits, registered under stable dotted names. `estimate_inner` records
-//! into a call-local registry (always enabled — it is what backs the
-//! `NetworkEstimate::timings` compatibility view) and then absorbs the
-//! call's snapshot into the caller-supplied registry, if any, so
-//! long-lived registries (a service, the CLI) accumulate across calls
+//! emits, registered under stable dotted names. Every m3 estimate — a
+//! one-shot or prepared call, a session open, rebuild or surgical update —
+//! ends in the one resolve-and-pool frame (`M3Estimator::resolve_and_pool`),
+//! which records into a call-local registry (always enabled — it is what
+//! backs the `NetworkEstimate::timings` compatibility view) and then
+//! absorbs the call's snapshot into the caller-supplied registry, if any,
+//! so long-lived registries (a service, the CLI) accumulate across calls
 //! without the hot path ever sharing atomics between concurrent estimates.
 
 use m3_telemetry::{Counter, MetricsRegistry, Timer};

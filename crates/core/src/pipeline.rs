@@ -393,11 +393,6 @@ impl UnitTable {
     pub(crate) fn slot(&self, slot: usize) -> &WorkUnit {
         &self.units[self.uniq[slot]]
     }
-
-    /// Content key per sampled path.
-    pub(crate) fn keys(&self) -> Vec<u64> {
-        self.slot_of.iter().map(|&s| self.slot(s).key).collect()
-    }
 }
 
 impl<'a> WorkUnits<'a> {
@@ -479,28 +474,6 @@ impl<'a> WorkUnits<'a> {
     }
 }
 
-/// Per-path results of one info-collecting estimate, aligned with the
-/// (post-slice) sampled path sequence. The session layer retains these —
-/// keyed results merge with future updates; `clean` marks results that got
-/// the full m3 treatment (cache hit or fresh fully-corrected prediction)
-/// and are therefore safe to retain and pin.
-pub(crate) struct RunInfo {
-    /// The decomposition index the estimate was computed over.
-    pub(crate) index: PathIndex,
-    /// Sampled group indices (after any `path_slice` restriction).
-    pub(crate) sampled: Vec<usize>,
-    /// Content key per sampled path.
-    pub(crate) keys: Vec<u64>,
-    /// Distribution per sampled path (`None` = dropped by degradation).
-    pub(crate) dists: Vec<Option<PathDistribution>>,
-    /// Whether the sampled path's result is retainable (not a degraded
-    /// fallback, not dropped).
-    pub(crate) clean: Vec<bool>,
-    /// Model fingerprint the cache keys were computed under (None when no
-    /// cache was attached).
-    pub(crate) model_fp: Option<u64>,
-}
-
 /// The prepare half of an estimate, kept: its inputs, their decomposition
 /// index and the keyed work units of its sampled paths. Everything here is
 /// a pure function of `(inputs, k_paths, seed, path_slice, use_context)`,
@@ -518,26 +491,31 @@ pub struct PreparedEstimate {
 }
 
 impl PreparedEstimate {
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    pub fn flows(&self) -> &[FlowSpec] {
-        &self.flows
-    }
-
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
     fn units(&self) -> WorkUnits<'_> {
         (self.table).view(&self.topo, &self.flows, &self.index, &self.config)
     }
+
+    /// The no-ML ablation over this value's sampled paths (the served
+    /// answer while a stage breaker is open): flowSim's foreground
+    /// slowdowns per unique slot, pooled over the sampled paths. No cache
+    /// and no fault isolation: like [`flowsim_estimate`], a flowSim error
+    /// panics. Bit-identical to [`flowsim_estimate`] of the prepared inputs
+    /// restricted to the prepared slice.
+    pub fn flowsim_estimate(&self) -> NetworkEstimate {
+        let (u, slots) = (self.units(), (0..self.table.slots()).collect::<Vec<_>>());
+        let dists: Vec<PathDistribution> = (slots.par_iter())
+            .map(|&s| PathDistribution::from_samples(&u.materialize(s).run_flowsim().fg))
+            .collect();
+        NetworkEstimate::pool(self.table.slot_of.iter().map(|&s| &dists[s]))
+    }
 }
+
+/// What [`prepare_stages`] returns: the index, the (sliced) sampled groups
+/// and the unit table keyed from them.
+pub(crate) type Prepared = (PathIndex, Vec<usize>, UnitTable);
 
 /// The prepare half's stages: validate every input, build the index, sample
 /// `k_paths` paths, cut `path_slice` out of them and key the work units.
-/// Returns the index, the (sliced) sampled groups and the unit table.
 #[allow(clippy::too_many_arguments)]
 fn prepare_stages(
     topo: &Topology,
@@ -549,7 +527,7 @@ fn prepare_stages(
     use_context: bool,
     troot: &TraceSpan,
     m: &PipelineMetrics,
-) -> Result<(PathIndex, Vec<usize>, UnitTable), M3Error> {
+) -> Result<Prepared, M3Error> {
     // Stage 0: validate every input before spending any work.
     config.validate_spec()?;
     validate_workload(topo, flows)?;
@@ -604,23 +582,38 @@ fn prepare_stages(
 /// the cache was keyed under (`None` without a cache).
 pub(crate) type SlotResults = (Vec<Option<PathDistribution>>, Vec<bool>, Option<u64>);
 
-/// Enforce a [`DegradationPolicy::Degrade`] ceiling over a report. Shared
-/// by the batch pipeline and the incremental session updates.
-pub(crate) fn enforce_degradation_ceiling(
-    policy: DegradationPolicy,
-    report: &DegradationReport,
-) -> Result<(), M3Error> {
-    let affected = report.degraded_samples + report.dropped_samples;
-    if let DegradationPolicy::Degrade { max_degraded_frac } = policy {
-        if affected > 0 && affected as f64 / report.total_samples as f64 > max_degraded_frac {
-            return Err(M3Error::DegradationLimitExceeded {
-                degraded: affected,
-                total: report.total_samples,
-                max_frac: max_degraded_frac,
-            });
+/// One estimate call's instrumentation: a private registry, its pipeline
+/// handles and the call's root trace span. The registry backs the
+/// estimate's `timings` and is absorbed into `options.metrics` only on
+/// success, so concurrent estimates never contend on shared atomics.
+/// Every span closes by `Drop` on an early return.
+pub(crate) struct CallFrame {
+    registry: MetricsRegistry,
+    m: PipelineMetrics,
+    troot: TraceSpan,
+}
+
+impl CallFrame {
+    /// Open a frame whose root span is `root`.
+    pub(crate) fn open(options: &EstimateOptions, root: &'static str) -> Self {
+        let registry = MetricsRegistry::new();
+        CallFrame {
+            m: PipelineMetrics::register(&registry),
+            troot: options.trace.root(root),
+            registry,
         }
     }
-    Ok(())
+}
+
+/// Pool the sampled paths' slot distributions: duplicates keep their
+/// pooling weight, dropped slots are skipped. `None` when every sampled
+/// path was dropped.
+fn pool_sampled(t: &UnitTable, resolved: &[Option<PathDistribution>]) -> Option<NetworkEstimate> {
+    let mut dists = (t.slot_of.iter())
+        .filter_map(|&s| resolved[s].as_ref())
+        .peekable();
+    dists.peek()?;
+    Some(NetworkEstimate::pool(dists))
 }
 
 /// The m3 estimator: a trained network plus inference options.
@@ -690,33 +683,6 @@ impl M3Estimator {
         }
     }
 
-    /// [`estimate`](Self::estimate) backed by a cross-run [`ScenarioCache`]:
-    /// scenarios whose (content, spec, model) fingerprints were answered in
-    /// an earlier call skip both flowSim and the network. The result is
-    /// bit-identical to an uncached run — only `timings` differ.
-    pub fn estimate_with_cache(
-        &self,
-        topo: &Topology,
-        flows: &[FlowSpec],
-        config: &SimConfig,
-        k_paths: usize,
-        seed: u64,
-        cache: &mut ScenarioCache,
-    ) -> NetworkEstimate {
-        match self.try_estimate_with_cache(
-            topo,
-            flows,
-            config,
-            k_paths,
-            seed,
-            cache,
-            &EstimateOptions::default(),
-        ) {
-            Ok(e) => e,
-            Err(e) => panic!("estimate failed: {e}"),
-        }
-    }
-
     /// Fallible estimate: validates the inputs up front, meters every
     /// flowSim run against `options.budget`, isolates per-sample panics,
     /// and — under a [`DegradationPolicy::Degrade`] policy — absorbs
@@ -732,17 +698,8 @@ impl M3Estimator {
         seed: u64,
         options: &EstimateOptions,
     ) -> Result<NetworkEstimate, M3Error> {
-        self.estimate_inner(
-            topo,
-            flows,
-            config,
-            k_paths,
-            seed,
-            CacheRef::None,
-            options,
-            false,
-        )
-        .map(|(e, _)| e)
+        let cache = CacheRef::None;
+        (self.estimate_body(topo, flows, config, k_paths, seed, cache, options)).map(|r| r.0)
     }
 
     /// [`try_estimate`](Self::try_estimate) backed by a [`ScenarioCache`].
@@ -761,17 +718,8 @@ impl M3Estimator {
         cache: &mut ScenarioCache,
         options: &EstimateOptions,
     ) -> Result<NetworkEstimate, M3Error> {
-        self.estimate_inner(
-            topo,
-            flows,
-            config,
-            k_paths,
-            seed,
-            CacheRef::Excl(cache),
-            options,
-            false,
-        )
-        .map(|(e, _)| e)
+        let cache = CacheRef::Excl(cache);
+        (self.estimate_body(topo, flows, config, k_paths, seed, cache, options)).map(|r| r.0)
     }
 
     /// [`try_estimate_with_cache`](Self::try_estimate_with_cache) against a
@@ -791,49 +739,8 @@ impl M3Estimator {
         cache: &SharedScenarioCache,
         options: &EstimateOptions,
     ) -> Result<NetworkEstimate, M3Error> {
-        self.estimate_inner(
-            topo,
-            flows,
-            config,
-            k_paths,
-            seed,
-            CacheRef::Shared(cache),
-            options,
-            false,
-        )
-        .map(|(e, _)| e)
-    }
-
-    /// [`try_estimate_with_shared_cache`](Self::try_estimate_with_shared_cache)
-    /// that also returns the per-path [`RunInfo`] an incremental session
-    /// retains (content keys, distributions, clean flags, model
-    /// fingerprint). The estimate itself is bit-identical to the plain
-    /// entry point.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn estimate_with_info(
-        &self,
-        topo: &Topology,
-        flows: &[FlowSpec],
-        config: &SimConfig,
-        k_paths: usize,
-        seed: u64,
-        cache: &SharedScenarioCache,
-        options: &EstimateOptions,
-    ) -> Result<(NetworkEstimate, RunInfo), M3Error> {
-        let (est, info) = self.estimate_inner(
-            topo,
-            flows,
-            config,
-            k_paths,
-            seed,
-            CacheRef::Shared(cache),
-            options,
-            true,
-        )?;
-        let Some(info) = info else {
-            unreachable!("estimate_inner collects info when asked to")
-        };
-        Ok((est, info))
+        let cache = CacheRef::Shared(cache);
+        (self.estimate_body(topo, flows, config, k_paths, seed, cache, options)).map(|r| r.0)
     }
 
     /// One slot's flowSim run, with injected faults applied. Runs inside
@@ -948,21 +855,19 @@ impl M3Estimator {
                 ),
             });
         }
-        let call_metrics = MetricsRegistry::new();
-        let troot = options.trace.root("estimate");
-        let (est, _) = self.resolve_and_aggregate(
-            &prepared.units(),
-            CacheRef::Shared(cache),
-            options,
-            &call_metrics,
-            &PipelineMetrics::register(&call_metrics),
-            troot,
-        )?;
-        Ok(est)
+        let (u, cache) = (prepared.units(), CacheRef::Shared(cache));
+        let frame = CallFrame::open(options, "estimate");
+        let pool = |r: &[_]| pool_sampled(u.table, r);
+        (self.resolve_and_pool(frame, &u, cache, options, u.table.len(), pool)).map(|r| r.0)
     }
 
+    /// The one estimate body behind every `try_estimate*` call and every
+    /// session open and rebuild: [`prepare_stages`], then
+    /// [`resolve_and_pool`](Self::resolve_and_pool) over every sampled
+    /// path, in one call frame rooted at `estimate`. Returns the estimate,
+    /// the prepare half it resolved and the per-slot results.
     #[allow(clippy::too_many_arguments)]
-    fn estimate_inner(
+    pub(crate) fn estimate_body(
         &self,
         topo: &Topology,
         flows: &[FlowSpec],
@@ -971,20 +876,9 @@ impl M3Estimator {
         seed: u64,
         cache: CacheRef<'_>,
         options: &EstimateOptions,
-        collect_info: bool,
-    ) -> Result<(NetworkEstimate, Option<RunInfo>), M3Error> {
-        // All instrumentation goes through a private per-call registry: it
-        // backs the `timings` compatibility view, and its snapshot is
-        // absorbed into `options.metrics` (if any) on success. Keeping the
-        // hot path on call-local atomics means concurrent estimates never
-        // contend on a shared registry.
-        let call_metrics = MetricsRegistry::new();
-        let m = PipelineMetrics::register(&call_metrics);
-        // Causal trace: one root span for the whole call, one child per
-        // stage, one per-slot flowSim span. All no-ops when the context is
-        // disabled; closed by Drop on every early-return path.
-        let troot = options.trace.root("estimate");
-        let (index, sampled, table) = prepare_stages(
+    ) -> Result<(NetworkEstimate, Prepared, SlotResults), M3Error> {
+        let frame = CallFrame::open(options, "estimate");
+        let prepared = prepare_stages(
             topo,
             flows,
             config,
@@ -992,77 +886,73 @@ impl M3Estimator {
             seed,
             options.path_slice,
             self.use_context,
-            &troot,
-            &m,
+            &frame.troot,
+            &frame.m,
         )?;
-        let (est, (resolved, clean, model_fp)) = self.resolve_and_aggregate(
-            &table.view(topo, flows, &index, config),
-            cache,
-            options,
-            &call_metrics,
-            &m,
-            troot,
-        )?;
-        let info = collect_info.then(|| RunInfo {
-            dists: table.slot_of.iter().map(|&s| resolved[s].clone()).collect(),
-            clean: table.slot_of.iter().map(|&s| clean[s]).collect(),
-            keys: table.keys(),
-            index,
-            sampled,
-            model_fp,
-        });
-        Ok((est, info))
+        let (index, _, table) = &prepared;
+        let u = table.view(topo, flows, index, config);
+        let pool = |r: &[_]| pool_sampled(table, r);
+        let (est, slots) = self.resolve_and_pool(frame, &u, cache, options, table.len(), pool)?;
+        Ok((est, prepared, slots))
     }
 
-    /// The resolve half shared by every entry point: resolve the unique
-    /// slots, enforce the degradation ceiling, aggregate the sampled paths'
-    /// distributions, and close the call's metrics and root span. Returns
-    /// the estimate and [`resolve_slots`](Self::resolve_slots)'s per-slot
-    /// results.
-    fn resolve_and_aggregate(
+    /// The resolve-and-pool frame every m3 estimate ends in: resolve the
+    /// unique slots of `u`, enforce the degradation ceiling over `total`
+    /// sampled paths, pool the estimate with `pool` (`None`: no usable
+    /// sample), then close the frame: sorted degradation events, `timings`
+    /// from the call's registry, the registry absorbed into
+    /// `options.metrics`, the root span finished. A session update resolves
+    /// only its dirty paths, so its `total` is all of the session's paths
+    /// and its `pool` splices the fresh paths into the retained aggregate.
+    /// Returns the estimate and [`resolve_slots`](Self::resolve_slots)'s
+    /// per-slot results.
+    pub(crate) fn resolve_and_pool(
         &self,
+        frame: CallFrame,
         u: &WorkUnits<'_>,
         mut cache: CacheRef<'_>,
         options: &EstimateOptions,
-        call_metrics: &MetricsRegistry,
-        m: &PipelineMetrics,
-        troot: TraceSpan,
+        total: usize,
+        pool: impl FnOnce(&[Option<PathDistribution>]) -> Option<NetworkEstimate>,
     ) -> Result<(NetworkEstimate, SlotResults), M3Error> {
+        let CallFrame { registry, m, troot } = frame;
         let t = u.table;
         let mut report = DegradationReport {
-            total_samples: t.len(),
+            total_samples: total,
             ..Default::default()
         };
         m.sampled_paths.add(t.len() as u64);
         m.unique_scenarios.add(t.slots() as u64);
 
         let (resolved, clean, model_fp) =
-            self.resolve_slots(u, &mut cache, options, &troot, m, &mut report)?;
+            self.resolve_slots(u, &mut cache, options, &troot, &m, &mut report)?;
 
-        // Enforce the degradation ceiling before aggregating.
-        enforce_degradation_ceiling(options.policy, &report)?;
+        // Enforce the degradation ceiling before pooling.
+        let affected = report.degraded_samples + report.dropped_samples;
+        if let DegradationPolicy::Degrade { max_degraded_frac } = options.policy {
+            if affected > 0 && affected as f64 / total as f64 > max_degraded_frac {
+                return Err(M3Error::DegradationLimitExceeded {
+                    degraded: affected,
+                    total,
+                    max_frac: max_degraded_frac,
+                });
+            }
+        }
 
         // Stage 5: fan the unique distributions back out to the sampled
-        // paths (duplicates keep their pooling weight; dropped slots are
-        // skipped) and aggregate them where they lie.
+        // paths and pool them.
         let span = m.aggregate.span();
         let tspan = troot.child("aggregate");
-        let dists = t.slot_of.iter().filter_map(|&s| resolved[s].as_ref());
-        if dists.clone().next().is_none() {
-            return Err(M3Error::NoUsableSamples {
-                total: report.total_samples,
-            });
-        }
+        let Some(mut est) = pool(&resolved) else {
+            return Err(M3Error::NoUsableSamples { total });
+        };
         report.events.sort_by_key(|e| e.scenario);
-        let mut est = NetworkEstimate::pool(dists);
         tspan.finish();
         span.finish();
         m.degraded_samples.add(report.degraded_samples as u64);
         m.dropped_samples.add(report.dropped_samples as u64);
 
-        // The compatibility view is derived from the call's snapshot; the
-        // caller's long-lived registry (if any) absorbs it only on success.
-        let snapshot = call_metrics.snapshot();
+        let snapshot = registry.snapshot();
         est.timings = StageTimings::from_snapshot(&snapshot);
         est.degradation = report;
         if let Some(ext) = &options.metrics {
@@ -1080,7 +970,7 @@ impl M3Estimator {
     /// (cache hit or fresh fully-corrected result — the only things the
     /// cache holds and a session may retain), and the model fingerprint
     /// used for cache keys (`None` when no cache is attached).
-    pub(crate) fn resolve_slots(
+    fn resolve_slots(
         &self,
         u: &WorkUnits<'_>,
         cache: &mut CacheRef<'_>,
@@ -1350,38 +1240,8 @@ pub fn flowsim_estimate(
     k_paths: usize,
     seed: u64,
 ) -> NetworkEstimate {
-    flowsim_estimate_sliced(topo, flows, config, k_paths, seed, None)
-}
-
-/// [`flowsim_estimate`] restricted to a [`PathSlice`] of the k sampled
-/// paths — the degraded-path twin of the sliced full pipeline, so a
-/// breaker-degraded scatter child still answers for exactly its slice.
-pub fn flowsim_estimate_sliced(
-    topo: &Topology,
-    flows: &[FlowSpec],
-    config: &SimConfig,
-    k_paths: usize,
-    seed: u64,
-    slice: Option<PathSlice>,
-) -> NetworkEstimate {
     let index = PathIndex::build(topo, flows);
     let sampled = index.sample_paths(k_paths, seed);
-    let sampled = match slice {
-        None => sampled,
-        Some(sl) => {
-            let end = sl.end.min(sampled.len());
-            let start = sl.start.min(end);
-            if start >= end {
-                // A degenerate slice has nothing to estimate over; answer
-                // for the full sample rather than panic in a worker (the
-                // full pipeline rejects such a slice with a typed error
-                // long before the degraded path is reached).
-                sampled
-            } else {
-                sampled[start..end].to_vec()
-            }
-        }
-    };
     let dists: Vec<PathDistribution> = sampled
         .par_iter()
         .map(|&g| {
@@ -1587,7 +1447,6 @@ mod tests {
             let key = scenario_fingerprint(&data, &spec, est.use_context);
             let slot = t.slot_of[i];
             assert_eq!(t.slot(slot).key, key, "sampled path {i}");
-            assert_eq!(t.keys()[i], key);
             // Slots are numbered by first occurrence, and a slot
             // materializes its first occurrence's scenario, field for
             // field.
@@ -1991,7 +1850,7 @@ mod tests {
             .try_estimate(&ft.topo, &flows, &cfg, 40, 5, &EstimateOptions::default())
             .unwrap();
         let mut h = crate::cache::Fnv::new();
-        t.keys().iter().for_each(|&k| h.write_u64(k));
+        t.slot_of.iter().for_each(|&s| h.write_u64(t.slot(s).key));
         t.slot_of.iter().for_each(|&s| h.write_u64(s as u64));
         e.bucket_counts.iter().for_each(|&c| h.write_u64(c as u64));
         for bucket in &e.bucket_samples {
@@ -2042,12 +1901,32 @@ mod tests {
         let mut cache = crate::cache::ScenarioCache::new(256);
 
         let uncached = est.estimate(&ft.topo, &flows, &cfg, 10, 5);
-        let cold = est.estimate_with_cache(&ft.topo, &flows, &cfg, 10, 5, &mut cache);
+        let cold = est
+            .try_estimate_with_cache(
+                &ft.topo,
+                &flows,
+                &cfg,
+                10,
+                5,
+                &mut cache,
+                &EstimateOptions::default(),
+            )
+            .expect("fault-free run");
         assert!(cold.timings.flowsim_runs > 0, "cold run must simulate");
         assert_eq!(cold.timings.cache_hits, 0);
         assert_estimates_bit_identical(&uncached, &cold);
 
-        let warm = est.estimate_with_cache(&ft.topo, &flows, &cfg, 10, 5, &mut cache);
+        let warm = est
+            .try_estimate_with_cache(
+                &ft.topo,
+                &flows,
+                &cfg,
+                10,
+                5,
+                &mut cache,
+                &EstimateOptions::default(),
+            )
+            .expect("fault-free run");
         assert_eq!(warm.timings.flowsim_runs, 0, "warm run must skip flowSim");
         assert_eq!(warm.timings.cache_hits, warm.timings.unique_scenarios);
         assert_estimates_bit_identical(&cold, &warm);
@@ -2125,12 +2004,31 @@ mod tests {
         let (ft, flows, cfg) = small_workload(600);
         let est = untrained_estimator();
         let mut cache = crate::cache::ScenarioCache::new(256);
-        est.estimate_with_cache(&ft.topo, &flows, &cfg, 6, 5, &mut cache);
+        est.try_estimate_with_cache(
+            &ft.topo,
+            &flows,
+            &cfg,
+            6,
+            5,
+            &mut cache,
+            &EstimateOptions::default(),
+        )
+        .expect("fault-free run");
 
         // A different candidate config changes the spec vector -> all miss.
         let mut cfg2 = cfg;
         cfg2.init_window *= 2;
-        let other_cfg = est.estimate_with_cache(&ft.topo, &flows, &cfg2, 6, 5, &mut cache);
+        let other_cfg = est
+            .try_estimate_with_cache(
+                &ft.topo,
+                &flows,
+                &cfg2,
+                6,
+                5,
+                &mut cache,
+                &EstimateOptions::default(),
+            )
+            .expect("fault-free run");
         assert_eq!(other_cfg.timings.cache_hits, 0, "config change must miss");
 
         // A different model changes the model fingerprint -> all miss.
@@ -2145,7 +2043,17 @@ mod tests {
             };
             M3Estimator::new(M3Net::new(cfg_m, 4))
         };
-        let other_model = est2.estimate_with_cache(&ft.topo, &flows, &cfg, 6, 5, &mut cache);
+        let other_model = est2
+            .try_estimate_with_cache(
+                &ft.topo,
+                &flows,
+                &cfg,
+                6,
+                5,
+                &mut cache,
+                &EstimateOptions::default(),
+            )
+            .expect("fault-free run");
         assert_eq!(other_model.timings.cache_hits, 0, "model change must miss");
     }
 

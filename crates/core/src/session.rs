@@ -37,17 +37,13 @@
 //! evict state a live session depends on; pins are released on every
 //! re-pin, on [`ScenarioSession::close`], and on drop.
 
-use crate::aggregate::{DegradationReport, NetworkEstimate, PathDistribution, StageTimings};
+use crate::aggregate::{NetworkEstimate, PathDistribution};
 use crate::cache::SharedScenarioCache;
 use crate::decompose::PathIndex;
 use crate::error::{M3Error, SpecValidation, Stage};
-use crate::metrics::PipelineMetrics;
 use crate::optimizer::Knob;
-use crate::pipeline::{
-    enforce_degradation_ceiling, CacheRef, EstimateOptions, M3Estimator, RunInfo, UnitTable,
-};
+use crate::pipeline::{CacheRef, CallFrame, EstimateOptions, M3Estimator, SlotResults, UnitTable};
 use m3_netsim::prelude::*;
-use m3_telemetry::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 
 /// One typed edit to a live scenario.
@@ -306,18 +302,16 @@ struct PathSlot {
     clean: bool,
 }
 
-/// The retained per-path results of a full estimate.
-fn slots_of(info: &RunInfo) -> Vec<PathSlot> {
-    info.keys
-        .iter()
-        .zip(&info.dists)
-        .zip(&info.clean)
-        .map(|((&key, dist), &clean)| PathSlot {
-            key,
-            dist: dist.clone(),
-            clean,
-        })
-        .collect()
+impl PathSlot {
+    /// Sampled path `i`'s result in a resolved unit table.
+    fn resolved(t: &UnitTable, (dists, clean, _): &SlotResults, i: usize) -> PathSlot {
+        let s = t.slot_of[i];
+        PathSlot {
+            key: t.slot(s).key,
+            dist: dists[s].clone(),
+            clean: clean[s],
+        }
+    }
 }
 
 /// Swap the distributions `gone` for `fresh` in `pooled`, an aggregate
@@ -428,27 +422,29 @@ impl ScenarioSession {
     ) -> Result<(Self, SessionUpdate), M3Error> {
         let state = ScenarioState::new(topo, flows, config);
         let eff_flows = state.effective_flows();
-        let (estimate, info) = est.estimate_with_info(
+        let (estimate, (index, sampled, table), r) = est.estimate_body(
             &state.topo,
             &eff_flows,
             &state.config,
             k_paths,
             seed,
-            &cache,
+            CacheRef::Shared(&cache),
             &options,
         )?;
         // The estimate's own index is the session's: it is built once.
         let mut session = ScenarioSession {
-            slots: slots_of(&info),
+            slots: (0..table.len())
+                .map(|i| PathSlot::resolved(&table, &r, i))
+                .collect(),
             state,
             eff_flows,
-            index: info.index,
+            index,
             k_paths,
             seed,
             options,
             cache,
-            sampled: info.sampled,
-            model_fp: info.model_fp,
+            sampled,
+            model_fp: r.2,
             last: estimate.clone(),
             pinned: Vec::new(),
         };
@@ -512,7 +508,7 @@ impl ScenarioSession {
         // result (they were computed under the old parameters).
         let model_changed = self.model_fp != Some(est.net.fingerprint());
         if structural || model_changed {
-            return self.rebuild(est, true);
+            return self.rebuild(est);
         }
 
         // Surgical path: flow set, routes, and sampling are unchanged, so
@@ -532,19 +528,12 @@ impl ScenarioSession {
             .then(|| self.state.effective_flows());
         let eff = shifted.as_deref().unwrap_or(&self.eff_flows);
 
-        // Re-resolve the dirty slots with the same machinery the batch
-        // pipeline uses, under a `session.update` root span. Every slot
-        // that is not clean is dirty, so this report counts every degraded
-        // or dropped path of the updated estimate, and the ceiling divides
-        // by all of the session's paths, as a from-scratch estimate does.
-        let call_metrics = MetricsRegistry::new();
-        let m = PipelineMetrics::register(&call_metrics);
-        let troot = self.options.trace.root("session.update");
-        let mut report = DegradationReport {
-            total_samples: self.slots.len(),
-            ..Default::default()
-        };
-
+        // Re-resolve the dirty slots in the frame every estimate ends in,
+        // under a `session.update` root span. Every slot that is not clean
+        // is dirty, so the frame's report counts every degraded or dropped
+        // path of the updated estimate, and the ceiling divides by all of
+        // the session's paths, as a from-scratch estimate does.
+        let frame = CallFrame::open(&self.options, "session.update");
         let dirty_sampled: Vec<usize> = dirty_pos.iter().map(|&i| self.sampled[i]).collect();
         let (topo, config) = (&self.state.topo, &self.state.config);
         let t = UnitTable::key(
@@ -555,54 +544,47 @@ impl ScenarioSession {
             config,
             est.use_context,
         );
-        let u = t.view(topo, eff, &self.index, config);
-        let mut cache_ref = CacheRef::Shared(&self.cache);
-        let (resolved, clean, model_fp) =
-            est.resolve_slots(&u, &mut cache_ref, &self.options, &troot, &m, &mut report)?;
-        enforce_degradation_ceiling(self.options.policy, &report)?;
+        let (slots, last) = (&self.slots, &mut self.last);
+        // `last` is the aggregate of the current slots, so swapping the
+        // dirty slots' distributions for the fresh ones keeps it so (see
+        // `splice_paths`). Nothing in the frame fails after the pooling
+        // step, so taking `last` loses nothing: the commit puts it back.
+        let splice = |resolved: &[Option<PathDistribution>]| {
+            let gone: Vec<&PathDistribution> = (dirty_pos.iter())
+                .filter_map(|&i| slots[i].dist.as_ref())
+                .collect();
+            let fresh: Vec<&PathDistribution> = (t.slot_of.iter())
+                .filter_map(|&s| resolved[s].as_ref())
+                .collect();
+            let held = slots.iter().filter(|s| s.dist.is_some()).count();
+            if held - gone.len() + fresh.len() == 0 {
+                return None;
+            }
+            splice_paths(last, &gone, &fresh);
+            Some(std::mem::take(last))
+        };
+        let (estimate, r) = est.resolve_and_pool(
+            frame,
+            &t.view(topo, eff, &self.index, config),
+            CacheRef::Shared(&self.cache),
+            &self.options,
+            self.slots.len(),
+            splice,
+        )?;
 
-        let gone: Vec<&PathDistribution> = dirty_pos
-            .iter()
-            .filter_map(|&i| self.slots[i].dist.as_ref())
-            .collect();
-        let fresh: Vec<&PathDistribution> = (0..dirty_pos.len())
-            .filter_map(|j| resolved[t.slot_of[j]].as_ref())
-            .collect();
-        let held = self.slots.iter().filter(|s| s.dist.is_some()).count();
-        if held - gone.len() + fresh.len() == 0 {
-            return Err(M3Error::NoUsableSamples {
-                total: self.slots.len(),
-            });
-        }
-        report.events.sort_by_key(|e| e.scenario);
-
-        // Commit. `self.last` is the aggregate of the current slots, so
-        // swapping the dirty slots' distributions for the fresh ones keeps
-        // it so (see `splice_paths`).
-        splice_paths(&mut self.last, &gone, &fresh);
-        let snapshot = call_metrics.snapshot();
-        self.last.timings = StageTimings::from_snapshot(&snapshot);
-        self.last.degradation = report;
-        if let Some(ext) = &self.options.metrics {
-            ext.absorb(&snapshot);
-        }
-        troot.finish();
+        // Commit.
         for (j, &i) in dirty_pos.iter().enumerate() {
-            let slot = t.slot_of[j];
-            self.slots[i] = PathSlot {
-                key: t.slot(slot).key,
-                dist: resolved[slot].clone(),
-                clean: clean[slot],
-            };
+            self.slots[i] = PathSlot::resolved(&t, &r, j);
         }
         if let Some(eff) = shifted {
             self.eff_flows = eff;
         }
-        self.model_fp = model_fp;
+        self.model_fp = r.2;
+        self.last = estimate.clone();
         self.repin();
 
         Ok(SessionUpdate {
-            estimate: self.last.clone(),
+            estimate,
             total_paths: self.slots.len(),
             dirty_paths: dirty_pos.len(),
             reused_paths: self.slots.len() - dirty_pos.len(),
@@ -614,37 +596,36 @@ impl ScenarioSession {
     /// cache (clean paths hit by content key). A fault-free refresh after
     /// degraded updates restores the full bit-identity contract.
     pub fn refresh(&mut self, est: &M3Estimator) -> Result<SessionUpdate, M3Error> {
-        self.rebuild(est, true)
+        self.rebuild(est)
     }
 
     /// Full re-estimate of the current state, committing index/slots on
-    /// success. `structural` is only forwarded into the returned update.
-    fn rebuild(&mut self, est: &M3Estimator, structural: bool) -> Result<SessionUpdate, M3Error> {
+    /// success.
+    fn rebuild(&mut self, est: &M3Estimator) -> Result<SessionUpdate, M3Error> {
         let eff = self.state.effective_flows();
-        let (out, info) = est.estimate_with_info(
+        let (out, (index, sampled, table), r) = est.estimate_body(
             &self.state.topo,
             &eff,
             &self.state.config,
             self.k_paths,
             self.seed,
-            &self.cache,
+            CacheRef::Shared(&self.cache),
             &self.options,
         )?;
         // Reuse accounting: paths whose content key survived the delta
         // were answered from retained state (via the shared cache).
         let mut prev_keys: Vec<u64> = self.slots.iter().map(|s| s.key).collect();
         prev_keys.sort_unstable();
-        let reused = info
-            .keys
-            .iter()
-            .filter(|k| prev_keys.binary_search(k).is_ok())
+        self.slots = (0..table.len())
+            .map(|i| PathSlot::resolved(&table, &r, i))
+            .collect();
+        let reused = (self.slots.iter())
+            .filter(|s| prev_keys.binary_search(&s.key).is_ok())
             .count();
-
-        self.slots = slots_of(&info);
-        self.index = info.index;
+        self.index = index;
         self.eff_flows = eff;
-        self.sampled = info.sampled;
-        self.model_fp = info.model_fp;
+        self.sampled = sampled;
+        self.model_fp = r.2;
         self.last = out.clone();
         self.repin();
 
@@ -653,7 +634,7 @@ impl ScenarioSession {
             total_paths: self.slots.len(),
             dirty_paths: self.slots.len() - reused,
             reused_paths: reused,
-            structural,
+            structural: true,
         })
     }
 
@@ -1175,6 +1156,67 @@ mod tests {
             assert_eq!(report.total_samples, 20);
             assert!(report.degraded_frac() <= 0.25, "link {link}: {report:?}");
         }
+    }
+
+    /// A surgical update records the counters a from-scratch call records,
+    /// counted over the work the update did: `timings.sampled_paths` and
+    /// `unique_scenarios` count the dirty paths it resolved and their
+    /// distinct scenarios (not all of the session's paths, most of which it
+    /// reuses), and the caller's registry gains exactly the update report's
+    /// degraded and dropped samples. Every path that is not clean is dirty,
+    /// so that report holds every degraded or dropped path of the updated
+    /// estimate.
+    #[test]
+    fn surgical_update_records_the_counters_a_scratch_call_records() {
+        use crate::faultinject::{FaultPlan, InjectedFault};
+        use crate::metrics::names::{DEGRADED_SAMPLES, DROPPED_SAMPLES};
+        use crate::pipeline::DegradationPolicy;
+        use m3_telemetry::MetricsRegistry;
+
+        let (ft, flows, cfg) = small_workload(1500);
+        let est = untrained_estimator();
+        let registry = MetricsRegistry::new();
+        let options = EstimateOptions {
+            policy: DegradationPolicy::Degrade {
+                max_degraded_frac: 1.0,
+            },
+            fault_plan: Some(FaultPlan::new(3).with(InjectedFault::ForwardPoison, 0.5)),
+            metrics: Some(registry.clone()),
+            ..EstimateOptions::default()
+        };
+        let (mut session, _) = ScenarioSession::open(
+            &est,
+            ft.topo.clone(),
+            flows.clone(),
+            cfg,
+            20,
+            1,
+            SharedScenarioCache::new(4096),
+            options,
+        )
+        .unwrap();
+        let counters = || {
+            let snap = registry.snapshot();
+            [DEGRADED_SAMPLES, DROPPED_SAMPLES].map(|n| snap.counter(n).unwrap_or(0))
+        };
+        let before = counters();
+        let delta = ScenarioDelta::LinkCapacity {
+            link: flows[0].path[0].index() as u32,
+            bandwidth: 7 * GBPS,
+        };
+        let update = session.apply_delta(&est, &delta).unwrap();
+        assert!(!update.structural);
+        let (timings, report) = (&update.estimate.timings, &update.estimate.degradation);
+        assert!(
+            report.degraded_samples > 0,
+            "want degraded paths: {report:?}"
+        );
+        assert_eq!(timings.sampled_paths, update.dirty_paths);
+        assert!(timings.unique_scenarios >= 1);
+        assert!(timings.unique_scenarios <= update.dirty_paths);
+        let after = counters();
+        assert_eq!(after[0] - before[0], report.degraded_samples as u64);
+        assert_eq!(after[1] - before[1], report.dropped_samples as u64);
     }
 
     #[test]

@@ -2,16 +2,15 @@
 //! (magic + JSON header with the config and parameter shapes, then raw
 //! little-endian f32 data). No heavyweight serialization dependency needed.
 //!
-//! Container version 2 embeds a [`checksum64`]
-//! over the body (header + parameter payload) right after the version
-//! field. Readers verify it *before* deserializing anything, so a
-//! bit-flipped checkpoint is rejected with a typed integrity error instead
-//! of being parsed into a silently wrong model. Version 1 files (written
-//! before the checksum existed, including committed model assets) remain
-//! loadable through the legacy path. [`load_file`] additionally
-//! *quarantines* a checksum-failed file to a `.corrupt` sidecar — the same
-//! discipline the serve journal applies to corrupt records — so the
-//! evidence survives for postmortem while callers get a clear error.
+//! Container version 2 embeds a [`checksum64`] over the body (header +
+//! parameter payload) right after the version field. Readers verify it
+//! *before* deserializing anything, so a bit-flipped checkpoint is rejected
+//! with a typed integrity error instead of being parsed into a silently
+//! wrong model. Any other version, the unchecksummed version 1 included, is
+//! rejected. [`load_file`] additionally *quarantines* a checksum-failed
+//! file to a `.corrupt` sidecar — the same discipline the serve journal
+//! applies to corrupt records — so the evidence survives for postmortem
+//! while callers get a clear error.
 
 use crate::integrity::checksum64;
 use crate::model::{M3Net, ModelConfig};
@@ -22,9 +21,7 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"M3NN";
-/// Legacy container: no body checksum.
-const VERSION_V1: u32 = 1;
-/// Current container: a `checksum64` over the body sits between the
+/// The container version: a `checksum64` over the body sits between the
 /// version field and the JSON header length.
 const VERSION: u32 = 2;
 /// Ceiling on the JSON header length a reader will accept. Real headers are
@@ -116,16 +113,15 @@ pub fn is_checksum_mismatch(e: &io::Error) -> bool {
 
 /// Deserialize a model from a reader.
 ///
-/// Version-2 containers carry a body checksum that is verified *before*
-/// any body byte is interpreted; a mismatch yields `InvalidData` with a
-/// [`ChecksumMismatch`] payload. Version-1 (legacy) containers have no
-/// checksum and go straight to structural validation. In both paths every
-/// header-claimed quantity is validated before it sizes an allocation: the
-/// JSON length is capped, the config's dimensions are bounds-checked via
-/// [`ModelConfig::validate`], and each parameter's claimed shape must
-/// match the architecture implied by the config. A corrupt or hostile
-/// header therefore yields `InvalidData` (or `UnexpectedEof` on
-/// truncation), never an OOM.
+/// The container's body checksum is verified *before* any body byte is
+/// interpreted; a mismatch yields `InvalidData` with a
+/// [`ChecksumMismatch`] payload, and any version other than the current
+/// one yields `InvalidData`. Every header-claimed quantity is validated
+/// before it sizes an allocation: the JSON length is capped, the config's
+/// dimensions are bounds-checked via [`ModelConfig::validate`], and each
+/// parameter's claimed shape must match the architecture implied by the
+/// config. A corrupt or hostile header therefore yields `InvalidData` (or
+/// `UnexpectedEof` on truncation), never an OOM.
 pub fn load<R: Read>(mut r: R) -> io::Result<M3Net> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -135,33 +131,29 @@ pub fn load<R: Read>(mut r: R) -> io::Result<M3Net> {
     let mut buf4 = [0u8; 4];
     r.read_exact(&mut buf4)?;
     let version = u32::from_le_bytes(buf4);
-    match version {
-        VERSION_V1 => load_body(r),
-        VERSION => {
-            let mut buf8 = [0u8; 8];
-            r.read_exact(&mut buf8)?;
-            let stored = u64::from_le_bytes(buf8);
-            // Buffer the whole body and verify its checksum before a
-            // single field of it is parsed: a bit-flipped checkpoint is
-            // rejected here, not deserialized into a silently wrong model.
-            let mut body = Vec::new();
-            r.read_to_end(&mut body)?;
-            let computed = checksum64(&body);
-            if computed != stored {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    ChecksumMismatch { stored, computed },
-                ));
-            }
-            load_body(&body[..])
-        }
-        v => Err(invalid(format!("unsupported checkpoint version {v}"))),
+    if version != VERSION {
+        return Err(invalid(format!("unsupported checkpoint version {version}")));
     }
+    let mut buf8 = [0u8; 8];
+    r.read_exact(&mut buf8)?;
+    let stored = u64::from_le_bytes(buf8);
+    // Buffer the whole body and verify its checksum before a single field
+    // of it is parsed: a bit-flipped checkpoint is rejected here, not
+    // deserialized into a silently wrong model.
+    let mut body = Vec::new();
+    r.read_to_end(&mut body)?;
+    let computed = checksum64(&body);
+    if computed != stored {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            ChecksumMismatch { stored, computed },
+        ));
+    }
+    load_body(&body[..])
 }
 
-/// Parse and validate the container body (header length + JSON header +
-/// parameter payload) — shared by the v1 (unchecksummed) and v2
-/// (checksum-verified) paths.
+/// Parse and validate the checksum-verified container body: the header
+/// length, the JSON header and the parameter payload.
 fn load_body<R: Read>(mut r: R) -> io::Result<M3Net> {
     let mut buf4 = [0u8; 4];
     r.read_exact(&mut buf4)?;
@@ -409,26 +401,18 @@ mod tests {
 
     #[test]
     fn rejects_unsupported_version() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&99u32.to_le_bytes());
-        let err = load(&buf[..]).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("version"), "{err}");
-    }
-
-    #[test]
-    fn legacy_v1_container_still_loads() {
-        // Files written before the body checksum existed (including the
-        // committed model assets) carry version 1 and no checksum.
-        let net = tiny_net();
-        let body = encode_body(&net, 11).unwrap();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION_V1.to_le_bytes());
-        buf.extend_from_slice(&body);
-        let loaded = load(&buf[..]).unwrap();
-        assert_eq!(net.predict(&sample()), loaded.predict(&sample()));
+        // Version 1 (no body checksum) is refused like any unknown version,
+        // even when a well-formed body follows.
+        let body = encode_body(&tiny_net(), 11).unwrap();
+        for version in [1u32, 99] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(MAGIC);
+            buf.extend_from_slice(&version.to_le_bytes());
+            buf.extend_from_slice(&body);
+            let err = load(&buf[..]).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("version"), "{err}");
+        }
     }
 
     #[test]

@@ -52,9 +52,9 @@ use crate::request::{
     ConfigSpec, EstimateRequest, OpenSessionRequest, ScenarioSpec, TopoSpec, WorkloadSpec,
 };
 use m3_core::prelude::{
-    flowsim_estimate_sliced, CacheStats, EstimateOptions, InjectedFault, M3Error, M3Estimator,
-    NetworkEstimate, PathSlice, PreparedEstimate, ScenarioDelta, ScenarioSession, SessionUpdate,
-    SharedScenarioCache, Stage, StageBudget,
+    CacheStats, EstimateOptions, InjectedFault, M3Error, M3Estimator, NetworkEstimate, PathSlice,
+    PreparedEstimate, ScenarioDelta, ScenarioSession, SessionUpdate, SharedScenarioCache, Stage,
+    StageBudget,
 };
 use m3_flowsim::prelude::FluidBudget;
 use m3_nn::prelude::{M3Net, ModelRef, ModelRegistry};
@@ -1747,16 +1747,8 @@ fn process(inner: &Arc<Inner>, job: &Job, estimator: &M3Estimator) -> JobOutcome
                      serving flowSim-only path"
                 ),
             );
-            let estimate = flowsim_estimate_sliced(
-                prepared.topology(),
-                prepared.flows(),
-                prepared.config(),
-                req.paths,
-                req.seed,
-                req.path_slice,
-            );
             return JobOutcome::Degraded {
-                estimate,
+                estimate: prepared.flowsim_estimate(),
                 attempts: attempt + 1,
                 via_breaker: true,
             };

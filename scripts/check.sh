@@ -83,4 +83,7 @@ echo "hot-path kernel path on this host: $(grep -o '"kernel_path": "[a-z0-9]*"' 
 echo "==> fault soak (service, cluster, swap, session, monitor, crash schedules on seeds 1-3)"
 cargo run --release -q -p m3-serve --bin soak -- all 1 2 3
 
+echo "==> Rust line counts (informational: prints, gates nothing)"
+scripts/loc.sh
+
 echo "All checks passed."

@@ -318,7 +318,17 @@ fn poisoned_cache_entry_is_evicted_and_recomputed() {
     let est = untrained_estimator();
     let mut cache = ScenarioCache::new(256);
 
-    let clean = est.estimate_with_cache(&ft.topo, &flows, &cfg, K_PATHS, SEED, &mut cache);
+    let clean = est
+        .try_estimate_with_cache(
+            &ft.topo,
+            &flows,
+            &cfg,
+            K_PATHS,
+            SEED,
+            &mut cache,
+            &EstimateOptions::default(),
+        )
+        .expect("fault-free run");
     assert!(!cache.is_empty());
 
     // Overwrite every cached distribution with poison (NaN percentile):

@@ -357,9 +357,30 @@ fn worker_panic_is_supervised_and_job_recovered() {
     svc.shutdown();
 }
 
+/// The flowSim-only answer to `req` from the definitions: sample the
+/// request's paths, cut its slice, simulate each sampled path's scenario
+/// and pool the per-path distributions.
+fn flowsim_reference(req: &EstimateRequest) -> NetworkEstimate {
+    let (topo, flows, config) = req.scenario.materialize(req.seed).expect("materialize");
+    let index = PathIndex::build(&topo, &flows);
+    let sampled = index.sample_paths(req.paths, req.seed);
+    let sampled = match req.path_slice {
+        Some(sl) => &sampled[sl.start..sl.end.min(sampled.len())],
+        None => &sampled[..],
+    };
+    let dists: Vec<PathDistribution> = (sampled.iter())
+        .map(|&g| {
+            let data = PathScenarioData::from_group(&topo, &flows, &index, g, &config);
+            PathDistribution::from_samples(&data.run_flowsim().fg)
+        })
+        .collect();
+    NetworkEstimate::aggregate(&dists)
+}
+
 /// Consecutive stage failures trip the breaker; while open, jobs route to
-/// the flowSim-only degraded path instead of failing; a clean probe closes
-/// it and full service resumes.
+/// the flowSim-only degraded path instead of failing, and get exactly the
+/// flowSim-only estimate of their request (of its path slice, if any); a
+/// clean probe closes it and full service resumes.
 #[test]
 fn breaker_opens_routes_degraded_and_recloses() {
     let svc = Service::start(untrained_estimator(), fast_config(1));
@@ -389,16 +410,26 @@ fn breaker_opens_routes_degraded_and_recloses() {
     assert_eq!(stats.breaker_trips, 1);
 
     // While open (cooldown = 2 observations), clean jobs are served by the
-    // degraded flowSim-only path rather than failing or waiting.
+    // degraded flowSim-only path rather than failing or waiting: first a
+    // whole request, then a path slice of one.
     for i in 0..2 {
-        match submit_one(EstimateRequest::new(scenario(420), PATHS, 40 + i)) {
+        let mut req = EstimateRequest::new(scenario(420), PATHS, 40 + i);
+        if i == 1 {
+            req.path_slice = Some(PathSlice { start: 2, end: 5 });
+        }
+        match submit_one(req.clone()) {
             JobOutcome::Degraded {
                 via_breaker,
                 estimate,
                 ..
             } => {
                 assert!(via_breaker, "degradation must be attributed to the breaker");
-                assert!(estimate.p99().is_finite());
+                assert_estimates_bit_identical(&estimate, &flowsim_reference(&req));
+                if req.path_slice.is_none() {
+                    let (topo, flows, config) = req.scenario.materialize(req.seed).unwrap();
+                    let whole = flowsim_estimate(&topo, &flows, &config, PATHS, req.seed);
+                    assert_estimates_bit_identical(&estimate, &whole);
+                }
             }
             other => panic!("expected Degraded via breaker, got {other:?}"),
         }
