@@ -230,7 +230,7 @@ fn hotpath() -> Res<Value> {
     let shared = SharedScenarioCache::new(256);
     let resolve = || {
         (fx.est)
-            .try_estimate_prepared(&prepared, &shared, &opts)
+            .try_estimate_prepared(&prepared, Some(&shared), &opts)
             .map_err(err("prepared estimate"))
     };
     resolve()?;

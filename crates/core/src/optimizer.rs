@@ -1,22 +1,23 @@
 //! Counterfactual configuration search (§5.4 operationalized): prepare the
-//! workload's flowSim features once, then explore network configurations by
-//! re-running only the spec vector + model inference per candidate — the
-//! "live configuration exploration" the paper envisions.
+//! workload once, then explore network configurations by re-running only
+//! the spec vector + model inference per candidate — the "live
+//! configuration exploration" the paper envisions. [`PreparedWorkload`] is
+//! the m3 prepare half ([`PreparedEstimate`]) plus each unique slot's
+//! encoded flowSim features, which no swept knob changes: a candidate then
+//! costs one forward pass, and equals [`M3Estimator::estimate`] of the
+//! knob-applied config bit for bit.
 
 use crate::aggregate::{NetworkEstimate, PathDistribution, NUM_OUTPUT_BUCKETS};
-use crate::decompose::PathIndex;
-use crate::features::output_bucket;
-use crate::pathsim::PathScenarioData;
-use crate::pipeline::M3Estimator;
+use crate::error::{M3Error, Stage};
+use crate::pipeline::{fg_counts, M3Estimator, PreparedEstimate};
 use crate::spec::spec_vector;
 use m3_netsim::prelude::*;
 use m3_nn::prelude::SampleInput;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::str::FromStr;
 
-/// One sampled path's precomputed, configuration-independent model inputs.
-#[derive(Debug, Clone)]
-struct PreparedPath {
+/// One unique slot's configuration-independent model inputs.
+struct SlotFeatures {
     fg_enc: Vec<f32>,
     bg_enc: Vec<Vec<f32>>,
     base_rtt: Nanos,
@@ -28,51 +29,47 @@ struct PreparedPath {
 /// depend on the workload and topology only (the fluid model has no CC or
 /// buffer knobs), so they are computed once; MTU and ACK size must stay
 /// fixed across the sweep (they enter the ideal-FCT normalization).
-#[derive(Debug, Clone)]
 pub struct PreparedWorkload {
-    paths: Vec<PreparedPath>,
+    prepared: PreparedEstimate,
+    slots: Vec<SlotFeatures>,
     pub k_paths: usize,
 }
 
 impl PreparedWorkload {
-    /// Decompose, sample, and featurize once.
+    /// Prepare the workload ([`PreparedEstimate`]) and featurize each
+    /// unique slot once. Invalid inputs (`k_paths == 0`, a workload with no
+    /// populated path, ...) return the typed error an estimate would.
     pub fn prepare(
         topo: &Topology,
         flows: &[FlowSpec],
         base_config: &SimConfig,
         k_paths: usize,
         seed: u64,
-    ) -> Self {
-        let index = PathIndex::build(topo, flows);
-        let sampled = index.sample_paths(k_paths, seed);
-        let paths: Vec<PreparedPath> = sampled
-            .par_iter()
-            .map(|&g| {
-                let data = PathScenarioData::from_group(topo, flows, &index, g, base_config);
-                let sim = data.run_flowsim();
-                let (fg_map, bg_maps) = data.features(&sim);
-                let mut counts = [0usize; NUM_OUTPUT_BUCKETS];
-                for f in &data.fg {
-                    counts[output_bucket(f.size)] += 1;
-                }
-                PreparedPath {
-                    fg_enc: fg_map.encode_log(),
-                    bg_enc: bg_maps.iter().map(|m| m.encode_log()).collect(),
-                    base_rtt: data.fg_base_rtt,
-                    bottleneck: data.fg_bottleneck,
-                    counts,
-                }
-            })
-            .collect();
-        PreparedWorkload { paths, k_paths }
+    ) -> Result<Self, M3Error> {
+        let (topo, flows) = (topo.clone(), flows.to_vec());
+        let prepared = PreparedEstimate::new(topo, flows, *base_config, k_paths, seed, None, true)?;
+        let slots = prepared.units().map_slots(|data| {
+            let (fg_map, bg_maps) = data.features(&data.run_flowsim());
+            SlotFeatures {
+                fg_enc: fg_map.encode_log(),
+                bg_enc: bg_maps.iter().map(|m| m.encode_log()).collect(),
+                base_rtt: data.fg_base_rtt,
+                bottleneck: data.fg_bottleneck,
+                counts: fg_counts(&data),
+            }
+        });
+        Ok(PreparedWorkload {
+            prepared,
+            slots,
+            k_paths,
+        })
     }
 
     /// Estimate under a candidate configuration: inference only, as one
-    /// batched forward pass over all prepared paths.
+    /// batched forward pass over the unique slots, pooled over the sampled
+    /// paths.
     pub fn estimate(&self, estimator: &M3Estimator, config: &SimConfig) -> NetworkEstimate {
-        let inputs: Vec<SampleInput> = self
-            .paths
-            .iter()
+        let inputs: Vec<SampleInput> = (self.slots.iter())
             .map(|p| SampleInput {
                 fg: p.fg_enc.clone(),
                 bg: p.bg_enc.clone(),
@@ -81,15 +78,13 @@ impl PreparedWorkload {
             })
             .collect();
         let outputs = estimator.net.predict_batch(&inputs);
-        let dists: Vec<PathDistribution> = outputs
-            .iter()
-            .zip(&self.paths)
+        let dists: Vec<PathDistribution> = (outputs.iter().zip(&self.slots))
             .map(|(out, p)| {
                 let decoded = crate::features::decode_log(out);
                 PathDistribution::from_model_output(&decoded, p.counts)
             })
             .collect();
-        NetworkEstimate::aggregate(&dists)
+        self.prepared.units().table.pool(&dists)
     }
 }
 
@@ -108,6 +103,19 @@ pub enum Knob {
 }
 
 impl Knob {
+    /// Every knob with its command-line name, which [`FromStr`] parses.
+    pub const ALL: [(Knob, &'static str); 9] = [
+        (Knob::InitWindow, "init-window"),
+        (Knob::BufferSize, "buffer-size"),
+        (Knob::DctcpK, "dctcp-k"),
+        (Knob::HpccEta, "hpcc-eta"),
+        (Knob::HpccRateAi, "hpcc-rate-ai"),
+        (Knob::TimelyTLow, "timely-tlow"),
+        (Knob::TimelyTHigh, "timely-thigh"),
+        (Knob::DcqcnKMin, "dcqcn-kmin"),
+        (Knob::DcqcnKMax, "dcqcn-kmax"),
+    ];
+
     /// Apply a candidate value to a configuration. Values are in the knob's
     /// natural unit (bytes, ns, fraction, bps).
     pub fn apply(self, config: &SimConfig, value: f64) -> SimConfig {
@@ -142,6 +150,20 @@ impl Knob {
     }
 }
 
+impl FromStr for Knob {
+    type Err = M3Error;
+
+    fn from_str(s: &str) -> Result<Self, M3Error> {
+        let found = Knob::ALL.into_iter().find(|&(_, name)| name == s);
+        found
+            .map(|(knob, _)| knob)
+            .ok_or_else(|| M3Error::InvalidSpec {
+                stage: Stage::Validate,
+                reason: format!("unknown knob {s:?}"),
+            })
+    }
+}
+
 /// One evaluated candidate.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepPoint {
@@ -159,6 +181,40 @@ pub struct SweepResult {
     pub best: SweepPoint,
 }
 
+impl SweepResult {
+    /// The evaluated `points` with the first of least objective as `best`.
+    fn of(knob: Knob, points: Vec<SweepPoint>) -> Self {
+        let best = match points
+            .iter()
+            .min_by(|a, b| a.objective.total_cmp(&b.objective))
+        {
+            Some(p) => p.clone(),
+            None => unreachable!("a sweep evaluates at least one point"),
+        };
+        SweepResult { knob, points, best }
+    }
+}
+
+/// Evaluates one candidate value of `knob`: the prepared estimate under the
+/// knob-applied config, scored by `objective`.
+fn candidate<'a>(
+    estimator: &'a M3Estimator,
+    prepared: &'a PreparedWorkload,
+    base_config: &'a SimConfig,
+    knob: Knob,
+    objective: impl Fn(&NetworkEstimate) -> f64 + 'a,
+) -> impl Fn(f64) -> SweepPoint + 'a {
+    move |value| {
+        let est = prepared.estimate(estimator, &knob.apply(base_config, value));
+        SweepPoint {
+            value,
+            objective: objective(&est),
+            bucket_p99: (0..NUM_OUTPUT_BUCKETS).map(|b| est.bucket_p99(b)).collect(),
+            overall_p99: est.p99(),
+        }
+    }
+}
+
 /// Evaluate explicit candidate values for a knob, minimizing `objective`.
 pub fn sweep_knob(
     estimator: &M3Estimator,
@@ -169,27 +225,8 @@ pub fn sweep_knob(
     objective: impl Fn(&NetworkEstimate) -> f64,
 ) -> SweepResult {
     assert!(!candidates.is_empty());
-    let points: Vec<SweepPoint> = candidates
-        .iter()
-        .map(|&v| {
-            let cfg = knob.apply(base_config, v);
-            let est = prepared.estimate(estimator, &cfg);
-            SweepPoint {
-                value: v,
-                objective: objective(&est),
-                bucket_p99: (0..NUM_OUTPUT_BUCKETS).map(|b| est.bucket_p99(b)).collect(),
-                overall_p99: est.p99(),
-            }
-        })
-        .collect();
-    let best = match points
-        .iter()
-        .min_by(|a, b| a.objective.total_cmp(&b.objective))
-    {
-        Some(p) => p.clone(),
-        None => unreachable!("sweep evaluates at least one point"),
-    };
-    SweepResult { knob, points, best }
+    let eval = candidate(estimator, prepared, base_config, knob, objective);
+    SweepResult::of(knob, candidates.iter().map(|&v| eval(v)).collect())
 }
 
 /// Golden-section search over a knob's range (assumes a roughly unimodal
@@ -205,16 +242,7 @@ pub fn golden_section_search(
 ) -> SweepResult {
     assert!(lo < hi);
     const PHI: f64 = 0.618_033_988_749_894_8;
-    let eval = |v: f64| -> SweepPoint {
-        let cfg = knob.apply(base_config, v);
-        let est = prepared.estimate(estimator, &cfg);
-        SweepPoint {
-            value: v,
-            objective: objective(&est),
-            bucket_p99: (0..NUM_OUTPUT_BUCKETS).map(|b| est.bucket_p99(b)).collect(),
-            overall_p99: est.p99(),
-        }
-    };
+    let eval = candidate(estimator, prepared, base_config, knob, objective);
     let mut points = Vec::new();
     let (mut a, mut b) = (lo, hi);
     let mut c = b - PHI * (b - a);
@@ -240,14 +268,7 @@ pub fn golden_section_search(
             points.push(fd.clone());
         }
     }
-    let best = match points
-        .iter()
-        .min_by(|x, y| x.objective.total_cmp(&y.objective))
-    {
-        Some(p) => p.clone(),
-        None => unreachable!("search evaluates at least two points"),
-    };
-    SweepResult { knob, points, best }
+    SweepResult::of(knob, points)
 }
 
 /// Convenience objective: p99 slowdown of one size bucket.
@@ -269,7 +290,7 @@ mod tests {
     use m3_nn::prelude::{M3Net, ModelConfig};
     use m3_workload::prelude::*;
 
-    fn setup() -> (M3Estimator, PreparedWorkload, SimConfig) {
+    fn fixture() -> (Topology, Vec<FlowSpec>, SimConfig, M3Estimator) {
         let ft = FatTree::build(FatTreeSpec::small(2));
         let routing = Routing::new(&ft.topo);
         let w = generate(
@@ -284,8 +305,6 @@ mod tests {
                 seed: 6,
             },
         );
-        let cfg = SimConfig::default();
-        let prepared = PreparedWorkload::prepare(&ft.topo, &w.flows, &cfg, 12, 1);
         let net = M3Net::new(
             ModelConfig {
                 embed: 16,
@@ -297,15 +316,38 @@ mod tests {
             },
             3,
         );
-        (M3Estimator::new(net), prepared, cfg)
+        (
+            ft.topo,
+            w.flows,
+            SimConfig::default(),
+            M3Estimator::new(net),
+        )
     }
 
+    fn setup() -> (M3Estimator, PreparedWorkload, SimConfig) {
+        let (topo, flows, cfg, est) = fixture();
+        let prepared = PreparedWorkload::prepare(&topo, &flows, &cfg, 12, 1).unwrap();
+        (est, prepared, cfg)
+    }
+
+    /// Every candidate the sweep answers equals the full pipeline run
+    /// under the knob-applied config, bit for bit. k = 300 draws repeated
+    /// paths, so the pooling weight of a repeat is exercised too.
     #[test]
-    fn prepared_estimate_matches_direct_pipeline_shape() {
-        let (est, prepared, cfg) = setup();
-        let e = prepared.estimate(&est, &cfg);
-        assert!(e.p99().is_finite() && e.p99() >= 1.0);
-        assert!(e.bucket_counts.iter().sum::<usize>() > 0);
+    fn prepared_estimate_equals_the_full_pipeline_bit_for_bit() {
+        let (topo, flows, cfg, est) = fixture();
+        let prepared = PreparedWorkload::prepare(&topo, &flows, &cfg, 300, 1).unwrap();
+        for (knob, values) in [
+            (Knob::InitWindow, [5_000.0, 15_000.0, 30_000.0]),
+            (Knob::DctcpK, [5_000.0, 10_000.0, 20_000.0]),
+        ] {
+            for v in values {
+                let c = knob.apply(&cfg, v);
+                let direct = est.estimate(&topo, &flows, &c, 300, 1);
+                let swept = prepared.estimate(&est, &c);
+                assert_eq!(swept.digest(), direct.digest(), "{knob:?} = {v}");
+            }
+        }
     }
 
     #[test]
@@ -357,19 +399,33 @@ mod tests {
 
     #[test]
     fn all_knobs_have_valid_ranges() {
-        for knob in [
-            Knob::InitWindow,
-            Knob::BufferSize,
-            Knob::DctcpK,
-            Knob::HpccEta,
-            Knob::HpccRateAi,
-            Knob::TimelyTLow,
-            Knob::TimelyTHigh,
-            Knob::DcqcnKMin,
-            Knob::DcqcnKMax,
-        ] {
+        for (knob, _) in Knob::ALL {
             let (lo, hi) = knob.table4_range();
             assert!(lo < hi, "{knob:?}");
+        }
+    }
+
+    #[test]
+    fn every_knob_name_parses_back_to_its_knob() {
+        for (i, (knob, name)) in Knob::ALL.into_iter().enumerate() {
+            assert_eq!(name.parse::<Knob>().unwrap(), knob);
+            assert!(
+                Knob::ALL[..i].iter().all(|&(k, _)| k != knob),
+                "{knob:?} twice"
+            );
+        }
+        assert!(matches!(
+            "window".parse::<Knob>(),
+            Err(M3Error::InvalidSpec { .. })
+        ));
+    }
+
+    #[test]
+    fn an_unsampleable_workload_is_a_typed_error() {
+        let (topo, flows, cfg, _) = fixture();
+        for (flows, k) in [(&flows[..], 0), (&[][..], 12)] {
+            let got = PreparedWorkload::prepare(&topo, flows, &cfg, k, 1);
+            assert!(matches!(got, Err(M3Error::InvalidSpec { .. })), "k = {k}");
         }
     }
 }

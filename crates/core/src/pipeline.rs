@@ -6,6 +6,9 @@
 //!   slowdowns aggregated directly.
 //! * [`ns3_path_estimate`] — per-path *packet-level* simulation (the paper's
 //!   "ns-3-path" upper bound, §2.1).
+//!
+//!   Both ablations are the m3 prepare half ([`PreparedEstimate`]) plus one
+//!   simulation per unique scenario.
 //! * [`ground_truth_estimate`] — the exact network-wide distribution from a
 //!   full packet-level simulation.
 
@@ -37,7 +40,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
 /// Output-bucket counts of a foreground flow set.
-fn fg_counts(data: &PathScenarioData) -> [usize; NUM_OUTPUT_BUCKETS] {
+pub(crate) fn fg_counts(data: &PathScenarioData) -> [usize; NUM_OUTPUT_BUCKETS] {
     let mut counts = [0usize; NUM_OUTPUT_BUCKETS];
     for f in &data.fg {
         counts[output_bucket(f.size)] += 1;
@@ -393,6 +396,12 @@ impl UnitTable {
     pub(crate) fn slot(&self, slot: usize) -> &WorkUnit {
         &self.units[self.uniq[slot]]
     }
+
+    /// Pool one distribution per unique slot over the sampled paths: each
+    /// sampled path contributes its slot's, so a repeat keeps its weight.
+    pub(crate) fn pool(&self, per_slot: &[PathDistribution]) -> NetworkEstimate {
+        NetworkEstimate::pool(self.slot_of.iter().map(|&s| &per_slot[s]))
+    }
 }
 
 impl<'a> WorkUnits<'a> {
@@ -472,6 +481,24 @@ impl<'a> WorkUnits<'a> {
         );
         data
     }
+
+    /// `f` of each unique slot's materialized scenario, in parallel, in
+    /// slot order.
+    pub(crate) fn map_slots<T: Send>(&self, f: impl Fn(PathScenarioData) -> T + Sync) -> Vec<T> {
+        let slots: Vec<usize> = (0..self.table.slots()).collect();
+        slots.par_iter().map(|&s| f(self.materialize(s))).collect()
+    }
+
+    /// A sampled-path ablation: `run` simulates each unique slot's scenario
+    /// once, and its slowdowns pool over the sampled paths through
+    /// `slot_of`, a repeat keeping its weight. No cache and no fault
+    /// isolation: a simulator error panics.
+    fn ablation(
+        &self,
+        run: impl Fn(&PathScenarioData) -> Vec<(u64, f64)> + Sync,
+    ) -> NetworkEstimate {
+        (self.table).pool(&self.map_slots(|d| PathDistribution::from_samples(&run(&d))))
+    }
 }
 
 /// The prepare half of an estimate, kept: its inputs, their decomposition
@@ -491,22 +518,56 @@ pub struct PreparedEstimate {
 }
 
 impl PreparedEstimate {
-    fn units(&self) -> WorkUnits<'_> {
+    /// Run [`prepare_stages`] over owned inputs, outside any call frame.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        topo: Topology,
+        flows: Vec<FlowSpec>,
+        config: SimConfig,
+        k_paths: usize,
+        seed: u64,
+        path_slice: Option<PathSlice>,
+        use_context: bool,
+    ) -> Result<Self, M3Error> {
+        let m = PipelineMetrics::register(&MetricsRegistry::noop());
+        let troot = TraceCtx::noop().root("prepare");
+        let (index, _, table) = prepare_stages(
+            &topo,
+            &flows,
+            &config,
+            k_paths,
+            seed,
+            path_slice,
+            use_context,
+            &troot,
+            &m,
+        )?;
+        Ok(PreparedEstimate {
+            topo,
+            flows,
+            config,
+            index,
+            path_slice,
+            table,
+        })
+    }
+
+    pub(crate) fn units(&self) -> WorkUnits<'_> {
         (self.table).view(&self.topo, &self.flows, &self.index, &self.config)
     }
 
-    /// The no-ML ablation over this value's sampled paths (the served
-    /// answer while a stage breaker is open): flowSim's foreground
-    /// slowdowns per unique slot, pooled over the sampled paths. No cache
-    /// and no fault isolation: like [`flowsim_estimate`], a flowSim error
-    /// panics. Bit-identical to [`flowsim_estimate`] of the prepared inputs
-    /// restricted to the prepared slice.
+    /// The no-ML ablation over this value's sampled paths (also the served
+    /// answer while a stage breaker is open): flowSim once per unique
+    /// slot, its foreground slowdowns pooled over the sampled paths.
     pub fn flowsim_estimate(&self) -> NetworkEstimate {
-        let (u, slots) = (self.units(), (0..self.table.slots()).collect::<Vec<_>>());
-        let dists: Vec<PathDistribution> = (slots.par_iter())
-            .map(|&s| PathDistribution::from_samples(&u.materialize(s).run_flowsim().fg))
-            .collect();
-        NetworkEstimate::pool(self.table.slot_of.iter().map(|&s| &dists[s]))
+        self.units().ablation(|d| d.run_flowsim().fg)
+    }
+
+    /// The ns-3-path ablation over this value's sampled paths: one
+    /// path-level packet simulation per unique slot, pooled over the
+    /// sampled paths.
+    pub fn ns3_path_estimate(&self) -> NetworkEstimate {
+        self.units().ablation(|d| d.run_ns3_path(self.config))
     }
 }
 
@@ -806,26 +867,8 @@ impl M3Estimator {
         seed: u64,
         path_slice: Option<PathSlice>,
     ) -> Result<PreparedEstimate, M3Error> {
-        let m = PipelineMetrics::register(&MetricsRegistry::noop());
-        let (index, _, table) = prepare_stages(
-            &topo,
-            &flows,
-            &config,
-            k_paths,
-            seed,
-            path_slice,
-            self.use_context,
-            &TraceCtx::noop().root("prepare"),
-            &m,
-        )?;
-        Ok(PreparedEstimate {
-            topo,
-            flows,
-            config,
-            index,
-            path_slice,
-            table,
-        })
+        let context = self.use_context;
+        PreparedEstimate::new(topo, flows, config, k_paths, seed, path_slice, context)
     }
 
     /// The resolve half of an estimate over a [`prepare`](Self::prepare)d
@@ -833,15 +876,16 @@ impl M3Estimator {
     /// missed (materialized from the kept work units), enforce the
     /// degradation ceiling and aggregate. Bit-identical, degradation report
     /// included, to [`try_estimate_with_shared_cache`] of the prepared
-    /// inputs; `timings` carry no decompose time. `options.path_slice` and
-    /// this estimator's `use_context` must be the prepared ones, else the
-    /// call returns [`M3Error::InvalidSpec`].
+    /// inputs, or with no cache to [`try_estimate`](Self::try_estimate);
+    /// `timings` carry no decompose time. `options.path_slice` and this
+    /// estimator's `use_context` must be the prepared ones, else the call
+    /// returns [`M3Error::InvalidSpec`].
     ///
     /// [`try_estimate_with_shared_cache`]: Self::try_estimate_with_shared_cache
     pub fn try_estimate_prepared(
         &self,
         prepared: &PreparedEstimate,
-        cache: &SharedScenarioCache,
+        cache: Option<&SharedScenarioCache>,
         options: &EstimateOptions,
     ) -> Result<NetworkEstimate, M3Error> {
         let (slice, context) = (prepared.path_slice, prepared.table.use_context);
@@ -855,7 +899,8 @@ impl M3Estimator {
                 ),
             });
         }
-        let (u, cache) = (prepared.units(), CacheRef::Shared(cache));
+        let u = prepared.units();
+        let cache = cache.map_or(CacheRef::None, CacheRef::Shared);
         let frame = CallFrame::open(options, "estimate");
         let pool = |r: &[_]| pool_sampled(u.table, r);
         (self.resolve_and_pool(frame, &u, cache, options, u.table.len(), pool)).map(|r| r.0)
@@ -1232,7 +1277,9 @@ impl M3Estimator {
     }
 }
 
-/// flowSim-only estimate over sampled paths (the "no ML" ablation).
+/// flowSim-only estimate over sampled paths (the "no ML" ablation):
+/// [`PreparedEstimate::flowsim_estimate`] of the inputs. Panics on invalid
+/// inputs, like [`M3Estimator::estimate`].
 pub fn flowsim_estimate(
     topo: &Topology,
     flows: &[FlowSpec],
@@ -1240,21 +1287,13 @@ pub fn flowsim_estimate(
     k_paths: usize,
     seed: u64,
 ) -> NetworkEstimate {
-    let index = PathIndex::build(topo, flows);
-    let sampled = index.sample_paths(k_paths, seed);
-    let dists: Vec<PathDistribution> = sampled
-        .par_iter()
-        .map(|&g| {
-            let data = PathScenarioData::from_group(topo, flows, &index, g, config);
-            let sim = data.run_flowsim();
-            PathDistribution::from_samples(&sim.fg)
-        })
-        .collect();
-    NetworkEstimate::aggregate(&dists)
+    ablation_inputs(topo, flows, config, k_paths, seed).flowsim_estimate()
 }
 
 /// Path-level *packet* simulation per sampled path (ns-3-path): isolates the
 /// error of the path-decomposition assumption from the ML approximation.
+/// [`PreparedEstimate::ns3_path_estimate`] of the inputs; panics on invalid
+/// inputs, like [`M3Estimator::estimate`].
 pub fn ns3_path_estimate(
     topo: &Topology,
     flows: &[FlowSpec],
@@ -1262,16 +1301,21 @@ pub fn ns3_path_estimate(
     k_paths: usize,
     seed: u64,
 ) -> NetworkEstimate {
-    let index = PathIndex::build(topo, flows);
-    let sampled = index.sample_paths(k_paths, seed);
-    let dists: Vec<PathDistribution> = sampled
-        .par_iter()
-        .map(|&g| {
-            let data = PathScenarioData::from_group(topo, flows, &index, g, config);
-            PathDistribution::from_samples(&data.run_ns3_path(*config))
-        })
-        .collect();
-    NetworkEstimate::aggregate(&dists)
+    ablation_inputs(topo, flows, config, k_paths, seed).ns3_path_estimate()
+}
+
+/// The prepare half of a free sampled-path ablation. `use_context` only
+/// enters the content keys, which an ablation reads for deduplication.
+fn ablation_inputs(
+    topo: &Topology,
+    flows: &[FlowSpec],
+    config: &SimConfig,
+    k_paths: usize,
+    seed: u64,
+) -> PreparedEstimate {
+    let (topo, flows) = (topo.clone(), flows.to_vec());
+    let prepared = PreparedEstimate::new(topo, flows, *config, k_paths, seed, None, true);
+    prepared.unwrap_or_else(|e| panic!("sampled-path ablation failed: {e}"))
 }
 
 /// Exact network-wide distribution from full ground-truth records.
@@ -1345,10 +1389,41 @@ mod tests {
         assert!(p99.is_finite() && p99 >= 1.0, "p99 {p99}");
     }
 
+    /// A sampled-path ablation computed the per-path way: every sampled
+    /// path, repeats included (asserted), materialized with `from_group`,
+    /// simulated by `run` and aggregated in sample order.
+    fn per_path_reference(
+        (topo, flows, cfg): (&Topology, &[FlowSpec], &SimConfig),
+        k: usize,
+        seed: u64,
+        run: impl Fn(&PathScenarioData) -> Vec<(u64, f64)>,
+    ) -> NetworkEstimate {
+        let index = PathIndex::build(topo, flows);
+        let sampled = index.sample_paths(k, seed);
+        let mut distinct = sampled.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(distinct.len() < sampled.len(), "want repeated paths");
+        let dists: Vec<PathDistribution> = (sampled.iter())
+            .map(|&g| {
+                let data = PathScenarioData::from_group(topo, flows, &index, g, cfg);
+                PathDistribution::from_samples(&run(&data))
+            })
+            .collect();
+        NetworkEstimate::aggregate(&dists)
+    }
+
     #[test]
     fn flowsim_estimate_close_to_truth_for_long_flows() {
         let (ft, flows, cfg) = small_workload(1200);
         let fs = flowsim_estimate(&ft.topo, &flows, &cfg, 30, 2);
+        // Few flows and many samples: the free ablation equals its
+        // per-sampled-path reference with repeated paths.
+        let (ft2, few, cfg2) = small_workload(300);
+        let got = flowsim_estimate(&ft2.topo, &few, &cfg2, 80, 2);
+        let inputs = (&ft2.topo, &few[..], &cfg2);
+        let reference = per_path_reference(inputs, 80, 2, |d| d.run_flowsim().fg);
+        assert_estimates_bit_identical(&got, &reference);
         // Long-flow bucket (>=50 KB) should be predicted within a loose
         // factor even without ML (§3.3's observation).
         let gt = ground_truth_estimate(&run_simulation(&ft.topo, cfg, flows.clone()).records);
@@ -1365,6 +1440,11 @@ mod tests {
         let gt_out = run_simulation(&ft.topo, cfg, flows.clone());
         let gt = ground_truth_estimate(&gt_out.records);
         let np = ns3_path_estimate(&ft.topo, &flows, &cfg, 40, 3);
+        let (ft2, few, cfg2) = small_workload(300);
+        let got = ns3_path_estimate(&ft2.topo, &few, &cfg2, 80, 3);
+        let inputs = (&ft2.topo, &few[..], &cfg2);
+        let reference = per_path_reference(inputs, 80, 3, |d| d.run_ns3_path(cfg2));
+        assert_estimates_bit_identical(&got, &reference);
         let (a, c) = (np.p99(), gt.p99());
         let err = ((a - c) / c).abs();
         assert!(
@@ -1662,7 +1742,7 @@ mod tests {
     /// `try_estimate_with_shared_cache` of the same query, each through its
     /// own cache: cold, then warm, and through a one-entry cache that keeps
     /// (almost) no slot, so every repeat rebuilds its misses from the kept
-    /// table.
+    /// table. Uncached, against `try_estimate`.
     fn check_prepared_matches_direct(
         topo: &Topology,
         flows: &[FlowSpec],
@@ -1703,10 +1783,12 @@ mod tests {
                     &direct_cache,
                     &opts,
                 );
-                let got = est.try_estimate_prepared(&prepared, &prepared_cache, &opts);
+                let got = est.try_estimate_prepared(&prepared, Some(&prepared_cache), &opts);
                 assert_same_outcome(&got, &want);
             }
         }
+        let want = est.try_estimate(topo, flows, &cfg, k, seed, &opts);
+        assert_same_outcome(&est.try_estimate_prepared(&prepared, None, &opts), &want);
     }
 
     /// The fault plans the prepared-path oracle draws from: none, poisoned
@@ -1797,7 +1879,7 @@ mod tests {
         let mut answers = Vec::new();
         for est in [&first, &second] {
             let want = est.try_estimate(&ft.topo, &flows, &cfg, 12, 5, &opts);
-            let got = est.try_estimate_prepared(&prepared, &cache, &opts);
+            let got = est.try_estimate_prepared(&prepared, Some(&cache), &opts);
             assert_same_outcome(&got, &want);
             answers.push(got.expect("fault-free estimate").digest());
         }
@@ -1805,13 +1887,13 @@ mod tests {
 
         let unsliced = EstimateOptions::default();
         assert!(matches!(
-            first.try_estimate_prepared(&prepared, &cache, &unsliced),
+            first.try_estimate_prepared(&prepared, Some(&cache), &unsliced),
             Err(M3Error::InvalidSpec { .. })
         ));
         let mut no_context = untrained_estimator();
         no_context.use_context = false;
         assert!(matches!(
-            no_context.try_estimate_prepared(&prepared, &cache, &opts),
+            no_context.try_estimate_prepared(&prepared, Some(&cache), &opts),
             Err(M3Error::InvalidSpec { .. })
         ));
     }

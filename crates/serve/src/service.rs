@@ -1770,7 +1770,7 @@ fn process(inner: &Arc<Inner>, job: &Job, estimator: &M3Estimator) -> JobOutcome
             trace: tctx.clone(),
         };
 
-        let result = estimator.try_estimate_prepared(&prepared, &inner.cache, &options);
+        let result = estimator.try_estimate_prepared(&prepared, Some(&inner.cache), &options);
 
         match result {
             Ok(estimate) => {
@@ -1992,7 +1992,9 @@ mod tests {
             .unwrap();
         let cache = SharedScenarioCache::new(16);
         for _cold_then_warm in 0..2 {
-            let served = est.try_estimate_prepared(&again, &cache, &opts).unwrap();
+            let served = est
+                .try_estimate_prepared(&again, Some(&cache), &opts)
+                .unwrap();
             assert_eq!(served.digest(), direct.digest());
         }
     }

@@ -18,10 +18,11 @@
 //!   into the serving path.
 //! * **Shadow A/B** — a window of recently journaled requests is replayed
 //!   through the *current* and *candidate* models off the hot path
-//!   (no shared cache, no metrics), and both FCT-slowdown distributions
-//!   are scored against a ground-truth oracle ([`ShadowTruth`]). A
-//!   candidate whose mean quantile error exceeds the baseline's by more
-//!   than the configured ratio + slack is rejected.
+//!   (no shared cache, no metrics; each request is prepared once and
+//!   every model and the truth resolve from it), and both FCT-slowdown
+//!   distributions are scored against a ground-truth oracle
+//!   ([`ShadowTruth`]). A candidate whose mean quantile error exceeds the
+//!   baseline's by more than the configured ratio + slack is rejected.
 //! * **Intent / install** — the swap is journaled write-ahead
 //!   (`SwapIntent`, then `ModelSwap` inside the install), so a kill at any
 //!   point resumes onto the correct active version: a dangling intent is
@@ -40,10 +41,7 @@
 use crate::cluster::Cluster;
 use crate::request::EstimateRequest;
 use crate::service::Service;
-use m3_core::prelude::{
-    flowsim_estimate, ns3_path_estimate, EstimateOptions, FaultPlan, InjectedFault, M3Estimator,
-    NetworkEstimate,
-};
+use m3_core::prelude::{EstimateOptions, FaultPlan, InjectedFault, M3Estimator, NetworkEstimate};
 use m3_nn::prelude::{M3Net, ModelRef, ModelRegistry};
 use std::io;
 use std::sync::Arc;
@@ -285,7 +283,16 @@ impl SwapCoordinator {
         let baseline = target.baseline_estimator();
         let mut candidate_est = M3Estimator::new(net.clone());
         candidate_est.use_context = baseline.use_context;
-        let mut shadow = shadow_eval(&baseline, &candidate_est, &window, self.config.ground_truth);
+        let (scenarios, [baseline_err, candidate_err]) = replay(
+            [&baseline, &candidate_est],
+            &window,
+            self.config.ground_truth,
+        );
+        let mut shadow = ShadowReport {
+            scenarios,
+            baseline_err,
+            candidate_err,
+        };
         if self.fault(InjectedFault::RegressedCandidate) {
             // Deterministically force the rejection path without needing a
             // genuinely bad model: an infinitely wrong candidate.
@@ -405,66 +412,110 @@ pub fn model_drift(
     window: &[EstimateRequest],
     truth: ShadowTruth,
 ) -> (usize, f64) {
-    let options = EstimateOptions::default();
-    let mut scenarios = 0usize;
-    let mut total_err = 0.0;
-    for req in window {
-        let Ok((topo, flows, config)) = req.scenario.materialize(req.seed) else {
-            continue;
-        };
-        let truth_est = match truth {
-            ShadowTruth::Flowsim => flowsim_estimate(&topo, &flows, &config, req.paths, req.seed),
-            ShadowTruth::Ns3Path => ns3_path_estimate(&topo, &flows, &config, req.paths, req.seed),
-        };
-        let Ok(e) = est.try_estimate(&topo, &flows, &config, req.paths, req.seed, &options) else {
-            continue;
-        };
-        total_err += quantile_err(&e, &truth_est);
-        scenarios += 1;
-    }
-    let mean = if scenarios > 0 {
-        total_err / scenarios as f64
-    } else {
-        0.0
-    };
-    (scenarios, mean)
+    let (scenarios, [err]) = replay([est], window, truth);
+    (scenarios, err)
 }
 
-/// Replay `window` through both models, scoring each against the ground
-/// truth. Requests that fail to materialize or estimate (on either model)
-/// are skipped — the gate compares models only on scenarios both answered.
-fn shadow_eval(
-    baseline: &M3Estimator,
-    candidate: &M3Estimator,
+/// Replay `window` through `models` (which share the first one's
+/// `use_context`), scoring each against `truth`. Each request is prepared
+/// once; every model resolves from that one value, uncached and with
+/// default options, and the truth is computed once, only for a request
+/// every model answered. A request that fails to materialize, prepare or
+/// estimate on any model is skipped. Returns the requests scored and each
+/// model's mean quantile error (`0.0` when none scored).
+fn replay<const N: usize>(
+    models: [&M3Estimator; N],
     window: &[EstimateRequest],
     truth: ShadowTruth,
-) -> ShadowReport {
+) -> (usize, [f64; N]) {
     let options = EstimateOptions::default();
-    let mut report = ShadowReport {
-        scenarios: 0,
-        baseline_err: 0.0,
-        candidate_err: 0.0,
-    };
+    let (mut scenarios, mut err) = (0usize, [0.0; N]);
     for req in window {
         let Ok((topo, flows, config)) = req.scenario.materialize(req.seed) else {
             continue;
         };
-        let truth_est = match truth {
-            ShadowTruth::Flowsim => flowsim_estimate(&topo, &flows, &config, req.paths, req.seed),
-            ShadowTruth::Ns3Path => ns3_path_estimate(&topo, &flows, &config, req.paths, req.seed),
-        };
-        let base = baseline.try_estimate(&topo, &flows, &config, req.paths, req.seed, &options);
-        let cand = candidate.try_estimate(&topo, &flows, &config, req.paths, req.seed, &options);
-        let (Ok(base), Ok(cand)) = (base, cand) else {
+        let Ok(prepared) = models[0].prepare(topo, flows, config, req.paths, req.seed, None) else {
             continue;
         };
-        report.baseline_err += quantile_err(&base, &truth_est);
-        report.candidate_err += quantile_err(&cand, &truth_est);
-        report.scenarios += 1;
+        let estimates: Result<Vec<_>, _> = (models.iter())
+            .map(|m| m.try_estimate_prepared(&prepared, None, &options))
+            .collect();
+        let Ok(estimates) = estimates else {
+            continue;
+        };
+        let truth_est = match truth {
+            ShadowTruth::Flowsim => prepared.flowsim_estimate(),
+            ShadowTruth::Ns3Path => prepared.ns3_path_estimate(),
+        };
+        for (e, est) in err.iter_mut().zip(&estimates) {
+            *e += quantile_err(est, &truth_est);
+        }
+        scenarios += 1;
     }
-    if report.scenarios > 0 {
-        report.baseline_err /= report.scenarios as f64;
-        report.candidate_err /= report.scenarios as f64;
+    if scenarios > 0 {
+        for e in &mut err {
+            *e /= scenarios as f64;
+        }
     }
-    report
+    (scenarios, err)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::{ConfigSpec, ScenarioSpec, TopoSpec, WorkloadSpec};
+    use m3_core::prelude::{flowsim_estimate, ns3_path_estimate, SPEC_DIM};
+    use m3_nn::prelude::ModelConfig;
+
+    fn request(seed: u64, paths: usize) -> EstimateRequest {
+        let workload = WorkloadSpec {
+            n_flows: 600,
+            matrix: "B".into(),
+            sizes: "CacheFollower".into(),
+            sigma: 1.0,
+            max_load: 0.95,
+        };
+        let scenario = ScenarioSpec {
+            topology: TopoSpec::FatTreeSmall { oversub: 2 },
+            workload,
+            config: ConfigSpec::default(),
+        };
+        EstimateRequest::new(scenario, paths, seed)
+    }
+
+    /// The drift score of a fixed two-request window equals, bit for bit,
+    /// the per-call formula: each request's truth from the free
+    /// `flowsim_estimate` / `ns3_path_estimate` and its estimate from
+    /// `try_estimate`, each decomposing and sampling on its own.
+    #[test]
+    fn model_drift_equals_the_per_call_formula() {
+        let config = ModelConfig {
+            embed: 16,
+            heads: 2,
+            layers: 1,
+            ff_hidden: 16,
+            mlp_hidden: 32,
+            ..ModelConfig::repro_default(SPEC_DIM)
+        };
+        let est = M3Estimator::new(M3Net::new(config, 5));
+        let window = [request(3, 40), request(8, 25)];
+        for truth in [ShadowTruth::Flowsim, ShadowTruth::Ns3Path] {
+            let mut total = 0.0;
+            for req in &window {
+                let (topo, flows, config) = req.scenario.materialize(req.seed).unwrap();
+                let (k, seed) = (req.paths, req.seed);
+                let truth_est = match truth {
+                    ShadowTruth::Flowsim => flowsim_estimate(&topo, &flows, &config, k, seed),
+                    ShadowTruth::Ns3Path => ns3_path_estimate(&topo, &flows, &config, k, seed),
+                };
+                let options = EstimateOptions::default();
+                let e = est.try_estimate(&topo, &flows, &config, k, seed, &options);
+                total += quantile_err(&e.unwrap(), &truth_est);
+            }
+            let expect = total / window.len() as f64;
+            assert!(expect.is_finite() && expect > 0.0, "{truth:?}: {expect}");
+            let (scenarios, mean_err) = model_drift(&est, &window, truth);
+            assert_eq!((scenarios, mean_err.to_bits()), (2, expect.to_bits()));
+        }
+    }
 }

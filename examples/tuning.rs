@@ -43,7 +43,8 @@ fn main() {
     let base = SimConfig::default();
 
     let t = std::time::Instant::now();
-    let prepared = PreparedWorkload::prepare(&ft.topo, &w.flows, &base, 80, 3);
+    let prepared = PreparedWorkload::prepare(&ft.topo, &w.flows, &base, 80, 3)
+        .expect("the generated workload has populated paths");
     println!(
         "prepared 80 paths once in {:?} (flowSim features are config-independent)",
         t.elapsed()

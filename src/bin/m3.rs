@@ -605,16 +605,7 @@ fn run_estimate(spec: &Spec, metrics_out: Option<&str>, trace: Option<&TraceOpts
 }
 
 fn run_sweep(spec: &Spec, knob_name: &str, values: &str) {
-    let knob = match knob_name {
-        "init-window" => Knob::InitWindow,
-        "buffer-size" => Knob::BufferSize,
-        "dctcp-k" => Knob::DctcpK,
-        "hpcc-eta" => Knob::HpccEta,
-        "hpcc-rate-ai" => Knob::HpccRateAi,
-        "timely-tlow" => Knob::TimelyTLow,
-        "timely-thigh" => Knob::TimelyTHigh,
-        other => die_m3(&invalid_spec(format!("unknown knob {other:?}"))),
-    };
+    let knob: Knob = knob_name.parse().unwrap_or_else(|e| die_m3(&e));
     let candidates: Vec<f64> = values
         .split(',')
         .map(|v| {
@@ -626,7 +617,8 @@ fn run_sweep(spec: &Spec, knob_name: &str, values: &str) {
     let m = materialize(spec);
     let estimator = M3Estimator::new(load_model(spec.model.as_deref()));
     let t = Instant::now();
-    let prepared = PreparedWorkload::prepare(&m.topo, &m.flows, &m.config, spec.paths, spec.seed);
+    let prepared = PreparedWorkload::prepare(&m.topo, &m.flows, &m.config, spec.paths, spec.seed)
+        .unwrap_or_else(|e| die_m3(&e));
     println!("prepared {} paths in {:?}", spec.paths, t.elapsed());
     let t = Instant::now();
     let result = sweep_knob(&estimator, &prepared, &m.config, knob, &candidates, |e| {
