@@ -244,6 +244,15 @@ fn hotpath() -> Res<Value> {
         "the prepared estimate diverged from the cold one",
     )?;
     let repeat = pairs(&mut warm, resolve)?;
+    // The prepare half alone, as a served memo miss runs it before its
+    // probe: validate, index, sample and key, the inputs cloned in (it
+    // takes them by value). Keying is most of it.
+    let prepare = || {
+        (fx.est)
+            .prepare(topo.clone(), flows.clone(), *cfg, K_PATHS, SEED, None)
+            .map_err(err("prepare"))
+    };
+    let prepare = pairs(prepare, resolve)?;
 
     let speedup = forward.ratio(|reference, pooled| reference / pooled);
     let value = Record::new("hotpath")
@@ -270,6 +279,7 @@ fn hotpath() -> Res<Value> {
         .ms("estimate_cold_min_ms", min(&rest.b))
         .ms("estimate_warm_min_ms", min(&cached.b))
         .ms("estimate_prepared_min_ms", min(&repeat.b))
+        .ms("prepare_min_ms", min(&prepare.a))
         .write()?;
     ensure(
         speedup.median >= MIN_FORWARD_SPEEDUP,

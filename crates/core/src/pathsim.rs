@@ -7,7 +7,7 @@
 //!    flows, used for ground truth and the Fig. 2/15 ablations,
 //! 3. the **feature maps** (foreground map + one background map per hop).
 
-use crate::decompose::PathIndex;
+use crate::decompose::{BackgroundScan, PathIndex};
 use crate::features::FeatureMap;
 use m3_flowsim::prelude::*;
 use m3_netsim::prelude::*;
@@ -122,17 +122,17 @@ impl PathScenarioData {
     ) -> Self {
         let attrs_of = |fi: u32| FlowAttrs::of(topo, &flows[fi as usize], config);
         let mut data = Self::without_background(topo, flows, index, group_idx, config, attrs_of);
-        index.for_each_background(group_idx, |fi, first, last| {
-            let f = &flows[fi as usize];
-            data.bg
-                .push(PathFlow::on_path(fi, f, first, last, attrs_of(fi)));
-        });
+        data.bg = (index.background(group_idx, &mut BackgroundScan::default()))
+            .map(|(fi, first, last)| {
+                PathFlow::on_path(fi, &flows[fi as usize], first, last, attrs_of(fi))
+            })
+            .collect();
         data
     }
 
     /// A group's scenario with an empty background, the flow attributes
     /// supplied by `attrs_of` (flow index -> attributes): the caller adds
-    /// the background, from the index's merge or from a list it kept.
+    /// the background from a scan of the index.
     pub(crate) fn without_background(
         topo: &Topology,
         flows: &[FlowSpec],

@@ -536,14 +536,16 @@ impl ScenarioSession {
         let frame = CallFrame::open(&self.options, "session.update");
         let dirty_sampled: Vec<usize> = dirty_pos.iter().map(|&i| self.sampled[i]).collect();
         let (topo, config) = (&self.state.topo, &self.state.config);
-        let t = UnitTable::key(
-            topo,
-            eff,
-            &self.index,
-            &dirty_sampled,
-            config,
-            est.use_context,
-        );
+        let t = frame.decompose(|| {
+            UnitTable::key(
+                topo,
+                eff,
+                &self.index,
+                &dirty_sampled,
+                config,
+                est.use_context,
+            )
+        });
         let (slots, last) = (&self.slots, &mut self.last);
         // `last` is the aggregate of the current slots, so swapping the
         // dirty slots' distributions for the fresh ones keeps it so (see
@@ -1212,6 +1214,10 @@ mod tests {
             "want degraded paths: {report:?}"
         );
         assert_eq!(timings.sampled_paths, update.dirty_paths);
+        assert!(
+            timings.decompose_s > 0.0,
+            "the dirty paths' keying is timed"
+        );
         assert!(timings.unique_scenarios >= 1);
         assert!(timings.unique_scenarios <= update.dirty_paths);
         let after = counters();

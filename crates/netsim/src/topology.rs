@@ -228,6 +228,9 @@ impl Topology {
         // Whole flow serialized on the bottleneck link.
         t += crate::units::tx_time(size, min_bw);
         let mut seen_bottleneck = false;
+        // The last pipelined term, reused while consecutive links share a
+        // rate (a fabric's core links do): it depends on the rate only.
+        let mut pipelined: Option<(Bps, Nanos)> = None;
         for &l in path {
             let link = self.link(l);
             t += link.delay;
@@ -235,7 +238,14 @@ impl Topology {
                 seen_bottleneck = true; // already counted in full
             } else {
                 // Pipelined: only the final packet's serialization adds latency.
-                t += crate::units::tx_time(last_pkt, link.bandwidth);
+                t += match pipelined {
+                    Some((bw, term)) if bw == link.bandwidth => term,
+                    _ => {
+                        let term = crate::units::tx_time(last_pkt, link.bandwidth);
+                        pipelined = Some((link.bandwidth, term));
+                        term
+                    }
+                };
             }
         }
         t
@@ -512,6 +522,61 @@ mod tests {
         let fct = topo.ideal_fct(&[slow, fast], 10_000, 1000);
         // Whole flow on 1G: 80_000ns; final pkt on 10G: 800ns.
         assert_eq!(fct, 80_000 + 800);
+    }
+
+    /// The reused pipelined term against the per-link formula, on paths
+    /// mixing rates: runs of equal rates, rates that come back after
+    /// another, and a bottleneck rate on several links (one counted in
+    /// full, the others pipelined).
+    #[test]
+    fn ideal_fct_matches_the_per_link_formula_on_mixed_rates() {
+        let per_link = |topo: &Topology, path: &[LinkId], size: Bytes, mtu: Bytes| {
+            let size = size.max(1);
+            let last_pkt = size - (size.div_ceil(mtu) - 1) * mtu;
+            let min_bw = topo.bottleneck_bandwidth(path);
+            let mut t = crate::units::tx_time(size, min_bw);
+            let mut seen_bottleneck = false;
+            for &l in path {
+                let link = topo.link(l);
+                t += link.delay;
+                if link.bandwidth == min_bw && !seen_bottleneck {
+                    seen_bottleneck = true;
+                } else {
+                    t += crate::units::tx_time(last_pkt, link.bandwidth);
+                }
+            }
+            t
+        };
+        let mut topo = Topology::new();
+        let rates = [10, 40, 40, 25, 10, 100, 40, 10, 3];
+        let nodes: Vec<NodeId> = (0..=rates.len()).map(|_| topo.add_switch()).collect();
+        let links: Vec<LinkId> = (rates.iter().enumerate())
+            .map(|(i, &r)| topo.add_link(nodes[i], nodes[i + 1], r * GBPS, 100 * i as u64))
+            .collect();
+        let paths: [&[usize]; 6] = [
+            &[0, 1, 2, 3, 4],
+            &[1, 2],
+            &[0, 4, 7],
+            &[5, 6, 6, 1, 0],
+            &[3, 8, 3, 8],
+            &[0, 1, 2, 3, 4, 5, 6, 7, 8],
+        ];
+        for path in paths {
+            let path: Vec<LinkId> = path.iter().map(|&i| links[i]).collect();
+            for (size, mtu) in [
+                (0, 1000),
+                (1, 1000),
+                (999, 1000),
+                (4_321, 1000),
+                (1 << 30, 4096),
+            ] {
+                assert_eq!(
+                    topo.ideal_fct(&path, size, mtu),
+                    per_link(&topo, &path, size, mtu),
+                    "path {path:?}, size {size}, mtu {mtu}"
+                );
+            }
+        }
     }
 
     #[test]

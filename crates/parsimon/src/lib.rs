@@ -159,123 +159,6 @@ pub fn slowdown_samples(records: &[ParsimonRecord]) -> Vec<(u64, f64)> {
     records.iter().map(|r| (r.size, r.slowdown())).collect()
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use m3_workload::prelude::*;
-
-    fn small_workload(n: usize, load: f64) -> (FatTree, Vec<FlowSpec>, SimConfig) {
-        let ft = FatTree::build(FatTreeSpec::small(2));
-        let routing = Routing::new(&ft.topo);
-        let sc = Scenario {
-            n_flows: n,
-            matrix_name: "B".into(),
-            sizes: SizeDistribution::web_server(),
-            sigma: 1.0,
-            max_load: load,
-            seed: 21,
-        };
-        (
-            ft.clone(),
-            generate(&ft, &routing, &sc).flows,
-            SimConfig::default(),
-        )
-    }
-
-    #[test]
-    fn estimates_every_flow() {
-        let (ft, flows, cfg) = small_workload(800, 0.4);
-        let recs = parsimon_estimate(&ft.topo, &flows, &cfg);
-        assert_eq!(recs.len(), flows.len());
-        for r in &recs {
-            assert!(r.est_fct >= r.ideal_fct, "estimate below ideal");
-            assert!(r.slowdown() >= 1.0);
-        }
-    }
-
-    #[test]
-    fn single_link_decomposition_is_nearly_exact() {
-        // When every flow crosses exactly one contended link, Parsimon's
-        // assumption holds and it should track a full simulation closely.
-        let mut topo = Topology::new();
-        let s = topo.add_switch();
-        let dst = topo.add_host();
-        let dst_l = topo.add_link(dst, s, 10 * GBPS, USEC);
-        let mut flows = Vec::new();
-        for i in 0..12u32 {
-            let h = topo.add_host();
-            let l = topo.add_link(h, s, 10 * GBPS, USEC);
-            flows.push(FlowSpec {
-                id: i,
-                src: h,
-                dst,
-                size: 80_000,
-                arrival: i as u64 * 2_000,
-                path: vec![l, dst_l],
-            });
-        }
-        let cfg = SimConfig::default();
-        let truth = run_simulation(&topo, cfg, flows.clone());
-        let est = parsimon_estimate(&topo, &flows, &cfg);
-        let t99: f64 = {
-            let mut s: Vec<f64> = truth.records.iter().map(|r| r.slowdown()).collect();
-            m3_netsim::stats::percentile_unsorted(&mut s, 99.0)
-        };
-        let e99: f64 = {
-            let mut s: Vec<f64> = est.iter().map(|r| r.slowdown()).collect();
-            m3_netsim::stats::percentile_unsorted(&mut s, 99.0)
-        };
-        let err = ((e99 - t99) / t99).abs();
-        assert!(err < 0.5, "single-bottleneck p99: est {e99} vs truth {t99}");
-    }
-
-    #[test]
-    fn overcounts_with_small_window_on_long_paths() {
-        // Table 5 / Fig. 12 pathology: window-limited flows on multi-hop
-        // paths get their transport-limited slowdown counted once per link.
-        let (ft, flows, _) = small_workload(600, 0.3);
-        let cfg = SimConfig {
-            init_window: 5 * KB, // well below BDP
-            ..SimConfig::default()
-        };
-        let truth = run_simulation(&ft.topo, cfg, flows.clone());
-        let est = parsimon_estimate(&ft.topo, &flows, &cfg);
-        // Compare mean slowdown of large flows (window-limited ones).
-        let truth_mean: f64 = {
-            let v: Vec<f64> = truth
-                .records
-                .iter()
-                .filter(|r| r.size > 30_000)
-                .map(|r| r.slowdown())
-                .collect();
-            v.iter().sum::<f64>() / v.len().max(1) as f64
-        };
-        let est_mean: f64 = {
-            let v: Vec<f64> = est
-                .iter()
-                .filter(|r| r.size > 30_000)
-                .map(|r| r.slowdown())
-                .collect();
-            v.iter().sum::<f64>() / v.len().max(1) as f64
-        };
-        assert!(
-            est_mean > truth_mean,
-            "Parsimon should overcount transport-limited slowdown: {est_mean} vs {truth_mean}"
-        );
-    }
-
-    #[test]
-    fn deterministic() {
-        let (ft, flows, cfg) = small_workload(300, 0.4);
-        let a = parsimon_estimate(&ft.topo, &flows, &cfg);
-        let b = parsimon_estimate(&ft.topo, &flows, &cfg);
-        assert_eq!(
-            a.iter().map(|r| r.est_fct).collect::<Vec<_>>(),
-            b.iter().map(|r| r.est_fct).collect::<Vec<_>>()
-        );
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Link clustering
 // ---------------------------------------------------------------------------
@@ -453,6 +336,123 @@ pub fn parsimon_estimate_clustered(
             simulated_channels: reps.len(),
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use m3_workload::prelude::*;
+
+    fn small_workload(n: usize, load: f64) -> (FatTree, Vec<FlowSpec>, SimConfig) {
+        let ft = FatTree::build(FatTreeSpec::small(2));
+        let routing = Routing::new(&ft.topo);
+        let sc = Scenario {
+            n_flows: n,
+            matrix_name: "B".into(),
+            sizes: SizeDistribution::web_server(),
+            sigma: 1.0,
+            max_load: load,
+            seed: 21,
+        };
+        (
+            ft.clone(),
+            generate(&ft, &routing, &sc).flows,
+            SimConfig::default(),
+        )
+    }
+
+    #[test]
+    fn estimates_every_flow() {
+        let (ft, flows, cfg) = small_workload(800, 0.4);
+        let recs = parsimon_estimate(&ft.topo, &flows, &cfg);
+        assert_eq!(recs.len(), flows.len());
+        for r in &recs {
+            assert!(r.est_fct >= r.ideal_fct, "estimate below ideal");
+            assert!(r.slowdown() >= 1.0);
+        }
+    }
+
+    #[test]
+    fn single_link_decomposition_is_nearly_exact() {
+        // When every flow crosses exactly one contended link, Parsimon's
+        // assumption holds and it should track a full simulation closely.
+        let mut topo = Topology::new();
+        let s = topo.add_switch();
+        let dst = topo.add_host();
+        let dst_l = topo.add_link(dst, s, 10 * GBPS, USEC);
+        let mut flows = Vec::new();
+        for i in 0..12u32 {
+            let h = topo.add_host();
+            let l = topo.add_link(h, s, 10 * GBPS, USEC);
+            flows.push(FlowSpec {
+                id: i,
+                src: h,
+                dst,
+                size: 80_000,
+                arrival: i as u64 * 2_000,
+                path: vec![l, dst_l],
+            });
+        }
+        let cfg = SimConfig::default();
+        let truth = run_simulation(&topo, cfg, flows.clone());
+        let est = parsimon_estimate(&topo, &flows, &cfg);
+        let t99: f64 = {
+            let mut s: Vec<f64> = truth.records.iter().map(|r| r.slowdown()).collect();
+            m3_netsim::stats::percentile_unsorted(&mut s, 99.0)
+        };
+        let e99: f64 = {
+            let mut s: Vec<f64> = est.iter().map(|r| r.slowdown()).collect();
+            m3_netsim::stats::percentile_unsorted(&mut s, 99.0)
+        };
+        let err = ((e99 - t99) / t99).abs();
+        assert!(err < 0.5, "single-bottleneck p99: est {e99} vs truth {t99}");
+    }
+
+    #[test]
+    fn overcounts_with_small_window_on_long_paths() {
+        // Table 5 / Fig. 12 pathology: window-limited flows on multi-hop
+        // paths get their transport-limited slowdown counted once per link.
+        let (ft, flows, _) = small_workload(600, 0.3);
+        let cfg = SimConfig {
+            init_window: 5 * KB, // well below BDP
+            ..SimConfig::default()
+        };
+        let truth = run_simulation(&ft.topo, cfg, flows.clone());
+        let est = parsimon_estimate(&ft.topo, &flows, &cfg);
+        // Compare mean slowdown of large flows (window-limited ones).
+        let truth_mean: f64 = {
+            let v: Vec<f64> = truth
+                .records
+                .iter()
+                .filter(|r| r.size > 30_000)
+                .map(|r| r.slowdown())
+                .collect();
+            v.iter().sum::<f64>() / v.len().max(1) as f64
+        };
+        let est_mean: f64 = {
+            let v: Vec<f64> = est
+                .iter()
+                .filter(|r| r.size > 30_000)
+                .map(|r| r.slowdown())
+                .collect();
+            v.iter().sum::<f64>() / v.len().max(1) as f64
+        };
+        assert!(
+            est_mean > truth_mean,
+            "Parsimon should overcount transport-limited slowdown: {est_mean} vs {truth_mean}"
+        );
+    }
+
+    #[test]
+    fn deterministic() {
+        let (ft, flows, cfg) = small_workload(300, 0.4);
+        let a = parsimon_estimate(&ft.topo, &flows, &cfg);
+        let b = parsimon_estimate(&ft.topo, &flows, &cfg);
+        assert_eq!(
+            a.iter().map(|r| r.est_fct).collect::<Vec<_>>(),
+            b.iter().map(|r| r.est_fct).collect::<Vec<_>>()
+        );
+    }
 }
 
 #[cfg(test)]

@@ -46,8 +46,9 @@ use m3_nn::prelude::{M3Net, ModelRef, ModelRegistry};
 use std::io;
 use std::sync::Arc;
 
-/// Quantiles of the FCT-slowdown distribution the shadow score compares.
-const SHADOW_QUANTILES: [f64; 3] = [0.5, 0.9, 0.99];
+/// Percentiles (`overall_quantile` takes percents) of the FCT-slowdown
+/// distribution the shadow score compares: p50, p90 and p99.
+const SHADOW_QUANTILES: [f64; 3] = [50.0, 90.0, 99.0];
 
 /// Ground-truth oracle the shadow evaluation scores both models against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -483,21 +484,68 @@ mod tests {
         EstimateRequest::new(scenario, paths, seed)
     }
 
-    /// The drift score of a fixed two-request window equals, bit for bit,
-    /// the per-call formula: each request's truth from the free
-    /// `flowsim_estimate` / `ns3_path_estimate` and its estimate from
-    /// `try_estimate`, each decomposing and sampling on its own.
-    #[test]
-    fn model_drift_equals_the_per_call_formula() {
-        let config = ModelConfig {
+    /// [`tiny_config`]'s model, trained for a fraction of a second on a
+    /// small dataset generated from `seed`.
+    fn trained_net(seed: u64) -> M3Net {
+        use m3_core::prelude::{build_dataset, train, TrainConfig};
+        let cfg = TrainConfig {
+            n_scenarios: 12,
+            fg_flows: 60,
+            bg_flows: 180,
+            epochs: 10,
+            batch_size: 4,
+            seed,
+            model: tiny_config(),
+            ..TrainConfig::default()
+        };
+        train(&cfg, &build_dataset(&cfg)).0
+    }
+
+    fn tiny_config() -> ModelConfig {
+        ModelConfig {
             embed: 16,
             heads: 2,
             layers: 1,
             ff_hidden: 16,
             mlp_hidden: 32,
             ..ModelConfig::repro_default(SPEC_DIM)
+        }
+    }
+
+    /// Against flowSim truth, an untrained candidate fails the default
+    /// shadow gate next to a trained baseline, and its drift exceeds the
+    /// watchdog's ceiling: both score p50, p90 and p99, where an untrained
+    /// model's tail is far from the fluid solution's.
+    #[test]
+    fn an_untrained_candidate_fails_the_shadow_gate_and_the_drift_ceiling() {
+        let baseline = M3Estimator::new(trained_net(1));
+        let candidate = M3Estimator::new(M3Net::new(tiny_config(), 5));
+        let window = [request(3, 40), request(8, 25)];
+        let truth = ShadowTruth::Flowsim;
+        let (scenarios, [baseline_err, candidate_err]) =
+            replay([&baseline, &candidate], &window, truth);
+        let shadow = ShadowReport {
+            scenarios,
+            baseline_err,
+            candidate_err,
         };
-        let est = M3Estimator::new(M3Net::new(config, 5));
+        assert_eq!(shadow.scenarios, 2);
+        assert!(shadow.regressed(&SwapConfig::default()), "{shadow:?}");
+        let (_, drift) = model_drift(&candidate, &window, truth);
+        let ceiling = crate::monitor::DEFAULT_DRIFT_CEILING;
+        assert!(
+            drift > ceiling,
+            "drift {drift} within the ceiling {ceiling}"
+        );
+    }
+
+    /// The drift score of a fixed two-request window equals, bit for bit,
+    /// the per-call formula: each request's truth from the free
+    /// `flowsim_estimate` / `ns3_path_estimate` and its estimate from
+    /// `try_estimate`, each decomposing and sampling on its own.
+    #[test]
+    fn model_drift_equals_the_per_call_formula() {
+        let est = M3Estimator::new(M3Net::new(tiny_config(), 5));
         let window = [request(3, 40), request(8, 25)];
         for truth in [ShadowTruth::Flowsim, ShadowTruth::Ns3Path] {
             let mut total = 0.0;

@@ -3,7 +3,9 @@
 //! dangling swap. Every scenario is deterministic — failure modes are
 //! forced through [`FaultPlan`] or direct on-disk corruption, never timing.
 
-use m3_core::prelude::{FaultPlan, InjectedFault, M3Estimator, SPEC_DIM};
+use m3_core::prelude::{
+    build_dataset, train, FaultPlan, InjectedFault, M3Estimator, TrainConfig, SPEC_DIM,
+};
 use m3_nn::prelude::{Lineage, M3Net, ModelConfig, ModelRef, ModelRegistry};
 use m3_serve::prelude::*;
 use std::path::PathBuf;
@@ -11,16 +13,34 @@ use std::time::Duration;
 
 const IDLE: Duration = Duration::from_secs(120);
 
-fn tiny_net(seed: u64) -> M3Net {
-    let cfg = ModelConfig {
+fn tiny_config() -> ModelConfig {
+    ModelConfig {
         embed: 16,
         heads: 2,
         layers: 1,
         ff_hidden: 16,
         mlp_hidden: 32,
         ..ModelConfig::repro_default(SPEC_DIM)
+    }
+}
+
+fn tiny_net(seed: u64) -> M3Net {
+    M3Net::new(tiny_config(), seed)
+}
+
+/// [`tiny_net`]'s shape, trained for a fraction of a second on a small
+/// seeded dataset.
+fn trained_tiny_net() -> M3Net {
+    let cfg = TrainConfig {
+        n_scenarios: 12,
+        fg_flows: 60,
+        bg_flows: 180,
+        epochs: 10,
+        batch_size: 4,
+        model: tiny_config(),
+        ..TrainConfig::default()
     };
-    M3Net::new(cfg, seed)
+    train(&cfg, &build_dataset(&cfg)).0
 }
 
 fn tiny_request(seed: u64, paths: usize) -> EstimateRequest {
@@ -138,11 +158,11 @@ fn injected_regression_is_rejected_by_shadow_gate() {
 fn genuinely_worse_candidate_is_rejected_on_live_window() {
     // With a zero-tolerance gate and a real replay window, a candidate
     // that scores measurably worse than the serving model is rejected
-    // through the genuine shadow path (no fault injection). The seeds are
-    // picked so the net-1 weights drift further from the flowSim truth
-    // than the net-2 weights on this window — deterministic, since both
-    // models and the replay are seeded.
-    let serving = tiny_net(2);
+    // through the genuine shadow path (no fault injection): the serving
+    // model is trained, the candidate is not, so the candidate's p50, p90
+    // and p99 sit further from the flowSim truth. Deterministic, since
+    // training, both models and the replay are seeded.
+    let serving = trained_tiny_net();
     let reg = registry_with(&[&tiny_net(1)], "liveshadow");
     let svc = Service::start(M3Estimator::new(serving), quick_config());
     for s in 0..3u64 {
