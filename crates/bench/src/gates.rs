@@ -7,7 +7,8 @@
 //!   reference 4×; flowSim (fresh vs warm workspace), the two decompose
 //!   stages, the index at 40 000 flows, the feature maps (pinned to
 //!   `ENCODE_LOG_DIGEST`), the cold estimate and the all-hit warm estimate
-//!   (bit-checked against the cold one) are reported.
+//!   (bit-checked against the cold one) are reported, with the cost of
+//!   one empty parallel section (`par_section_us`).
 //! * `session` — a ~1%-dirty session delta must beat an uncached full
 //!   re-estimate of the same state 5×.
 //! * `cluster` — eight shards must drain a batch 6× faster than one.
@@ -225,7 +226,7 @@ fn hotpath() -> Res<Value> {
     // value and a shared cache holding every scenario it asks for, so only
     // the probe and the aggregate are left.
     let prepared = (fx.est)
-        .prepare(topo.clone(), flows.clone(), *cfg, K_PATHS, SEED, None)
+        .prepare(topo.clone(), flows.clone(), *cfg, K_PATHS, SEED, &opts)
         .map_err(err("prepare"))?;
     let shared = SharedScenarioCache::new(256);
     let resolve = || {
@@ -249,10 +250,22 @@ fn hotpath() -> Res<Value> {
     // takes them by value). Keying is most of it.
     let prepare = || {
         (fx.est)
-            .prepare(topo.clone(), flows.clone(), *cfg, K_PATHS, SEED, None)
+            .prepare(topo.clone(), flows.clone(), *cfg, K_PATHS, SEED, &opts)
             .map_err(err("prepare"))
     };
     let prepare = pairs(prepare, resolve)?;
+    // One empty two-item section at two workers (against the same items
+    // run inline at one): what a parallel section costs its caller before
+    // any item runs. Informational.
+    let items = [0u32, 1];
+    let section = |workers| {
+        move || -> Res<Vec<u32>> {
+            Ok(rayon::with_num_threads(workers, || {
+                items.par_iter().map(|&i| black_box(i)).collect()
+            }))
+        }
+    };
+    let section = pairs(section(2), section(1))?;
 
     let speedup = forward.ratio(|reference, pooled| reference / pooled);
     let value = Record::new("hotpath")
@@ -280,6 +293,7 @@ fn hotpath() -> Res<Value> {
         .ms("estimate_warm_min_ms", min(&cached.b))
         .ms("estimate_prepared_min_ms", min(&repeat.b))
         .ms("prepare_min_ms", min(&prepare.a))
+        .round("par_section_us", min(&section.a) / 1e3, 2)
         .write()?;
     ensure(
         speedup.median >= MIN_FORWARD_SPEEDUP,

@@ -198,6 +198,27 @@ impl StageTimings {
     }
 }
 
+/// A percentile in (0, 100], what [`NetworkEstimate::overall_quantile`]
+/// takes: `Percentile::P99` is the 99th percentile, not the 0.99th.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Percentile(f64);
+
+impl Percentile {
+    pub const P50: Percentile = Percentile(50.0);
+    pub const P90: Percentile = Percentile(90.0);
+    pub const P99: Percentile = Percentile(99.0);
+
+    /// `p` percent, if `0 < p <= 100`; `None` otherwise (NaN included).
+    pub fn new(p: f64) -> Option<Percentile> {
+        (p > 0.0 && p <= 100.0).then_some(Percentile(p))
+    }
+
+    /// The percent value, in (0, 100].
+    pub fn get(self) -> f64 {
+        self.0
+    }
+}
+
 /// The aggregated network-wide estimate.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct NetworkEstimate {
@@ -268,7 +289,7 @@ impl NetworkEstimate {
     /// Network-wide quantile: buckets combined with probability proportional
     /// to flow count (Fig. 8's probabilistic sampling, done analytically via
     /// a weighted merge).
-    pub fn overall_quantile(&self, p: f64) -> f64 {
+    pub fn overall_quantile(&self, p: Percentile) -> f64 {
         let total: usize = self.bucket_counts.iter().sum();
         assert!(total > 0, "no flows to aggregate");
         // Weighted merge: each sample in bucket b carries weight
@@ -284,7 +305,7 @@ impl NetworkEstimate {
         }
         weighted.sort_by(|a, b| a.0.total_cmp(&b.0));
         let total_w: f64 = weighted.iter().map(|(_, w)| w).sum();
-        let target = p.clamp(0.0, 100.0) / 100.0 * total_w;
+        let target = p.get() / 100.0 * total_w;
         let mut acc = 0.0;
         for (v, w) in &weighted {
             acc += w;
@@ -297,7 +318,7 @@ impl NetworkEstimate {
 
     /// The paper's headline metric: network-wide p99 slowdown.
     pub fn p99(&self) -> f64 {
-        self.overall_quantile(99.0)
+        self.overall_quantile(Percentile::P99)
     }
 
     /// Word-wise FNV-1a over the bits of the estimate's value:
@@ -500,8 +521,22 @@ mod tests {
         d2.counts = [0, 0, 0, 1];
         let agg = NetworkEstimate::aggregate(&[d1, d2]);
         // p50 dominated by bucket 0; p99.5 reaches bucket 3's value.
-        assert!((agg.overall_quantile(50.0) - 1.0).abs() < 1e-9);
-        assert!((agg.overall_quantile(99.9) - 10.0).abs() < 1e-9);
+        assert!((agg.overall_quantile(Percentile::P50) - 1.0).abs() < 1e-9);
+        let p999 = Percentile::new(99.9).unwrap();
+        assert!((agg.overall_quantile(p999) - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_percentile_is_in_0_exclusive_to_100_inclusive() {
+        for p in [1e-9, 0.5, 50.0, 99.9, 100.0] {
+            assert_eq!(Percentile::new(p).map(Percentile::get), Some(p), "{p}");
+        }
+        for p in [0.0, -0.0, -1.0, 100.000_001, f64::NAN, f64::INFINITY] {
+            assert_eq!(Percentile::new(p), None, "{p}");
+        }
+        assert_eq!(Percentile::P50, Percentile::new(50.0).unwrap());
+        assert_eq!(Percentile::P90, Percentile::new(90.0).unwrap());
+        assert_eq!(Percentile::P99, Percentile::new(99.0).unwrap());
     }
 
     #[test]

@@ -178,7 +178,7 @@ pub(crate) fn flow_digest(
 /// bandwidth, then each link's delay; the foreground count, then each
 /// foreground flow's `flow_digest` and hop span; the background count,
 /// then the wrapping sum of each background flow's
-/// [`KeyHasher::background_term`] at its rank; the foreground base RTT and
+/// `KeyHasher::background_term` at its rank; the foreground base RTT and
 /// bottleneck; the spec vector; the context-ablation flag. Both flow lists
 /// enter in order, the order flowSim numbers them in. Flow `global_idx` is
 /// deliberately excluded — it does not enter flowSim or the feature maps,

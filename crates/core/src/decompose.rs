@@ -10,7 +10,7 @@
 //! foreground flows), grouping flows by route through one open-addressed
 //! table of group ids. No allocation is made per route or per flow; a
 //! background is only read for the sampled paths, by one scan of the flow
-//! lists of the path's ports into a flow bitmap ([`PathIndex::background`]).
+//! lists of the path's ports into a flow bitmap (`PathIndex::background`).
 //!
 //! The index is purely *structural*: it records routes and ports, never
 //! bandwidths, sizes or anything derived from them. An incremental session
@@ -20,6 +20,7 @@
 use m3_netsim::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 
 /// The directed ports (`link * 2 + (forward ? 0 : 1)`) of a flow's path, in
 /// hop order. Expects a contiguous path, which [`validate_workload`]
@@ -111,12 +112,30 @@ pub struct PathGroup {
 /// are below 2^16, which
 /// [`validate_workload`](crate::error::validate_workload) enforces), valid
 /// where the flow's bit in `seen` is set. `seen` is all-zero between scans,
-/// so one value serves any number of scans; it is sized to the index's
-/// flow count on first use.
+/// so one value serves any number of scans over any index; it grows to the
+/// largest flow count it has scanned and never shrinks.
 #[derive(Default)]
 pub(crate) struct BackgroundScan {
     span: Vec<u32>,
     seen: Vec<u64>,
+}
+
+impl BackgroundScan {
+    /// Run `f` on this thread's scratch, checked out for the call and put
+    /// back after it: a thread that has scanned an index as large before
+    /// allocates nothing for it. A nested call, or one after a panic
+    /// mid-scan lost the checkout, starts from an empty scratch.
+    pub(crate) fn with<R>(f: impl FnOnce(&mut BackgroundScan) -> R) -> R {
+        thread_local! {
+            static SCAN: Cell<BackgroundScan> = const {
+                Cell::new(BackgroundScan { span: Vec::new(), seen: Vec::new() })
+            };
+        }
+        let mut scan = SCAN.take();
+        let out = f(&mut scan);
+        SCAN.set(scan);
+        out
+    }
 }
 
 /// The background of one path group as a [`BackgroundScan`] holds it
@@ -344,11 +363,11 @@ impl PathIndex {
         scan: &'s mut BackgroundScan,
     ) -> Background<'s> {
         let n = self.group_of.len();
-        if scan.span.len() != n {
-            scan.span = vec![0; n];
-            scan.seen = vec![0; n.div_ceil(64)];
+        if scan.span.len() < n {
+            scan.span.resize(n, 0);
+            scan.seen.resize(n.div_ceil(64), 0);
         }
-        let (span, seen) = (&mut scan.span[..], &mut scan.seen[..]);
+        let (span, seen) = (&mut scan.span[..n], &mut scan.seen[..n.div_ceil(64)]);
         // The bitmap words the port lists reach: each list is ascending.
         let (mut lo, mut hi) = (n, 0);
         for (hop, &p) in self.ports_of(self.groups[group_idx].rep).iter().enumerate() {
@@ -392,8 +411,7 @@ impl PathIndex {
     /// the parking-lot abstraction of §3.2; non-contiguous intersections
     /// (rare under shortest-path ECMP) are widened to their span.
     pub fn background_of(&self, group_idx: usize) -> Vec<(u32, usize, usize)> {
-        self.background(group_idx, &mut BackgroundScan::default())
-            .collect()
+        BackgroundScan::with(|scan| self.background(group_idx, scan).collect())
     }
 
     /// The dirty-set computer: map a [`ScenarioDelta`] to exactly the path

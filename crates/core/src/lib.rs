@@ -62,7 +62,7 @@ pub mod trainer;
 pub mod prelude {
     pub use crate::aggregate::{
         merge_estimates, DegradationEvent, DegradationReport, NetworkEstimate, PathDistribution,
-        StageTimings, NUM_OUTPUT_BUCKETS,
+        Percentile, StageTimings, NUM_OUTPUT_BUCKETS,
     };
     pub use crate::cache::{scenario_fingerprint, CacheStats, ScenarioCache, SharedScenarioCache};
     pub use crate::decompose::{flow_ports, PathGroup, PathIndex};

@@ -9,7 +9,7 @@
 
 use crate::aggregate::{NetworkEstimate, PathDistribution, NUM_OUTPUT_BUCKETS};
 use crate::error::{M3Error, Stage};
-use crate::pipeline::{fg_counts, M3Estimator, PreparedEstimate};
+use crate::pipeline::{fg_counts, EstimateOptions, M3Estimator, PreparedEstimate};
 use crate::spec::spec_vector;
 use m3_netsim::prelude::*;
 use m3_nn::prelude::SampleInput;
@@ -47,7 +47,9 @@ impl PreparedWorkload {
         seed: u64,
     ) -> Result<Self, M3Error> {
         let (topo, flows) = (topo.clone(), flows.to_vec());
-        let prepared = PreparedEstimate::new(topo, flows, *base_config, k_paths, seed, None, true)?;
+        let options = EstimateOptions::default();
+        let prepared =
+            PreparedEstimate::new(topo, flows, *base_config, k_paths, seed, true, &options)?;
         let slots = prepared.units().map_slots(|data| {
             let (fg_map, bg_maps) = data.features(&data.run_flowsim());
             SlotFeatures {

@@ -122,11 +122,13 @@ impl PathScenarioData {
     ) -> Self {
         let attrs_of = |fi: u32| FlowAttrs::of(topo, &flows[fi as usize], config);
         let mut data = Self::without_background(topo, flows, index, group_idx, config, attrs_of);
-        data.bg = (index.background(group_idx, &mut BackgroundScan::default()))
-            .map(|(fi, first, last)| {
-                PathFlow::on_path(fi, &flows[fi as usize], first, last, attrs_of(fi))
-            })
-            .collect();
+        data.bg = BackgroundScan::with(|scan| {
+            (index.background(group_idx, scan))
+                .map(|(fi, first, last)| {
+                    PathFlow::on_path(fi, &flows[fi as usize], first, last, attrs_of(fi))
+                })
+                .collect()
+        });
         data
     }
 

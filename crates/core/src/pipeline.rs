@@ -263,11 +263,6 @@ pub(crate) struct UnitTable {
     pub(crate) slot_of: Vec<usize>,
     /// slot -> number of sampled paths deduplicated into it.
     pub(crate) multiplicity: Vec<usize>,
-    /// Background scratches, one per concurrent materialization: the
-    /// keying's scan, then one more per slot materialized alongside it. A
-    /// panic mid-scan loses its checkout, and an empty pool makes a fresh
-    /// one.
-    scans: Mutex<Vec<BackgroundScan>>,
 }
 
 /// 64 flows of a [`UnitTable`]'s touched set: flow `64 * w + b` is touched
@@ -337,16 +332,11 @@ impl UnitTable {
             uniq: Vec::new(),
             slot_of: Vec::with_capacity(groups.len()),
             multiplicity: Vec::new(),
-            scans: Mutex::new(Vec::new()),
         };
-        let mut scan = BackgroundScan::default();
-        t.units = {
+        t.units = BackgroundScan::with(|scan| {
             let u = t.view(topo, flows, index, config);
-            (distinct.iter())
-                .map(|&g| u.key_unit(g, &mut scan))
-                .collect()
-        };
-        t.scans = Mutex::new(vec![scan]);
+            (distinct.iter()).map(|&g| u.key_unit(g, scan)).collect()
+        });
         // Dedupe by content hash: sampling with replacement and symmetric
         // topologies both produce repeated scenarios, which need only one
         // flowSim run and one forward-pass row each. `slot_of[i]` maps
@@ -463,15 +453,10 @@ impl<'a> WorkUnits<'a> {
 
     /// A unique slot's [`PathScenarioData`]: what
     /// `PathScenarioData::from_group` builds, from the table's flow
-    /// attributes, with the background scanned in a scratch checked out of
-    /// the table's pool. Only the slots the cache misses are materialized.
+    /// attributes, with the background scanned in this thread's scratch.
+    /// Only the slots the cache misses are materialized.
     pub(crate) fn materialize(&self, slot: usize) -> PathScenarioData {
         let unit = self.table.slot(slot);
-        let scans = &self.table.scans;
-        let mut scan = scans
-            .lock()
-            .map_or(None, |mut p| p.pop())
-            .unwrap_or_default();
         let attrs_of = |fi: u32| self.attrs(fi).0;
         let mut data = PathScenarioData::without_background(
             self.topo,
@@ -481,14 +466,13 @@ impl<'a> WorkUnits<'a> {
             self.config,
             attrs_of,
         );
-        data.bg = (self.index.background(unit.group, &mut scan))
-            .map(|(fi, first, last)| {
-                PathFlow::on_path(fi, &self.flows[fi as usize], first, last, attrs_of(fi))
-            })
-            .collect();
-        if let Ok(mut pool) = scans.lock() {
-            pool.push(scan);
-        }
+        data.bg = BackgroundScan::with(|scan| {
+            (self.index.background(unit.group, scan))
+                .map(|(fi, first, last)| {
+                    PathFlow::on_path(fi, &self.flows[fi as usize], first, last, attrs_of(fi))
+                })
+                .collect()
+        });
         debug_assert_eq!(
             scenario_fingerprint(&data, &unit.spec, self.table.use_context),
             unit.key,
@@ -533,19 +517,21 @@ pub struct PreparedEstimate {
 }
 
 impl PreparedEstimate {
-    /// Run [`prepare_stages`] over owned inputs, outside any call frame.
-    #[allow(clippy::too_many_arguments)]
+    /// Run [`prepare_stages`] over owned inputs, cutting out
+    /// `options.path_slice`, in a call frame rooted at `prepare`: its
+    /// stage timers are absorbed into `options.metrics` on success, and its
+    /// spans go to `options.trace`.
     pub(crate) fn new(
         topo: Topology,
         flows: Vec<FlowSpec>,
         config: SimConfig,
         k_paths: usize,
         seed: u64,
-        path_slice: Option<PathSlice>,
         use_context: bool,
+        options: &EstimateOptions,
     ) -> Result<Self, M3Error> {
-        let m = PipelineMetrics::register(&MetricsRegistry::noop());
-        let troot = TraceCtx::noop().root("prepare");
+        let frame = CallFrame::open(options, "prepare");
+        let path_slice = options.path_slice;
         let (index, _, table) = prepare_stages(
             &topo,
             &flows,
@@ -554,9 +540,13 @@ impl PreparedEstimate {
             seed,
             path_slice,
             use_context,
-            &troot,
-            &m,
+            &frame.troot,
+            &frame.m,
         )?;
+        if let Some(ext) = &options.metrics {
+            ext.absorb(&frame.registry.snapshot());
+        }
+        frame.troot.finish();
         Ok(PreparedEstimate {
             topo,
             flows,
@@ -879,11 +869,13 @@ impl M3Estimator {
 
     /// The prepare half of an estimate, kept for repeats: validate the
     /// inputs, build their index, sample `k_paths` paths with `seed`, cut
-    /// out `path_slice` and key the work units, exactly as
-    /// [`try_estimate`](Self::try_estimate) does before it probes. The
-    /// value holds the inputs moved in and this estimator's `use_context`.
-    /// Invalid inputs return the same typed error `try_estimate` would.
-    #[allow(clippy::too_many_arguments)]
+    /// out `options.path_slice` and key the work units, exactly as
+    /// [`try_estimate`](Self::try_estimate) does before it probes, recording
+    /// its `decompose` stage timer into `options.metrics` and its span tree
+    /// (root `prepare`, children `decompose` and `sample`) into
+    /// `options.trace`. The value holds the inputs moved in and this
+    /// estimator's `use_context`. Invalid inputs return the same typed
+    /// error `try_estimate` would.
     pub fn prepare(
         &self,
         topo: Topology,
@@ -891,10 +883,10 @@ impl M3Estimator {
         config: SimConfig,
         k_paths: usize,
         seed: u64,
-        path_slice: Option<PathSlice>,
+        options: &EstimateOptions,
     ) -> Result<PreparedEstimate, M3Error> {
         let context = self.use_context;
-        PreparedEstimate::new(topo, flows, config, k_paths, seed, path_slice, context)
+        PreparedEstimate::new(topo, flows, config, k_paths, seed, context, options)
     }
 
     /// The resolve half of an estimate over a [`prepare`](Self::prepare)d
@@ -1339,7 +1331,8 @@ fn ablation_inputs(
     seed: u64,
 ) -> PreparedEstimate {
     let (topo, flows) = (topo.clone(), flows.to_vec());
-    let prepared = PreparedEstimate::new(topo, flows, *config, k_paths, seed, None, true);
+    let options = EstimateOptions::default();
+    let prepared = PreparedEstimate::new(topo, flows, *config, k_paths, seed, true, &options);
     prepared.unwrap_or_else(|e| panic!("sampled-path ablation failed: {e}"))
 }
 
@@ -1821,7 +1814,7 @@ mod tests {
             fault_plan,
             ..EstimateOptions::default()
         };
-        let prepared = est.prepare(topo.clone(), flows.to_vec(), cfg, k, seed, path_slice);
+        let prepared = est.prepare(topo.clone(), flows.to_vec(), cfg, k, seed, &opts);
         let Ok(prepared) = prepared else {
             let direct = est.try_estimate(topo, flows, &cfg, k, seed, &opts);
             assert_eq!(
@@ -1930,14 +1923,13 @@ mod tests {
             };
             M3Estimator::new(M3Net::new(cfg_m, 4))
         };
-        let slice = Some(PathSlice { start: 2, end: 9 });
-        let prepared = first
-            .prepare(ft.topo.clone(), flows.clone(), cfg, 12, 5, slice)
-            .expect("a valid workload prepares");
         let opts = EstimateOptions {
-            path_slice: slice,
+            path_slice: Some(PathSlice { start: 2, end: 9 }),
             ..EstimateOptions::default()
         };
+        let prepared = first
+            .prepare(ft.topo.clone(), flows.clone(), cfg, 12, 5, &opts)
+            .expect("a valid workload prepares");
         let cache = SharedScenarioCache::new(256);
         let mut answers = Vec::new();
         for est in [&first, &second] {

@@ -1669,10 +1669,18 @@ fn process(inner: &Arc<Inner>, job: &Job, estimator: &M3Estimator) -> JobOutcome
     // Prepare once per job, not per attempt, and once per request while
     // it stays in the memo: spec errors are persistent by construction,
     // so they fail fast (and are not memoized).
+    // A memo miss records its prepare half into the service's registry
+    // and the job's trace, as every attempt's estimate does.
     let key = SpecKey::new(req, estimator.use_context);
+    let recorded = EstimateOptions {
+        path_slice: req.path_slice,
+        metrics: Some(inner.registry.clone()),
+        trace: tctx.clone(),
+        ..EstimateOptions::default()
+    };
     let prepared = inner.prepared.get_or_try(key, || {
         let (topo, flows, config) = req.scenario.materialize(req.seed)?;
-        estimator.prepare(topo, flows, config, req.paths, req.seed, req.path_slice)
+        estimator.prepare(topo, flows, config, req.paths, req.seed, &recorded)
     });
     let prepared = match prepared {
         Ok((prepared, hit)) => {
@@ -1765,9 +1773,7 @@ fn process(inner: &Arc<Inner>, job: &Job, estimator: &M3Estimator) -> JobOutcome
             policy: req.policy.unwrap_or_default(),
             budget,
             fault_plan: req.fault_plan.as_ref().map(|p| p.at_attempt(attempt)),
-            path_slice: req.path_slice,
-            metrics: Some(inner.registry.clone()),
-            trace: tctx.clone(),
+            ..recorded.clone()
         };
 
         let result = estimator.try_estimate_prepared(&prepared, Some(&inner.cache), &options);
@@ -1949,7 +1955,11 @@ mod tests {
     /// What `process` memoizes for `req`.
     fn prepare(est: &M3Estimator, req: &EstimateRequest) -> Result<PreparedEstimate, M3Error> {
         let (topo, flows, config) = req.scenario.materialize(req.seed)?;
-        est.prepare(topo, flows, config, req.paths, req.seed, req.path_slice)
+        let options = EstimateOptions {
+            path_slice: req.path_slice,
+            ..EstimateOptions::default()
+        };
+        est.prepare(topo, flows, config, req.paths, req.seed, &options)
     }
 
     #[test]

@@ -41,14 +41,16 @@
 use crate::cluster::Cluster;
 use crate::request::EstimateRequest;
 use crate::service::Service;
-use m3_core::prelude::{EstimateOptions, FaultPlan, InjectedFault, M3Estimator, NetworkEstimate};
+use m3_core::prelude::{
+    EstimateOptions, FaultPlan, InjectedFault, M3Estimator, NetworkEstimate, Percentile,
+};
 use m3_nn::prelude::{M3Net, ModelRef, ModelRegistry};
 use std::io;
 use std::sync::Arc;
 
-/// Percentiles (`overall_quantile` takes percents) of the FCT-slowdown
-/// distribution the shadow score compares: p50, p90 and p99.
-const SHADOW_QUANTILES: [f64; 3] = [50.0, 90.0, 99.0];
+/// Percentiles of the FCT-slowdown distribution the shadow score
+/// compares.
+const SHADOW_QUANTILES: [Percentile; 3] = [Percentile::P50, Percentile::P90, Percentile::P99];
 
 /// Ground-truth oracle the shadow evaluation scores both models against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -435,7 +437,8 @@ fn replay<const N: usize>(
         let Ok((topo, flows, config)) = req.scenario.materialize(req.seed) else {
             continue;
         };
-        let Ok(prepared) = models[0].prepare(topo, flows, config, req.paths, req.seed, None) else {
+        let Ok(prepared) = models[0].prepare(topo, flows, config, req.paths, req.seed, &options)
+        else {
             continue;
         };
         let estimates: Result<Vec<_>, _> = (models.iter())

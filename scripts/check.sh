@@ -24,6 +24,9 @@ cargo test -q --workspace
 echo "==> kernel suite, optimized (every instantiation this host runs vs the portable panel kernel: the debug build does not vectorise)"
 cargo test --release -q -p m3-nn --test prop
 
+echo "==> helper pool suite, optimized (races between a section's publish, retract and join surface more often in release builds)"
+cargo test --release -q -p rayon
+
 echo "==> fault-injection suite"
 cargo test -q --test fault_injection
 

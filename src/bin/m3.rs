@@ -471,7 +471,7 @@ fn report(name: &str, est: &NetworkEstimate, elapsed: std::time::Duration) {
     println!(
         "{name:>18}: p99 {:>8.2}   (p50 {:>6.2}, buckets p99 [{:.2}, {:.2}, {:.2}, {:.2}])   {:?}",
         est.p99(),
-        est.overall_quantile(50.0),
+        est.overall_quantile(Percentile::P50),
         est.bucket_p99(0),
         est.bucket_p99(1),
         est.bucket_p99(2),
@@ -977,7 +977,7 @@ fn run_session(spec: &SessionSpec, metrics_out: Option<&str>) {
                 .session_estimate(id)
                 .unwrap_or_else(|| die(EXIT_FAULT, "re-adopted session has no estimate"));
             open_line.resumed = Some(true);
-            open_line.p50 = Some(est.overall_quantile(50.0));
+            open_line.p50 = Some(est.overall_quantile(Percentile::P50));
             open_line.p99 = Some(est.p99());
             id
         }
@@ -988,7 +988,7 @@ fn run_session(spec: &SessionSpec, metrics_out: Option<&str>) {
             });
             open_line.resumed = Some(false);
             open_line.total_paths = Some(u.total_paths);
-            open_line.p50 = Some(u.estimate.overall_quantile(50.0));
+            open_line.p50 = Some(u.estimate.overall_quantile(Percentile::P50));
             open_line.p99 = Some(u.estimate.p99());
             id
         }
@@ -1027,7 +1027,7 @@ fn run_session(spec: &SessionSpec, metrics_out: Option<&str>) {
                 line.reused_paths = Some(u.reused_paths);
                 line.total_paths = Some(u.total_paths);
                 line.structural = Some(u.structural);
-                line.p50 = Some(u.estimate.overall_quantile(50.0));
+                line.p50 = Some(u.estimate.overall_quantile(Percentile::P50));
                 line.p99 = Some(u.estimate.p99());
                 line.elapsed_ms = Some(t.elapsed().as_secs_f64() * 1e3);
             }

@@ -366,7 +366,7 @@ proptest! {
         let d = PathDistribution::from_samples(&samples);
         let est = NetworkEstimate::aggregate(&[d]);
         let qs: Vec<f64> = [1.0, 25.0, 50.0, 75.0, 99.0, 100.0]
-            .iter().map(|&p| est.overall_quantile(p)).collect();
+            .iter().map(|&p| est.overall_quantile(Percentile::new(p).unwrap())).collect();
         for w in qs.windows(2) {
             prop_assert!(w[0] <= w[1] + 1e-9);
         }

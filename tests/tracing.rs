@@ -7,7 +7,7 @@ use m3::core::prelude::*;
 use m3::netsim::prelude::*;
 use m3::nn::prelude::{M3Net, ModelConfig};
 use m3::serve::prelude::*;
-use m3::telemetry::{summarize_chrome_json, TraceCtx, TraceRecorder};
+use m3::telemetry::{summarize_chrome_json, TraceCtx, TraceEventKind, TraceRecorder};
 use m3::workload::prelude::*;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -194,6 +194,73 @@ fn serve_trace_ids_match_journal_entries() {
     assert!(summary.traces.contains(&trace_id_for(id0)), "{summary:?}");
     assert!(summary.traces.contains(&trace_id_for(id1)), "{summary:?}");
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_served_memo_miss_traces_its_prepare_half_and_a_hit_does_not() {
+    let recorder = TraceRecorder::new(1 << 20);
+    let config = ServiceConfig {
+        workers: 1,
+        trace: recorder.clone(),
+        trace_stride_ns: STRIDE_NS,
+        ..ServiceConfig::default()
+    };
+    let svc = Service::start(untrained_estimator(), config);
+    // One worker: the repeat is picked up after the first has filled the
+    // memo.
+    let miss = svc
+        .submit(EstimateRequest::new(scenario(400), 4, 1))
+        .unwrap();
+    assert!(svc.wait_idle(Duration::from_secs(180)));
+    let hit = svc
+        .submit(EstimateRequest::new(scenario(400), 4, 1))
+        .unwrap();
+    assert!(svc.wait_idle(Duration::from_secs(180)));
+    svc.shutdown();
+
+    let events = recorder.snapshot().events;
+    // (span, parent, name) of each span the job's trace opened.
+    let spans = |job: u64| -> Vec<(u64, u64, &'static str)> {
+        (events.iter())
+            .filter(|e| e.trace == trace_id_for(job))
+            .filter_map(|e| match e.kind {
+                TraceEventKind::Begin { name } => Some((e.span, e.parent, name)),
+                _ => None,
+            })
+            .collect()
+    };
+    let memo = |job: u64| {
+        (events.iter())
+            .filter(|e| e.trace == trace_id_for(job))
+            .find_map(|e| match &e.kind {
+                TraceEventKind::Instant { name, detail } if *name == "prepared" => {
+                    Some(detail.clone())
+                }
+                _ => None,
+            })
+    };
+    assert_eq!(memo(miss).as_deref(), Some("memo miss"));
+    assert_eq!(memo(hit).as_deref(), Some("memo hit"));
+
+    let missed = spans(miss);
+    let prepare = (missed.iter())
+        .find(|s| s.2 == "prepare")
+        .unwrap_or_else(|| panic!("no prepare span in the miss's trace: {missed:?}"));
+    for stage in ["decompose", "sample"] {
+        assert!(
+            (missed.iter()).any(|s| s.2 == stage && s.1 == prepare.0),
+            "no {stage} child of the miss's prepare span: {missed:?}"
+        );
+    }
+    let hit_spans = spans(hit);
+    assert!(
+        hit_spans.iter().any(|s| s.2 == "serve.job"),
+        "{hit_spans:?}"
+    );
+    assert!(
+        !(hit_spans.iter()).any(|s| matches!(s.2, "prepare" | "decompose" | "sample")),
+        "a memo hit traced a prepare half: {hit_spans:?}"
+    );
 }
 
 #[test]
