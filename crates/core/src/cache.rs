@@ -448,13 +448,6 @@ impl SharedScenarioCache {
         }
     }
 
-    /// Wrap an existing cache (keeps its entries and counters).
-    pub fn from_cache(cache: ScenarioCache) -> Self {
-        SharedScenarioCache {
-            inner: Arc::new(Mutex::new(cache)),
-        }
-    }
-
     /// Lock the underlying cache. Recovers from poisoning (see type docs).
     pub fn lock(&self) -> MutexGuard<'_, ScenarioCache> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)

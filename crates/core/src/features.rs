@@ -146,10 +146,6 @@ impl FeatureMap {
         Self::build(samples, &OUTPUT_BUCKETS)
     }
 
-    pub fn num_buckets(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Percentile row of one bucket.
     pub fn bucket(&self, b: usize) -> &[f32] {
         &self.data[b * NUM_PERCENTILES..(b + 1) * NUM_PERCENTILES]

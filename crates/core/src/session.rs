@@ -35,7 +35,7 @@
 //! Retained clean results are pinned in the session's
 //! [`SharedScenarioCache`] so LRU pressure from concurrent work cannot
 //! evict state a live session depends on; pins are released on every
-//! re-pin, on [`ScenarioSession::close`], and on drop.
+//! re-pin and on drop.
 
 use crate::aggregate::{NetworkEstimate, PathDistribution};
 use crate::cache::SharedScenarioCache;
@@ -594,13 +594,6 @@ impl ScenarioSession {
         })
     }
 
-    /// Re-estimate the current scenario from scratch through the shared
-    /// cache (clean paths hit by content key). A fault-free refresh after
-    /// degraded updates restores the full bit-identity contract.
-    pub fn refresh(&mut self, est: &M3Estimator) -> Result<SessionUpdate, M3Error> {
-        self.rebuild(est)
-    }
-
     /// Full re-estimate of the current state, committing index/slots on
     /// success.
     fn rebuild(&mut self, est: &M3Estimator) -> Result<SessionUpdate, M3Error> {
@@ -676,11 +669,6 @@ impl ScenarioSession {
         }
         drop(cache);
         self.pinned.clear();
-    }
-
-    /// Close the session, releasing its cache pins.
-    pub fn close(self) {
-        // Drop does the unpinning.
     }
 }
 

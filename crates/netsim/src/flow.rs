@@ -1,6 +1,6 @@
 //! Flow specifications and per-flow results.
 
-use crate::topology::{LinkId, NodeId, Topology};
+use crate::topology::{LinkId, NodeId};
 use crate::units::{Bytes, Nanos};
 use serde::{Deserialize, Serialize};
 
@@ -36,7 +36,8 @@ pub struct FctRecord {
     pub arrival: Nanos,
     /// Time from arrival until the last data byte reached the receiver.
     pub fct: Nanos,
-    /// Unloaded-network FCT over the same path ([`Topology::ideal_fct`]).
+    /// Unloaded-network FCT over the same path
+    /// ([`Topology::ideal_fct`](crate::topology::Topology::ideal_fct)).
     pub ideal_fct: Nanos,
 }
 
@@ -46,14 +47,6 @@ impl FctRecord {
     pub fn slowdown(&self) -> f64 {
         self.fct as f64 / self.ideal_fct.max(1) as f64
     }
-}
-
-/// Compute ideal FCTs for a batch of flows against a topology.
-pub fn ideal_fcts(topo: &Topology, flows: &[FlowSpec], mtu: Bytes) -> Vec<Nanos> {
-    flows
-        .iter()
-        .map(|f| topo.ideal_fct(&f.path, f.size, mtu))
-        .collect()
 }
 
 #[cfg(test)]

@@ -68,15 +68,6 @@ impl Link {
             self.a
         }
     }
-
-    /// The directed port carrying traffic out of `from`.
-    #[inline]
-    pub fn port_from(&self, id: LinkId, from: NodeId) -> PortId {
-        PortId {
-            link: id,
-            forward: from == self.a,
-        }
-    }
 }
 
 /// A network topology: nodes, links, adjacency.

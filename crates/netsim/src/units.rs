@@ -50,12 +50,6 @@ pub fn bytes_in(dur: Nanos, bps: Bps) -> Bytes {
     ((dur as u128) * (bps as u128) / (8 * 1_000_000_000)) as Bytes
 }
 
-/// Convert a rate in bits/sec to bytes/ns as `f64`, for fluid computations.
-#[inline]
-pub fn bps_to_bytes_per_ns(bps: Bps) -> f64 {
-    bps as f64 / 8e9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -50,16 +50,9 @@ struct Crossing {
     downstream_bw: Bps,
 }
 
-/// Run the full Parsimon estimation pipeline.
-///
-/// Note: like the published Rust implementation, accuracy claims in the
-/// paper are for DCTCP; this port accepts any of the four CC protocols.
-pub fn parsimon_estimate(
-    topo: &Topology,
-    flows: &[FlowSpec],
-    config: &SimConfig,
-) -> Vec<ParsimonRecord> {
-    // Group flows by directed channel.
+/// Group the flows' crossings by directed channel, each group in flow
+/// order, the channels sorted by (link, direction) for reproducibility.
+fn channels(topo: &Topology, flows: &[FlowSpec]) -> Vec<(LinkId, Vec<Crossing>)> {
     let mut crossings: HashMap<(LinkId, bool), Vec<Crossing>> = HashMap::new();
     for (i, f) in flows.iter().enumerate() {
         let mut cur = f.src;
@@ -77,40 +70,59 @@ pub fn parsimon_estimate(
             cur = link.other(cur);
         }
     }
-    // Deterministic order for reproducibility.
     let mut channels: Vec<((LinkId, bool), Vec<Crossing>)> = crossings.into_iter().collect();
     channels.sort_by_key(|&((l, fwd), _)| (l.0, !fwd));
+    channels.into_iter().map(|((l, _), c)| (l, c)).collect()
+}
 
+/// One record per flow: its ideal FCT over the full path plus `extra[i]`.
+fn records(
+    topo: &Topology,
+    flows: &[FlowSpec],
+    config: &SimConfig,
+    extra: &[Nanos],
+) -> Vec<ParsimonRecord> {
+    flows
+        .iter()
+        .zip(extra)
+        .map(|(f, &extra)| {
+            let ideal = topo.ideal_fct(&f.path, f.size, config.mtu);
+            ParsimonRecord {
+                id: f.id,
+                size: f.size,
+                ideal_fct: ideal,
+                est_fct: ideal + extra,
+            }
+        })
+        .collect()
+}
+
+/// Run the full Parsimon estimation pipeline.
+///
+/// Note: like the published Rust implementation, accuracy claims in the
+/// paper are for DCTCP; this port accepts any of the four CC protocols.
+pub fn parsimon_estimate(
+    topo: &Topology,
+    flows: &[FlowSpec],
+    config: &SimConfig,
+) -> Vec<ParsimonRecord> {
     // Simulate each channel independently and collect per-flow extra delays.
-    let delay_sets: Vec<Vec<(u32, Nanos)>> = channels
+    let delay_sets: Vec<Vec<(u32, Nanos)>> = channels(topo, flows)
         .par_iter()
-        .map(|&((link, _fwd), ref crossing)| simulate_channel(topo, flows, link, crossing, config))
+        .map(|(link, crossing)| simulate_channel(topo, flows, *link, crossing, config))
         .collect();
-
     let mut extra = vec![0u64; flows.len()];
     for set in &delay_sets {
         for &(fi, d) in set {
             extra[fi as usize] += d;
         }
     }
-    flows
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
-            let ideal = topo.ideal_fct(&f.path, f.size, config.mtu);
-            ParsimonRecord {
-                id: f.id,
-                size: f.size,
-                ideal_fct: ideal,
-                est_fct: ideal + extra[i],
-            }
-        })
-        .collect()
+    records(topo, flows, config, &extra)
 }
 
 /// Simulate one directed channel: all crossing flows contend on a copy of
 /// the target link only. Returns (flow index, extra delay beyond the
-/// link-local ideal FCT).
+/// link-local ideal FCT) in crossing order.
 fn simulate_channel(
     topo: &Topology,
     flows: &[FlowSpec],
@@ -163,28 +175,14 @@ pub fn slowdown_samples(records: &[ParsimonRecord]) -> Vec<(u64, f64)> {
 // Link clustering
 // ---------------------------------------------------------------------------
 
-/// Clustering configuration: channels whose workload signatures quantize to
-/// the same key share one representative simulation (the Parsimon paper's
-/// clustering optimization). Coarser quantization = faster and less precise.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct ClusteringConfig {
-    /// Quantization of per-channel flow counts (log2 buckets when true).
-    pub log_count_buckets: bool,
-    /// Quantization granularity of total offered bytes (bytes per bucket).
-    pub bytes_bucket: u64,
-    /// Quantization granularity of the arrival span (ns per bucket).
-    pub span_bucket: u64,
-}
-
-impl Default for ClusteringConfig {
-    fn default() -> Self {
-        ClusteringConfig {
-            log_count_buckets: true,
-            bytes_bucket: 4 << 20,
-            span_bucket: 20_000_000,
-        }
-    }
-}
+/// Channels with equal workload signatures share one representative
+/// simulation (the Parsimon paper's clustering optimization; coarser
+/// buckets are faster and less precise). A signature is a channel's
+/// bandwidth, its flow count rounded up to a power of two, its offered
+/// bytes in buckets of `CLUSTER_BYTES_BUCKET` and its arrival span in
+/// buckets of `CLUSTER_SPAN_BUCKET` nanoseconds.
+const CLUSTER_BYTES_BUCKET: u64 = 4 << 20;
+const CLUSTER_SPAN_BUCKET: Nanos = 20_000_000;
 
 /// Statistics from a clustered run.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -200,142 +198,73 @@ pub fn parsimon_estimate_clustered(
     topo: &Topology,
     flows: &[FlowSpec],
     config: &SimConfig,
-    clustering: &ClusteringConfig,
 ) -> (Vec<ParsimonRecord>, ClusterStats) {
-    // Group flows by directed channel (same as the exact path).
-    let mut crossings: HashMap<(LinkId, bool), Vec<Crossing>> = HashMap::new();
-    for (i, f) in flows.iter().enumerate() {
-        let mut cur = f.src;
-        let bws: Vec<Bps> = f.path.iter().map(|&l| topo.link(l).bandwidth).collect();
-        for (hop, &l) in f.path.iter().enumerate() {
-            let link = topo.link(l);
-            let forward = link.a == cur;
-            let upstream_bw = bws[..hop].iter().copied().min().unwrap_or(bws[hop]);
-            let downstream_bw = bws[hop + 1..].iter().copied().min().unwrap_or(bws[hop]);
-            crossings.entry((l, forward)).or_default().push(Crossing {
-                flow_idx: i as u32,
-                upstream_bw,
-                downstream_bw,
-            });
-            cur = link.other(cur);
-        }
-    }
-    let mut channels: Vec<((LinkId, bool), Vec<Crossing>)> = crossings.into_iter().collect();
-    channels.sort_by_key(|&((l, fwd), _)| (l.0, !fwd));
-    let total_channels = channels.len();
-
-    // Signature per channel.
+    let channels = channels(topo, flows);
     let signature = |link: LinkId, cr: &[Crossing]| -> (u64, u64, u64, u64) {
-        let bw = topo.link(link).bandwidth;
-        let count = if clustering.log_count_buckets {
-            (cr.len() as u64).next_power_of_two()
-        } else {
-            cr.len() as u64
-        };
         let bytes: u64 = cr.iter().map(|c| flows[c.flow_idx as usize].size).sum();
-        let span: u64 = {
-            let arr: Vec<Nanos> = cr
-                .iter()
-                .map(|c| flows[c.flow_idx as usize].arrival)
-                .collect();
-            arr.iter().max().unwrap() - arr.iter().min().unwrap()
-        };
+        let (first, last) = cr
+            .iter()
+            .map(|c| flows[c.flow_idx as usize].arrival)
+            .fold((Nanos::MAX, 0), |(lo, hi), a| (lo.min(a), hi.max(a)));
         (
-            bw,
-            count,
-            bytes / clustering.bytes_bucket.max(1),
-            span / clustering.span_bucket.max(1),
+            topo.link(link).bandwidth,
+            (cr.len() as u64).next_power_of_two(),
+            bytes / CLUSTER_BYTES_BUCKET,
+            (last - first) / CLUSTER_SPAN_BUCKET,
         )
     };
 
-    // Choose representatives.
+    // Each channel's representative: the first channel with its signature.
     let mut rep_of: HashMap<(u64, u64, u64, u64), usize> = HashMap::new();
-    let mut members: Vec<(usize, usize)> = Vec::new(); // (channel idx, rep idx)
-    for (ci, (link, cr)) in channels
+    let reps: Vec<usize> = channels
         .iter()
-        .map(|&((l, f), ref c)| ((l, f), c))
         .enumerate()
-    {
-        let sig = signature(link.0, cr);
-        let rep = *rep_of.entry(sig).or_insert(ci);
-        members.push((ci, rep));
-    }
-    let reps: std::collections::BTreeSet<usize> = members.iter().map(|&(_, r)| r).collect();
+        .map(|(ci, (link, cr))| *rep_of.entry(signature(*link, cr)).or_insert(ci))
+        .collect();
+    let mut simulated: Vec<usize> = rep_of.into_values().collect();
+    simulated.sort_unstable();
 
-    // Simulate representatives; build slowdown-by-size-rank profiles
-    // (extra delay normalized per byte, indexed by size rank quantile).
-    let rep_profiles: HashMap<usize, Vec<(u64, Nanos)>> = reps
+    // Simulate the representatives; keep each one's per-flow delays and
+    // those delays ranked by flow size (stable), its profile.
+    type Delays = Vec<(u32, Nanos)>;
+    let runs: HashMap<usize, (Delays, Delays)> = simulated
         .par_iter()
         .map(|&ri| {
             let (link, cr) = &channels[ri];
-            let delays = simulate_channel(topo, flows, link.0, cr, config);
-            // size-sorted (size, extra delay) profile.
-            let mut prof: Vec<(u64, Nanos)> = delays
-                .iter()
-                .map(|&(fi, d)| (flows[fi as usize].size, d))
-                .collect();
-            prof.sort_by_key(|&(s, _)| s);
-            (ri, prof)
+            let delays = simulate_channel(topo, flows, *link, cr, config);
+            let mut profile = delays.clone();
+            profile.sort_by_key(|&(fi, _)| flows[fi as usize].size);
+            (ri, (delays, profile))
         })
         .collect();
 
-    // Apply: representative channels use their own per-flow delays; member
-    // channels map each flow to the representative profile by size rank.
+    // A representative adds its own delays; a member maps each of its
+    // flows, by size-rank quantile, into its representative's profile.
     let mut extra = vec![0u64; flows.len()];
-    for &(ci, rep) in &members {
-        let (link, cr) = &channels[ci];
-        if ci == rep {
-            let delays = {
-                // Recompute from the stored profile is lossy for the rep's
-                // own flows; simulate exact mapping only once (cheap reuse).
-                let prof = &rep_profiles[&rep];
-                let mut ranked: Vec<usize> = (0..cr.len()).collect();
-                ranked.sort_by_key(|&j| flows[cr[j].flow_idx as usize].size);
-                ranked
-                    .iter()
-                    .enumerate()
-                    .map(|(rank, &j)| (cr[j].flow_idx, prof[rank.min(prof.len() - 1)].1))
-                    .collect::<Vec<_>>()
-            };
-            for (fi, d) in delays {
+    for (ci, (_, cr)) in channels.iter().enumerate() {
+        let (delays, profile) = &runs[&reps[ci]];
+        if ci == reps[ci] {
+            for &(fi, d) in delays {
                 extra[fi as usize] += d;
             }
-        } else {
-            let prof = &rep_profiles[&rep];
-            if prof.is_empty() {
-                continue;
-            }
-            let mut ranked: Vec<usize> = (0..cr.len()).collect();
-            ranked.sort_by_key(|&j| flows[cr[j].flow_idx as usize].size);
-            for (rank, &j) in ranked.iter().enumerate() {
-                // Map by rank quantile into the representative profile.
-                let q = rank as f64 / cr.len().max(1) as f64;
-                let pi = ((q * prof.len() as f64) as usize).min(prof.len() - 1);
-                extra[cr[j].flow_idx as usize] += prof[pi].1;
-            }
+            continue;
         }
-        let _ = link;
+        if profile.is_empty() {
+            continue;
+        }
+        let mut ranked: Vec<usize> = (0..cr.len()).collect();
+        ranked.sort_by_key(|&j| flows[cr[j].flow_idx as usize].size);
+        for (rank, &j) in ranked.iter().enumerate() {
+            let q = rank as f64 / cr.len() as f64;
+            let pi = ((q * profile.len() as f64) as usize).min(profile.len() - 1);
+            extra[cr[j].flow_idx as usize] += profile[pi].1;
+        }
     }
-    let records = flows
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
-            let ideal = topo.ideal_fct(&f.path, f.size, config.mtu);
-            ParsimonRecord {
-                id: f.id,
-                size: f.size,
-                ideal_fct: ideal,
-                est_fct: ideal + extra[i],
-            }
-        })
-        .collect();
-    (
-        records,
-        ClusterStats {
-            total_channels,
-            simulated_channels: reps.len(),
-        },
-    )
+    let stats = ClusterStats {
+        total_channels: channels.len(),
+        simulated_channels: simulated.len(),
+    };
+    (records(topo, flows, config, &extra), stats)
 }
 
 #[cfg(test)]
@@ -481,8 +410,7 @@ mod clustering_tests {
     #[test]
     fn clustering_reduces_simulated_channels() {
         let (ft, flows, cfg) = workload();
-        let (_, stats) =
-            parsimon_estimate_clustered(&ft.topo, &flows, &cfg, &ClusteringConfig::default());
+        let (_, stats) = parsimon_estimate_clustered(&ft.topo, &flows, &cfg);
         assert!(stats.simulated_channels < stats.total_channels);
         assert!(stats.simulated_channels > 0);
     }
@@ -491,8 +419,7 @@ mod clustering_tests {
     fn clustered_estimate_tracks_exact_parsimon() {
         let (ft, flows, cfg) = workload();
         let exact = parsimon_estimate(&ft.topo, &flows, &cfg);
-        let (clustered, _) =
-            parsimon_estimate_clustered(&ft.topo, &flows, &cfg, &ClusteringConfig::default());
+        let (clustered, _) = parsimon_estimate_clustered(&ft.topo, &flows, &cfg);
         let p99 = |rs: &[ParsimonRecord]| -> f64 {
             let mut v: Vec<f64> = rs.iter().map(|r| r.slowdown()).collect();
             m3_netsim::stats::percentile_unsorted(&mut v, 99.0)
@@ -505,8 +432,7 @@ mod clustering_tests {
     #[test]
     fn every_flow_estimated_in_clustered_mode() {
         let (ft, flows, cfg) = workload();
-        let (recs, _) =
-            parsimon_estimate_clustered(&ft.topo, &flows, &cfg, &ClusteringConfig::default());
+        let (recs, _) = parsimon_estimate_clustered(&ft.topo, &flows, &cfg);
         assert_eq!(recs.len(), flows.len());
         for r in &recs {
             assert!(r.est_fct >= r.ideal_fct);

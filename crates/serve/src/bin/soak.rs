@@ -478,7 +478,6 @@ fn cluster_config(
         fault_after_dispatches,
         fault_plan,
         restart_dead_shards: true,
-        ..ClusterConfig::default()
     }
 }
 

@@ -1,21 +1,27 @@
 //! Per-stage circuit breaker.
 //!
-//! Tracks consecutive failures of one pipeline stage across jobs. After
-//! `failure_threshold` consecutive failures the breaker *opens*: workers
+//! Tracks consecutive failures of one pipeline stage across jobs. After 3
+//! consecutive failures (`FAILURE_THRESHOLD`) the breaker *opens*: workers
 //! stop attempting the full ML pipeline and route jobs down the
-//! flowSim-only degraded path until the breaker cools down. Cooldown is
-//! counted in *observations* (degraded jobs routed past the open breaker),
-//! not wall-clock time, so breaker behavior is deterministic under test
-//! and replay. After cooldown the breaker goes *half-open* and admits a
-//! single probe job: success closes it, failure re-opens it with a fresh
-//! cooldown.
+//! flowSim-only degraded path until the breaker cools down. Cooldown is 2
+//! *observations* (`COOLDOWN_OBSERVATIONS`: degraded jobs routed past the
+//! open breaker), not wall-clock time, so breaker behavior is
+//! deterministic under test and replay. After cooldown the breaker goes
+//! *half-open* and admits a single probe job: success closes it, failure
+//! re-opens it with a fresh cooldown.
 
 use serde::{Deserialize, Serialize};
 
+/// Consecutive failures that trip a breaker.
+const FAILURE_THRESHOLD: u32 = 3;
+/// Observations a tripped breaker stays open before admitting a probe.
+const COOLDOWN_OBSERVATIONS: u32 = 2;
+
 /// Breaker position, reported on the service stats snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BreakerState {
     /// Normal operation; failures are being counted.
+    #[default]
     Closed,
     /// Tripped: route around the stage. `cooldown_left` observations remain
     /// before a probe is admitted.
@@ -24,29 +30,10 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-/// Breaker tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BreakerConfig {
-    /// Consecutive failures that trip the breaker.
-    pub failure_threshold: u32,
-    /// Observations the breaker stays open before admitting a probe.
-    pub cooldown_observations: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown_observations: 2,
-        }
-    }
-}
-
-/// The breaker itself. Not internally synchronized: the service keeps it
-/// inside its state mutex.
-#[derive(Debug, Clone)]
+/// The breaker itself, closed when built. Not internally synchronized: the
+/// service keeps it inside its state mutex.
+#[derive(Debug, Clone, Default)]
 pub struct CircuitBreaker {
-    config: BreakerConfig,
     state: BreakerState,
     consecutive_failures: u32,
     /// True while a half-open probe is in flight (only one at a time).
@@ -56,16 +43,6 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    pub fn new(config: BreakerConfig) -> Self {
-        CircuitBreaker {
-            config,
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            probe_in_flight: false,
-            trips: 0,
-        }
-    }
-
     pub fn state(&self) -> BreakerState {
         self.state
     }
@@ -123,7 +100,7 @@ impl CircuitBreaker {
             BreakerState::HalfOpen => self.trip(),
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.config.failure_threshold {
+                if self.consecutive_failures >= FAILURE_THRESHOLD {
                     self.trip();
                 }
             }
@@ -143,7 +120,7 @@ impl CircuitBreaker {
         self.trips += 1;
         self.consecutive_failures = 0;
         self.state = BreakerState::Open {
-            cooldown_left: self.config.cooldown_observations.max(1),
+            cooldown_left: COOLDOWN_OBSERVATIONS,
         };
     }
 }
@@ -152,16 +129,9 @@ impl CircuitBreaker {
 mod tests {
     use super::*;
 
-    fn breaker() -> CircuitBreaker {
-        CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 3,
-            cooldown_observations: 2,
-        })
-    }
-
     #[test]
     fn trips_after_consecutive_failures_only() {
-        let mut b = breaker();
+        let mut b = CircuitBreaker::default();
         b.on_failure();
         b.on_failure();
         b.on_success(); // resets the streak
@@ -175,7 +145,7 @@ mod tests {
 
     #[test]
     fn open_counts_observations_then_probes() {
-        let mut b = breaker();
+        let mut b = CircuitBreaker::default();
         for _ in 0..3 {
             b.on_failure();
         }
@@ -193,7 +163,7 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens_with_fresh_cooldown() {
-        let mut b = breaker();
+        let mut b = CircuitBreaker::default();
         for _ in 0..3 {
             b.on_failure();
         }
@@ -211,7 +181,7 @@ mod tests {
 
     #[test]
     fn cancelled_probe_frees_the_slot() {
-        let mut b = breaker();
+        let mut b = CircuitBreaker::default();
         for _ in 0..3 {
             b.on_failure();
         }

@@ -36,8 +36,8 @@
 //! 5. **Recovery** — dead shards are restarted with a fresh journal and
 //!    walk `Dead` → [`ShardHealth::Recovering`] →
 //!    [`ShardHealth::Recovered`]; a [`InjectedFault::ShardSlowStart`]
-//!    plan keeps a restarted shard out of the routing set for a warmup
-//!    window.
+//!    plan keeps a restarted shard out of the routing set for 3 monitor
+//!    polls.
 //!
 //! Shard-level faults ([`InjectedFault::ShardCrash`] /
 //! [`InjectedFault::ShardStall`] / [`InjectedFault::ShardSlowStart`])
@@ -46,7 +46,7 @@
 //! exactly in tests and soak runs.
 
 use crate::backoff::RetryPolicy;
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::journal::{JobOutcome, Journal, Replay};
 use crate::request::{EstimateRequest, OpenSessionRequest};
 use crate::routing::{rank, routing_key, session_routing_key};
@@ -92,9 +92,6 @@ pub struct ClusterConfig {
     /// jitter, same scheme as the in-shard stage retries). A job that
     /// exhausts `max_attempts` dispatches is `Shed`.
     pub reroute_retry: RetryPolicy,
-    /// Per-shard circuit breaker (above the per-stage breakers inside
-    /// each shard): trips on consecutive dispatch failures to one shard.
-    pub shard_breaker: BreakerConfig,
     /// Requests with at least this many paths are scattered into
     /// [`PathSlice`] children. `usize::MAX` (default) disables scatter.
     pub scatter_threshold: usize,
@@ -110,12 +107,12 @@ pub struct ClusterConfig {
     pub fault_after_dispatches: u64,
     /// Restart dead shards (fresh journal) after failover.
     pub restart_dead_shards: bool,
-    /// Monitor polls a restarted shard spends in
-    /// [`ShardHealth::Recovering`] when its slot is hit by
-    /// `ShardSlowStart` (otherwise a restarted shard is `Recovered` — and
-    /// routable — immediately).
-    pub warmup_polls: u32,
 }
+
+/// Monitor polls a restarted shard spends in [`ShardHealth::Recovering`]
+/// when its slot is hit by `ShardSlowStart` (otherwise a restarted shard is
+/// `Recovered`, and routable, immediately).
+const WARMUP_POLLS: u32 = 3;
 
 impl Default for ClusterConfig {
     fn default() -> Self {
@@ -132,13 +129,11 @@ impl Default for ClusterConfig {
                 max_delay_ms: 50,
                 seed: 0,
             },
-            shard_breaker: BreakerConfig::default(),
             scatter_threshold: usize::MAX,
             scatter_chunk: 8,
             fault_plan: None,
             fault_after_dispatches: 0,
             restart_dead_shards: true,
-            warmup_polls: 3,
         }
     }
 }
@@ -486,7 +481,7 @@ impl Cluster {
                 service: Some(service),
                 registry: reg,
                 health: ShardHealth::Alive,
-                breaker: CircuitBreaker::new(config.shard_breaker),
+                breaker: CircuitBreaker::default(),
                 last_beat: 0,
                 misses: 0,
                 journal_path,
@@ -1455,13 +1450,13 @@ fn failover(inner: &ClusterInner, idx: usize) {
         let slot = &mut st.shards[idx];
         slot.registry = svc.metrics().clone();
         slot.service = Some(svc);
-        slot.breaker = CircuitBreaker::new(inner.config.shard_breaker);
+        slot.breaker = CircuitBreaker::default();
         slot.last_beat = 0;
         slot.misses = 0;
         slot.dispatched = 0;
-        slot.health = if slot.slow_start && inner.config.warmup_polls > 0 {
+        slot.health = if slot.slow_start {
             ShardHealth::Recovering {
-                polls_left: inner.config.warmup_polls,
+                polls_left: WARMUP_POLLS,
             }
         } else {
             ShardHealth::Recovered

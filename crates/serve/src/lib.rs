@@ -52,7 +52,7 @@ pub mod swap;
 
 pub mod prelude {
     pub use crate::backoff::RetryPolicy;
-    pub use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+    pub use crate::breaker::{BreakerState, CircuitBreaker};
     pub use crate::cluster::{
         merge_estimates, Cluster, ClusterConfig, ClusterSessionError, ClusterStats, ShardHealth,
         ShardStatus,

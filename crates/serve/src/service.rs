@@ -44,7 +44,7 @@
 //!   time [`Service::outcome`] is asked for it, outside the state lock.
 
 use crate::backoff::RetryPolicy;
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::journal::{
     Decision, Frame, JobOutcome, Journal, JournalCorruption, JournalFaults, JournalRecord, Replay,
 };
@@ -78,7 +78,6 @@ pub struct ServiceConfig {
     /// Queue slots; submissions beyond this are shed.
     pub queue_capacity: usize,
     pub retry: RetryPolicy,
-    pub breaker: BreakerConfig,
     /// Shared scenario-cache capacity (entries).
     pub cache_capacity: usize,
     /// When set, the supervisor writes a JSON [`MetricsSnapshot`] of the
@@ -121,7 +120,6 @@ impl Default for ServiceConfig {
             workers: 2,
             queue_capacity: 64,
             retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
             cache_capacity: 256,
             metrics_out: None,
             metrics_dump_every: Duration::from_secs(1),
@@ -1027,8 +1025,8 @@ impl Service {
                 in_flight: HashMap::new(),
                 outcomes: BTreeMap::new(),
                 accepted: accepted_preload,
-                flowsim_breaker: CircuitBreaker::new(config.breaker),
-                forward_breaker: CircuitBreaker::new(config.breaker),
+                flowsim_breaker: CircuitBreaker::default(),
+                forward_breaker: CircuitBreaker::default(),
                 journal: journal.map(|j| j.with_faults(config.journal_faults.clone())),
                 shutdown: false,
                 journal_corruption: None,

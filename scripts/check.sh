@@ -36,6 +36,9 @@ cargo test -q --test service_integration
 echo "==> tracing suite (span tree, determinism, journal correlation)"
 cargo test -q --test tracing
 
+echo "==> CLI suite (m3 serve, cluster, session, example-* and estimate's spec check as child processes, against golden transcripts)"
+cargo test -q --test cli
+
 echo "==> cluster suite (sharded fan-out, kill-a-shard lossless failover)"
 cargo test -q --test cluster_integration
 

@@ -65,12 +65,10 @@
 use m3::core::prelude::*;
 use m3::netsim::prelude::*;
 use m3::nn::prelude::{Lineage, ModelRef, ModelRegistry};
-use m3::parsimon::{
-    parsimon_estimate, parsimon_estimate_clustered, slowdown_samples, ClusteringConfig,
-};
+use m3::parsimon::{parsimon_estimate, parsimon_estimate_clustered, slowdown_samples};
 use m3::serve::prelude::{
     render_report, Cluster, ClusterConfig, ConfigSpec, DriftConfig, EstimateRequest, JobOutcome,
-    Monitor, MonitorConfig, MonitorReport, MonitorSource, OpenSessionRequest, RetryPolicy,
+    Monitor, MonitorConfig, MonitorReport, MonitorSource, OpenSessionRequest, Replay, RetryPolicy,
     ScenarioSpec, Service, ServiceConfig, SessionError, ShadowTruth, SubmitError, TopoSpec,
     WorkloadSpec,
 };
@@ -499,7 +497,22 @@ fn report(name: &str, est: &NetworkEstimate, elapsed: std::time::Duration) {
     }
 }
 
+/// The estimators `m3 estimate` runs, by spec name.
+const METHODS: [&str; 7] = [
+    "m3",
+    "flowsim",
+    "global-flowsim",
+    "parsimon",
+    "parsimon-clustered",
+    "ns3",
+    "ns3-path",
+];
+
 fn run_estimate(spec: &Spec, metrics_out: Option<&str>, trace: Option<&TraceOpts>) {
+    // Every name is checked before the first estimator runs.
+    if let Some(m) = spec.methods.iter().find(|m| !METHODS.contains(&m.as_str())) {
+        die_m3(&invalid_spec(format!("unknown method {m:?}")));
+    }
     let m = materialize(spec);
     println!(
         "scenario: {} flows, {} nodes, {} links",
@@ -561,12 +574,7 @@ fn run_estimate(spec: &Spec, metrics_out: Option<&str>, trace: Option<&TraceOpts
                 report("parsimon", &e, t.elapsed());
             }
             "parsimon-clustered" => {
-                let (recs, stats) = parsimon_estimate_clustered(
-                    &m.topo,
-                    &m.flows,
-                    &m.config,
-                    &ClusteringConfig::default(),
-                );
+                let (recs, stats) = parsimon_estimate_clustered(&m.topo, &m.flows, &m.config);
                 let e = NetworkEstimate::aggregate(&[PathDistribution::from_samples(
                     &slowdown_samples(&recs),
                 )]);
@@ -592,7 +600,7 @@ fn run_estimate(spec: &Spec, metrics_out: Option<&str>, trace: Option<&TraceOpts
                 let e = ns3_path_estimate(&m.topo, &m.flows, &m.config, spec.paths, spec.seed);
                 report("ns3-path", &e, t.elapsed());
             }
-            other => die_m3(&invalid_spec(format!("unknown method {other:?}"))),
+            _ => unreachable!("every method was checked against METHODS"),
         }
     }
     if let Some(path) = metrics_out {
@@ -672,30 +680,58 @@ fn build_monitor(spec: &MonitorSpec) -> Monitor {
     Monitor::new(config).unwrap_or_else(|e| die(EXIT_USAGE, &format!("start monitor: {e}")))
 }
 
-/// Wait for the batch to drain in short slices, sampling the monitor
-/// between slices (tick = sample index, so evaluation is deterministic in
-/// the number of samples, not wall time). Takes a final sample after the
-/// drain and prints its report. Returns false on timeout.
-fn drive_monitored(
+/// Validate every request's scenario up front so a typo'd batch dies with
+/// a spec error before any job is journaled.
+fn check_requests(requests: &[EstimateRequest]) {
+    for (i, req) in requests.iter().enumerate() {
+        if let Err(e) = req.scenario.materialize(req.seed) {
+            eprintln!("error: request {i} is invalid");
+            die_m3(&e);
+        }
+    }
+}
+
+/// The batch driver of `m3 serve` and `m3 cluster` (`name` is `service` or
+/// `cluster`): submit `requests` but the first `skip`, then wait for the
+/// batch to drain in short slices, sampling the spec's monitor between
+/// slices (tick = sample index, so evaluation is deterministic in the
+/// number of samples, not wall time) and once after the drain, whose
+/// report is printed. Dies if the batch has not settled within 1 h.
+/// Returns the ids of the submitted jobs.
+fn drive_batch(
+    name: &str,
     source: &impl MonitorSource,
-    wait: &dyn Fn(Duration) -> bool,
-    monitor: &mut Option<Monitor>,
-    every: Duration,
-    timeout: Duration,
-) -> bool {
-    let deadline = Instant::now() + timeout;
+    requests: &[EstimateRequest],
+    skip: usize,
+    monitor: Option<&MonitorSpec>,
+    submit: impl Fn(EstimateRequest) -> Result<u64, SubmitError>,
+    wait_idle: impl Fn(Duration) -> bool,
+) -> Vec<u64> {
+    let mut ids = Vec::new();
+    for (i, req) in requests.iter().enumerate().skip(skip) {
+        match submit(req.clone()) {
+            Ok(id) => ids.push(id),
+            Err(SubmitError::QueueFull { capacity }) => {
+                eprintln!("request {i}: shed at submit (queue full, {capacity} slots)");
+            }
+            Err(e) => die(EXIT_FAULT, &format!("request {i}: {e}")),
+        }
+    }
+
+    let every = Duration::from_millis(monitor.map_or(1, |m| m.sample_every_ms.max(1)));
+    let mut monitor = monitor.map(build_monitor);
+    let deadline = Instant::now() + Duration::from_secs(3600);
     let mut tick = 0u64;
     let idle = loop {
         let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
             break false;
         }
-        let slice = if monitor.is_some() {
+        let idle = wait_idle(if monitor.is_some() {
             every.min(remaining)
         } else {
             remaining
-        };
-        let idle = wait(slice);
+        });
         if let Some(mon) = monitor.as_mut() {
             tick += 1;
             if let Err(e) = mon.sample(source, tick) {
@@ -707,119 +743,43 @@ fn drive_monitored(
         }
     };
     if let Some(mon) = monitor.as_mut() {
-        tick += 1;
-        match mon.sample(source, tick) {
+        match mon.sample(source, tick + 1) {
             Ok(report) => print!("{}", render_report(&report)),
             Err(e) => eprintln!("warning: monitor sample failed: {e}"),
         }
     }
-    idle
+    if !idle {
+        die(
+            EXIT_FAULT,
+            &format!("{name} did not settle all jobs within 1 h"),
+        );
+    }
+    ids
 }
 
-fn run_serve(spec: &ServiceSpec, metrics_out: Option<&str>, trace: Option<&TraceOpts>) {
-    // Validate every request's scenario up front so a typo'd batch dies
-    // with a spec error before any job is journaled.
-    for (i, req) in spec.requests.iter().enumerate() {
-        if let Err(e) = req.scenario.materialize(req.seed) {
-            eprintln!("error: request {i} is invalid");
-            die_m3(&e);
-        }
-    }
-
-    let estimator = M3Estimator::new(load_model(spec.model.as_deref()));
-    let recorder = trace
-        .map(|t| t.recorder())
-        .unwrap_or_else(TraceRecorder::noop);
-    let config = ServiceConfig {
-        workers: spec.workers,
-        queue_capacity: spec.queue_capacity,
-        retry: spec.retry.unwrap_or_default(),
-        metrics_out: metrics_out.map(Into::into),
-        trace: recorder.clone(),
-        trace_stride_ns: trace.map(|t| t.stride_ns).unwrap_or(0),
-        ..ServiceConfig::default()
+/// Print the outcome of each job in `ids`: estimates on stdout, failures
+/// and sheds on stderr. Returns how many failed or have no outcome.
+fn report_outcomes(
+    name: &str,
+    ids: impl IntoIterator<Item = u64>,
+    outcome: impl Fn(u64) -> Option<JobOutcome>,
+) -> u64 {
+    let report_job = |id: u64, attempts: u32, estimate: &NetworkEstimate| {
+        let took = Duration::from_secs_f64(estimate.timings.total_s());
+        report(&format!("job {id} ({attempts} att)"), estimate, took);
     };
-
-    let (svc, already_accepted) = match (&spec.journal, spec.resume) {
-        (Some(path), true) => {
-            let (svc, replay) = match &spec.registry {
-                Some(root) => {
-                    let reg = ModelRegistry::open(root)
-                        .unwrap_or_else(|e| die(EXIT_USAGE, &format!("open registry {root}: {e}")));
-                    Service::resume_with_registry(estimator, config, path, &reg)
-                }
-                None => Service::resume(estimator, config, path),
-            }
-            .unwrap_or_else(|e| die(EXIT_USAGE, &format!("resume journal {path}: {e}")));
-            println!(
-                "resumed journal {path}: {} accepted, {} settled, {} pending{}",
-                replay.accepted.len(),
-                replay.settled(),
-                replay.pending().len(),
-                if replay.truncated_tail {
-                    " (torn tail truncated)"
-                } else {
-                    ""
-                }
-            );
-            if let Some((version, fingerprint)) = replay.active_model {
-                println!("active model from journal: v{version} ({fingerprint:#018x})");
-            }
-            (svc, replay.accepted.len())
-        }
-        (Some(path), false) => (
-            Service::start_journaled(estimator, config, path)
-                .unwrap_or_else(|e| die(EXIT_USAGE, &format!("create journal {path}: {e}"))),
-            0,
-        ),
-        (None, true) => die(EXIT_USAGE, "\"resume\": true requires a \"journal\" path"),
-        (None, false) => (Service::start(estimator, config), 0),
-    };
-
-    // On resume, requests the journal already accepted are not re-submitted
-    // (they either settled or are being replayed); only the tail of the
-    // batch is new work.
-    let mut ids = Vec::new();
-    for (i, req) in spec.requests.iter().enumerate().skip(already_accepted) {
-        match svc.submit(req.clone()) {
-            Ok(id) => ids.push(id),
-            Err(SubmitError::QueueFull { capacity }) => {
-                eprintln!("request {i}: shed at submit (queue full, {capacity} slots)");
-            }
-            Err(e) => die(EXIT_FAULT, &format!("request {i}: {e}")),
-        }
-    }
-
-    let mut monitor = spec.monitor.as_ref().map(build_monitor);
-    let every = Duration::from_millis(
-        spec.monitor
-            .as_ref()
-            .map(|m| m.sample_every_ms.max(1))
-            .unwrap_or(1),
-    );
-    if !drive_monitored(
-        &svc,
-        &|d| svc.wait_idle(d),
-        &mut monitor,
-        every,
-        Duration::from_secs(3600),
-    ) {
-        die(EXIT_FAULT, "service did not settle all jobs within 1 h");
-    }
     let mut failed = 0u64;
-    for id in 0..svc.stats().accepted {
-        match svc.outcome(id) {
+    for id in ids {
+        match outcome(id) {
             Some(JobOutcome::Completed { estimate, attempts }) => {
-                let took = Duration::from_secs_f64(estimate.timings.total_s());
-                report(&format!("job {id} ({attempts} att)"), &estimate, took);
+                report_job(id, attempts, &estimate);
             }
             Some(JobOutcome::Degraded {
                 estimate,
                 attempts,
                 via_breaker,
             }) => {
-                let took = Duration::from_secs_f64(estimate.timings.total_s());
-                report(&format!("job {id} ({attempts} att)"), &estimate, took);
+                report_job(id, attempts, &estimate);
                 println!(
                     "{:>18}  degraded{}",
                     "",
@@ -838,11 +798,106 @@ fn run_serve(spec: &ServiceSpec, metrics_out: Option<&str>, trace: Option<&Trace
                 eprintln!("job {id}: shed ({reason})");
             }
             None => {
-                eprintln!("job {id}: no terminal outcome (service bug)");
+                eprintln!("job {id}: no terminal outcome ({name} bug)");
                 failed += 1;
             }
         }
     }
+    failed
+}
+
+/// The service start-up of `m3 serve` and `m3 session`: journal-less, or
+/// journaling to a fresh `journal`, or with `resume` replaying it (a model
+/// the journal hot-swapped in is re-installed from `registry`). Returns the
+/// replay of a resumed journal.
+fn start_service(
+    estimator: M3Estimator,
+    config: ServiceConfig,
+    journal: Option<&str>,
+    resume: bool,
+    registry: Option<&str>,
+) -> (Service, Option<Replay>) {
+    match (journal, resume) {
+        (Some(path), true) => {
+            let resumed = match registry {
+                Some(root) => {
+                    let reg = ModelRegistry::open(root)
+                        .unwrap_or_else(|e| die(EXIT_USAGE, &format!("open registry {root}: {e}")));
+                    Service::resume_with_registry(estimator, config, path, &reg)
+                }
+                None => Service::resume(estimator, config, path),
+            };
+            let (svc, replay) =
+                resumed.unwrap_or_else(|e| die(EXIT_USAGE, &format!("resume journal {path}: {e}")));
+            (svc, Some(replay))
+        }
+        (Some(path), false) => (
+            Service::start_journaled(estimator, config, path)
+                .unwrap_or_else(|e| die(EXIT_USAGE, &format!("create journal {path}: {e}"))),
+            None,
+        ),
+        (None, true) => die(EXIT_USAGE, "\"resume\": true requires a \"journal\" path"),
+        (None, false) => (Service::start(estimator, config), None),
+    }
+}
+
+fn run_serve(spec: &ServiceSpec, metrics_out: Option<&str>, trace: Option<&TraceOpts>) {
+    check_requests(&spec.requests);
+    let estimator = M3Estimator::new(load_model(spec.model.as_deref()));
+    let recorder = trace
+        .map(|t| t.recorder())
+        .unwrap_or_else(TraceRecorder::noop);
+    let config = ServiceConfig {
+        workers: spec.workers,
+        queue_capacity: spec.queue_capacity,
+        retry: spec.retry.unwrap_or_default(),
+        metrics_out: metrics_out.map(Into::into),
+        trace: recorder.clone(),
+        trace_stride_ns: trace.map(|t| t.stride_ns).unwrap_or(0),
+        ..ServiceConfig::default()
+    };
+    let journal = spec.journal.as_deref();
+    let (svc, replay) = start_service(
+        estimator,
+        config,
+        journal,
+        spec.resume,
+        spec.registry.as_deref(),
+    );
+
+    // On resume, requests the journal already accepted are not re-submitted
+    // (they either settled or are being replayed); only the tail of the
+    // batch is new work.
+    let mut already_accepted = 0;
+    if let Some(replay) = replay {
+        println!(
+            "resumed journal {}: {} accepted, {} settled, {} pending{}",
+            journal.unwrap_or_default(),
+            replay.accepted.len(),
+            replay.settled(),
+            replay.pending().len(),
+            if replay.truncated_tail {
+                " (torn tail truncated)"
+            } else {
+                ""
+            }
+        );
+        if let Some((version, fingerprint)) = replay.active_model {
+            println!("active model from journal: v{version} ({fingerprint:#018x})");
+        }
+        already_accepted = replay.accepted.len();
+    }
+
+    drive_batch(
+        "service",
+        &svc,
+        &spec.requests,
+        already_accepted,
+        spec.monitor.as_ref(),
+        |req| svc.submit(req),
+        |d| svc.wait_idle(d),
+    );
+    let failed = report_outcomes("service", 0..svc.stats().accepted, |id| svc.outcome(id));
 
     // After the outcomes: a resumed decision is recomputed when read.
     let stats = svc.stats();
@@ -871,7 +926,7 @@ fn run_session(spec: &SessionSpec, metrics_out: Option<&str>) {
 
     /// One stdout line of the session protocol (`event` is `open` or
     /// `update`).
-    #[derive(Serialize)]
+    #[derive(Default, Serialize)]
     struct SessionLine {
         event: &'static str,
         ok: bool,
@@ -900,24 +955,6 @@ fn run_session(spec: &SessionSpec, metrics_out: Option<&str>) {
     }
 
     impl SessionLine {
-        fn empty(event: &'static str, ok: bool) -> SessionLine {
-            SessionLine {
-                event,
-                ok,
-                session: None,
-                resumed: None,
-                seq: None,
-                total_paths: None,
-                dirty_paths: None,
-                reused_paths: None,
-                structural: None,
-                p50: None,
-                p99: None,
-                elapsed_ms: None,
-                error: None,
-            }
-        }
-
         fn emit(&self) {
             match serde_json::to_string(self) {
                 Ok(s) => println!("{s}"),
@@ -941,36 +978,31 @@ fn run_session(spec: &SessionSpec, metrics_out: Option<&str>) {
         ..ServiceConfig::default()
     };
     let request = OpenSessionRequest::new(scenario, spec.paths, spec.seed);
-
-    let (svc, adopted) = match (&spec.journal, spec.resume) {
-        (Some(path), true) => {
-            let (svc, replay) = Service::resume(estimator, config, path)
-                .unwrap_or_else(|e| die(EXIT_USAGE, &format!("resume journal {path}: {e}")));
-            let adopted = svc.open_sessions().into_iter().next_back();
-            match adopted {
-                Some(id) => eprintln!(
-                    "resumed journal {path}: re-adopted session {id} ({} replayed delta(s))",
-                    replay
-                        .sessions
-                        .get(&id)
-                        .map(|s| s.deltas.len())
-                        .unwrap_or(0)
-                ),
-                None => eprintln!("resumed journal {path}: no live session, opening a new one"),
-            }
-            (svc, adopted)
+    let journal = spec.journal.as_deref();
+    let (svc, replay) = start_service(estimator, config, journal, spec.resume, None);
+    let adopted = replay.and_then(|replay| {
+        let path = journal.unwrap_or_default();
+        let adopted = svc.open_sessions().into_iter().next_back();
+        match adopted {
+            Some(id) => eprintln!(
+                "resumed journal {path}: re-adopted session {id} ({} replayed delta(s))",
+                replay
+                    .sessions
+                    .get(&id)
+                    .map(|s| s.deltas.len())
+                    .unwrap_or(0)
+            ),
+            None => eprintln!("resumed journal {path}: no live session, opening a new one"),
         }
-        (Some(path), false) => (
-            Service::start_journaled(estimator, config, path)
-                .unwrap_or_else(|e| die(EXIT_USAGE, &format!("create journal {path}: {e}"))),
-            None,
-        ),
-        (None, true) => die(EXIT_USAGE, "\"resume\": true requires a \"journal\" path"),
-        (None, false) => (Service::start(estimator, config), None),
-    };
+        adopted
+    });
 
     let t = Instant::now();
-    let mut open_line = SessionLine::empty("open", true);
+    let mut open_line = SessionLine {
+        event: "open",
+        ok: true,
+        ..SessionLine::default()
+    };
     let id = match adopted {
         Some(id) => {
             let est = svc
@@ -1008,21 +1040,23 @@ fn run_session(spec: &SessionSpec, metrics_out: Option<&str>) {
             break;
         }
         seq += 1;
+        let mut line = SessionLine {
+            event: "update",
+            seq: Some(seq),
+            ..SessionLine::default()
+        };
         let delta: ScenarioDelta = match serde_json::from_str(input) {
             Ok(d) => d,
             Err(e) => {
-                let mut line = SessionLine::empty("update", false);
-                line.seq = Some(seq);
                 line.error = Some(format!("parse delta: {e}"));
                 line.emit();
                 continue;
             }
         };
         let t = Instant::now();
-        let mut line = SessionLine::empty("update", true);
-        line.seq = Some(seq);
         match svc.apply_delta(id, &delta) {
             Ok(u) => {
+                line.ok = true;
                 line.dirty_paths = Some(u.dirty_paths);
                 line.reused_paths = Some(u.reused_paths);
                 line.total_paths = Some(u.total_paths);
@@ -1031,10 +1065,7 @@ fn run_session(spec: &SessionSpec, metrics_out: Option<&str>) {
                 line.p99 = Some(u.estimate.p99());
                 line.elapsed_ms = Some(t.elapsed().as_secs_f64() * 1e3);
             }
-            Err(e) => {
-                line.ok = false;
-                line.error = Some(e.to_string());
-            }
+            Err(e) => line.error = Some(e.to_string()),
         }
         line.emit();
     }
@@ -1050,12 +1081,7 @@ fn run_cluster(spec: &ClusterSpec, metrics_out: Option<&str>) {
     if spec.shards == 0 {
         die(EXIT_USAGE, "\"shards\" must be at least 1");
     }
-    for (i, req) in spec.requests.iter().enumerate() {
-        if let Err(e) = req.scenario.materialize(req.seed) {
-            eprintln!("error: request {i} is invalid");
-            die_m3(&e);
-        }
-    }
+    check_requests(&spec.requests);
 
     let config = ClusterConfig {
         shards: spec.shards,
@@ -1073,61 +1099,16 @@ fn run_cluster(spec: &ClusterSpec, metrics_out: Option<&str>) {
     let cluster = Cluster::start(load_model(spec.model.as_deref()), config)
         .unwrap_or_else(|e| die(EXIT_USAGE, &format!("start cluster: {e}")));
 
-    let mut ids = Vec::new();
-    for (i, req) in spec.requests.iter().enumerate() {
-        match cluster.submit(req.clone()) {
-            Ok(id) => ids.push(id),
-            Err(SubmitError::QueueFull { capacity }) => {
-                eprintln!("request {i}: shed at submit (queue full, {capacity} slots)");
-            }
-            Err(e) => die(EXIT_FAULT, &format!("request {i}: {e}")),
-        }
-    }
-
-    let mut monitor = spec.monitor.as_ref().map(build_monitor);
-    let every = Duration::from_millis(
-        spec.monitor
-            .as_ref()
-            .map(|m| m.sample_every_ms.max(1))
-            .unwrap_or(1),
-    );
-    if !drive_monitored(
+    let ids = drive_batch(
+        "cluster",
         &cluster,
-        &|d| cluster.wait_idle(d),
-        &mut monitor,
-        every,
-        Duration::from_secs(3600),
-    ) {
-        die(EXIT_FAULT, "cluster did not settle all jobs within 1 h");
-    }
-
-    let mut failed = 0u64;
-    for &id in &ids {
-        match cluster.outcome(id) {
-            Some(JobOutcome::Completed { estimate, attempts }) => {
-                let took = Duration::from_secs_f64(estimate.timings.total_s());
-                report(&format!("job {id} ({attempts} att)"), &estimate, took);
-            }
-            Some(JobOutcome::Degraded {
-                estimate, attempts, ..
-            }) => {
-                let took = Duration::from_secs_f64(estimate.timings.total_s());
-                report(&format!("job {id} ({attempts} att)"), &estimate, took);
-                println!("{:>18}  degraded", "");
-            }
-            Some(JobOutcome::Failed { error, attempts }) => {
-                eprintln!("job {id}: FAILED after {attempts} attempt(s): {error}");
-                failed += 1;
-            }
-            Some(JobOutcome::Shed { reason }) => {
-                eprintln!("job {id}: shed ({reason})");
-            }
-            None => {
-                eprintln!("job {id}: no terminal outcome (cluster bug)");
-                failed += 1;
-            }
-        }
-    }
+        &spec.requests,
+        0,
+        spec.monitor.as_ref(),
+        |req| cluster.submit(req),
+        |d| cluster.wait_idle(d),
+    );
+    let failed = report_outcomes("cluster", ids, |id| cluster.outcome(id));
 
     let stats = cluster.stats();
     if let Some(path) = metrics_out {
@@ -1367,7 +1348,20 @@ fn run_stats(path: &str) {
     print!("{}", render_snapshot(&snap));
 }
 
-fn read_spec<T: Deserialize>(path: &str) -> T {
+/// Print `value` as pretty JSON (the `example-*` templates).
+fn print_json<T: Serialize>(value: &T) {
+    match serde_json::to_string_pretty(value) {
+        Ok(s) => println!("{s}"),
+        Err(e) => die(EXIT_FAULT, &format!("serialize example spec: {e}")),
+    }
+}
+
+/// Read and parse the spec file named by `args[2]`; `usage` is the
+/// command's usage line, printed when the argument is missing.
+fn read_spec<T: Deserialize>(args: &[String], usage: &str) -> T {
+    let path = args
+        .get(2)
+        .unwrap_or_else(|| die(EXIT_USAGE, &format!("usage: m3 {usage}")));
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| die(EXIT_USAGE, &format!("read {path}: {e}")));
     serde_json::from_str(&text).unwrap_or_else(|e| die(EXIT_USAGE, &format!("parse {path}: {e}")))
@@ -1376,90 +1370,47 @@ fn read_spec<T: Deserialize>(path: &str) -> T {
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
     let metrics_out = take_flag_value(&mut args, "--metrics-out");
+    let metrics_out = metrics_out.as_deref();
     let trace_opts = TraceOpts::from_args(&mut args);
     match args.get(1).map(|s| s.as_str()) {
-        Some("example-spec") => match serde_json::to_string_pretty(&example_spec()) {
-            Ok(s) => println!("{s}"),
-            Err(e) => die(EXIT_FAULT, &format!("serialize example spec: {e}")),
-        },
-        Some("example-service-spec") => match serde_json::to_string_pretty(&example_service_spec())
-        {
-            Ok(s) => println!("{s}"),
-            Err(e) => die(EXIT_FAULT, &format!("serialize example spec: {e}")),
-        },
-        Some("example-cluster-spec") => match serde_json::to_string_pretty(&example_cluster_spec())
-        {
-            Ok(s) => println!("{s}"),
-            Err(e) => die(EXIT_FAULT, &format!("serialize example spec: {e}")),
-        },
-        Some("example-session-spec") => match serde_json::to_string_pretty(&example_session_spec())
-        {
-            Ok(s) => println!("{s}"),
-            Err(e) => die(EXIT_FAULT, &format!("serialize example spec: {e}")),
-        },
-        Some("example-train-spec") => match serde_json::to_string_pretty(&example_train_spec()) {
-            Ok(s) => println!("{s}"),
-            Err(e) => die(EXIT_FAULT, &format!("serialize example spec: {e}")),
-        },
-        Some("estimate") => {
-            let path = args
-                .get(2)
-                .unwrap_or_else(|| die(EXIT_USAGE, "usage: m3 estimate <spec.json>"));
-            run_estimate(
-                &read_spec::<Spec>(path),
-                metrics_out.as_deref(),
-                trace_opts.as_ref(),
-            );
-        }
+        Some("example-spec") => print_json(&example_spec()),
+        Some("example-service-spec") => print_json(&example_service_spec()),
+        Some("example-cluster-spec") => print_json(&example_cluster_spec()),
+        Some("example-session-spec") => print_json(&example_session_spec()),
+        Some("example-train-spec") => print_json(&example_train_spec()),
+        Some("estimate") => run_estimate(
+            &read_spec(&args, "estimate <spec.json>"),
+            metrics_out,
+            trace_opts.as_ref(),
+        ),
         Some("sweep") => {
+            let usage = "sweep <spec.json> <knob> <v1,v2,...>";
             if args.len() < 5 {
-                die(EXIT_USAGE, "usage: m3 sweep <spec.json> <knob> <v1,v2,...>");
+                die(EXIT_USAGE, &format!("usage: m3 {usage}"));
             }
-            let spec: Spec = read_spec(&args[2]);
-            run_sweep(&spec, &args[3], &args[4]);
+            run_sweep(&read_spec(&args, usage), &args[3], &args[4]);
         }
-        Some("serve") => {
-            let path = args
-                .get(2)
-                .unwrap_or_else(|| die(EXIT_USAGE, "usage: m3 serve <service-spec.json>"));
-            run_serve(
-                &read_spec::<ServiceSpec>(path),
-                metrics_out.as_deref(),
-                trace_opts.as_ref(),
-            );
-        }
-        Some("session") => {
-            let path = args
-                .get(2)
-                .unwrap_or_else(|| die(EXIT_USAGE, "usage: m3 session <session-spec.json>"));
-            run_session(&read_spec::<SessionSpec>(path), metrics_out.as_deref());
-        }
-        Some("cluster") => {
-            let path = args
-                .get(2)
-                .unwrap_or_else(|| die(EXIT_USAGE, "usage: m3 cluster <cluster-spec.json>"));
-            run_cluster(&read_spec::<ClusterSpec>(path), metrics_out.as_deref());
-        }
-        Some("train") => {
-            let path = args
-                .get(2)
-                .unwrap_or_else(|| die(EXIT_USAGE, "usage: m3 train <train-spec.json>"));
-            run_train(&read_spec::<TrainSpec>(path), metrics_out.as_deref());
-        }
+        Some("serve") => run_serve(
+            &read_spec(&args, "serve <service-spec.json>"),
+            metrics_out,
+            trace_opts.as_ref(),
+        ),
+        Some("session") => run_session(
+            &read_spec(&args, "session <session-spec.json>"),
+            metrics_out,
+        ),
+        Some("cluster") => run_cluster(
+            &read_spec(&args, "cluster <cluster-spec.json>"),
+            metrics_out,
+        ),
+        Some("train") => run_train(&read_spec(&args, "train <train-spec.json>"), metrics_out),
         Some("retrain-publish") => {
             let note = take_flag_value(&mut args, "--note").unwrap_or_default();
+            let usage = "retrain-publish <train-spec.json> <registry-root> [--note <text>]";
             if args.len() < 4 {
-                die(
-                    EXIT_USAGE,
-                    "usage: m3 retrain-publish <train-spec.json> <registry-root> [--note <text>]",
-                );
+                die(EXIT_USAGE, &format!("usage: m3 {usage}"));
             }
-            run_retrain_publish(
-                &read_spec::<TrainSpec>(&args[2]),
-                &args[3],
-                &note,
-                metrics_out.as_deref(),
-            );
+            run_retrain_publish(&read_spec(&args, usage), &args[3], &note, metrics_out);
         }
         Some("registry") => {
             let root = args.get(2).unwrap_or_else(|| {

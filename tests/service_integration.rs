@@ -49,10 +49,6 @@ fn fast_config(workers: usize) -> ServiceConfig {
             max_delay_ms: 4,
             seed: 9,
         },
-        breaker: BreakerConfig {
-            failure_threshold: 3,
-            cooldown_observations: 2,
-        },
         cache_capacity: 64,
         ..ServiceConfig::default()
     }
