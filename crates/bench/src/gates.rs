@@ -633,7 +633,6 @@ fn overhead() -> Res<Value> {
     let drift = DriftConfig {
         sample: 1,
         every: 64,
-        truth: ShadowTruth::Flowsim,
     };
     let mut monitor = Monitor::new(MonitorConfig {
         drift: Some(drift),
@@ -735,7 +734,7 @@ fn journal() -> Res<Value> {
         ..ServiceConfig::default()
     };
     let (resumed, replay) =
-        Service::resume(estimator(), no_workers, &path).map_err(err("resume"))?;
+        Service::resume(estimator(), no_workers, &path, None).map_err(err("resume"))?;
     ensure(
         replay.decisions.len() == completed.len(),
         format!("{} decision records", replay.decisions.len()),

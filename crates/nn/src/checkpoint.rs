@@ -12,7 +12,7 @@
 //! applies to corrupt records — so the evidence survives for postmortem
 //! while callers get a clear error.
 
-use crate::integrity::checksum64;
+use crate::integrity::{checksum64, write_atomic};
 use crate::model::{M3Net, ModelConfig};
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
@@ -217,29 +217,10 @@ fn load_body<R: Read>(mut r: R) -> io::Result<M3Net> {
     Ok(net)
 }
 
-/// Save to a file path atomically: write to a sibling temp file, fsync it,
-/// then rename over the destination. A crash mid-save can leave a stray
-/// temp file but never a truncated checkpoint at `path`.
+/// Save to a file path atomically ([`write_atomic`]): a crash mid-save can
+/// leave a stray temp file but never a truncated checkpoint at `path`.
 pub fn save_file(net: &M3Net, seed: u64, path: impl AsRef<Path>) -> io::Result<()> {
-    let path = path.as_ref();
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| invalid("checkpoint path has no file name"))?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(format!(".tmp.{}", std::process::id()));
-    let tmp = path.with_file_name(tmp_name);
-    let result = (|| {
-        let f = std::fs::File::create(&tmp)?;
-        let mut w = io::BufWriter::new(f);
-        save(net, seed, &mut w)?;
-        w.flush()?;
-        w.get_ref().sync_all()?;
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+    write_atomic(path.as_ref(), &save_to_vec(net, seed)?)
 }
 
 /// Path of the quarantine sidecar for a given checkpoint path.

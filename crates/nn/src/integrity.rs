@@ -1,5 +1,6 @@
-//! Shared integrity helpers: a stable 64-bit content checksum and a
-//! checksummed record framing for append-only journals.
+//! Shared integrity helpers: a stable 64-bit content checksum, a
+//! checksummed record framing for append-only journals, and an atomic
+//! whole-file write.
 //!
 //! The framing follows the same hardening idioms as [`crate::checkpoint`]:
 //! every length field is bounds-checked *before* it sizes an allocation, and
@@ -20,6 +21,8 @@
 //! a crash mid-append). Everything before a torn tail remains usable.
 
 use std::io::{self, Write};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Ceiling on a single framed record. Real journal records are well under a
 /// kilobyte; anything larger is a corrupt or hostile length field (the same
@@ -35,6 +38,36 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
         h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// Replace the file at `path` with `bytes` atomically: write a temp
+/// sibling, fsync it, then rename it over `path`. A reader sees the old
+/// file or the new one, never a truncated or half-written one, and a crash
+/// mid-write can leave a stray `<name>.tmp.<pid>.<n>` but never a torn
+/// `path`. Each call has its own temp name, so concurrent writers in one
+/// process do not share one.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let file_name = path.file_name().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} has no file name", path.display()),
+        )
+    })?;
+    let mut tmp_name = file_name.to_os_string();
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    tmp_name.push(format!(".tmp.{}.{n}", std::process::id()));
+    let tmp = path.with_file_name(tmp_name);
+    let result = (|| {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, path)
+    })();
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
 }
 
 /// Frame one payload as a checksummed record.

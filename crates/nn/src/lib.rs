@@ -49,7 +49,7 @@ pub mod prelude {
     pub use crate::checkpoint::{load_file, save_file};
     pub use crate::infer::InferScratch;
     pub use crate::integrity::{
-        checksum64, encode_record, scan_records, scan_records_lenient, CorruptFrame,
+        checksum64, encode_record, scan_records, scan_records_lenient, write_atomic, CorruptFrame,
         LenientScanResult, ScanResult,
     };
     pub use crate::model::{

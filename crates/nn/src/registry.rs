@@ -32,10 +32,10 @@
 //! process or the `m3 retrain-publish` CLI); concurrent readers are safe.
 
 use crate::checkpoint;
-use crate::integrity::checksum64;
+use crate::integrity::{checksum64, write_atomic};
 use crate::model::M3Net;
 use serde::{Deserialize, Serialize};
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Where a published model came from — enough provenance to audit a
@@ -162,28 +162,6 @@ impl ModelRegistry {
             .map_err(|e| invalid(format!("{}: corrupt manifest: {e}", path.display())))
     }
 
-    /// Write a file atomically: temp sibling, fsync, rename. The same
-    /// idiom as [`checkpoint::save_file`], reused for both the manifest
-    /// and checkpoint objects.
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let file_name = path
-            .file_name()
-            .ok_or_else(|| invalid("registry path has no file name"))?;
-        let mut tmp_name = file_name.to_os_string();
-        tmp_name.push(format!(".tmp.{}", std::process::id()));
-        let tmp = path.with_file_name(tmp_name);
-        let result = (|| {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-            std::fs::rename(&tmp, path)
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result
-    }
-
     /// Publish a model: checkpoint it (container v2) and register the new
     /// version. Returns the manifest entry.
     pub fn publish(&self, net: &M3Net, seed: u64, lineage: Lineage) -> io::Result<ModelVersion> {
@@ -203,7 +181,7 @@ impl ModelRegistry {
         let mut manifest = self.read_manifest()?;
         let version = manifest.versions.last().map_or(1, |v| v.version + 1);
         let file = format!("objects/v{version:06}.ckpt");
-        self.write_atomic(&self.root.join(&file), bytes)?;
+        write_atomic(&self.root.join(&file), bytes)?;
         let entry = ModelVersion {
             version,
             fingerprint,
@@ -214,7 +192,7 @@ impl ModelRegistry {
         };
         manifest.versions.push(entry.clone());
         let json = serde_json::to_vec(&manifest).map_err(io::Error::other)?;
-        self.write_atomic(&self.manifest_path(), &json)?;
+        write_atomic(&self.manifest_path(), &json)?;
         Ok(entry)
     }
 

@@ -154,11 +154,8 @@ impl Soak {
     ) -> Step<(Service, Replay)> {
         svc.abort();
         let (journal, config) = (self.journal(), config.clone());
-        let (svc, replay) = match registry {
-            Some(reg) => Service::resume_with_registry(estimator(), config, journal, reg),
-            None => Service::resume(estimator(), config, journal),
-        }
-        .must("resume from the journal")?;
+        let (svc, replay) = Service::resume(estimator(), config, journal, registry)
+            .must("resume from the journal")?;
         self.check(
             !replay.truncated_tail && replay.corruption.is_none(),
             "the journal a kill left behind did not replay clean",
@@ -477,7 +474,6 @@ fn cluster_config(
         scatter_chunk: SCATTER_CHUNK,
         fault_after_dispatches,
         fault_plan,
-        restart_dead_shards: true,
     }
 }
 
@@ -602,7 +598,6 @@ fn permissive(fault: Option<(u64, InjectedFault)>) -> SwapConfig {
         rollback_window: SWAP_BATCH,
         max_bad_frac_increase: 0.2,
         fault_plan: fault.map(|(seed, f)| FaultPlan::new(seed).with(f, 1.0)),
-        ..SwapConfig::default()
     }
 }
 
@@ -949,7 +944,6 @@ fn faulted_request(seed: u64, round: u64, k: u64) -> EstimateRequest {
 fn monitor_config(events: &Path, status: &Path) -> MonitorConfig {
     let outcomes = |names: &[&str]| names.iter().map(|n| format!("serve.{n}")).collect();
     MonitorConfig {
-        capacity: 64,
         slos: vec![SloSpec {
             name: SLO_NAME.into(),
             signal: SloSignal::ErrorRate {
@@ -964,7 +958,6 @@ fn monitor_config(events: &Path, status: &Path) -> MonitorConfig {
         drift: Some(DriftConfig {
             sample: 2,
             every: 4,
-            truth: ShadowTruth::Flowsim,
         }),
         events_out: Some(events.to_path_buf()),
         status_out: Some(status.to_path_buf()),
@@ -1249,7 +1242,7 @@ fn crash(soak: &mut Soak) -> Step<String> {
         );
 
         let (journal, config) = (soak.journal(), ServiceConfig::default());
-        let (svc, replay) = Service::resume_with_registry(estimator(), config, journal, &registry)
+        let (svc, replay) = Service::resume(estimator(), config, journal, Some(&registry))
             .must(&format!("{at}: resume"))?;
         soak.check(
             replay.corruption.is_none() && replay.orphan_terminals == 0,

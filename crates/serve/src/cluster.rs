@@ -33,9 +33,10 @@
 //!    **rerouted** by rehashing over the
 //!    survivors, with bounded retries under the deterministic-jitter
 //!    [`RetryPolicy`].
-//! 5. **Recovery** — dead shards are restarted with a fresh journal and
-//!    walk `Dead` → [`ShardHealth::Recovering`] →
-//!    [`ShardHealth::Recovered`]; a [`InjectedFault::ShardSlowStart`]
+//! 5. **Recovery** — a dead shard is always restarted with a fresh
+//!    journal and walks `Dead` → [`ShardHealth::Recovering`] →
+//!    [`ShardHealth::Recovered`] (a shard whose restart fails stays
+//!    `Dead`); a [`InjectedFault::ShardSlowStart`]
 //!    plan keeps a restarted shard out of the routing set for 3 monitor
 //!    polls.
 //!
@@ -48,9 +49,12 @@
 use crate::backoff::RetryPolicy;
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::journal::{JobOutcome, Journal, Replay};
+use crate::monitor::MonitorSource;
 use crate::request::{EstimateRequest, OpenSessionRequest};
-use crate::routing::{rank, routing_key, session_routing_key};
+use crate::routing::{rank, routing_key};
 use crate::service::{Service, ServiceConfig, ServiceStats, SessionError, SubmitError};
+use crate::swap::SwapTarget;
+use m3_core::aggregate::merge_estimates;
 use m3_core::prelude::{
     FaultPlan, InjectedFault, M3Estimator, NetworkEstimate, PathSlice, ScenarioDelta, SessionUpdate,
 };
@@ -105,8 +109,6 @@ pub struct ClusterConfig {
     /// Total dispatches after which the fault plan fires (once). 0 never
     /// fires.
     pub fault_after_dispatches: u64,
-    /// Restart dead shards (fresh journal) after failover.
-    pub restart_dead_shards: bool,
 }
 
 /// Monitor polls a restarted shard spends in [`ShardHealth::Recovering`]
@@ -133,7 +135,25 @@ impl Default for ClusterConfig {
             scatter_chunk: 8,
             fault_plan: None,
             fault_after_dispatches: 0,
-            restart_dead_shards: true,
+        }
+    }
+}
+
+impl ClusterConfig {
+    /// The scatter rule shared by jobs and sessions: a request of `paths`
+    /// paths that is not itself a slice splits into one [`PathSlice`] per
+    /// [`scatter_chunk`](ClusterConfig::scatter_chunk) paths once it
+    /// reaches [`scatter_threshold`](ClusterConfig::scatter_threshold).
+    /// Empty when the request runs whole.
+    fn scatter(&self, paths: usize, slice: Option<PathSlice>) -> Vec<PathSlice> {
+        if slice.is_some() || paths < self.scatter_threshold {
+            return Vec::new();
+        }
+        let slices = PathSlice::chunks(paths, self.scatter_chunk);
+        if slices.len() > 1 {
+            slices
+        } else {
+            Vec::new()
         }
     }
 }
@@ -383,8 +403,9 @@ struct SessionPart {
     sid: u64,
     /// The part's open request (its `path_slice` is the slice it covers).
     request: OpenSessionRequest,
-    /// Every delta journaled for this part, in order — the coordinator's
-    /// fallback replay source when a dead shard's journal is unreadable.
+    /// Every delta attempted on this part, in order (a delta the first
+    /// part rejects is dropped again) — what failover and repair replay
+    /// onto a new shard.
     deltas: Vec<ScenarioDelta>,
 }
 
@@ -421,8 +442,8 @@ struct ClusterState {
     dispatched_total: u64,
     faults_due: bool,
     faults_applied: bool,
-    /// Snapshots of shards that died without restart (their registry
-    /// handle lives in the slot otherwise).
+    /// Snapshots of dead shard incarnations (the live incarnation's
+    /// registry handle lives in the slot).
     retired: Vec<MetricsSnapshot>,
     shutdown: bool,
 }
@@ -434,6 +455,18 @@ struct ClusterInner {
     model: Mutex<ClusterModel>,
     registry: MetricsRegistry,
     metrics: ClusterMetrics,
+}
+
+impl ClusterState {
+    /// The routable shards (healthy enough and holding a live service),
+    /// in rendezvous rank order for `key`.
+    fn ranked(&self, key: u64) -> Vec<usize> {
+        let routable: Vec<usize> = (self.shards.iter().enumerate())
+            .filter(|(_, s)| s.health.routable() && s.service.is_some())
+            .map(|(i, _)| i)
+            .collect();
+        rank(key, &routable)
+    }
 }
 
 impl ClusterInner {
@@ -546,13 +579,8 @@ impl Cluster {
         if st.recent.len() > CLUSTER_RECENT_CAP {
             st.recent.pop_front();
         }
-        let cfg = &inner.config;
-        let slices = if request.path_slice.is_none() && request.paths >= cfg.scatter_threshold {
-            PathSlice::chunks(request.paths, cfg.scatter_chunk)
-        } else {
-            Vec::new()
-        };
-        if slices.len() > 1 {
+        let slices = inner.config.scatter(request.paths, request.path_slice);
+        if !slices.is_empty() {
             inner.metrics.scattered.inc();
             let mut children = Vec::with_capacity(slices.len());
             for sl in slices {
@@ -632,23 +660,16 @@ impl Cluster {
         }
         let id = st.next_id;
         st.next_id += 1;
-        let cfg = &inner.config;
-        let slices = if request.path_slice.is_none() && request.paths >= cfg.scatter_threshold {
-            PathSlice::chunks(request.paths, cfg.scatter_chunk)
+        let slices = inner.config.scatter(request.paths, request.path_slice);
+        let part_reqs: Vec<OpenSessionRequest> = if slices.is_empty() {
+            vec![request]
         } else {
-            Vec::new()
-        };
-        let part_reqs: Vec<OpenSessionRequest> = if slices.len() > 1 {
-            slices
-                .into_iter()
-                .map(|sl| {
-                    let mut r = request.clone();
-                    r.path_slice = Some(sl);
-                    r
+            (slices.into_iter())
+                .map(|sl| OpenSessionRequest {
+                    path_slice: Some(sl),
+                    ..request.clone()
                 })
                 .collect()
-        } else {
-            vec![request]
         };
         let mut parts: Vec<SessionPart> = Vec::with_capacity(part_reqs.len());
         let mut updates: Vec<SessionUpdate> = Vec::with_capacity(part_reqs.len());
@@ -930,39 +951,11 @@ impl Cluster {
         Ok(fingerprint)
     }
 
-    /// A fresh estimator over the cluster-wide active model, for shadow
-    /// evaluation off the serving path.
-    pub fn baseline_estimator(&self) -> Arc<M3Estimator> {
-        Arc::new(M3Estimator::new(self.inner.lock_model().net.clone()))
-    }
-
-    /// `(settled, bad)` terminal counts across the cluster — bad is
-    /// degraded + failed — for the post-promotion rollback breaker.
-    pub fn health_counts(&self) -> (u64, u64) {
-        let m = &self.inner.metrics;
-        let bad = m.degraded.get() + m.failed.get();
-        let settled = m.completed.get() + m.shed.get() + bad;
-        (settled, bad)
-    }
-
     /// The coordinator's own live registry (`cluster.*` metrics). Shard
-    /// registries are reachable via [`Cluster::shard_metrics`] or, merged,
-    /// via [`Cluster::merged_metrics`].
+    /// registries are reachable via [`MonitorSource::shard_snapshots`] or,
+    /// merged, via [`Cluster::merged_metrics`].
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.inner.registry
-    }
-
-    /// Per-shard metric snapshots, `("shard-<i>", snapshot)` in
-    /// shard-index order. Slots whose shard is currently dead still report
-    /// (the registry handle is Arc-backed and outlives the service), so a
-    /// monitor keeps seeing the last-known counters across a crash window.
-    pub fn shard_metrics(&self) -> Vec<(String, MetricsSnapshot)> {
-        let st = self.inner.lock();
-        st.shards
-            .iter()
-            .enumerate()
-            .map(|(i, slot)| (format!("shard-{i}"), slot.registry.snapshot()))
-            .collect()
     }
 
     /// Deterministic merge of the cluster's own registry with every
@@ -1008,10 +1001,62 @@ impl Drop for Cluster {
     }
 }
 
+impl SwapTarget for Cluster {
+    /// A fresh estimator over the cluster-wide active model, for shadow
+    /// evaluation off the serving path.
+    fn baseline_estimator(&self) -> Arc<M3Estimator> {
+        Arc::new(M3Estimator::new(self.inner.lock_model().net.clone()))
+    }
+    fn active_model(&self) -> (u64, Option<u64>) {
+        Cluster::active_model(self)
+    }
+    fn recent_requests(&self, n: usize) -> Vec<EstimateRequest> {
+        Cluster::recent_requests(self, n)
+    }
+    fn journal_swap_intent(&self, version: u64, fingerprint: u64) -> io::Result<()> {
+        Cluster::journal_swap_intent(self, version, fingerprint)
+    }
+    fn install(&self, net: M3Net, version: Option<u64>) -> io::Result<u64> {
+        self.install_model(net, version)
+    }
+    /// `(settled, bad)` terminal counts across the cluster.
+    fn health_counts(&self) -> (u64, u64) {
+        let m = &self.inner.metrics;
+        let bad = m.degraded.get() + m.failed.get();
+        let settled = m.completed.get() + m.shed.get() + bad;
+        (settled, bad)
+    }
+}
+
+impl MonitorSource for Cluster {
+    /// `("shard-<i>", snapshot)` in shard-index order. Slots whose shard is
+    /// currently dead still report (the registry handle is Arc-backed and
+    /// outlives the service), so a monitor keeps seeing the last-known
+    /// counters across a crash window.
+    fn shard_snapshots(&self) -> Vec<(String, MetricsSnapshot)> {
+        let st = self.inner.lock();
+        (st.shards.iter().enumerate())
+            .map(|(i, slot)| (format!("shard-{i}"), slot.registry.snapshot()))
+            .collect()
+    }
+    fn rollup_snapshot(&self) -> MetricsSnapshot {
+        self.merged_metrics()
+    }
+    fn registry(&self) -> &MetricsRegistry {
+        Cluster::metrics(self)
+    }
+    fn recent_requests(&self, n: usize) -> Vec<EstimateRequest> {
+        Cluster::recent_requests(self, n)
+    }
+    fn drift_estimator(&self) -> Arc<M3Estimator> {
+        self.baseline_estimator()
+    }
+}
+
 /// Open one session part on the best routable shard: walk the rendezvous
 /// rank order for the part's routing key; the first shard that accepts the
-/// open hosts the part. `replay_deltas` (journal replay on failover, or
-/// the coordinator's record on repair) are re-applied in order, ignoring
+/// open hosts the part. `replay_deltas` (the coordinator's record of the
+/// part, on failover or repair) are re-applied in order, ignoring
 /// per-delta errors — a delta that failed originally fails identically
 /// (deterministic pipeline, rollback-on-error), so replay converges to the
 /// same state. Returns `(shard, shard-local session id, latest update)`.
@@ -1020,15 +1065,7 @@ fn open_session_part(
     request: &OpenSessionRequest,
     replay_deltas: &[ScenarioDelta],
 ) -> Result<(usize, u64, SessionUpdate), ClusterSessionError> {
-    let key = session_routing_key(request);
-    let routable: Vec<usize> = st
-        .shards
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.health.routable() && s.service.is_some())
-        .map(|(i, _)| i)
-        .collect();
-    for idx in rank(key, &routable) {
+    for idx in st.ranked(routing_key(request)) {
         let Some(svc) = st.shards[idx].service.as_ref() else {
             continue;
         };
@@ -1085,18 +1122,10 @@ fn try_dispatch(inner: &ClusterInner, st: &mut ClusterState, job_id: u64) -> boo
         Some(j) if j.outcome.is_none() => j.request.clone(),
         _ => return false, // already settled (e.g. adopted from a journal)
     };
-    let key = routing_key(&request);
-    let routable: Vec<usize> = st
-        .shards
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.health.routable() && s.service.is_some())
-        .map(|(i, _)| i)
-        .collect();
     if let Some(j) = st.jobs.get_mut(&job_id) {
         j.attempts += 1;
     }
-    for idx in rank(key, &routable) {
+    for idx in st.ranked(routing_key(&request)) {
         let slot = &mut st.shards[idx];
         if !slot.breaker.try_acquire() {
             continue;
@@ -1246,12 +1275,6 @@ fn merge_outcomes(children: &[JobOutcome]) -> JobOutcome {
     }
 }
 
-/// Deterministic merge of partial [`NetworkEstimate`]s. Re-exported from
-/// [`m3_core::aggregate`] (the same order-independent merge now also
-/// underpins incremental scenario sessions); kept here so existing
-/// `m3_serve::cluster::merge_estimates` call sites are unchanged.
-pub use m3_core::aggregate::merge_estimates;
-
 // ---------------------------------------------------------------------------
 // Monitor thread: heartbeat detection, fault injection, failover, harvest.
 // ---------------------------------------------------------------------------
@@ -1343,7 +1366,7 @@ fn poll_heartbeats(inner: &ClusterInner) -> Vec<usize> {
     let mut dead = Vec::new();
     for (idx, slot) in st.shards.iter_mut().enumerate() {
         if slot.health == ShardHealth::Dead && slot.service.is_none() {
-            continue; // stays dead (restart disabled)
+            continue; // stays dead (its restart failed)
         }
         let beat = slot.service.as_ref().map(|s| s.heartbeat());
         match beat {
@@ -1381,7 +1404,7 @@ fn poll_heartbeats(inner: &ClusterInner) -> Vec<usize> {
 
 /// Fail over a dead shard: drain it, adopt settled outcomes from its
 /// journal (at most once each), reroute unsettled jobs over the
-/// survivors, and (optionally) restart it.
+/// survivors, restart it, and re-home its session parts.
 fn failover(inner: &ClusterInner, idx: usize) {
     // Phase 1 (locked): detach the shard.
     let (service, journal_path, assigned, old_registry) = {
@@ -1412,15 +1435,10 @@ fn failover(inner: &ClusterInner, idx: usize) {
         .map(|(_, replay)| replay)
         .unwrap_or_default();
     let adopted = adopt_outcomes(inner, &replay, &assigned);
-    let journal_sessions = replay.sessions;
-    let restarted = if inner.config.restart_dead_shards {
-        // Restart on the *current* cluster-wide model: a shard that died
-        // before a swap must not resurrect the pre-swap model.
-        let net = inner.lock_model().net.clone();
-        start_shard(&net, &inner.config.shard, journal_path.as_ref()).ok()
-    } else {
-        None
-    };
+    // Restart on the *current* cluster-wide model: a shard that died
+    // before a swap must not resurrect the pre-swap model.
+    let net = inner.lock_model().net.clone();
+    let restarted = start_shard(&net, &inner.config.shard, journal_path.as_ref()).ok();
     // Phase 3 (locked): adopt terminals, reroute the rest, reinstall the
     // restarted service.
     let mut st = inner.lock();
@@ -1442,11 +1460,11 @@ fn failover(inner: &ClusterInner, idx: usize) {
             try_dispatch(inner, &mut st, cluster_id);
         }
     }
+    // Retire the dead incarnation's metrics before the slot's registry
+    // handle is replaced.
+    st.retired.push(old_registry.snapshot());
     if let Some(svc) = restarted {
         inner.metrics.shard_recoveries.inc();
-        // Retire the dead incarnation's metrics before the slot's registry
-        // handle is replaced.
-        st.retired.push(old_registry.snapshot());
         let slot = &mut st.shards[idx];
         slot.registry = svc.metrics().clone();
         slot.service = Some(svc);
@@ -1461,14 +1479,14 @@ fn failover(inner: &ClusterInner, idx: usize) {
         } else {
             ShardHealth::Recovered
         };
-    } else {
-        st.retired.push(old_registry.snapshot());
     }
     // Re-adopt session parts that lived on the dead shard: each is
-    // re-opened on a surviving (or the restarted) shard by replaying its
-    // journaled open + delta sequence. The dead shard's journal is the
-    // authoritative replay source; the coordinator's own per-part record
-    // is the fallback when the journal was unreadable.
+    // re-opened on a surviving (or the restarted) shard by replaying the
+    // coordinator's record of its deltas. That lands where a replay of
+    // the dead shard's journal would: the only deltas the record lacks
+    // are ones the shard rejected, and a rejected delta leaves a session
+    // unchanged. (The record also holds a delta whose repair failed, which
+    // the journal lacks and the other parts applied.)
     let mut rehome: Vec<(u64, usize)> = Vec::new();
     for (csid, session) in &st.sessions {
         for (pi, part) in session.parts.iter().enumerate() {
@@ -1478,20 +1496,13 @@ fn failover(inner: &ClusterInner, idx: usize) {
         }
     }
     for (csid, pi) in rehome {
-        let (req, hist) = {
-            let part = &st.sessions[&csid].parts[pi];
-            let hist = journal_sessions
-                .get(&part.sid)
-                .map(|sr| sr.deltas.iter().map(|(_, d)| *d).collect::<Vec<_>>())
-                .unwrap_or_else(|| part.deltas.clone());
-            (part.request.clone(), hist)
-        };
+        let part = &st.sessions[&csid].parts[pi];
+        let (req, hist) = (part.request.clone(), part.deltas.clone());
         match open_session_part(&mut st, &req, &hist) {
             Ok((shard, sid, _update)) => {
                 if let Some(s) = st.sessions.get_mut(&csid) {
                     s.parts[pi].shard = shard;
                     s.parts[pi].sid = sid;
-                    s.parts[pi].deltas = hist;
                 }
                 inner.metrics.sessions_failed_over.inc();
             }
@@ -1851,7 +1862,6 @@ pub(crate) mod tests {
         cfg.journal_dir = Some(dir.clone());
         cfg.suspect_misses = 2;
         cfg.dead_misses = 5;
-        cfg.restart_dead_shards = true;
         let cluster = Cluster::start(tiny_net(), cfg).unwrap();
         let req = session_request(33, 6);
         let (id, _) = cluster.open_session(req.clone()).unwrap();

@@ -54,8 +54,7 @@ pub mod prelude {
     pub use crate::backoff::RetryPolicy;
     pub use crate::breaker::{BreakerState, CircuitBreaker};
     pub use crate::cluster::{
-        merge_estimates, Cluster, ClusterConfig, ClusterSessionError, ClusterStats, ShardHealth,
-        ShardStatus,
+        Cluster, ClusterConfig, ClusterSessionError, ClusterStats, ShardHealth, ShardStatus,
     };
     pub use crate::journal::{
         read_records, Decision, JobOutcome, Journal, JournalCorruption, JournalFaults,
@@ -69,14 +68,13 @@ pub mod prelude {
     pub use crate::request::{
         ConfigSpec, EstimateRequest, OpenSessionRequest, ScenarioSpec, TopoSpec, WorkloadSpec,
     };
-    pub use crate::routing::{rank, route, routing_key, session_routing_key};
+    pub use crate::routing::{rank, route, routing_key};
     pub use crate::service::{
         session_trace_id, trace_id_for, ServeMetrics, Service, ServiceConfig, ServiceStats,
         SessionError, SubmitError,
     };
     pub use crate::swap::{
-        model_drift, Rollback, ShadowReport, ShadowTruth, SwapConfig, SwapCoordinator, SwapOutcome,
-        SwapTarget,
+        model_drift, Rollback, ShadowReport, SwapConfig, SwapCoordinator, SwapOutcome, SwapTarget,
     };
 }
 

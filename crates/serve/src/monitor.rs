@@ -24,13 +24,13 @@
 //!
 //! Every `DriftConfig::every` samples, the watchdog replays up to
 //! `sample` requests from the recent-request ring through the *active*
-//! estimator off the hot path and scores them against deterministic
-//! ground truth ([`model_drift`] — the same quantile scoring the shadow
-//! swap gate uses). The result lands in three wall gauges on the source's
-//! registry — `monitor.drift_mean_err`, `monitor.drift_scenarios`,
-//! `monitor.drift_checks` — *before* the snapshot is taken, so the drift
-//! signal flows through the same time-series/SLO machinery as every other
-//! metric. This gauge is the trigger signal a future auto-retrain loop
+//! estimator off the hot path and scores them against flowSim, the
+//! paper's no-ML baseline ([`model_drift`] — the same quantile scoring
+//! the shadow swap gate uses). The result lands in three wall gauges on
+//! the source's registry — `monitor.drift_mean_err`,
+//! `monitor.drift_scenarios`, `monitor.drift_checks` — *before* the
+//! snapshot is taken, so the drift signal flows through the same
+//! time-series/SLO machinery as every other metric. This gauge is the trigger signal a future auto-retrain loop
 //! consumes. The replay never touches the serving cache or metrics, so
 //! fault-free estimates stay bit-identical with the monitor enabled.
 //!
@@ -48,12 +48,14 @@
 //!   [`render_prometheus`](m3_telemetry::prometheus::render_prometheus)
 //!   over any snapshot (`m3 monitor --prometheus`).
 
-use crate::cluster::Cluster;
 use crate::request::EstimateRequest;
 use crate::service::Service;
-use crate::swap::{model_drift, ShadowTruth};
+use crate::swap::model_drift;
 use m3_core::prelude::M3Estimator;
-use m3_telemetry::prelude::{MetricsRegistry, MetricsSnapshot, TimeSeries};
+use m3_nn::prelude::write_atomic;
+use m3_telemetry::prelude::{
+    MetricsRegistry, MetricsSnapshot, TimeSeries, DEFAULT_TIMESERIES_CAPACITY,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::OpenOptions;
@@ -299,8 +301,6 @@ pub struct DriftConfig {
     pub sample: usize,
     /// Run a check every this many monitor samples (≥ 1).
     pub every: u64,
-    /// Ground-truth oracle to score against.
-    pub truth: ShadowTruth,
 }
 
 impl Default for DriftConfig {
@@ -308,20 +308,18 @@ impl Default for DriftConfig {
         DriftConfig {
             sample: 4,
             every: 8,
-            truth: ShadowTruth::Flowsim,
         }
     }
 }
 
-/// Monitor tuning: ring capacity, the SLO set, the drift watchdog, and
-/// where to expose results.
+/// Monitor tuning: the SLO set, the drift watchdog, and where to expose
+/// results. Each subject's time series holds
+/// [`DEFAULT_TIMESERIES_CAPACITY`] samples.
 #[derive(Debug, Clone, Default)]
 pub struct MonitorConfig {
-    /// Per-subject time-series ring capacity; `0` = default.
-    pub capacity: usize,
     /// SLOs evaluated on every subject each sample.
     pub slos: Vec<SloSpec>,
-    /// Drift watchdog; `None` disables ground-truth spot checks.
+    /// Drift watchdog; `None` disables the flowSim spot checks.
     pub drift: Option<DriftConfig>,
     /// JSONL health-transition event log path.
     pub events_out: Option<PathBuf>,
@@ -390,10 +388,10 @@ pub fn default_slos() -> Vec<SloSpec> {
 }
 
 /// Anything the monitor can observe: a single [`Service`] (one subject)
-/// or a [`Cluster`] (one subject per shard plus a merged rollup). The
-/// monitor only *reads* through this trait, except for the drift gauges
-/// it sets on [`MonitorSource::registry`] — wall-flagged, so deterministic
-/// views are unaffected.
+/// or a [`Cluster`](crate::cluster::Cluster) (one subject per shard plus
+/// a merged rollup). The monitor only *reads* through this trait, except
+/// for the drift gauges it sets on [`MonitorSource::registry`] —
+/// wall-flagged, so deterministic views are unaffected.
 pub trait MonitorSource {
     /// Per-shard `(subject, snapshot)` pairs, in a stable order.
     fn shard_snapshots(&self) -> Vec<(String, MetricsSnapshot)>;
@@ -425,24 +423,6 @@ impl MonitorSource for Service {
     }
     fn drift_estimator(&self) -> Arc<M3Estimator> {
         self.active_estimator()
-    }
-}
-
-impl MonitorSource for Cluster {
-    fn shard_snapshots(&self) -> Vec<(String, MetricsSnapshot)> {
-        Cluster::shard_metrics(self)
-    }
-    fn rollup_snapshot(&self) -> MetricsSnapshot {
-        self.merged_metrics()
-    }
-    fn registry(&self) -> &MetricsRegistry {
-        Cluster::metrics(self)
-    }
-    fn recent_requests(&self, n: usize) -> Vec<EstimateRequest> {
-        Cluster::recent_requests(self, n)
-    }
-    fn drift_estimator(&self) -> Arc<M3Estimator> {
-        self.baseline_estimator()
     }
 }
 
@@ -480,9 +460,6 @@ impl Monitor {
     pub fn new(mut config: MonitorConfig) -> io::Result<Monitor> {
         if config.slos.is_empty() {
             config.slos = default_slos();
-        }
-        if config.capacity == 0 {
-            config.capacity = m3_telemetry::prelude::DEFAULT_TIMESERIES_CAPACITY;
         }
         let mut states = HashMap::new();
         let events = match &config.events_out {
@@ -537,7 +514,7 @@ impl Monitor {
                 let window = source.recent_requests(drift_cfg.sample);
                 if !window.is_empty() {
                     let est = source.drift_estimator();
-                    let (scenarios, mean_err) = model_drift(&est, &window, drift_cfg.truth);
+                    let (scenarios, mean_err) = model_drift(&est, &window);
                     self.drift_checks += 1;
                     let report = DriftReport {
                         scenarios,
@@ -579,7 +556,7 @@ impl Monitor {
         if let Some(path) = &self.config.status_out {
             // Best-effort, like the service's metrics dump: monitoring
             // must never take the service down over a full disk.
-            let _ = std::fs::write(path, report.to_json());
+            let _ = write_atomic(path, report.to_json().as_bytes());
         }
         Ok(report)
     }
@@ -591,11 +568,10 @@ impl Monitor {
         snap: &MetricsSnapshot,
         tick: u64,
     ) -> io::Result<HealthReport> {
-        let capacity = self.config.capacity;
         let series = self
             .series
             .entry(subject.to_string())
-            .or_insert_with(|| TimeSeries::new(capacity));
+            .or_insert_with(|| TimeSeries::new(DEFAULT_TIMESERIES_CAPACITY));
         series.observe(tick, snap);
 
         let mut slos = Vec::with_capacity(self.config.slos.len());
@@ -1027,5 +1003,48 @@ mod tests {
             .to_json()
             .replacen("\"version\": 1", "\"version\": 9", 1);
         assert!(MonitorReport::from_json(&bad).is_err());
+    }
+
+    /// `m3 monitor --follow` re-reads `status_out` while the monitor keeps
+    /// rewriting it: every read must parse, never a truncated or
+    /// half-written report.
+    #[test]
+    fn a_reader_never_sees_a_half_written_status_file() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let dir = std::env::temp_dir().join(format!("m3-monitor-status-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let status = dir.join("status.json");
+        let src = FakeSource {
+            registry: MetricsRegistry::new(),
+        };
+        let completed = src.registry.counter("serve.completed");
+        let mut mon = Monitor::new(MonitorConfig {
+            status_out: Some(status.clone()),
+            ..MonitorConfig::default()
+        })
+        .unwrap();
+        mon.sample(&src, 0).unwrap();
+        let done = AtomicBool::new(false);
+        let reads = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let mut reads = 0u64;
+                while !done.load(Ordering::Relaxed) {
+                    let text = std::fs::read_to_string(&status).unwrap();
+                    if let Err(e) = MonitorReport::from_json(&text) {
+                        panic!("read {reads} does not parse ({e}): {text:?}");
+                    }
+                    reads += 1;
+                }
+                reads
+            });
+            for tick in 1..=300 {
+                completed.add(tick);
+                mon.sample(&src, tick).unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+            reader.join().unwrap()
+        });
+        assert!(reads > 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

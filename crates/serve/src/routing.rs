@@ -19,29 +19,21 @@
 //! its queue is full, the next-ranked shard is the unique, stable second
 //! choice.
 
-use crate::request::{EstimateRequest, OpenSessionRequest};
 use m3_nn::prelude::checksum64;
+use serde::Serialize;
 
-/// Stable routing key for a request: `checksum64` of its canonical JSON.
+/// Stable routing key for a request or a session open: `checksum64` of
+/// its canonical JSON.
 ///
-/// Scatter children of one large scenario differ only in `path_slice`,
-/// which is part of the serialized form — so the children of a single
-/// request spread across shards instead of piling onto one.
-pub fn routing_key(request: &EstimateRequest) -> u64 {
+/// Scatter children of one large scenario (and the path-slice parts of one
+/// scattered session) differ only in `path_slice`, which is part of the
+/// serialized form — so they spread across shards instead of piling onto
+/// one.
+pub fn routing_key(request: &impl Serialize) -> u64 {
     match serde_json::to_string(request) {
         Ok(json) => checksum64(json.as_bytes()),
         // Serialization of a plain-data request cannot fail in practice;
         // a zero key still routes (to a deterministic shard).
-        Err(_) => 0,
-    }
-}
-
-/// Stable routing key for a session open — same scheme as [`routing_key`]:
-/// the slice is part of the serialized form, so the path-slice parts of
-/// one scattered session spread across shards.
-pub fn session_routing_key(request: &OpenSessionRequest) -> u64 {
-    match serde_json::to_string(request) {
-        Ok(json) => checksum64(json.as_bytes()),
         Err(_) => 0,
     }
 }
@@ -80,7 +72,7 @@ pub fn rank(key: u64, live: &[usize]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{ConfigSpec, ScenarioSpec, TopoSpec, WorkloadSpec};
+    use crate::request::{ConfigSpec, EstimateRequest, ScenarioSpec, TopoSpec, WorkloadSpec};
 
     fn req(seed: u64) -> EstimateRequest {
         EstimateRequest::new(

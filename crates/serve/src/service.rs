@@ -57,7 +57,7 @@ use m3_core::prelude::{
     StageBudget,
 };
 use m3_flowsim::prelude::FluidBudget;
-use m3_nn::prelude::{M3Net, ModelRef, ModelRegistry};
+use m3_nn::prelude::{write_atomic, M3Net, ModelRef, ModelRegistry};
 use m3_telemetry::trace::{TraceCtx, TraceRecorder};
 use m3_telemetry::{Counter, Gauge, Histogram, HistogramEdges, MetricsRegistry, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
@@ -81,13 +81,9 @@ pub struct ServiceConfig {
     /// Shared scenario-cache capacity (entries).
     pub cache_capacity: usize,
     /// When set, the supervisor writes a JSON [`MetricsSnapshot`] of the
-    /// service registry here every
-    /// [`metrics_dump_every`](ServiceConfig::metrics_dump_every) and once
-    /// more at shutdown.
+    /// service registry here every [`METRICS_DUMP_EVERY`] and once more at
+    /// shutdown.
     pub metrics_out: Option<PathBuf>,
-    /// Interval between periodic metrics dumps (only used with
-    /// [`metrics_out`](ServiceConfig::metrics_out)).
-    pub metrics_dump_every: Duration,
     /// Causal-tracing flight recorder. Defaults to the noop recorder
     /// (tracing off; one branch of overhead per trace point). When
     /// enabled, every processed job runs under trace id
@@ -97,11 +93,6 @@ pub struct ServiceConfig {
     /// Virtual-time stride (ns) for simulator counter probes in traced
     /// jobs; 0 means the telemetry default.
     pub trace_stride_ns: u64,
-    /// How stale the supervisor's liveness tick may grow before
-    /// [`ServiceStats::healthy`] reports the service unhealthy. The
-    /// supervisor ticks every few milliseconds, so the default (2 s) only
-    /// trips on a genuinely wedged supervisor thread.
-    pub liveness_timeout: Duration,
     /// Synthetic per-attempt service latency, slept by the worker before
     /// each pipeline attempt. `ZERO` (the default) adds nothing. Models
     /// the blocking I/O / RPC component of a remote estimation shard so
@@ -122,15 +113,23 @@ impl Default for ServiceConfig {
             retry: RetryPolicy::default(),
             cache_capacity: 256,
             metrics_out: None,
-            metrics_dump_every: Duration::from_secs(1),
             trace: TraceRecorder::noop(),
             trace_stride_ns: 0,
-            liveness_timeout: Duration::from_secs(2),
             simulated_io: Duration::ZERO,
             journal_faults: None,
         }
     }
 }
+
+/// Interval between the supervisor's periodic metrics dumps (only with
+/// [`ServiceConfig::metrics_out`]).
+pub const METRICS_DUMP_EVERY: Duration = Duration::from_secs(1);
+
+/// How stale the supervisor's liveness tick may grow before
+/// [`ServiceStats::healthy`] reports the service unhealthy. The supervisor
+/// ticks every few milliseconds, so this only trips on a genuinely wedged
+/// supervisor thread.
+pub const LIVENESS_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The trace id the service stamps on job `id`. Job ids start at 0 but
 /// trace id 0 is reserved ("no trace"), so the mapping is offset by one.
@@ -233,10 +232,10 @@ pub struct ServiceStats {
     /// while the queue looks merely idle.
     #[serde(default)]
     pub supervisor_stale_ms: u64,
-    /// The configured ceiling on
+    /// The ceiling on
     /// [`supervisor_stale_ms`](ServiceStats::supervisor_stale_ms)
-    /// (`ServiceConfig::liveness_timeout`), echoed so `healthy()` is
-    /// self-contained on a deserialized snapshot.
+    /// ([`LIVENESS_TIMEOUT`]), echoed so `healthy()` is self-contained on
+    /// a deserialized snapshot.
     #[serde(default)]
     pub liveness_timeout_ms: u64,
     /// Mid-file journal corruption quarantined during the resume that
@@ -833,7 +832,7 @@ pub struct Service {
 impl Service {
     /// Start a service with no journal (jobs do not survive a crash).
     pub fn start(estimator: M3Estimator, config: ServiceConfig) -> Service {
-        Service::build(estimator, config, None, Vec::new())
+        Service::build(estimator, config, None, Vec::new(), None)
     }
 
     /// Start a service journaling to `path` (created fresh, truncating any
@@ -843,8 +842,8 @@ impl Service {
         config: ServiceConfig,
         path: impl AsRef<Path>,
     ) -> io::Result<Service> {
-        let journal = Journal::create(path)?;
-        Ok(Service::build(estimator, config, Some(journal), Vec::new()))
+        let journal = Some(Journal::create(path)?);
+        Ok(Service::build(estimator, config, journal, Vec::new(), None))
     }
 
     /// Resume from an existing journal: jobs that were accepted but never
@@ -852,34 +851,14 @@ impl Service {
     /// terminal states; already-settled outcomes are available from
     /// [`outcome`](Self::outcome) immediately.
     ///
-    /// If the journal records a committed model swap, resuming requires
-    /// the registry the swap came from — use
-    /// [`resume_with_registry`](Self::resume_with_registry); this variant
-    /// returns `InvalidData` rather than silently serving the wrong model.
+    /// If the journal's last committed swap activated registry version
+    /// `v`, the service restarts with `v` loaded (integrity-verified) from
+    /// `registry`, so kill-and-resume lands on the active version, not the
+    /// default; without a registry such a journal is `InvalidData` rather
+    /// than silently served by the wrong model. A dangling swap intent
+    /// (crash between intent and commit) is *not* activated; the pre-swap
+    /// model stays active, per the journal replay.
     pub fn resume(
-        estimator: M3Estimator,
-        config: ServiceConfig,
-        path: impl AsRef<Path>,
-    ) -> io::Result<(Service, Replay)> {
-        Service::resume_impl(estimator, config, path, None)
-    }
-
-    /// [`resume`](Self::resume), plus model recovery: if the journal's
-    /// last committed swap activated registry version `v`, the service
-    /// restarts with `v` loaded (integrity-verified) from `registry` —
-    /// kill-and-resume lands on the active version, not the default. A
-    /// dangling swap intent (crash between intent and commit) is *not*
-    /// activated; the pre-swap model stays active, per the journal replay.
-    pub fn resume_with_registry(
-        estimator: M3Estimator,
-        config: ServiceConfig,
-        path: impl AsRef<Path>,
-        registry: &ModelRegistry,
-    ) -> io::Result<(Service, Replay)> {
-        Service::resume_impl(estimator, config, path, Some(registry))
-    }
-
-    fn resume_impl(
         default_estimator: M3Estimator,
         config: ServiceConfig,
         path: impl AsRef<Path>,
@@ -914,10 +893,7 @@ impl Service {
             (Some((ver, _)), None) => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!(
-                        "journal records active model v{ver} but no registry was supplied; \
-                         use resume_with_registry"
-                    ),
+                    format!("journal records active model v{ver} but no registry was supplied"),
                 ));
             }
             (None, _) => (default_estimator, None),
@@ -932,7 +908,7 @@ impl Service {
                 attempt: 0,
             })
             .collect();
-        let svc = Service::build_versioned(estimator, config, Some(journal), pending, version);
+        let svc = Service::build(estimator, config, Some(journal), pending, version);
         let (active, active_fp) = svc.inner.pin_model();
         decision_models.by_fingerprint.insert(active_fp, active);
         *svc.inner
@@ -992,15 +968,6 @@ impl Service {
     }
 
     fn build(
-        estimator: M3Estimator,
-        config: ServiceConfig,
-        journal: Option<Journal>,
-        preloaded: Vec<Job>,
-    ) -> Service {
-        Service::build_versioned(estimator, config, journal, preloaded, None)
-    }
-
-    fn build_versioned(
         estimator: M3Estimator,
         config: ServiceConfig,
         journal: Option<Journal>,
@@ -1283,7 +1250,7 @@ impl Service {
             cache: self.inner.cache.stats(),
             workers: self.inner.config.workers,
             supervisor_stale_ms: self.inner.supervisor_stale_ms(),
-            liveness_timeout_ms: self.inner.config.liveness_timeout.as_millis() as u64,
+            liveness_timeout_ms: LIVENESS_TIMEOUT.as_millis() as u64,
             journal_corruption: st.journal_corruption.clone(),
             model_fingerprint,
             model_version,
@@ -1459,7 +1426,7 @@ fn bump_terminal_counter(m: &ServeMetrics, outcome: &JobOutcome) {
 /// over.
 fn dump_metrics(inner: &Inner) {
     if let Some(path) = &inner.config.metrics_out {
-        let _ = std::fs::write(path, inner.registry.snapshot().to_json());
+        let _ = write_atomic(path, inner.registry.snapshot().to_json().as_bytes());
     }
 }
 
@@ -1500,9 +1467,7 @@ fn supervise(inner: Arc<Inner>) {
             .metrics
             .trace_dropped
             .set(inner.config.trace.dropped() as f64);
-        if inner.config.metrics_out.is_some()
-            && last_dump.elapsed() >= inner.config.metrics_dump_every
-        {
+        if inner.config.metrics_out.is_some() && last_dump.elapsed() >= METRICS_DUMP_EVERY {
             dump_metrics(&inner);
             last_dump = Instant::now();
         }
@@ -1902,7 +1867,6 @@ mod tests {
     fn wedged_supervisor_and_stalled_queue_report_unhealthy() {
         let config = ServiceConfig {
             workers: 0,
-            liveness_timeout: Duration::from_millis(60),
             ..ServiceConfig::default()
         };
         let svc = Service::start(tiny_estimator(), config);
@@ -1929,7 +1893,7 @@ mod tests {
         // past the liveness timeout.
         svc.stall_supervisor(true);
         let frozen = svc.heartbeat();
-        thread::sleep(Duration::from_millis(150));
+        thread::sleep(LIVENESS_TIMEOUT + Duration::from_millis(100));
         let stats = svc.stats();
         assert_eq!(svc.heartbeat(), frozen, "stalled supervisor still ticked");
         assert!(
@@ -2142,7 +2106,7 @@ mod tests {
             "{:?}",
             records[1]
         );
-        let (svc, replay) = Service::resume(tiny_estimator(), no_workers(), &path).unwrap();
+        let (svc, replay) = Service::resume(tiny_estimator(), no_workers(), &path, None).unwrap();
         assert_eq!((replay.decisions.len(), replay.settled()), (2, 2));
         assert_eq!(svc.stats().completed, 2);
         for _ in 0..2 {
@@ -2174,7 +2138,7 @@ mod tests {
             journal.append(&record).unwrap();
         }
         drop(journal);
-        let (svc, _) = Service::resume(estimator, no_workers(), path).unwrap();
+        let (svc, _) = Service::resume(estimator, no_workers(), path, None).unwrap();
         let outcome = svc.outcome(0).unwrap();
         let stats = svc.stats();
         svc.shutdown();
@@ -2226,7 +2190,7 @@ mod tests {
         bytes[at + 12 + 5] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
 
-        let (svc, replay) = Service::resume(tiny_estimator(), no_workers(), &path).unwrap();
+        let (svc, replay) = Service::resume(tiny_estimator(), no_workers(), &path, None).unwrap();
         assert_eq!(replay.orphan_terminals, 1);
         assert_eq!(svc.stats().journal_orphan_terminals, 1);
         assert!(svc.outcome(1).is_none());
@@ -2337,7 +2301,8 @@ mod tests {
         let before = svc.session_estimate(sid).unwrap();
         svc.abort(); // crash at op granularity: journal survives, memory dies
 
-        let (svc2, replay) = Service::resume(tiny_estimator(), config.clone(), &path).unwrap();
+        let (svc2, replay) =
+            Service::resume(tiny_estimator(), config.clone(), &path, None).unwrap();
         assert_eq!(replay.sessions.len(), 1);
         assert_eq!(svc2.open_sessions(), vec![sid]);
         let after = svc2.session_estimate(sid).unwrap();
@@ -2349,7 +2314,7 @@ mod tests {
             .unwrap();
         svc2.close_session(sid).unwrap();
         svc2.abort();
-        let (svc3, replay) = Service::resume(tiny_estimator(), config, &path).unwrap();
+        let (svc3, replay) = Service::resume(tiny_estimator(), config, &path, None).unwrap();
         assert!(replay.sessions[&sid].closed);
         assert!(svc3.open_sessions().is_empty());
         svc3.shutdown();

@@ -1,8 +1,8 @@
 //! Shadow-evaluated model hot swap with automatic rollback.
 //!
 //! The [`SwapCoordinator`] is the only path by which a new model reaches a
-//! serving [`Service`] or
-//! [`Cluster`]. A candidate runs this gauntlet:
+//! serving [`Service`] or [`Cluster`](crate::cluster::Cluster). A
+//! candidate runs this gauntlet:
 //!
 //! ```text
 //! resolve ─► integrity load ─► shadow A/B ─► journal intent ─► install ─► breaker
@@ -19,10 +19,12 @@
 //! * **Shadow A/B** — a window of recently journaled requests is replayed
 //!   through the *current* and *candidate* models off the hot path
 //!   (no shared cache, no metrics; each request is prepared once and
-//!   every model and the truth resolve from it), and both FCT-slowdown
-//!   distributions are scored against a ground-truth oracle
-//!   ([`ShadowTruth`]). A candidate whose mean quantile error exceeds the
-//!   baseline's by more than the configured ratio + slack is rejected.
+//!   every model and flowSim resolve from it), and both FCT-slowdown
+//!   distributions are scored against flowSim, the paper's no-ML
+//!   baseline: the score measures how far each model's correction drifts
+//!   from the fluid solution on live traffic. A candidate whose mean
+//!   quantile error exceeds the baseline's by more than the configured
+//!   ratio + slack is rejected.
 //! * **Intent / install** — the swap is journaled write-ahead
 //!   (`SwapIntent`, then `ModelSwap` inside the install), so a kill at any
 //!   point resumes onto the correct active version: a dangling intent is
@@ -38,7 +40,6 @@
 //! `TornPublish`/`CheckpointCorrupt` are exercised upstream at the
 //! registry/checkpoint layer.
 
-use crate::cluster::Cluster;
 use crate::request::EstimateRequest;
 use crate::service::Service;
 use m3_core::prelude::{
@@ -52,18 +53,6 @@ use std::sync::Arc;
 /// compares.
 const SHADOW_QUANTILES: [Percentile; 3] = [Percentile::P50, Percentile::P90, Percentile::P99];
 
-/// Ground-truth oracle the shadow evaluation scores both models against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShadowTruth {
-    /// flowSim-only estimate: fast, deterministic, the paper's "no ML"
-    /// baseline. The score then measures how far each model's correction
-    /// drifts from the fluid solution on live traffic.
-    Flowsim,
-    /// Path-level packet simulation: slower but closer to ns-3-grade
-    /// ground truth.
-    Ns3Path,
-}
-
 /// Swap-gate tuning.
 #[derive(Debug, Clone)]
 pub struct SwapConfig {
@@ -75,17 +64,15 @@ pub struct SwapConfig {
     /// Absolute slack added to the gate (absorbs noise when the baseline
     /// error is near zero).
     pub abs_err_slack: f64,
-    pub ground_truth: ShadowTruth,
     /// Post-promotion breaker: settled jobs to observe on the new model
     /// before comparing bad-outcome rates.
     pub rollback_window: u64,
     /// Roll back when the post-swap bad-outcome fraction exceeds the
     /// pre-swap fraction by more than this.
     pub max_bad_frac_increase: f64,
-    /// Deterministic fault injection for lifecycle tests.
+    /// Deterministic fault injection for lifecycle tests, evaluated at
+    /// slot 0.
     pub fault_plan: Option<FaultPlan>,
-    /// Slot index this coordinator's faults are evaluated at.
-    pub fault_slot: usize,
 }
 
 impl Default for SwapConfig {
@@ -94,11 +81,9 @@ impl Default for SwapConfig {
             shadow_window: 16,
             max_err_ratio: 1.5,
             abs_err_slack: 0.05,
-            ground_truth: ShadowTruth::Flowsim,
             rollback_window: 8,
             max_bad_frac_increase: 0.25,
             fault_plan: None,
-            fault_slot: 0,
         }
     }
 }
@@ -169,7 +154,7 @@ struct ArmedBreaker {
 }
 
 /// Anything a model can be hot-swapped into: a single [`Service`] or a
-/// fan-out [`Cluster`]. All methods are the
+/// fan-out [`Cluster`](crate::cluster::Cluster). All methods are the
 /// target's own journaled primitives; the coordinator supplies ordering
 /// and policy.
 pub trait SwapTarget {
@@ -210,27 +195,6 @@ impl SwapTarget for Service {
     }
 }
 
-impl SwapTarget for Cluster {
-    fn baseline_estimator(&self) -> Arc<M3Estimator> {
-        Cluster::baseline_estimator(self)
-    }
-    fn active_model(&self) -> (u64, Option<u64>) {
-        Cluster::active_model(self)
-    }
-    fn recent_requests(&self, n: usize) -> Vec<EstimateRequest> {
-        Cluster::recent_requests(self, n)
-    }
-    fn journal_swap_intent(&self, version: u64, fingerprint: u64) -> io::Result<()> {
-        Cluster::journal_swap_intent(self, version, fingerprint)
-    }
-    fn install(&self, net: M3Net, version: Option<u64>) -> io::Result<u64> {
-        self.install_model(net, version)
-    }
-    fn health_counts(&self) -> (u64, u64) {
-        Cluster::health_counts(self)
-    }
-}
-
 /// Orchestrates candidate evaluation, promotion, and the post-promotion
 /// rollback breaker against one [`SwapTarget`].
 pub struct SwapCoordinator {
@@ -256,7 +220,7 @@ impl SwapCoordinator {
         self.config
             .fault_plan
             .as_ref()
-            .is_some_and(|p| p.hits(kind, self.config.fault_slot))
+            .is_some_and(|p| p.hits(kind, 0))
     }
 
     /// Run the full gate sequence for `candidate` against `target`.
@@ -286,11 +250,8 @@ impl SwapCoordinator {
         let baseline = target.baseline_estimator();
         let mut candidate_est = M3Estimator::new(net.clone());
         candidate_est.use_context = baseline.use_context;
-        let (scenarios, [baseline_err, candidate_err]) = replay(
-            [&baseline, &candidate_est],
-            &window,
-            self.config.ground_truth,
-        );
+        let (scenarios, [baseline_err, candidate_err]) =
+            replay([&baseline, &candidate_est], &window);
         let mut shadow = ShadowReport {
             scenarios,
             baseline_err,
@@ -404,32 +365,27 @@ fn quantile_err(est: &NetworkEstimate, truth: &NetworkEstimate) -> f64 {
     total / SHADOW_QUANTILES.len() as f64
 }
 
-/// Replay `window` through a single model, scoring it against the ground
-/// truth — the accuracy-drift watchdog's spot check (same scoring as the
+/// Replay `window` through a single model, scoring it against flowSim —
+/// the accuracy-drift watchdog's spot check (same scoring as the
 /// shadow A/B gate, without a candidate). Runs entirely off the hot path:
 /// no shared cache, no metrics, fault plans on the replayed requests are
 /// ignored. Returns `(scenarios_scored, mean_quantile_err)`; the error is
 /// `0.0` when nothing replayed cleanly.
-pub fn model_drift(
-    est: &M3Estimator,
-    window: &[EstimateRequest],
-    truth: ShadowTruth,
-) -> (usize, f64) {
-    let (scenarios, [err]) = replay([est], window, truth);
+pub fn model_drift(est: &M3Estimator, window: &[EstimateRequest]) -> (usize, f64) {
+    let (scenarios, [err]) = replay([est], window);
     (scenarios, err)
 }
 
 /// Replay `window` through `models` (which share the first one's
-/// `use_context`), scoring each against `truth`. Each request is prepared
+/// `use_context`), scoring each against flowSim. Each request is prepared
 /// once; every model resolves from that one value, uncached and with
-/// default options, and the truth is computed once, only for a request
-/// every model answered. A request that fails to materialize, prepare or
+/// default options, and flowSim runs once, only for a request every model
+/// answered. A request that fails to materialize, prepare or
 /// estimate on any model is skipped. Returns the requests scored and each
 /// model's mean quantile error (`0.0` when none scored).
 fn replay<const N: usize>(
     models: [&M3Estimator; N],
     window: &[EstimateRequest],
-    truth: ShadowTruth,
 ) -> (usize, [f64; N]) {
     let options = EstimateOptions::default();
     let (mut scenarios, mut err) = (0usize, [0.0; N]);
@@ -447,10 +403,7 @@ fn replay<const N: usize>(
         let Ok(estimates) = estimates else {
             continue;
         };
-        let truth_est = match truth {
-            ShadowTruth::Flowsim => prepared.flowsim_estimate(),
-            ShadowTruth::Ns3Path => prepared.ns3_path_estimate(),
-        };
+        let truth_est = prepared.flowsim_estimate();
         for (e, est) in err.iter_mut().zip(&estimates) {
             *e += quantile_err(est, &truth_est);
         }
@@ -468,7 +421,7 @@ fn replay<const N: usize>(
 mod tests {
     use super::*;
     use crate::request::{ConfigSpec, ScenarioSpec, TopoSpec, WorkloadSpec};
-    use m3_core::prelude::{flowsim_estimate, ns3_path_estimate, SPEC_DIM};
+    use m3_core::prelude::{flowsim_estimate, SPEC_DIM};
     use m3_nn::prelude::ModelConfig;
 
     fn request(seed: u64, paths: usize) -> EstimateRequest {
@@ -524,9 +477,7 @@ mod tests {
         let baseline = M3Estimator::new(trained_net(1));
         let candidate = M3Estimator::new(M3Net::new(tiny_config(), 5));
         let window = [request(3, 40), request(8, 25)];
-        let truth = ShadowTruth::Flowsim;
-        let (scenarios, [baseline_err, candidate_err]) =
-            replay([&baseline, &candidate], &window, truth);
+        let (scenarios, [baseline_err, candidate_err]) = replay([&baseline, &candidate], &window);
         let shadow = ShadowReport {
             scenarios,
             baseline_err,
@@ -534,7 +485,7 @@ mod tests {
         };
         assert_eq!(shadow.scenarios, 2);
         assert!(shadow.regressed(&SwapConfig::default()), "{shadow:?}");
-        let (_, drift) = model_drift(&candidate, &window, truth);
+        let (_, drift) = model_drift(&candidate, &window);
         let ceiling = crate::monitor::DEFAULT_DRIFT_CEILING;
         assert!(
             drift > ceiling,
@@ -544,29 +495,24 @@ mod tests {
 
     /// The drift score of a fixed two-request window equals, bit for bit,
     /// the per-call formula: each request's truth from the free
-    /// `flowsim_estimate` / `ns3_path_estimate` and its estimate from
-    /// `try_estimate`, each decomposing and sampling on its own.
+    /// `flowsim_estimate` and its estimate from `try_estimate`, each
+    /// decomposing and sampling on its own.
     #[test]
     fn model_drift_equals_the_per_call_formula() {
         let est = M3Estimator::new(M3Net::new(tiny_config(), 5));
         let window = [request(3, 40), request(8, 25)];
-        for truth in [ShadowTruth::Flowsim, ShadowTruth::Ns3Path] {
-            let mut total = 0.0;
-            for req in &window {
-                let (topo, flows, config) = req.scenario.materialize(req.seed).unwrap();
-                let (k, seed) = (req.paths, req.seed);
-                let truth_est = match truth {
-                    ShadowTruth::Flowsim => flowsim_estimate(&topo, &flows, &config, k, seed),
-                    ShadowTruth::Ns3Path => ns3_path_estimate(&topo, &flows, &config, k, seed),
-                };
-                let options = EstimateOptions::default();
-                let e = est.try_estimate(&topo, &flows, &config, k, seed, &options);
-                total += quantile_err(&e.unwrap(), &truth_est);
-            }
-            let expect = total / window.len() as f64;
-            assert!(expect.is_finite() && expect > 0.0, "{truth:?}: {expect}");
-            let (scenarios, mean_err) = model_drift(&est, &window, truth);
-            assert_eq!((scenarios, mean_err.to_bits()), (2, expect.to_bits()));
+        let mut total = 0.0;
+        for req in &window {
+            let (topo, flows, config) = req.scenario.materialize(req.seed).unwrap();
+            let (k, seed) = (req.paths, req.seed);
+            let truth = flowsim_estimate(&topo, &flows, &config, k, seed);
+            let options = EstimateOptions::default();
+            let e = est.try_estimate(&topo, &flows, &config, k, seed, &options);
+            total += quantile_err(&e.unwrap(), &truth);
         }
+        let expect = total / window.len() as f64;
+        assert!(expect.is_finite() && expect > 0.0, "{expect}");
+        let (scenarios, mean_err) = model_drift(&est, &window);
+        assert_eq!((scenarios, mean_err.to_bits()), (2, expect.to_bits()));
     }
 }

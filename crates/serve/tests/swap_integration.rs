@@ -310,9 +310,13 @@ fn kill_mid_swap_resumes_on_pre_swap_version() {
     // Crash recovery: the journal holds `ModelSwap v1` plus a dangling
     // `SwapIntent v2` — resume must land on v1 and surface the intent.
     let reg = ModelRegistry::open(stalled.registry().root()).unwrap();
-    let (svc, replay) =
-        Service::resume_with_registry(M3Estimator::new(net_a), quick_config(), &journal, &reg)
-            .unwrap();
+    let (svc, replay) = Service::resume(
+        M3Estimator::new(net_a),
+        quick_config(),
+        &journal,
+        Some(&reg),
+    )
+    .unwrap();
     assert_eq!(replay.active_model, Some((1, fp_a)));
     assert_eq!(replay.dangling_swap, Some((2, fp_b)));
     assert_eq!(svc.active_model(), (fp_a, Some(1)));
@@ -378,9 +382,13 @@ fn post_promotion_spike_rolls_back_and_journals() {
     svc.abort();
 
     // The rollback is journaled: a crash after it resumes on v1.
-    let (svc, replay) =
-        Service::resume_with_registry(M3Estimator::new(net_a), quick_config(), &journal, &reg)
-            .unwrap();
+    let (svc, replay) = Service::resume(
+        M3Estimator::new(net_a),
+        quick_config(),
+        &journal,
+        Some(&reg),
+    )
+    .unwrap();
     assert_eq!(replay.active_model, Some((1, fp_a)));
     assert_eq!(replay.dangling_swap, None);
     assert_eq!(svc.active_model(), (fp_a, Some(1)));

@@ -4,7 +4,9 @@
 # non-test column counts, of each file outside a `tests/` tree, the lines
 # before its first `#[cfg(test)]` line; files in a `tests/` tree count as
 # test lines only. Code placed after a file's first test module therefore
-# counts as test code. Prints only; gates nothing.
+# counts as test code. A last line counts the settable options: the `pub`
+# fields of each `pub struct *Config` under crates/, and their total.
+# Prints only; gates nothing.
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -35,3 +37,15 @@ for dir in crates/* src tests examples vendor m3_benchmark; do
   printf '%-16s %6d %9d\n' "$dir" "$n" "$non"
 done
 printf '%-16s %6d %9d\n' total "$total" "$total_non"
+
+# "<name> <pub fields>" per `pub struct *Config { ... }` under crates/.
+find crates -name '*.rs' -not -path '*/target/*' -print0 |
+  xargs -0 -r awk '
+    /^[[:space:]]*pub struct [A-Za-z0-9_]*Config[[:space:]]*\{/ {
+      name = $3; sub(/\{.*/, "", name); n = 0; inside = 1; next
+    }
+    inside && /^[[:space:]]*\}/ { print name, n; inside = 0; next }
+    inside && /^[[:space:]]*pub [a-z_0-9]+[[:space:]]*:/ { n++ }' |
+  sort |
+  awk '{ list = list sep $1 " " $2; sep = ", "; sum += $2 }
+       END { printf "config fields: %s; total %d\n", list, sum }'

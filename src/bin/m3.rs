@@ -64,13 +64,12 @@
 
 use m3::core::prelude::*;
 use m3::netsim::prelude::*;
-use m3::nn::prelude::{Lineage, ModelRef, ModelRegistry};
+use m3::nn::prelude::{Lineage, M3Net, ModelRef, ModelRegistry};
 use m3::parsimon::{parsimon_estimate, parsimon_estimate_clustered, slowdown_samples};
 use m3::serve::prelude::{
     render_report, Cluster, ClusterConfig, ConfigSpec, DriftConfig, EstimateRequest, JobOutcome,
     Monitor, MonitorConfig, MonitorReport, MonitorSource, OpenSessionRequest, Replay, RetryPolicy,
-    ScenarioSpec, Service, ServiceConfig, SessionError, ShadowTruth, SubmitError, TopoSpec,
-    WorkloadSpec,
+    ScenarioSpec, Service, ServiceConfig, SessionError, SubmitError, TopoSpec, WorkloadSpec,
 };
 use m3::telemetry::{
     render_prometheus, render_snapshot, render_trace_summary, summarize_chrome_json,
@@ -453,7 +452,7 @@ fn materialize(spec: &Spec) -> Materialized {
     }
 }
 
-fn load_model(path: Option<&str>) -> m3::nn::prelude::M3Net {
+fn load_model(path: Option<&str>) -> M3Net {
     let path = path.unwrap_or("assets/m3-model.ckpt");
     m3::nn::checkpoint::load_file(path).unwrap_or_else(|e| {
         die(
@@ -659,7 +658,6 @@ fn run_sweep(spec: &Spec, knob_name: &str, values: &str) {
 fn build_monitor(spec: &MonitorSpec) -> Monitor {
     let defaults = DriftConfig::default();
     let config = MonitorConfig {
-        capacity: 0,
         slos: Vec::new(), // default SLO set
         drift: Some(DriftConfig {
             sample: if spec.drift_sample == 0 {
@@ -672,7 +670,6 @@ fn build_monitor(spec: &MonitorSpec) -> Monitor {
             } else {
                 spec.drift_every
             },
-            truth: ShadowTruth::Flowsim,
         }),
         events_out: spec.events_out.clone().map(Into::into),
         status_out: Some(spec.status_out.clone().into()),
@@ -819,16 +816,12 @@ fn start_service(
 ) -> (Service, Option<Replay>) {
     match (journal, resume) {
         (Some(path), true) => {
-            let resumed = match registry {
-                Some(root) => {
-                    let reg = ModelRegistry::open(root)
-                        .unwrap_or_else(|e| die(EXIT_USAGE, &format!("open registry {root}: {e}")));
-                    Service::resume_with_registry(estimator, config, path, &reg)
-                }
-                None => Service::resume(estimator, config, path),
-            };
-            let (svc, replay) =
-                resumed.unwrap_or_else(|e| die(EXIT_USAGE, &format!("resume journal {path}: {e}")));
+            let registry = registry.map(|root| {
+                ModelRegistry::open(root)
+                    .unwrap_or_else(|e| die(EXIT_USAGE, &format!("open registry {root}: {e}")))
+            });
+            let (svc, replay) = Service::resume(estimator, config, path, registry.as_ref())
+                .unwrap_or_else(|e| die(EXIT_USAGE, &format!("resume journal {path}: {e}")));
             (svc, Some(replay))
         }
         (Some(path), false) => (
@@ -1150,7 +1143,11 @@ fn example_train_spec() -> TrainSpec {
     }
 }
 
-fn run_train(spec: &TrainSpec, metrics_out: Option<&str>) {
+/// The training half of `m3 train` and `m3 retrain-publish`: build the
+/// spec's dataset and train on it, printing the dataset size, the build
+/// time and the training summary. The returned registry is live only when
+/// `metrics_out` is set.
+fn train_model(spec: &TrainSpec, metrics_out: Option<&str>) -> (M3Net, MetricsRegistry) {
     let t = Instant::now();
     println!(
         "building dataset: {} scenarios ({} fg + {} bg flows each)...",
@@ -1175,6 +1172,11 @@ fn run_train(spec: &TrainSpec, metrics_out: Option<&str>) {
         report.train_loss.last().copied().unwrap_or(f64::NAN),
         report.val_loss.last().copied().unwrap_or(f64::NAN),
     );
+    (net, registry)
+}
+
+fn run_train(spec: &TrainSpec, metrics_out: Option<&str>) {
+    let (net, registry) = train_model(spec, metrics_out);
     if let Err(e) = m3::nn::checkpoint::save_file(&net, spec.train.seed, &spec.model_out) {
         die(
             EXIT_FAULT,
@@ -1200,32 +1202,7 @@ fn run_retrain_publish(spec: &TrainSpec, root: &str, note: &str, metrics_out: Op
         .resolve(ModelRef::Latest)
         .ok()
         .map(|e| e.fingerprint);
-
-    let t = Instant::now();
-    println!(
-        "building dataset: {} scenarios ({} fg + {} bg flows each)...",
-        spec.train.n_scenarios, spec.train.fg_flows, spec.train.bg_flows
-    );
-    let dataset = build_dataset(&spec.train);
-    println!("dataset built in {:?}", t.elapsed());
-
-    let metrics = if metrics_out.is_some() {
-        MetricsRegistry::new()
-    } else {
-        MetricsRegistry::noop()
-    };
-    let t = Instant::now();
-    let (net, report) =
-        try_train_with_metrics(&spec.train, &dataset, &metrics).unwrap_or_else(|e| die_m3(&e));
-    println!(
-        "trained {} epochs in {:?}: train loss {:.4} -> {:.4}, val loss {:.4}",
-        spec.train.epochs,
-        t.elapsed(),
-        report.train_loss.first().copied().unwrap_or(f64::NAN),
-        report.train_loss.last().copied().unwrap_or(f64::NAN),
-        report.val_loss.last().copied().unwrap_or(f64::NAN),
-    );
-
+    let (net, metrics) = train_model(spec, metrics_out);
     let entry = registry
         .publish(
             &net,

@@ -5,10 +5,11 @@
 //! Every case compares the exit code, stdout and stderr with a golden file
 //! under `tests/golden/cli/`, after masking what varies between runs: wall
 //! times (the trailing duration of an estimate line, `elapsed_ms`,
-//! `supervisor_stale_ms`) and the case's temporary directory. On a mismatch
-//! the masked output is written to `m3-cli-actual-<golden>.txt` in the
-//! system temp directory and the panic names it; copy it over the golden
-//! file if the change is intended.
+//! `supervisor_stale_ms`, a monitor report's windowed p99 request latency)
+//! and the case's temporary directory. On a mismatch the masked output is
+//! written to `m3-cli-actual-<golden>.txt` in the system temp directory
+//! and the panic names it; copy it over the golden file if the change is
+//! intended.
 
 use m3::core::prelude::*;
 use m3::nn::prelude::{M3Net, ModelConfig};
@@ -110,12 +111,21 @@ impl Drop for Case {
 }
 
 /// Mask the run-to-run varying parts of a transcript: the wall time that
-/// ends an estimate line and the numeric values of the timing fields in
-/// JSON.
+/// ends an estimate line, the numeric values of the timing fields in JSON
+/// and the burn and value of a monitor report's p99-latency line.
 fn mask(text: &str) -> String {
     let mut out = String::new();
     for line in text.lines() {
         let mut line = line.to_string();
+        if line.trim_start().starts_with("p99-latency ") {
+            let words: Vec<String> = (line.split_whitespace())
+                .map(|w| match w.split_once('=') {
+                    Some((key, _)) => format!("{key}=<masked>"),
+                    None => w.to_string(),
+                })
+                .collect();
+            line = format!("  {}", words.join(" "));
+        }
         if line.contains("buckets p99 [") {
             if let Some(i) = line.rfind("])") {
                 line.truncate(i + 2);
@@ -257,6 +267,26 @@ fn serve_routes_past_an_open_breaker() {
         ),
     );
     case.check("serve_breaker", &case.run(&["serve", &spec], ""));
+}
+
+/// A monitored batch prints the monitor's last report, and `m3 monitor`
+/// renders the status file it left. The sampling interval outlasts the
+/// batch, so the drain takes exactly one sample and one drift check
+/// before the final one.
+#[test]
+fn serve_reports_its_monitor() {
+    let case = Case::new("serve-monitor");
+    let status = case.path("status.json");
+    let spec = case.write(
+        "serve.json",
+        &format!(
+            r#"{{"workers": 1, "model": {:?}, "monitor": {{"status_out": {status:?}, "sample_every_ms": 600000}}, "requests": {}}}"#,
+            case.path("model.ckpt"),
+            two_requests()
+        ),
+    );
+    let actual = case.run(&["serve", &spec], "") + &case.run(&["monitor", &status], "");
+    case.check("serve_monitor", &actual);
 }
 
 #[test]

@@ -220,7 +220,6 @@ fn killed_shard_mid_run_loses_nothing() {
         },
         fault_plan: Some(plan),
         fault_after_dispatches: 4,
-        restart_dead_shards: true,
         ..ClusterConfig::default()
     };
     let cluster = Cluster::start(tiny_net(), config).expect("start cluster");
@@ -308,7 +307,6 @@ fn stalled_shard_is_failed_over_without_losing_or_duplicating_work() {
         dead_misses: 5,
         fault_plan: Some(plan),
         fault_after_dispatches: 3,
-        restart_dead_shards: true,
         ..ClusterConfig::default()
     };
     let cluster = Cluster::start(tiny_net(), config).expect("start cluster");

@@ -259,7 +259,6 @@ fn monitor_samples_live_service() {
         drift: Some(DriftConfig {
             sample: 2,
             every: 1,
-            truth: ShadowTruth::Flowsim,
         }),
         ..MonitorConfig::default()
     })

@@ -211,7 +211,7 @@ fn crash_recovery_replays_to_bit_identical_results() {
     }
 
     let (svc, replay) =
-        Service::resume(untrained_estimator(), fast_config(2), &path).expect("resume");
+        Service::resume(untrained_estimator(), fast_config(2), &path, None).expect("resume");
     assert_eq!(replay.pending().len(), requests.len());
     assert!(svc.wait_idle(IDLE), "resumed run did not settle");
     for (i, want) in reference.iter().enumerate() {
@@ -251,7 +251,7 @@ fn partial_crash_recovery_completes_the_pending_tail() {
     assert!(settled_before >= 1);
 
     let (svc, replay) =
-        Service::resume(untrained_estimator(), fast_config(2), &path).expect("resume");
+        Service::resume(untrained_estimator(), fast_config(2), &path, None).expect("resume");
     assert!(
         replay.settled() as u64 >= settled_before,
         "settled outcomes must be journaled"
@@ -534,7 +534,7 @@ fn kill_and_resume_preserves_deterministic_counter_totals() {
     // ...then resume and drain the pending tail.
     let second_half = {
         let (svc, _replay) =
-            Service::resume(untrained_estimator(), fast_config(1), &path).expect("resume");
+            Service::resume(untrained_estimator(), fast_config(1), &path, None).expect("resume");
         assert!(svc.wait_idle(IDLE), "resumed run did not settle");
         let snap = svc.metrics_snapshot();
         svc.shutdown();
@@ -596,8 +596,8 @@ fn shared_cache_hits_across_jobs_and_reports_stats() {
 }
 
 /// Satellite regression: a graceful shutdown must flush a final metrics
-/// snapshot to `metrics_out` even when the periodic dump interval never
-/// elapsed during the run.
+/// snapshot to `metrics_out` even when the periodic dump interval (1 s)
+/// never elapsed during the run.
 #[test]
 fn final_metrics_snapshot_flushes_on_graceful_shutdown() {
     use m3::telemetry::MetricsSnapshot;
@@ -609,7 +609,6 @@ fn final_metrics_snapshot_flushes_on_graceful_shutdown() {
     std::fs::remove_file(&path).ok();
     let config = ServiceConfig {
         metrics_out: Some(path.clone()),
-        metrics_dump_every: Duration::from_secs(3600), // never elapses
         ..fast_config(1)
     };
     let svc = Service::start(untrained_estimator(), config);
@@ -617,8 +616,7 @@ fn final_metrics_snapshot_flushes_on_graceful_shutdown() {
         .expect("submit");
     assert!(svc.wait_idle(IDLE));
     svc.shutdown();
-    let text = std::fs::read_to_string(&path)
-        .expect("shutdown must write a final snapshot despite the huge dump interval");
+    let text = std::fs::read_to_string(&path).expect("shutdown must write a final snapshot");
     let snap = MetricsSnapshot::from_json(&text).expect("snapshot must parse");
     assert_eq!(snap.counter("serve.completed"), Some(1));
     std::fs::remove_file(&path).ok();
@@ -724,9 +722,13 @@ fn a_version_1_journal_replays_and_serves_its_estimates_without_recompute() {
     let published = registry
         .publish(&untrained_estimator().net, 3, Lineage::default())
         .expect("publish");
-    let (svc, replay) =
-        Service::resume_with_registry(untrained_estimator(), fast_config(0), &path, &registry)
-            .expect("resume the v1 journal");
+    let (svc, replay) = Service::resume(
+        untrained_estimator(),
+        fast_config(0),
+        &path,
+        Some(&registry),
+    )
+    .expect("resume the v1 journal");
     assert_eq!(replay.active_model, Some((1, published.fingerprint)));
     assert_eq!((replay.terminal.len(), replay.decisions.len()), (2, 0));
     assert_eq!(replay.pending().len(), 1);

@@ -214,7 +214,7 @@ proptest! {
         }
         svc.abort(); // kill: journal survives, in-memory state dies
 
-        let (svc, replay) = Service::resume(tiny_estimator(), config.clone(), &path).unwrap();
+        let (svc, replay) = Service::resume(tiny_estimator(), config.clone(), &path, None).unwrap();
         prop_assert!(replay.sessions.contains_key(&id));
         for d in &deltas[split..] {
             svc.apply_delta(id, d).unwrap();
