@@ -40,6 +40,11 @@
 //!    plan keeps a restarted shard out of the routing set for 3 monitor
 //!    polls.
 //!
+//! The cluster routes jobs only. An incremental session lives on one
+//! [`Service`] (`m3 serve`, `m3 session`): a delta dirties a few of its
+//! k paths, so splitting it across shards would buy nothing but a
+//! journaled fan-out per delta.
+//!
 //! Shard-level faults ([`InjectedFault::ShardCrash`] /
 //! [`InjectedFault::ShardStall`] / [`InjectedFault::ShardSlowStart`])
 //! are injected deterministically from the cluster's [`FaultPlan`] after
@@ -50,14 +55,12 @@ use crate::backoff::RetryPolicy;
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::journal::{JobOutcome, Journal, Replay};
 use crate::monitor::MonitorSource;
-use crate::request::{EstimateRequest, OpenSessionRequest};
+use crate::request::EstimateRequest;
 use crate::routing::{rank, routing_key};
-use crate::service::{Service, ServiceConfig, ServiceStats, SessionError, SubmitError};
+use crate::service::{Service, ServiceConfig, ServiceStats, SubmitError};
 use crate::swap::SwapTarget;
 use m3_core::aggregate::merge_estimates;
-use m3_core::prelude::{
-    FaultPlan, InjectedFault, M3Estimator, NetworkEstimate, PathSlice, ScenarioDelta, SessionUpdate,
-};
+use m3_core::prelude::{FaultPlan, InjectedFault, M3Estimator, NetworkEstimate, PathSlice};
 use m3_nn::prelude::M3Net;
 use m3_telemetry::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
@@ -139,60 +142,6 @@ impl Default for ClusterConfig {
     }
 }
 
-impl ClusterConfig {
-    /// The scatter rule shared by jobs and sessions: a request of `paths`
-    /// paths that is not itself a slice splits into one [`PathSlice`] per
-    /// [`scatter_chunk`](ClusterConfig::scatter_chunk) paths once it
-    /// reaches [`scatter_threshold`](ClusterConfig::scatter_threshold).
-    /// Empty when the request runs whole.
-    fn scatter(&self, paths: usize, slice: Option<PathSlice>) -> Vec<PathSlice> {
-        if slice.is_some() || paths < self.scatter_threshold {
-            return Vec::new();
-        }
-        let slices = PathSlice::chunks(paths, self.scatter_chunk);
-        if slices.len() > 1 {
-            slices
-        } else {
-            Vec::new()
-        }
-    }
-}
-
-/// Why a cluster session operation failed.
-#[derive(Debug)]
-pub enum ClusterSessionError {
-    /// No open cluster session with this id.
-    UnknownSession { id: u64 },
-    /// No routable shard could take (part of) the session.
-    NoRoutableShard,
-    /// The owning shard rejected the operation (validation, estimate, or
-    /// journal failure — see the wrapped [`SessionError`]).
-    Shard(SessionError),
-    /// The cluster is shutting down.
-    ShuttingDown,
-}
-
-impl std::fmt::Display for ClusterSessionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClusterSessionError::UnknownSession { id } => {
-                write!(f, "unknown cluster session {id}")
-            }
-            ClusterSessionError::NoRoutableShard => write!(f, "no routable shard"),
-            ClusterSessionError::Shard(e) => write!(f, "shard session error: {e}"),
-            ClusterSessionError::ShuttingDown => write!(f, "cluster is shutting down"),
-        }
-    }
-}
-
-impl std::error::Error for ClusterSessionError {}
-
-impl From<SessionError> for ClusterSessionError {
-    fn from(e: SessionError) -> Self {
-        ClusterSessionError::Shard(e)
-    }
-}
-
 /// Failure-detector state of one shard, as typed transitions:
 /// `Alive → Suspect → Dead → Recovering → Recovered`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -263,19 +212,6 @@ pub struct ClusterStats {
     /// Committed cluster-wide model installs.
     #[serde(default)]
     pub model_swaps: u64,
-    /// Incremental sessions currently open at the coordinator.
-    #[serde(default)]
-    pub sessions_open: usize,
-    /// Cluster sessions ever opened.
-    #[serde(default)]
-    pub sessions_opened: u64,
-    /// Deltas applied across all cluster sessions.
-    #[serde(default)]
-    pub session_updates: u64,
-    /// Session parts re-homed to a surviving shard after their shard died
-    /// (state re-adopted from the dead shard's journal).
-    #[serde(default)]
-    pub sessions_failed_over: u64,
     /// Decision records adopted from a dead shard's journal and recomputed
     /// to their digest.
     #[serde(default)]
@@ -314,13 +250,6 @@ struct ClusterMetrics {
     /// `cluster.model_version` — registry version of the active model
     /// (0 = unversioned).
     model_version: Gauge,
-    /// `cluster.sessions_opened` — cluster sessions opened.
-    sessions_opened: Counter,
-    /// `cluster.session_updates` — deltas applied to cluster sessions.
-    session_updates: Counter,
-    /// `cluster.sessions_failed_over` — session parts re-homed after a
-    /// shard death.
-    sessions_failed_over: Counter,
     /// `cluster.recomputed` — adopted decisions recomputed to their digest.
     recomputed: Counter,
     /// `cluster.recompute_failures` — adopted decisions that resolved to
@@ -346,9 +275,6 @@ impl ClusterMetrics {
             shed: r.counter("cluster.shed"),
             model_swaps: r.counter("cluster.model_swaps"),
             model_version: r.gauge("cluster.model_version"),
-            sessions_opened: r.counter("cluster.sessions_opened"),
-            session_updates: r.counter("cluster.session_updates"),
-            sessions_failed_over: r.counter("cluster.sessions_failed_over"),
             recomputed: r.counter("cluster.recomputed"),
             recompute_failures: r.counter("cluster.recompute_failures"),
         }
@@ -395,27 +321,6 @@ struct PendingDispatch {
     not_before: Instant,
 }
 
-/// One path-slice part of a cluster session, living as a shard-local
-/// session on `shard`.
-struct SessionPart {
-    shard: usize,
-    /// Shard-local session id.
-    sid: u64,
-    /// The part's open request (its `path_slice` is the slice it covers).
-    request: OpenSessionRequest,
-    /// Every delta attempted on this part, in order (a delta the first
-    /// part rejects is dropped again) — what failover and repair replay
-    /// onto a new shard.
-    deltas: Vec<ScenarioDelta>,
-}
-
-/// One cluster-level incremental session: path-slice parts routed
-/// independently by rendezvous hash; the session estimate is the
-/// deterministic merge of the parts'.
-struct ClusterSession {
-    parts: Vec<SessionPart>,
-}
-
 /// Bound on the cluster's recent-request ring (shadow-eval window source).
 const CLUSTER_RECENT_CAP: usize = 64;
 
@@ -430,9 +335,6 @@ struct ClusterModel {
 struct ClusterState {
     shards: Vec<ShardSlot>,
     jobs: BTreeMap<u64, ClusterJob>,
-    /// Open cluster sessions by cluster session id (shared allocator with
-    /// job ids).
-    sessions: BTreeMap<u64, ClusterSession>,
     /// Most recently submitted caller-visible requests (newest at the
     /// back) — the swap coordinator's shadow window.
     recent: VecDeque<EstimateRequest>,
@@ -455,18 +357,6 @@ struct ClusterInner {
     model: Mutex<ClusterModel>,
     registry: MetricsRegistry,
     metrics: ClusterMetrics,
-}
-
-impl ClusterState {
-    /// The routable shards (healthy enough and holding a live service),
-    /// in rendezvous rank order for `key`.
-    fn ranked(&self, key: u64) -> Vec<usize> {
-        let routable: Vec<usize> = (self.shards.iter().enumerate())
-            .filter(|(_, s)| s.health.routable() && s.service.is_some())
-            .map(|(i, _)| i)
-            .collect();
-        rank(key, &routable)
-    }
 }
 
 impl ClusterInner {
@@ -528,7 +418,6 @@ impl Cluster {
             state: Mutex::new(ClusterState {
                 shards,
                 jobs: BTreeMap::new(),
-                sessions: BTreeMap::new(),
                 recent: VecDeque::new(),
                 next_id: 0,
                 settled: 0,
@@ -579,8 +468,14 @@ impl Cluster {
         if st.recent.len() > CLUSTER_RECENT_CAP {
             st.recent.pop_front();
         }
-        let slices = inner.config.scatter(request.paths, request.path_slice);
-        if !slices.is_empty() {
+        let cfg = &inner.config;
+        let slices = match request.path_slice {
+            None if request.paths >= cfg.scatter_threshold => {
+                PathSlice::chunks(request.paths, cfg.scatter_chunk)
+            }
+            _ => Vec::new(),
+        };
+        if slices.len() > 1 {
             inner.metrics.scattered.inc();
             let mut children = Vec::with_capacity(slices.len());
             for sl in slices {
@@ -642,200 +537,6 @@ impl Cluster {
             .and_then(|j| j.outcome.clone())
     }
 
-    /// Open a cluster-wide incremental session. Sessions with at least
-    /// [`ClusterConfig::scatter_threshold`] paths are split into
-    /// [`PathSlice`] parts; each part routes independently by rendezvous
-    /// hash and lives as a journaled shard-local session, so the parts of
-    /// one session spread across shards and survive shard deaths (see
-    /// failover). Returns the cluster session id and the merged initial
-    /// update.
-    pub fn open_session(
-        &self,
-        request: OpenSessionRequest,
-    ) -> Result<(u64, SessionUpdate), ClusterSessionError> {
-        let inner = &self.inner;
-        let mut st = inner.lock();
-        if st.shutdown {
-            return Err(ClusterSessionError::ShuttingDown);
-        }
-        let id = st.next_id;
-        st.next_id += 1;
-        let slices = inner.config.scatter(request.paths, request.path_slice);
-        let part_reqs: Vec<OpenSessionRequest> = if slices.is_empty() {
-            vec![request]
-        } else {
-            (slices.into_iter())
-                .map(|sl| OpenSessionRequest {
-                    path_slice: Some(sl),
-                    ..request.clone()
-                })
-                .collect()
-        };
-        let mut parts: Vec<SessionPart> = Vec::with_capacity(part_reqs.len());
-        let mut updates: Vec<SessionUpdate> = Vec::with_capacity(part_reqs.len());
-        for preq in part_reqs {
-            match open_session_part(&mut st, &preq, &[]) {
-                Ok((shard, sid, update)) => {
-                    parts.push(SessionPart {
-                        shard,
-                        sid,
-                        request: preq,
-                        deltas: Vec::new(),
-                    });
-                    updates.push(update);
-                }
-                Err(e) => {
-                    // Unwind parts already opened so no orphan sessions
-                    // hold cache pins on their shards.
-                    for p in &parts {
-                        if let Some(svc) = st.shards[p.shard].service.as_ref() {
-                            let _ = svc.close_session(p.sid);
-                        }
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        let update = merge_session_updates(&updates);
-        st.sessions.insert(id, ClusterSession { parts });
-        inner.metrics.sessions_opened.inc();
-        Ok((id, update))
-    }
-
-    /// Apply one delta to cluster session `id`: every part applies it
-    /// through its shard's journaled session path; the merged update (and
-    /// the merged estimate) is bit-identical to an unscattered session
-    /// because path aggregation is order-independent. A delta the first
-    /// part rejects (validation — identical on every part, they share one
-    /// scenario) is rejected with no part changed.
-    pub fn apply_delta(
-        &self,
-        id: u64,
-        delta: &ScenarioDelta,
-    ) -> Result<SessionUpdate, ClusterSessionError> {
-        let inner = &self.inner;
-        let mut st = inner.lock();
-        if st.shutdown {
-            return Err(ClusterSessionError::ShuttingDown);
-        }
-        let mut session = st
-            .sessions
-            .remove(&id)
-            .ok_or(ClusterSessionError::UnknownSession { id })?;
-        let n = session.parts.len();
-        let mut updates: Vec<SessionUpdate> = Vec::with_capacity(n);
-        let mut first_err: Option<ClusterSessionError> = None;
-        for i in 0..n {
-            // Record before applying, mirroring the shard's write-ahead
-            // journal: the replay source always covers the attempt.
-            session.parts[i].deltas.push(*delta);
-            let (shard, sid) = (session.parts[i].shard, session.parts[i].sid);
-            let applied = match st.shards[shard].service.as_ref() {
-                Some(svc) => svc.apply_delta(sid, delta).map_err(Into::into),
-                None => Err(ClusterSessionError::NoRoutableShard),
-            };
-            match applied {
-                Ok(u) => updates.push(u),
-                Err(e @ ClusterSessionError::Shard(SessionError::Estimate(_))) if i == 0 => {
-                    // First part rejected the delta: nothing applied
-                    // anywhere. Spec validation is deterministic and the
-                    // parts share one scenario, so every part would reject
-                    // identically — return the typed error un-applied.
-                    session.parts[0].deltas.pop();
-                    st.sessions.insert(id, session);
-                    return Err(e);
-                }
-                Err(_) => {
-                    // The part is unreachable (shard died, or restarted
-                    // without the session) — a repairable infrastructure
-                    // failure, not a rejection. Re-home it and replay its
-                    // recorded history, which already includes this delta,
-                    // so the repaired part lands on the same post-delta
-                    // state the live parts reach.
-                    let part_req = session.parts[i].request.clone();
-                    let part_hist = session.parts[i].deltas.clone();
-                    match open_session_part(&mut st, &part_req, &part_hist) {
-                        Ok((new_shard, new_sid, update)) => {
-                            if let Some(svc) = st.shards[shard].service.as_ref() {
-                                let _ = svc.close_session(sid);
-                            }
-                            session.parts[i].shard = new_shard;
-                            session.parts[i].sid = new_sid;
-                            inner.metrics.sessions_failed_over.inc();
-                            updates.push(update);
-                        }
-                        Err(e) => {
-                            first_err.get_or_insert(e);
-                        }
-                    }
-                }
-            }
-        }
-        st.sessions.insert(id, session);
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        inner.metrics.session_updates.inc();
-        Ok(merge_session_updates(&updates))
-    }
-
-    /// Close cluster session `id`, closing every part on its shard.
-    pub fn close_session(&self, id: u64) -> Result<(), ClusterSessionError> {
-        let mut st = self.inner.lock();
-        let session = st
-            .sessions
-            .remove(&id)
-            .ok_or(ClusterSessionError::UnknownSession { id })?;
-        for part in &session.parts {
-            if let Some(svc) = st.shards[part.shard].service.as_ref() {
-                let _ = svc.close_session(part.sid);
-            }
-        }
-        Ok(())
-    }
-
-    /// The merged current estimate of cluster session `id`.
-    pub fn session_estimate(&self, id: u64) -> Option<NetworkEstimate> {
-        let st = self.inner.lock();
-        let session = st.sessions.get(&id)?;
-        let mut parts: Vec<NetworkEstimate> = Vec::with_capacity(session.parts.len());
-        for part in &session.parts {
-            let est = st.shards[part.shard]
-                .service
-                .as_ref()
-                .and_then(|svc| svc.session_estimate(part.sid))?;
-            parts.push(est);
-        }
-        let refs: Vec<&NetworkEstimate> = parts.iter().collect();
-        Some(merge_estimates(&refs))
-    }
-
-    /// The shard indices currently hosting the parts of session `id`, in
-    /// slice order (observability, and lets tests aim a shard kill).
-    pub fn session_shards(&self, id: u64) -> Option<Vec<usize>> {
-        let st = self.inner.lock();
-        st.sessions
-            .get(&id)
-            .map(|s| s.parts.iter().map(|p| p.shard).collect())
-    }
-
-    /// Kill shard `idx` the way [`InjectedFault::ShardCrash`] does: the
-    /// service is detached and aborted, the failure detector walks the
-    /// silent slot to `Dead`, and failover re-adopts its journal. Hidden
-    /// because it exists to *create* the failure mode in tests and soak
-    /// runs, not to manage a cluster.
-    #[doc(hidden)]
-    pub fn kill_shard(&self, idx: usize) {
-        let service = {
-            let mut st = self.inner.lock();
-            st.shards[idx].service.take()
-        };
-        if let Some(svc) = service {
-            svc.stall_supervisor(false);
-            svc.abort();
-        }
-    }
-
     /// Block until every accepted job settled and the dispatch queue is
     /// empty, or `timeout`. Returns true if idle was reached.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
@@ -890,10 +591,6 @@ impl Cluster {
             model_fingerprint,
             model_version,
             model_swaps: m.model_swaps.get(),
-            sessions_open: st.sessions.len(),
-            sessions_opened: m.sessions_opened.get(),
-            session_updates: m.session_updates.get(),
-            sessions_failed_over: m.sessions_failed_over.get(),
             recomputed: m.recomputed.get(),
             recompute_failures: m.recompute_failures.get(),
         }
@@ -1053,55 +750,6 @@ impl MonitorSource for Cluster {
     }
 }
 
-/// Open one session part on the best routable shard: walk the rendezvous
-/// rank order for the part's routing key; the first shard that accepts the
-/// open hosts the part. `replay_deltas` (the coordinator's record of the
-/// part, on failover or repair) are re-applied in order, ignoring
-/// per-delta errors — a delta that failed originally fails identically
-/// (deterministic pipeline, rollback-on-error), so replay converges to the
-/// same state. Returns `(shard, shard-local session id, latest update)`.
-fn open_session_part(
-    st: &mut ClusterState,
-    request: &OpenSessionRequest,
-    replay_deltas: &[ScenarioDelta],
-) -> Result<(usize, u64, SessionUpdate), ClusterSessionError> {
-    for idx in st.ranked(routing_key(request)) {
-        let Some(svc) = st.shards[idx].service.as_ref() else {
-            continue;
-        };
-        match svc.open_session(request.clone()) {
-            Ok((sid, mut update)) => {
-                for d in replay_deltas {
-                    if let Ok(u) = svc.apply_delta(sid, d) {
-                        update = u;
-                    }
-                }
-                return Ok((idx, sid, update));
-            }
-            // A spec/estimate rejection is deterministic — every shard
-            // would reject identically, so fail now instead of walking
-            // the whole ring.
-            Err(e @ SessionError::Estimate(_)) => return Err(ClusterSessionError::Shard(e)),
-            Err(_) => continue,
-        }
-    }
-    Err(ClusterSessionError::NoRoutableShard)
-}
-
-/// Merge the per-part updates of one fanned-out session operation: the
-/// estimate merges deterministically ([`merge_estimates`]); path counts
-/// add; the merged op is structural if any part's was.
-fn merge_session_updates(updates: &[SessionUpdate]) -> SessionUpdate {
-    let parts: Vec<&NetworkEstimate> = updates.iter().map(|u| &u.estimate).collect();
-    SessionUpdate {
-        estimate: merge_estimates(&parts),
-        total_paths: updates.iter().map(|u| u.total_paths).sum(),
-        dirty_paths: updates.iter().map(|u| u.dirty_paths).sum(),
-        reused_paths: updates.iter().map(|u| u.reused_paths).sum(),
-        structural: updates.iter().any(|u| u.structural),
-    }
-}
-
 fn start_shard(
     net: &M3Net,
     template: &ServiceConfig,
@@ -1125,7 +773,11 @@ fn try_dispatch(inner: &ClusterInner, st: &mut ClusterState, job_id: u64) -> boo
     if let Some(j) = st.jobs.get_mut(&job_id) {
         j.attempts += 1;
     }
-    for idx in st.ranked(routing_key(&request)) {
+    let routable: Vec<usize> = (st.shards.iter().enumerate())
+        .filter(|(_, s)| s.health.routable() && s.service.is_some())
+        .map(|(i, _)| i)
+        .collect();
+    for idx in rank(routing_key(&request), &routable) {
         let slot = &mut st.shards[idx];
         if !slot.breaker.try_acquire() {
             continue;
@@ -1404,7 +1056,7 @@ fn poll_heartbeats(inner: &ClusterInner) -> Vec<usize> {
 
 /// Fail over a dead shard: drain it, adopt settled outcomes from its
 /// journal (at most once each), reroute unsettled jobs over the
-/// survivors, restart it, and re-home its session parts.
+/// survivors, and restart it.
 fn failover(inner: &ClusterInner, idx: usize) {
     // Phase 1 (locked): detach the shard.
     let (service, journal_path, assigned, old_registry) = {
@@ -1479,38 +1131,6 @@ fn failover(inner: &ClusterInner, idx: usize) {
         } else {
             ShardHealth::Recovered
         };
-    }
-    // Re-adopt session parts that lived on the dead shard: each is
-    // re-opened on a surviving (or the restarted) shard by replaying the
-    // coordinator's record of its deltas. That lands where a replay of
-    // the dead shard's journal would: the only deltas the record lacks
-    // are ones the shard rejected, and a rejected delta leaves a session
-    // unchanged. (The record also holds a delta whose repair failed, which
-    // the journal lacks and the other parts applied.)
-    let mut rehome: Vec<(u64, usize)> = Vec::new();
-    for (csid, session) in &st.sessions {
-        for (pi, part) in session.parts.iter().enumerate() {
-            if part.shard == idx {
-                rehome.push((*csid, pi));
-            }
-        }
-    }
-    for (csid, pi) in rehome {
-        let part = &st.sessions[&csid].parts[pi];
-        let (req, hist) = (part.request.clone(), part.deltas.clone());
-        match open_session_part(&mut st, &req, &hist) {
-            Ok((shard, sid, _update)) => {
-                if let Some(s) = st.sessions.get_mut(&csid) {
-                    s.parts[pi].shard = shard;
-                    s.parts[pi].sid = sid;
-                }
-                inner.metrics.sessions_failed_over.inc();
-            }
-            Err(_) => {
-                // No routable shard took the part; it stays pointed at the
-                // dead slot and the next apply_delta repairs it in place.
-            }
-        }
     }
     drop(st);
     inner.cond.notify_all();
@@ -1777,147 +1397,6 @@ pub(crate) mod tests {
             merge_outcomes(&[ok.clone(), ok]),
             JobOutcome::Completed { attempts: 1, .. }
         ));
-    }
-
-    fn session_request(seed: u64, paths: usize) -> OpenSessionRequest {
-        OpenSessionRequest::new(tiny_request(seed, paths).scenario, paths, seed)
-    }
-
-    #[test]
-    fn scattered_session_matches_unscattered_service_session_bit_identically() {
-        let mut cfg = quick_cluster_config(3);
-        cfg.scatter_threshold = 4;
-        cfg.scatter_chunk = 2;
-        let cluster = Cluster::start(tiny_net(), cfg).unwrap();
-        let req = session_request(21, 6);
-        let (id, opened) = cluster.open_session(req.clone()).unwrap();
-        assert!(opened.structural);
-        assert_eq!(
-            cluster.session_shards(id).unwrap().len(),
-            3,
-            "6 paths / chunk 2 = 3 parts"
-        );
-
-        let d1 = ScenarioDelta::LinkCapacity {
-            link: 0,
-            bandwidth: 5_000_000_000,
-        };
-        let d2 = ScenarioDelta::LinkDown { link: 1 };
-        cluster.apply_delta(id, &d1).unwrap();
-        cluster.apply_delta(id, &d2).unwrap();
-
-        // An invalid delta is a typed rejection that changes no part.
-        let before = cluster.session_estimate(id).unwrap();
-        match cluster.apply_delta(
-            id,
-            &ScenarioDelta::LinkCapacity {
-                link: 0,
-                bandwidth: 0,
-            },
-        ) {
-            Err(ClusterSessionError::Shard(SessionError::Estimate(_))) => {}
-            other => panic!("expected typed rejection, got {other:?}"),
-        }
-        let merged = cluster.session_estimate(id).unwrap();
-        assert_estimates_bit_identical(&merged, &before);
-        assert!(matches!(
-            cluster.apply_delta(999, &d1),
-            Err(ClusterSessionError::UnknownSession { id: 999 })
-        ));
-
-        let stats = cluster.stats();
-        assert_eq!(stats.sessions_opened, 1);
-        assert_eq!(stats.session_updates, 2);
-        assert_eq!(stats.sessions_open, 1);
-        cluster.close_session(id).unwrap();
-        assert!(cluster.session_estimate(id).is_none());
-        cluster.shutdown();
-
-        // Reference: the same session, unscattered, on one service.
-        let svc = Service::start(
-            M3Estimator::new(tiny_net()),
-            ServiceConfig {
-                workers: 1,
-                ..ServiceConfig::default()
-            },
-        );
-        let (rid, _) = svc.open_session(req).unwrap();
-        svc.apply_delta(rid, &d1).unwrap();
-        svc.apply_delta(rid, &d2).unwrap();
-        let reference = svc.session_estimate(rid).unwrap();
-        svc.shutdown();
-        assert_estimates_bit_identical(&merged, &reference);
-    }
-
-    #[test]
-    fn killed_shard_session_parts_rehome_and_stay_bit_identical() {
-        let dir = std::env::temp_dir().join(format!(
-            "m3-cluster-session-failover-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut cfg = quick_cluster_config(3);
-        cfg.scatter_threshold = 4;
-        cfg.scatter_chunk = 2;
-        cfg.journal_dir = Some(dir.clone());
-        cfg.suspect_misses = 2;
-        cfg.dead_misses = 5;
-        let cluster = Cluster::start(tiny_net(), cfg).unwrap();
-        let req = session_request(33, 6);
-        let (id, _) = cluster.open_session(req.clone()).unwrap();
-        let d1 = ScenarioDelta::LinkCapacity {
-            link: 0,
-            bandwidth: 5_000_000_000,
-        };
-        cluster.apply_delta(id, &d1).unwrap();
-
-        // Kill the shard hosting the session's first part, then keep
-        // driving the session. Whichever happens first — monitor failover
-        // re-adopting the part from the dead shard's journal, or the next
-        // apply_delta repairing it in place — must converge to the same
-        // state. The delta is absolute (idempotent), so retrying a
-        // partially-applied fanout is safe.
-        let victim = cluster.session_shards(id).unwrap()[0];
-        cluster.kill_shard(victim);
-        let d2 = ScenarioDelta::LinkCapacity {
-            link: 0,
-            bandwidth: 2_500_000_000,
-        };
-        let deadline = Instant::now() + Duration::from_secs(120);
-        loop {
-            match cluster.apply_delta(id, &d2) {
-                Ok(_) => break,
-                Err(e) => {
-                    assert!(Instant::now() < deadline, "session never repaired: {e}");
-                    thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
-        let stats = cluster.stats();
-        assert!(
-            stats.sessions_failed_over >= 1,
-            "the victim's part must have re-homed: {stats:?}"
-        );
-        let merged = cluster.session_estimate(id).unwrap();
-        cluster.close_session(id).unwrap();
-        cluster.shutdown();
-
-        // Lossless: the re-homed session matches an undisturbed
-        // single-service session that applied the same deltas.
-        let svc = Service::start(
-            M3Estimator::new(tiny_net()),
-            ServiceConfig {
-                workers: 1,
-                ..ServiceConfig::default()
-            },
-        );
-        let (rid, _) = svc.open_session(req).unwrap();
-        svc.apply_delta(rid, &d1).unwrap();
-        svc.apply_delta(rid, &d2).unwrap();
-        let reference = svc.session_estimate(rid).unwrap();
-        svc.shutdown();
-        assert_estimates_bit_identical(&merged, &reference);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

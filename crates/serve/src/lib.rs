@@ -53,9 +53,7 @@ pub mod swap;
 pub mod prelude {
     pub use crate::backoff::RetryPolicy;
     pub use crate::breaker::{BreakerState, CircuitBreaker};
-    pub use crate::cluster::{
-        Cluster, ClusterConfig, ClusterSessionError, ClusterStats, ShardHealth, ShardStatus,
-    };
+    pub use crate::cluster::{Cluster, ClusterConfig, ClusterStats, ShardHealth, ShardStatus};
     pub use crate::journal::{
         read_records, Decision, JobOutcome, Journal, JournalCorruption, JournalFaults,
         JournalRecord, Replay, SessionReplay,

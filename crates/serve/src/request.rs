@@ -175,17 +175,15 @@ impl EstimateRequest {
 /// subsequent [`ScenarioDelta`](m3_core::prelude::ScenarioDelta)s
 /// re-estimate only the paths they touch. Journaled verbatim, so
 /// kill-and-resume replays the open (and every delta) to the same state.
+/// A session covers all k sampled paths on the one service that opened
+/// it. An older journal record with a `path_slice` key still reads (unknown
+/// keys are skipped) and reopens as a whole session.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OpenSessionRequest {
     pub scenario: ScenarioSpec,
     /// Paths to sample (k in the paper's Fig. 4).
     pub paths: usize,
     pub seed: u64,
-    /// Restrict the session to a contiguous slice of the k sampled paths —
-    /// the scatter unit when a cluster coordinator splits one session
-    /// across shards. `None` covers all k paths.
-    #[serde(default)]
-    pub path_slice: Option<PathSlice>,
 }
 
 impl OpenSessionRequest {
@@ -194,7 +192,6 @@ impl OpenSessionRequest {
             scenario,
             paths,
             seed,
-            path_slice: None,
         }
     }
 }

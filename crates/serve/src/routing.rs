@@ -19,17 +19,15 @@
 //! its queue is full, the next-ranked shard is the unique, stable second
 //! choice.
 
+use crate::request::EstimateRequest;
 use m3_nn::prelude::checksum64;
-use serde::Serialize;
 
-/// Stable routing key for a request or a session open: `checksum64` of
-/// its canonical JSON.
+/// Stable routing key for a request: `checksum64` of its canonical JSON.
 ///
-/// Scatter children of one large scenario (and the path-slice parts of one
-/// scattered session) differ only in `path_slice`, which is part of the
-/// serialized form — so they spread across shards instead of piling onto
-/// one.
-pub fn routing_key(request: &impl Serialize) -> u64 {
+/// Scatter children of one large scenario differ only in `path_slice`,
+/// which is part of the serialized form — so they spread across shards
+/// instead of piling onto one.
+pub fn routing_key(request: &EstimateRequest) -> u64 {
     match serde_json::to_string(request) {
         Ok(json) => checksum64(json.as_bytes()),
         // Serialization of a plain-data request cannot fail in practice;
@@ -72,7 +70,7 @@ pub fn rank(key: u64, live: &[usize]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{ConfigSpec, EstimateRequest, ScenarioSpec, TopoSpec, WorkloadSpec};
+    use crate::request::{ConfigSpec, ScenarioSpec, TopoSpec, WorkloadSpec};
 
     fn req(seed: u64) -> EstimateRequest {
         EstimateRequest::new(

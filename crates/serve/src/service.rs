@@ -783,7 +783,6 @@ impl Inner {
         let mut tctx = TraceCtx::new(self.config.trace.clone(), session_trace_id(id));
         tctx.probe_stride_ns = self.config.trace_stride_ns;
         let options = EstimateOptions {
-            path_slice: req.path_slice,
             metrics: Some(self.registry.clone()),
             trace: tctx,
             ..EstimateOptions::default()

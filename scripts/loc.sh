@@ -4,8 +4,10 @@
 # non-test column counts, of each file outside a `tests/` tree, the lines
 # before its first `#[cfg(test)]` line; files in a `tests/` tree count as
 # test lines only. Code placed after a file's first test module therefore
-# counts as test code. A last line counts the settable options: the `pub`
-# fields of each `pub struct *Config` under crates/, and their total.
+# counts as test code. Two last lines count the settable options (the
+# `pub` fields of each `pub struct *Config` under crates/, and their
+# total) and the serving surface (the `pub fn`s of `impl Service` and
+# `impl Cluster`, before the file's first `#[cfg(test)]`).
 # Prints only; gates nothing.
 # Usage: scripts/loc.sh
 set -euo pipefail
@@ -49,3 +51,14 @@ find crates -name '*.rs' -not -path '*/target/*' -print0 |
   sort |
   awk '{ list = list sep $1 " " $2; sep = ", "; sum += $2 }
        END { printf "config fields: %s; total %d\n", list, sum }'
+
+# "<type> <pub fns>" for the inherent impl blocks of the two serving types.
+for pair in Service:crates/serve/src/service.rs Cluster:crates/serve/src/cluster.rs; do
+  awk -v type="${pair%%:*}" '
+    /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+    $0 == "impl " type " {" { inside = 1; next }
+    inside && /^\}/ { inside = 0 }
+    inside && /^    pub fn / { n++ }
+    END { print type, n + 0 }' "${pair#*:}"
+done |
+  awk '{ list = list sep $1 " " $2; sep = ", " } END { printf "serving pub fns: %s\n", list }'

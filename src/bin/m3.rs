@@ -64,7 +64,7 @@
 
 use m3::core::prelude::*;
 use m3::netsim::prelude::*;
-use m3::nn::prelude::{Lineage, M3Net, ModelRef, ModelRegistry};
+use m3::nn::prelude::{write_atomic, Lineage, M3Net, ModelRef, ModelRegistry};
 use m3::parsimon::{parsimon_estimate, parsimon_estimate_clustered, slowdown_samples};
 use m3::serve::prelude::{
     render_report, Cluster, ClusterConfig, ConfigSpec, DriftConfig, EstimateRequest, JobOutcome,
@@ -315,7 +315,7 @@ impl TraceOpts {
         } else {
             rec.to_chrome_json()
         };
-        if let Err(e) = std::fs::write(&self.out, json) {
+        if let Err(e) = write_atomic(self.out.as_ref(), json.as_bytes()) {
             eprintln!("warning: cannot write trace {}: {e}", self.out);
         } else {
             let dropped = if rec.dropped > 0 {
@@ -333,10 +333,13 @@ impl TraceOpts {
 }
 
 /// Write a metrics snapshot as JSON, best-effort with a visible warning.
-fn write_snapshot(path: &str, snap: &MetricsSnapshot) {
-    if let Err(e) = std::fs::write(path, snap.to_json()) {
+/// Returns whether it was written.
+fn write_snapshot(path: &str, snap: &MetricsSnapshot) -> bool {
+    let written = write_atomic(path.as_ref(), snap.to_json().as_bytes());
+    if let Err(e) = &written {
         eprintln!("warning: cannot write metrics snapshot {path}: {e}");
     }
+    written.is_ok()
 }
 
 /// Route a typed pipeline error to the right exit family.
@@ -1105,9 +1108,7 @@ fn run_cluster(spec: &ClusterSpec, metrics_out: Option<&str>) {
 
     let stats = cluster.stats();
     if let Some(path) = metrics_out {
-        if let Err(e) = std::fs::write(path, cluster.merged_metrics().to_json()) {
-            eprintln!("warning: cannot write merged metrics {path}: {e}");
-        } else {
+        if write_snapshot(path, &cluster.merged_metrics()) {
             println!("merged cluster metrics written to {path}");
         }
     }

@@ -762,3 +762,59 @@ fn a_version_1_journal_replays_and_serves_its_estimates_without_recompute() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A `SessionOpen` record written while a cluster could still split a
+/// session into path slices carries a `"path_slice":null` key that
+/// [`OpenSessionRequest`] no longer has. The reader skips unknown keys,
+/// so the journal resumes, and the session reopens as the whole session
+/// it was.
+#[test]
+fn a_session_open_record_with_a_path_slice_key_resumes_as_a_whole_session() {
+    use m3::nn::prelude::encode_record;
+    use std::io::Write;
+    let path = tmpjournal("path-slice-key");
+    let request = OpenSessionRequest::new(scenario(120), PATHS, 5);
+    let delta = ScenarioDelta::LinkCapacity {
+        link: 0,
+        bandwidth: 5_000_000_000,
+    };
+    let open = serde_json::to_string(&JournalRecord::SessionOpen {
+        id: 0,
+        request: Box::new(request.clone()),
+    })
+    .expect("encode the open");
+    let open = open.replacen("\"seed\":5", "\"seed\":5,\"path_slice\":null", 1);
+    assert!(open.contains("\"path_slice\":null"), "{open}");
+    let applied = serde_json::to_string(&JournalRecord::SessionDelta {
+        id: 0,
+        seq: 0,
+        delta,
+    })
+    .expect("encode the delta");
+    drop(Journal::create(&path).expect("create the journal"));
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .expect("reopen the journal");
+    for payload in [open, applied] {
+        file.write_all(&encode_record(payload.as_bytes()))
+            .expect("append a record");
+    }
+    drop(file);
+
+    let (svc, replay) = Service::resume(untrained_estimator(), fast_config(0), &path, None)
+        .expect("resume the journal");
+    assert_eq!(replay.sessions[&0].request, request);
+    assert_eq!(replay.sessions[&0].deltas, [(0, delta)]);
+    let resumed = svc.session_estimate(0).expect("the session reopened");
+    svc.shutdown();
+
+    let fresh = Service::start(untrained_estimator(), fast_config(0));
+    let (id, _) = fresh.open_session(request).expect("open");
+    fresh.apply_delta(id, &delta).expect("apply");
+    let reference = fresh.session_estimate(id).expect("fresh estimate");
+    fresh.shutdown();
+    assert_estimates_bit_identical(&resumed, &reference);
+    assert_eq!(resumed.digest(), reference.digest());
+    std::fs::remove_file(&path).ok();
+}
